@@ -16,10 +16,10 @@ namespace {
 /// durations would blame every ancestor of a slow service; self time
 /// pins the shift on the service that actually changed.
 std::map<std::string, std::vector<double>> LatencySamples(
-    const TraceQuery& query, const std::vector<TraceRecord>& subset) {
+    const TraceQuery& query, const std::vector<AnalyzedTrace>& subset) {
   std::map<std::string, std::vector<double>> out;
   const TraceForest& forest = query.forest();
-  for (const TraceRecord& r : subset) {
+  for (const AnalyzedTrace& r : subset) {
     std::vector<std::size_t> stack{r.root_node};
     while (!stack.empty()) {
       const std::size_t node = stack.back();
@@ -65,9 +65,9 @@ std::vector<ServiceShift> RegressionReport::Regressions(
 
 RegressionReport CompareServiceLatencies(
     const TraceQuery& before_query,
-    const std::vector<TraceRecord>& before_subset,
+    const std::vector<AnalyzedTrace>& before_subset,
     const TraceQuery& after_query,
-    const std::vector<TraceRecord>& after_subset) {
+    const std::vector<AnalyzedTrace>& after_subset) {
   const auto before = LatencySamples(before_query, before_subset);
   const auto after = LatencySamples(after_query, after_subset);
 

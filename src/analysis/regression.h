@@ -46,8 +46,8 @@ struct RegressionReport {
 /// deployment versions).
 RegressionReport CompareServiceLatencies(
     const TraceQuery& before_query,
-    const std::vector<TraceRecord>& before_subset,
+    const std::vector<AnalyzedTrace>& before_subset,
     const TraceQuery& after_query,
-    const std::vector<TraceRecord>& after_subset);
+    const std::vector<AnalyzedTrace>& after_subset);
 
 }  // namespace traceweaver

@@ -6,25 +6,25 @@ namespace traceweaver {
 
 TraceFilter FilterByEndpoint(std::string service, std::string endpoint) {
   return [service = std::move(service),
-          endpoint = std::move(endpoint)](const TraceRecord& r) {
+          endpoint = std::move(endpoint)](const AnalyzedTrace& r) {
     return r.root_service == service && r.root_endpoint == endpoint;
   };
 }
 
 TraceFilter FilterByMinLatency(DurationNs threshold) {
-  return [threshold](const TraceRecord& r) {
+  return [threshold](const AnalyzedTrace& r) {
     return r.e2e_latency >= threshold;
   };
 }
 
 TraceFilter And(TraceFilter a, TraceFilter b) {
-  return [a = std::move(a), b = std::move(b)](const TraceRecord& r) {
+  return [a = std::move(a), b = std::move(b)](const AnalyzedTrace& r) {
     return a(r) && b(r);
   };
 }
 
 TraceFilter Or(TraceFilter a, TraceFilter b) {
-  return [a = std::move(a), b = std::move(b)](const TraceRecord& r) {
+  return [a = std::move(a), b = std::move(b)](const AnalyzedTrace& r) {
     return a(r) || b(r);
   };
 }
@@ -35,7 +35,7 @@ TraceQuery::TraceQuery(const std::vector<Span>& spans,
   for (std::size_t root : forest_.roots()) {
     const Span& s = forest_.span_of(forest_.nodes()[root]);
     if (!s.IsRoot()) continue;  // Orphan fragments are not full traces.
-    TraceRecord r;
+    AnalyzedTrace r;
     r.root_node = root;
     r.trace = s.true_trace;
     r.root_service = s.callee;
@@ -45,7 +45,7 @@ TraceQuery::TraceQuery(const std::vector<Span>& spans,
     records_.push_back(std::move(r));
   }
   std::sort(records_.begin(), records_.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
+            [](const AnalyzedTrace& a, const AnalyzedTrace& b) {
               if (a.e2e_latency != b.e2e_latency) {
                 return a.e2e_latency > b.e2e_latency;
               }
@@ -53,17 +53,17 @@ TraceQuery::TraceQuery(const std::vector<Span>& spans,
             });
 }
 
-std::vector<TraceRecord> TraceQuery::Select(const TraceFilter& filter) const {
-  std::vector<TraceRecord> out;
-  for (const TraceRecord& r : records_) {
+std::vector<AnalyzedTrace> TraceQuery::Select(const TraceFilter& filter) const {
+  std::vector<AnalyzedTrace> out;
+  for (const AnalyzedTrace& r : records_) {
     if (!filter || filter(r)) out.push_back(r);
   }
   return out;
 }
 
-std::vector<TraceRecord> TraceQuery::SelectTail(double percentile,
+std::vector<AnalyzedTrace> TraceQuery::SelectTail(double percentile,
                                                 const TraceFilter& pre) const {
-  std::vector<TraceRecord> pool = Select(pre);
+  std::vector<AnalyzedTrace> pool = Select(pre);
   const double frac = std::clamp(1.0 - percentile / 100.0, 0.0, 1.0);
   const std::size_t keep = std::max<std::size_t>(
       pool.empty() ? 0 : 1,
@@ -73,9 +73,9 @@ std::vector<TraceRecord> TraceQuery::SelectTail(double percentile,
 }
 
 std::map<std::string, ServiceProfile> TraceQuery::ProfileByService(
-    const std::vector<TraceRecord>& subset) const {
+    const std::vector<AnalyzedTrace>& subset) const {
   std::map<std::string, std::vector<double>> samples;
-  for (const TraceRecord& r : subset) {
+  for (const AnalyzedTrace& r : subset) {
     for (SpanId id : forest_.SubtreeSpanIds(r.root_node)) {
       const Span& s = forest_.span_by_id(id);
       samples[s.callee].push_back(ToMillis(s.ServerDuration()));
@@ -93,7 +93,7 @@ std::map<std::string, ServiceProfile> TraceQuery::ProfileByService(
 }
 
 std::vector<CriticalHop> TraceQuery::CriticalPath(
-    const TraceRecord& record) const {
+    const AnalyzedTrace& record) const {
   std::vector<CriticalHop> path;
   std::size_t node = record.root_node;
   while (true) {
@@ -129,9 +129,9 @@ std::vector<CriticalHop> TraceQuery::CriticalPath(
 }
 
 std::map<std::string, DurationNs> TraceQuery::CriticalPathBreakdown(
-    const std::vector<TraceRecord>& subset) const {
+    const std::vector<AnalyzedTrace>& subset) const {
   std::map<std::string, DurationNs> out;
-  for (const TraceRecord& r : subset) {
+  for (const AnalyzedTrace& r : subset) {
     for (const CriticalHop& hop : CriticalPath(r)) {
       out[hop.service] += hop.self_time;
     }
@@ -139,12 +139,12 @@ std::map<std::string, DurationNs> TraceQuery::CriticalPathBreakdown(
   return out;
 }
 
-std::pair<std::vector<TraceRecord>, std::vector<TraceRecord>>
+std::pair<std::vector<AnalyzedTrace>, std::vector<AnalyzedTrace>>
 TraceQuery::Partition(
-    const std::vector<TraceRecord>& subset,
+    const std::vector<AnalyzedTrace>& subset,
     const std::function<bool(const Span&)>& span_predicate) const {
-  std::pair<std::vector<TraceRecord>, std::vector<TraceRecord>> out;
-  for (const TraceRecord& r : subset) {
+  std::pair<std::vector<AnalyzedTrace>, std::vector<AnalyzedTrace>> out;
+  for (const AnalyzedTrace& r : subset) {
     bool hit = false;
     for (SpanId id : forest_.SubtreeSpanIds(r.root_node)) {
       if (span_predicate(forest_.span_by_id(id))) {

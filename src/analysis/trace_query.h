@@ -19,7 +19,7 @@
 namespace traceweaver {
 
 /// One reconstructed trace (a root in the forest) as the analysis unit.
-struct TraceRecord {
+struct AnalyzedTrace {
   std::size_t root_node = 0;  ///< Node index into the forest.
   TraceId trace = kInvalidTraceId;
   std::string root_service;
@@ -29,7 +29,7 @@ struct TraceRecord {
 };
 
 /// A filter over trace records; composable with And/Or.
-using TraceFilter = std::function<bool(const TraceRecord&)>;
+using TraceFilter = std::function<bool(const AnalyzedTrace&)>;
 
 TraceFilter FilterByEndpoint(std::string service, std::string endpoint);
 TraceFilter FilterByMinLatency(DurationNs threshold);
@@ -63,40 +63,40 @@ class TraceQuery {
              const ParentAssignment& assignment);
 
   /// All complete traces (roots whose span is an external request).
-  const std::vector<TraceRecord>& traces() const { return records_; }
+  const std::vector<AnalyzedTrace>& traces() const { return records_; }
 
   /// Traces passing the filter, in descending e2e-latency order.
-  std::vector<TraceRecord> Select(const TraceFilter& filter) const;
+  std::vector<AnalyzedTrace> Select(const TraceFilter& filter) const;
 
   /// The slowest `percentile`..100% of traces (optionally pre-filtered).
-  std::vector<TraceRecord> SelectTail(double percentile,
+  std::vector<AnalyzedTrace> SelectTail(double percentile,
                                       const TraceFilter& pre = {}) const;
 
   /// Per-service latency profile across the given subset.
   std::map<std::string, ServiceProfile> ProfileByService(
-      const std::vector<TraceRecord>& subset) const;
+      const std::vector<AnalyzedTrace>& subset) const;
 
   /// The critical path of one trace: the chain of spans that bounds its
   /// end-to-end latency, with self time (span duration minus the child on
   /// the path) per hop.
-  std::vector<CriticalHop> CriticalPath(const TraceRecord& record) const;
+  std::vector<CriticalHop> CriticalPath(const AnalyzedTrace& record) const;
 
   /// Aggregates critical-path self time by service across a subset: "who
   /// actually makes these traces slow".
   std::map<std::string, DurationNs> CriticalPathBreakdown(
-      const std::vector<TraceRecord>& subset) const;
+      const std::vector<AnalyzedTrace>& subset) const;
 
   /// Splits a subset by a predicate on the trace's spans (e.g. "did this
   /// trace touch replica 1 of service X"); returns {matching, rest}.
-  std::pair<std::vector<TraceRecord>, std::vector<TraceRecord>> Partition(
-      const std::vector<TraceRecord>& subset,
+  std::pair<std::vector<AnalyzedTrace>, std::vector<AnalyzedTrace>> Partition(
+      const std::vector<AnalyzedTrace>& subset,
       const std::function<bool(const Span&)>& span_predicate) const;
 
   const TraceForest& forest() const { return forest_; }
 
  private:
   TraceForest forest_;
-  std::vector<TraceRecord> records_;
+  std::vector<AnalyzedTrace> records_;
 };
 
 }  // namespace traceweaver

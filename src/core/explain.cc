@@ -1,31 +1,15 @@
 #include "core/explain.h"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/table.h"
 
 namespace traceweaver {
 namespace {
 
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
 std::string Id(SpanId id) {
   return id == kInvalidSpanId ? std::string("-") : std::to_string(id);
-}
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 std::string ChildrenList(const ExplainCandidate& c) {
@@ -114,9 +98,9 @@ std::string ExplainTable(const ExplainCapture& e) {
 std::string ExplainJson(const ExplainCapture& e) {
   std::string out = "{\"schema\":\"traceweaver.explain.v1\",";
   out += "\"found\":" + std::string(e.found ? "true" : "false") + ",";
-  out += "\"parent\":" + JsonStr(Id(e.parent)) + ",";
-  out += "\"service\":" + JsonStr(e.service) + ",";
-  out += "\"endpoint\":" + JsonStr(e.endpoint) + ",";
+  out += "\"parent\":" + json::Str(Id(e.parent)) + ",";
+  out += "\"service\":" + json::Str(e.service) + ",";
+  out += "\"endpoint\":" + json::Str(e.endpoint) + ",";
   out += "\"candidates_enumerated\":" + std::to_string(e.candidates_enumerated) + ",";
   out += "\"batch\":" + std::to_string(e.batch) + ",";
   out += "\"batch_size\":" + std::to_string(e.batch_size) + ",";
@@ -126,16 +110,16 @@ std::string ExplainJson(const ExplainCapture& e) {
     const ExplainCandidate& c = e.candidates[i];
     if (i > 0) out += ',';
     out += "{\"rank\":" + std::to_string(c.rank) + ",";
-    out += "\"score\":" + Num(c.score) + ",";
+    out += "\"score\":" + json::Fixed(c.score) + ",";
     out += "\"chosen\":" + std::string(c.chosen ? "true" : "false") + ",";
     out += "\"in_top_k\":" + std::string(c.in_top_k ? "true" : "false") + ",";
     out += "\"skips\":" + std::to_string(c.skips) + ",";
     out += "\"children\":[";
     for (std::size_t j = 0; j < c.children.size(); ++j) {
       if (j > 0) out += ',';
-      out += JsonStr(c.children[j] == kSkippedChild
-                         ? std::string("skip")
-                         : std::to_string(c.children[j]));
+      out += json::Str(c.children[j] == kSkippedChild
+                           ? std::string("skip")
+                           : std::to_string(c.children[j]));
     }
     out += "],\"breakdown\":{\"positions\":[";
     const ScoreBreakdown& b = c.breakdown;
@@ -144,29 +128,30 @@ std::string ExplainJson(const ExplainCapture& e) {
       if (j > 0) out += ',';
       out += "{\"stage\":" + std::to_string(p.stage) + ",";
       out += "\"call\":" + std::to_string(p.call) + ",";
-      out += "\"service\":" + JsonStr(p.service) + ",";
-      out += "\"endpoint\":" + JsonStr(p.endpoint) + ",";
-      out += "\"child\":" + JsonStr(p.skipped ? std::string("skip")
-                                              : std::to_string(p.child)) + ",";
+      out += "\"service\":" + json::Str(p.service) + ",";
+      out += "\"endpoint\":" + json::Str(p.endpoint) + ",";
+      out += "\"child\":" + json::Str(p.skipped ? std::string("skip")
+                                                : std::to_string(p.child)) +
+             ",";
       out += "\"skipped\":" + std::string(p.skipped ? "true" : "false") + ",";
-      out += "\"gap_ns\":" + Num(p.gap_ns) + ",";
-      out += "\"timing_lp\":" + Num(p.timing_lp) + ",";
-      out += "\"discrete_lp\":" + Num(p.discrete_lp) + ",";
-      out += "\"thread_bonus\":" + Num(p.thread_bonus) + "}";
+      out += "\"gap_ns\":" + json::Fixed(p.gap_ns) + ",";
+      out += "\"timing_lp\":" + json::Fixed(p.timing_lp) + ",";
+      out += "\"discrete_lp\":" + json::Fixed(p.discrete_lp) + ",";
+      out += "\"thread_bonus\":" + json::Fixed(p.thread_bonus) + "}";
     }
     out += "],\"has_response\":" +
            std::string(b.has_response ? "true" : "false") + ",";
-    out += "\"response_gap_ns\":" + Num(b.response_gap_ns) + ",";
-    out += "\"response_lp\":" + Num(b.response_lp) + ",";
-    out += "\"total\":" + Num(b.total) + "}}";
+    out += "\"response_gap_ns\":" + json::Fixed(b.response_gap_ns) + ",";
+    out += "\"response_lp\":" + json::Fixed(b.response_lp) + ",";
+    out += "\"total\":" + json::Fixed(b.total) + "}}";
   }
   out += "],\"conflicts\":[";
   for (std::size_t i = 0; i < e.conflicts.size(); ++i) {
     const ExplainConflict& c = e.conflicts[i];
     if (i > 0) out += ',';
-    out += "{\"parent\":" + JsonStr(Id(c.parent)) + ",";
-    out += "\"service\":" + JsonStr(c.service) + ",";
-    out += "\"endpoint\":" + JsonStr(c.endpoint) + ",";
+    out += "{\"parent\":" + json::Str(Id(c.parent)) + ",";
+    out += "\"service\":" + json::Str(c.service) + ",";
+    out += "\"endpoint\":" + json::Str(c.endpoint) + ",";
     out += "\"shared_children\":" + std::to_string(c.shared_children) + "}";
   }
   out += "]}\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <tuple>
 #include <unordered_set>
@@ -10,6 +9,7 @@
 
 #include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -18,12 +18,6 @@ namespace {
 std::size_t ApproxSpanBytes(const Span& s) {
   return sizeof(Span) + s.caller.size() + s.callee.size() +
          s.endpoint.size();
-}
-
-std::string FmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 /// Wraps a serialized span line with checkpoint type tags: inserts
@@ -650,18 +644,18 @@ void OnlineTraceWeaver::SaveCheckpoint(
     std::string line = "{\"ckpt\":\"slot\",\"parent\":";
     line += std::to_string(s.parent);
     line += ',';
-    ckpt::AppendStrField(line, "parent_service", s.parent_service);
+    json::AppendStrField(line, "parent_service", s.parent_service);
     line += ',';
-    ckpt::AppendStrField(line, "parent_endpoint", s.parent_endpoint);
+    json::AppendStrField(line, "parent_endpoint", s.parent_endpoint);
     line += ",\"server_recv\":" + std::to_string(s.server_recv);
     line += ",\"server_send\":" + std::to_string(s.server_send);
     line += ",\"replica\":" + std::to_string(s.callee_replica);
     line += ",\"stage\":" + std::to_string(s.stage);
     line += ",\"call\":" + std::to_string(s.call);
     line += ',';
-    ckpt::AppendStrField(line, "service", s.call_service);
+    json::AppendStrField(line, "service", s.call_service);
     line += ',';
-    ckpt::AppendStrField(line, "endpoint", s.call_endpoint);
+    json::AppendStrField(line, "endpoint", s.call_endpoint);
     line += '}';
     w.WriteLine(line);
   }
@@ -677,14 +671,14 @@ void OnlineTraceWeaver::SaveCheckpoint(
   }
   for (const auto& [key, post] : posteriors_) {
     std::string line = "{\"ckpt\":\"posterior\",";
-    ckpt::AppendStrField(line, "service", key.service);
+    json::AppendStrField(line, "service", key.service);
     line += ',';
-    ckpt::AppendStrField(line, "endpoint", key.endpoint);
+    json::AppendStrField(line, "endpoint", key.endpoint);
     line += ",\"stage\":" + std::to_string(key.stage);
     line += ",\"call\":" + std::to_string(key.call);
     line += ",\"count\":" + std::to_string(post.count);
-    line += ",\"mean\":" + FmtDouble(post.mean);
-    line += ",\"m2\":" + FmtDouble(post.m2);
+    line += ",\"mean\":" + json::Exact(post.mean);
+    line += ",\"m2\":" + json::Exact(post.m2);
     line += '}';
     w.WriteLine(line);
   }
@@ -707,7 +701,7 @@ void OnlineTraceWeaver::SaveCheckpoint(
   }
   for (const auto& [key, value] : extra) {
     std::string line = "{\"ckpt\":\"extra\",";
-    ckpt::AppendStrField(line, "key", key);
+    json::AppendStrField(line, "key", key);
     line += ",\"value\":" + std::to_string(value);
     line += '}';
     w.WriteLine(line);
@@ -725,7 +719,7 @@ bool OnlineTraceWeaver::LoadCheckpoint(
     return false;
   }
   const std::string& header = (*lines)[0];
-  const auto schema = ckpt::FieldStr(header, "schema");
+  const auto schema = json::FieldStr(header, "schema");
   if (!schema || *schema != kCheckpointSchema) {
     if (error != nullptr) *error = "checkpoint header schema mismatch";
     return false;
@@ -735,16 +729,16 @@ bool OnlineTraceWeaver::LoadCheckpoint(
   // untouched.
   OnlineTraceWeaver fresh(graph_, options_);
   std::vector<obs::ProvEvent> prov_events;
-  fresh.started_ = ckpt::FieldU64(header, "started").value_or(0) != 0;
+  fresh.started_ = json::FieldU64(header, "started").value_or(0) != 0;
   fresh.next_window_start_ =
-      ckpt::FieldI64(header, "next_window_start").value_or(0);
-  fresh.high_watermark_ = ckpt::FieldI64(header, "high_watermark").value_or(0);
-  fresh.level_ = static_cast<int>(ckpt::FieldI64(header, "level").value_or(0));
+      json::FieldI64(header, "next_window_start").value_or(0);
+  fresh.high_watermark_ = json::FieldI64(header, "high_watermark").value_or(0);
+  fresh.level_ = static_cast<int>(json::FieldI64(header, "level").value_or(0));
 
   WindowResult* open_pending = nullptr;
   for (std::size_t i = 1; i < lines->size(); ++i) {
     const std::string& line = (*lines)[i];
-    const auto type = ckpt::FieldStr(line, "ckpt");
+    const auto type = json::FieldStr(line, "ckpt");
     if (!type) {
       if (error != nullptr) {
         *error = "checkpoint record " + std::to_string(i) + " has no type";
@@ -767,83 +761,83 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       } else {
         LateSpan late;
         late.span = *span;
-        late.deadline = ckpt::FieldI64(line, "deadline").value_or(0);
+        late.deadline = json::FieldI64(line, "deadline").value_or(0);
         fresh.late_pool_.push_back(std::move(late));
       }
     } else if (*type == "commit") {
-      const auto child = ckpt::FieldU64(line, "child");
-      const auto parent = ckpt::FieldU64(line, "parent");
+      const auto child = json::FieldU64(line, "child");
+      const auto parent = json::FieldU64(line, "parent");
       if (!child || !parent) return bad("commit ids");
       fresh.committed_[*child] = *parent;
     } else if (*type == "slot") {
       GraftSlot slot;
-      const auto parent = ckpt::FieldU64(line, "parent");
-      const auto pservice = ckpt::FieldStr(line, "parent_service");
-      const auto pendpoint = ckpt::FieldStr(line, "parent_endpoint");
-      const auto service = ckpt::FieldStr(line, "service");
-      const auto endpoint = ckpt::FieldStr(line, "endpoint");
+      const auto parent = json::FieldU64(line, "parent");
+      const auto pservice = json::FieldStr(line, "parent_service");
+      const auto pendpoint = json::FieldStr(line, "parent_endpoint");
+      const auto service = json::FieldStr(line, "service");
+      const auto endpoint = json::FieldStr(line, "endpoint");
       if (!parent || !pservice || !pendpoint || !service || !endpoint) {
         return bad("slot fields");
       }
       slot.parent = *parent;
       slot.parent_service = *pservice;
       slot.parent_endpoint = *pendpoint;
-      slot.server_recv = ckpt::FieldI64(line, "server_recv").value_or(0);
-      slot.server_send = ckpt::FieldI64(line, "server_send").value_or(0);
+      slot.server_recv = json::FieldI64(line, "server_recv").value_or(0);
+      slot.server_send = json::FieldI64(line, "server_send").value_or(0);
       slot.callee_replica =
-          static_cast<int>(ckpt::FieldI64(line, "replica").value_or(0));
-      slot.stage = static_cast<int>(ckpt::FieldI64(line, "stage").value_or(0));
-      slot.call = static_cast<int>(ckpt::FieldI64(line, "call").value_or(0));
+          static_cast<int>(json::FieldI64(line, "replica").value_or(0));
+      slot.stage = static_cast<int>(json::FieldI64(line, "stage").value_or(0));
+      slot.call = static_cast<int>(json::FieldI64(line, "call").value_or(0));
       slot.call_service = *service;
       slot.call_endpoint = *endpoint;
       fresh.graft_slots_.push_back(std::move(slot));
     } else if (*type == "posterior") {
-      const auto service = ckpt::FieldStr(line, "service");
-      const auto endpoint = ckpt::FieldStr(line, "endpoint");
+      const auto service = json::FieldStr(line, "service");
+      const auto endpoint = json::FieldStr(line, "endpoint");
       if (!service || !endpoint) return bad("posterior key");
       DelayKey key{*service, *endpoint,
-                   static_cast<int>(ckpt::FieldI64(line, "stage").value_or(0)),
-                   static_cast<int>(ckpt::FieldI64(line, "call").value_or(0))};
+                   static_cast<int>(json::FieldI64(line, "stage").value_or(0)),
+                   static_cast<int>(json::FieldI64(line, "call").value_or(0))};
       DelayPosterior post;
-      post.count = ckpt::FieldU64(line, "count").value_or(0);
-      post.mean = ckpt::FieldF64(line, "mean").value_or(0.0);
-      post.m2 = ckpt::FieldF64(line, "m2").value_or(0.0);
+      post.count = json::FieldU64(line, "count").value_or(0);
+      post.mean = json::FieldF64(line, "mean").value_or(0.0);
+      post.m2 = json::FieldF64(line, "m2").value_or(0.0);
       fresh.posteriors_[std::move(key)] = post;
     } else if (*type == "stats") {
       Stats& s = fresh.stats_;
-      s.ingested = ckpt::FieldU64(line, "ingested").value_or(0);
-      s.windows_closed = ckpt::FieldU64(line, "windows_closed").value_or(0);
+      s.ingested = json::FieldU64(line, "ingested").value_or(0);
+      s.windows_closed = json::FieldU64(line, "windows_closed").value_or(0);
       s.parents_committed =
-          ckpt::FieldU64(line, "parents_committed").value_or(0);
-      s.windows_shed = ckpt::FieldU64(line, "windows_shed").value_or(0);
-      s.spans_shed = ckpt::FieldU64(line, "spans_shed").value_or(0);
-      s.admission_drops = ckpt::FieldU64(line, "admission_drops").value_or(0);
-      s.late_spans = ckpt::FieldU64(line, "late_spans").value_or(0);
-      s.late_grafted = ckpt::FieldU64(line, "late_grafted").value_or(0);
-      s.late_orphans = ckpt::FieldU64(line, "late_orphans").value_or(0);
-      s.late_dropped = ckpt::FieldU64(line, "late_dropped").value_or(0);
+          json::FieldU64(line, "parents_committed").value_or(0);
+      s.windows_shed = json::FieldU64(line, "windows_shed").value_or(0);
+      s.spans_shed = json::FieldU64(line, "spans_shed").value_or(0);
+      s.admission_drops = json::FieldU64(line, "admission_drops").value_or(0);
+      s.late_spans = json::FieldU64(line, "late_spans").value_or(0);
+      s.late_grafted = json::FieldU64(line, "late_grafted").value_or(0);
+      s.late_orphans = json::FieldU64(line, "late_orphans").value_or(0);
+      s.late_dropped = json::FieldU64(line, "late_dropped").value_or(0);
       s.watermark_regressions =
-          ckpt::FieldU64(line, "watermark_regressions").value_or(0);
-      s.deadline_misses = ckpt::FieldU64(line, "deadline_misses").value_or(0);
+          json::FieldU64(line, "watermark_regressions").value_or(0);
+      s.deadline_misses = json::FieldU64(line, "deadline_misses").value_or(0);
       s.degrade_up_steps =
-          ckpt::FieldU64(line, "degrade_up_steps").value_or(0);
+          json::FieldU64(line, "degrade_up_steps").value_or(0);
       s.degrade_down_steps =
-          ckpt::FieldU64(line, "degrade_down_steps").value_or(0);
+          json::FieldU64(line, "degrade_down_steps").value_or(0);
     } else if (*type == "pendingw") {
       WindowResult pending;
-      pending.window_start = ckpt::FieldI64(line, "start").value_or(0);
-      pending.window_end = ckpt::FieldI64(line, "end").value_or(0);
-      pending.shed = ckpt::FieldU64(line, "shed").value_or(0) != 0;
+      pending.window_start = json::FieldI64(line, "start").value_or(0);
+      pending.window_end = json::FieldI64(line, "end").value_or(0);
+      pending.shed = json::FieldU64(line, "shed").value_or(0) != 0;
       pending.degradation_level =
-          static_cast<int>(ckpt::FieldI64(line, "level").value_or(0));
+          static_cast<int>(json::FieldI64(line, "level").value_or(0));
       fresh.pending_results_.push_back(std::move(pending));
       open_pending = &fresh.pending_results_.back();
     } else if (*type == "pendingo") {
-      const auto id = ckpt::FieldU64(line, "id");
+      const auto id = json::FieldU64(line, "id");
       if (!id || open_pending == nullptr) return bad("stray pending orphan");
       open_pending->orphans.push_back(*id);
     } else if (*type == "orphan") {
-      const auto id = ckpt::FieldU64(line, "id");
+      const auto id = json::FieldU64(line, "id");
       if (!id) return bad("orphan id");
       fresh.pending_orphans_.push_back(*id);
     } else if (*type == "skew") {
@@ -855,8 +849,8 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       if (!event) return bad("prov record");
       prov_events.push_back(std::move(*event));
     } else if (*type == "extra") {
-      const auto key = ckpt::FieldStr(line, "key");
-      const auto value = ckpt::FieldU64(line, "value");
+      const auto key = json::FieldStr(line, "key");
+      const auto value = json::FieldU64(line, "value");
       if (!key || !value) return bad("extra field");
       if (extra != nullptr) (*extra)[*key] = *value;
     } else {

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/metrics.h"
-#include "trace/checkpoint.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -31,14 +30,6 @@ std::int64_t Floor(const std::vector<std::int64_t>& buffer,
   const std::size_t skip = static_cast<std::size_t>(
       samples / PairSkewStats::kSamplesPerSkip);
   return buffer[std::min(skip, buffer.size() - 1)];
-}
-
-/// %.17g round-trips IEEE doubles exactly (same convention as the online
-/// checkpoint's posterior records).
-std::string FmtF64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 std::string JoinGaps(const std::vector<std::int64_t>& gaps) {
@@ -236,17 +227,17 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
   lines.reserve(pairs_.size());
   for (const auto& [key, stats] : pairs_) {
     std::string line = "{\"ckpt\":\"skew\",";
-    ckpt::AppendStrField(line, "caller", key.first.first);
+    json::AppendStrField(line, "caller", key.first.first);
     line += ",\"caller_replica\":" + std::to_string(key.first.second) + ",";
-    ckpt::AppendStrField(line, "callee", key.second.first);
+    json::AppendStrField(line, "callee", key.second.first);
     line += ",\"callee_replica\":" + std::to_string(key.second.second);
     line += ",\"samples\":" + std::to_string(stats.samples);
     line += ",\"inversions\":" + std::to_string(stats.inversions);
-    line += ",\"offset_mean\":" + FmtF64(stats.offset_mean);
-    line += ",\"offset_m2\":" + FmtF64(stats.offset_m2) + ",";
-    ckpt::AppendStrField(line, "req_gaps", JoinGaps(stats.min_request_gaps));
+    line += ",\"offset_mean\":" + json::Exact(stats.offset_mean);
+    line += ",\"offset_m2\":" + json::Exact(stats.offset_m2) + ",";
+    json::AppendStrField(line, "req_gaps", JoinGaps(stats.min_request_gaps));
     line += ",";
-    ckpt::AppendStrField(line, "resp_gaps",
+    json::AppendStrField(line, "resp_gaps",
                          JoinGaps(stats.min_response_gaps));
     line += "}";
     lines.push_back(std::move(line));
@@ -255,16 +246,16 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
 }
 
 bool SkewEstimator::LoadCheckpointLine(const std::string& line) {
-  const auto caller = ckpt::FieldStr(line, "caller");
-  const auto caller_replica = ckpt::FieldI64(line, "caller_replica");
-  const auto callee = ckpt::FieldStr(line, "callee");
-  const auto callee_replica = ckpt::FieldI64(line, "callee_replica");
-  const auto samples = ckpt::FieldU64(line, "samples");
-  const auto inversions = ckpt::FieldU64(line, "inversions");
-  const auto offset_mean = ckpt::FieldF64(line, "offset_mean");
-  const auto offset_m2 = ckpt::FieldF64(line, "offset_m2");
-  const auto req_gaps = ckpt::FieldStr(line, "req_gaps");
-  const auto resp_gaps = ckpt::FieldStr(line, "resp_gaps");
+  const auto caller = json::FieldStr(line, "caller");
+  const auto caller_replica = json::FieldI64(line, "caller_replica");
+  const auto callee = json::FieldStr(line, "callee");
+  const auto callee_replica = json::FieldI64(line, "callee_replica");
+  const auto samples = json::FieldU64(line, "samples");
+  const auto inversions = json::FieldU64(line, "inversions");
+  const auto offset_mean = json::FieldF64(line, "offset_mean");
+  const auto offset_m2 = json::FieldF64(line, "offset_m2");
+  const auto req_gaps = json::FieldStr(line, "req_gaps");
+  const auto resp_gaps = json::FieldStr(line, "resp_gaps");
   if (!caller || !caller_replica || !callee || !callee_replica || !samples ||
       !inversions || !offset_mean || !offset_m2 || !req_gaps || !resp_gaps) {
     return false;

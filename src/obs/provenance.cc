@@ -1,8 +1,8 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/json.h"
 
 namespace traceweaver::obs {
 namespace {
@@ -16,83 +16,6 @@ constexpr const char* kEventTypeNames[kProvEventTypeCount] = {
     "late_expire",      "late_drop",       "settled",
     "orphan_commit",    "finalized",       "sampled_out",
 };
-
-/// Appends `"key":"value"` with minimal JSON escaping (quotes,
-/// backslashes; detail strings are service names and short reasons, never
-/// control characters).
-void AppendJsonStr(std::string& out, const char* key,
-                   const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-/// Value position just past `"key":` in a flat (single-object) JSON
-/// string, or npos. Events are standalone objects, so a plain scan that
-/// skips string bodies is enough.
-std::size_t FieldPos(const std::string& text, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '"') continue;
-    if (text.compare(i + 1, key_len, key) == 0 &&
-        i + 1 + key_len < text.size() && text[i + 1 + key_len] == '"' &&
-        i + 2 + key_len < text.size() && text[i + 2 + key_len] == ':') {
-      return i + 3 + key_len;
-    }
-    ++i;  // Skip the string body (key or value) we just entered.
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\') ++i;
-      ++i;
-    }
-  }
-  return std::string::npos;
-}
-
-std::optional<std::string> FieldStr(const std::string& text,
-                                    const char* key) {
-  std::size_t pos = FieldPos(text, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  for (++pos; pos < text.size(); ++pos) {
-    if (text[pos] == '\\' && pos + 1 < text.size()) {
-      out += text[++pos];
-    } else if (text[pos] == '"') {
-      return out;
-    } else {
-      out += text[pos];
-    }
-  }
-  return std::nullopt;  // Unterminated string.
-}
-
-std::optional<std::int64_t> FieldI64(const std::string& text,
-                                     const char* key) {
-  const std::size_t pos = FieldPos(text, key);
-  if (pos == std::string::npos || pos >= text.size()) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str() + pos, &end, 10);
-  if (end == text.c_str() + pos) return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-std::optional<std::uint64_t> FieldU64(const std::string& text,
-                                      const char* key) {
-  const std::size_t pos = FieldPos(text, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] == '-') {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str() + pos, &end, 10);
-  if (end == text.c_str() + pos) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
 
 }  // namespace
 
@@ -110,32 +33,32 @@ std::optional<ProvEventType> ProvEventTypeFromName(const std::string& name) {
 
 std::string ProvEventToJson(const ProvEvent& event) {
   std::string out = "{";
-  AppendJsonStr(out, "t", ProvEventTypeName(event.type));
+  json::AppendStrField(out, "t", ProvEventTypeName(event.type));
   out += ",\"span\":";
   out += std::to_string(static_cast<std::uint64_t>(event.span));
   out += ",\"v\":";
   out += std::to_string(event.value);
   if (!event.detail.empty()) {
     out += ',';
-    AppendJsonStr(out, "d", event.detail);
+    json::AppendStrField(out, "d", event.detail);
   }
   out += '}';
   return out;
 }
 
-std::optional<ProvEvent> ProvEventFromJson(const std::string& text) {
-  const auto name = FieldStr(text, "t");
+std::optional<ProvEvent> ProvEventFromJson(std::string_view text) {
+  const auto name = json::FieldStr(text, "t");
   if (!name) return std::nullopt;
   const auto type = ProvEventTypeFromName(*name);
   if (!type) return std::nullopt;
-  const auto span = FieldU64(text, "span");
-  const auto value = FieldI64(text, "v");
+  const auto span = json::FieldU64(text, "span");
+  const auto value = json::FieldI64(text, "v");
   if (!span || !value) return std::nullopt;
   ProvEvent event;
   event.type = *type;
   event.span = *span;
   event.value = *value;
-  event.detail = FieldStr(text, "d").value_or("");
+  event.detail = json::FieldStr(text, "d").value_or("");
   return event;
 }
 

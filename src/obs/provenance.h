@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -88,7 +89,7 @@ struct ProvEvent {
 std::string ProvEventToJson(const ProvEvent& event);
 /// Parses ProvEventToJson output (extra fields such as a checkpoint tag
 /// are ignored); nullopt on malformed input.
-std::optional<ProvEvent> ProvEventFromJson(const std::string& text);
+std::optional<ProvEvent> ProvEventFromJson(std::string_view text);
 
 struct ProvenanceLedgerOptions {
   /// Hard cap on pending (recorded but not yet taken) events; overflow

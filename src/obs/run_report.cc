@@ -1,10 +1,10 @@
 #include "obs/run_report.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/pipeline_metrics.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace traceweaver::obs {
@@ -34,36 +34,8 @@ double Ratio(std::int64_t num, std::int64_t den) {
 }
 
 // ---------------------------------------------------------------------
-// JSON helpers: hand-rolled so the output is deterministic (fixed key
-// order, fixed float formatting) and golden-testable.
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
+// JSON output: hand-rolled so it is deterministic (fixed key order, fixed
+// float formatting) and golden-testable.
 
 /// Incremental writer for one JSON object/array level; keeps the comma
 /// bookkeeping out of the report code.
@@ -81,7 +53,7 @@ class Json {
     }
   void Key(const std::string& k) {
     Comma();
-    *out_ += JsonStr(k);
+    *out_ += json::Str(k);
     *out_ += ':';
   }
   void Field(const std::string& k, std::int64_t v) {
@@ -94,11 +66,11 @@ class Json {
   }
   void Field(const std::string& k, double v) {
     Key(k);
-    *out_ += JsonNum(v);
+    *out_ += json::Fixed(v);
   }
   void Field(const std::string& k, const std::string& v) {
     Key(k);
-    *out_ += JsonStr(v);
+    *out_ += json::Str(v);
   }
   void Elem() { Comma(); }
 

@@ -6,6 +6,7 @@
 
 #include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
+#include "util/json.h"
 
 namespace traceweaver::store {
 
@@ -254,11 +255,11 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     return false;
   }
   const std::string& header = (*lines)[0];
-  const auto n_spans = ckpt::FieldU64(header, "spans");
-  const auto n_edges = ckpt::FieldU64(header, "edges");
-  const auto n_quality = ckpt::FieldU64(header, "quality");
-  const auto last_end = ckpt::FieldI64(header, "last_closed_end");
-  const auto committed = ckpt::FieldU64(header, "committed");
+  const auto n_spans = json::FieldU64(header, "spans");
+  const auto n_edges = json::FieldU64(header, "edges");
+  const auto n_quality = json::FieldU64(header, "quality");
+  const auto last_end = json::FieldI64(header, "last_closed_end");
+  const auto committed = json::FieldU64(header, "committed");
   if (!n_spans || !n_edges || !n_quality || !last_end || !committed ||
       1 + *n_spans + *n_edges + *n_quality != lines->size()) {
     if (error != nullptr) *error = "committer state header mismatch";
@@ -279,8 +280,8 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     spans[span->id] = *span;
   }
   for (std::uint64_t k = 0; k < *n_edges; ++k, ++i) {
-    const auto child = ckpt::FieldU64((*lines)[i], "child");
-    const auto parent = ckpt::FieldU64((*lines)[i], "parent");
+    const auto child = json::FieldU64((*lines)[i], "child");
+    const auto parent = json::FieldU64((*lines)[i], "parent");
     if (!child || !parent) {
       if (error != nullptr) *error = "bad edge line in committer state";
       return false;
@@ -291,10 +292,10 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
   }
   for (std::uint64_t k = 0; k < *n_quality; ++k, ++i) {
     const std::string& line = (*lines)[i];
-    const auto root = ckpt::FieldU64(line, "root");
-    const auto conf = ckpt::FieldF64(line, "confidence");
-    const auto min_conf = ckpt::FieldF64(line, "min_confidence");
-    const auto grade = ckpt::FieldStr(line, "grade");
+    const auto root = json::FieldU64(line, "root");
+    const auto conf = json::FieldF64(line, "confidence");
+    const auto min_conf = json::FieldF64(line, "min_confidence");
+    const auto grade = json::FieldStr(line, "grade");
     if (!root || !conf || !min_conf || !grade || grade->size() != 1) {
       if (error != nullptr) *error = "bad quality line in committer state";
       return false;
@@ -302,13 +303,13 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     obs::TraceQuality tq;
     tq.root = *root;
     tq.spans = static_cast<std::size_t>(
-        ckpt::FieldU64(line, "tspans").value_or(0));
+        json::FieldU64(line, "tspans").value_or(0));
     tq.parents = static_cast<std::size_t>(
-        ckpt::FieldU64(line, "tparents").value_or(0));
+        json::FieldU64(line, "tparents").value_or(0));
     tq.skips =
-        static_cast<std::size_t>(ckpt::FieldU64(line, "skips").value_or(0));
-    tq.orphan = ckpt::FieldU64(line, "orphan").value_or(0) != 0;
-    tq.suspect_orphan = ckpt::FieldU64(line, "suspect").value_or(0) != 0;
+        static_cast<std::size_t>(json::FieldU64(line, "skips").value_or(0));
+    tq.orphan = json::FieldU64(line, "orphan").value_or(0) != 0;
+    tq.suspect_orphan = json::FieldU64(line, "suspect").value_or(0) != 0;
     tq.confidence = *conf;
     tq.min_confidence = *min_conf;
     tq.grade = (*grade)[0];

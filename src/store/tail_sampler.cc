@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "trace/checkpoint.h"
+#include "util/json.h"
 
 namespace traceweaver::store {
 namespace {
@@ -118,11 +119,11 @@ bool TailSampler::LoadState(std::istream& in, std::string* error) {
     return false;
   }
   const std::string& header = (*lines)[0];
-  const auto considered = ckpt::FieldU64(header, "considered");
-  const auto shed = ckpt::FieldU64(header, "shed");
-  const auto kept_interesting = ckpt::FieldU64(header, "kept_interesting");
-  const auto kept_random = ckpt::FieldU64(header, "kept_random");
-  const auto last_shed = ckpt::FieldI64(header, "last_shed_end");
+  const auto considered = json::FieldU64(header, "considered");
+  const auto shed = json::FieldU64(header, "shed");
+  const auto kept_interesting = json::FieldU64(header, "kept_interesting");
+  const auto kept_random = json::FieldU64(header, "kept_random");
+  const auto last_shed = json::FieldI64(header, "last_shed_end");
   if (!considered || !shed || !kept_interesting || !kept_random ||
       !last_shed) {
     if (error != nullptr) *error = "sampler state header mismatch";

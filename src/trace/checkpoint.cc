@@ -1,10 +1,7 @@
 #include "trace/checkpoint.h"
 
 #include <array>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -21,50 +18,6 @@ std::array<std::uint32_t, 256> BuildCrcTable() {
     table[i] = c;
   }
   return table;
-}
-
-bool IsJsonWhitespace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// Position of the value of a top-level `"key":`, or npos. Skips string
-/// values wholesale (honoring escapes) so nothing inside them can be
-/// mistaken for a key -- same contract as the JSONL span parser.
-std::size_t FindValue(const std::string& line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] != '"') continue;
-    if (line.compare(i + 1, key_len, key) == 0 &&
-        i + 1 + key_len < line.size() && line[i + 1 + key_len] == '"') {
-      std::size_t j = i + 2 + key_len;
-      while (j < line.size() && IsJsonWhitespace(line[j])) ++j;
-      if (j < line.size() && line[j] == ':') {
-        ++j;
-        while (j < line.size() && IsJsonWhitespace(line[j])) ++j;
-        return j;
-      }
-    }
-    ++i;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') ++i;
-      if (i < line.size()) ++i;
-    }
-    if (i >= line.size()) return std::string::npos;  // Unterminated.
-  }
-  return std::string::npos;
-}
-
-void AppendUtf8(std::string& out, unsigned cp) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xC0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    out += static_cast<char>(0xE0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
 }
 
 void SetError(std::string* error, const std::string& what) {
@@ -114,9 +67,9 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
   std::uint32_t crc = 0;
   while (std::getline(in, line)) {
     if (line.rfind("{\"footer\":", 0) == 0) {
-      const auto fschema = ckpt::FieldStr(line, "footer");
-      const auto flines = ckpt::FieldU64(line, "lines");
-      const auto fcrc = ckpt::FieldU64(line, "crc32");
+      const auto fschema = json::FieldStr(line, "footer");
+      const auto flines = json::FieldU64(line, "lines");
+      const auto fcrc = json::FieldU64(line, "crc32");
       if (!fschema || !flines || !fcrc) {
         SetError(error, "malformed checkpoint footer");
         return std::nullopt;
@@ -145,117 +98,4 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
   return std::nullopt;
 }
 
-namespace ckpt {
-
-std::optional<std::uint64_t> FieldU64(const std::string& line,
-                                      const char* key) {
-  const std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos) return std::nullopt;
-  std::uint64_t v = 0;
-  const auto [end, ec] =
-      std::from_chars(line.data() + pos, line.data() + line.size(), v);
-  if (ec != std::errc()) return std::nullopt;
-  (void)end;
-  return v;
-}
-
-std::optional<std::int64_t> FieldI64(const std::string& line,
-                                     const char* key) {
-  const std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos) return std::nullopt;
-  std::int64_t v = 0;
-  const auto [end, ec] =
-      std::from_chars(line.data() + pos, line.data() + line.size(), v);
-  if (ec != std::errc()) return std::nullopt;
-  (void)end;
-  return v;
-}
-
-std::optional<double> FieldF64(const std::string& line, const char* key) {
-  const std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos) return std::nullopt;
-  // strtod accepts the JSON number grammar plus more; the writer only
-  // produces %.17g values, so this round-trips exactly.
-  char* end = nullptr;
-  const double v = std::strtod(line.c_str() + pos, &end);
-  if (end == line.c_str() + pos) return std::nullopt;
-  return v;
-}
-
-std::optional<std::string> FieldStr(const std::string& line,
-                                    const char* key) {
-  std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '"') {
-    return std::nullopt;
-  }
-  ++pos;
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos + 4 >= line.size()) return std::nullopt;
-          unsigned cp = 0;
-          for (int k = 1; k <= 4; ++k) {
-            const char c = line[pos + k];
-            cp <<= 4;
-            if (c >= '0' && c <= '9') cp |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f') cp |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F') cp |= static_cast<unsigned>(c - 'A' + 10);
-            else return std::nullopt;
-          }
-          AppendUtf8(out, cp);
-          pos += 4;
-          break;
-        }
-        default: return std::nullopt;
-      }
-      ++pos;
-    } else {
-      out += line[pos];
-      ++pos;
-    }
-  }
-  if (pos >= line.size()) return std::nullopt;  // Unterminated.
-  return out;
-}
-
-void AppendStrField(std::string& out, const char* key,
-                    const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace ckpt
 }  // namespace traceweaver

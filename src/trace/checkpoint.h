@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 namespace traceweaver {
 
 /// CRC-32 (reflected, polynomial 0xEDB88320) of `data`, continuing from
@@ -62,25 +64,9 @@ class ChecksummedWriter {
 std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error);
 
-// ---------------------------------------------------------------------
-// Field helpers for machine-written single-line JSON records (checkpoint
-// lines and footers). Extraction is anchored to *top-level* keys with
-// in-string escape tracking, so a key embedded inside a string value
-// (e.g. a service literally named `x","parent":9`) never matches.
-namespace ckpt {
+// Field helpers for the records inside a checkpoint (and every other
+// machine-written JSON line) live in util/json.h; `ckpt::` is the name
+// older callers use for them.
+namespace ckpt = json;
 
-std::optional<std::uint64_t> FieldU64(const std::string& line,
-                                      const char* key);
-std::optional<std::int64_t> FieldI64(const std::string& line,
-                                     const char* key);
-std::optional<double> FieldF64(const std::string& line, const char* key);
-/// Unescapes \", \\, \n, \t, \r, \b, \f and \uXXXX (BMP -> UTF-8).
-std::optional<std::string> FieldStr(const std::string& line,
-                                    const char* key);
-
-/// Appends `"key":"<escaped value>"` (no leading comma).
-void AppendStrField(std::string& out, const char* key,
-                    const std::string& value);
-
-}  // namespace ckpt
 }  // namespace traceweaver

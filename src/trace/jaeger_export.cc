@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace traceweaver {
 namespace {
 
@@ -14,19 +16,6 @@ std::string Hex(SpanId id) {
   return buf;
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
 /// Emits one Jaeger span object. `parent` is kInvalidSpanId for the root.
 void AppendSpan(std::string& out, const Span& s, SpanId parent,
                 const std::string& trace_id,
@@ -34,9 +23,7 @@ void AppendSpan(std::string& out, const Span& s, SpanId parent,
                 const std::map<SpanId, JaegerSpanTags>* quality) {
   out += "{\"traceID\":\"" + trace_id + "\",";
   out += "\"spanID\":\"" + Hex(s.id) + "\",";
-  out += "\"operationName\":\"";
-  AppendEscaped(out, s.endpoint);
-  out += "\",\"references\":[";
+  out += "\"operationName\":" + json::Str(s.endpoint) + ",\"references\":[";
   if (parent != kInvalidSpanId) {
     out += "{\"refType\":\"CHILD_OF\",\"traceID\":\"" + trace_id +
            "\",\"spanID\":\"" + Hex(parent) + "\"}";
@@ -48,18 +35,18 @@ void AppendSpan(std::string& out, const Span& s, SpanId parent,
   out += "\"duration\":" + std::to_string(s.ServerDuration() / kNsPerUs) +
          ",";
   out += "\"processID\":\"" + process_ids.at(s.callee) + "\",";
-  out += "\"tags\":[{\"key\":\"caller\",\"type\":\"string\",\"value\":\"";
-  AppendEscaped(out, s.caller);
-  out += "\"},{\"key\":\"replica\",\"type\":\"int64\",\"value\":" +
+  out += "\"tags\":[{\"key\":\"caller\",\"type\":\"string\",\"value\":" +
+         json::Str(s.caller) +
+         "},{\"key\":\"replica\",\"type\":\"int64\",\"value\":" +
          std::to_string(s.callee_replica) + "}";
   if (quality != nullptr) {
     const auto it = quality->find(s.id);
     if (it != quality->end()) {
       const JaegerSpanTags& t = it->second;
       out += ",{\"key\":\"tw.confidence\",\"type\":\"float64\",\"value\":" +
-             Num(t.confidence) + "}";
+             json::Fixed(t.confidence) + "}";
       out += ",{\"key\":\"tw.runner_up_margin\",\"type\":\"float64\","
-             "\"value\":" + Num(t.runner_up_margin) + "}";
+             "\"value\":" + json::Fixed(t.runner_up_margin) + "}";
       out += ",{\"key\":\"tw.candidates_considered\",\"type\":\"int64\","
              "\"value\":" + std::to_string(t.candidates_considered) + "}";
     }
@@ -113,9 +100,7 @@ std::string TraceToJaegerObject(
   for (const auto& [service, pid] : process_ids) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + pid + "\":{\"serviceName\":\"";
-    AppendEscaped(out, service);
-    out += "\"}";
+    out += "\"" + pid + "\":{\"serviceName\":" + json::Str(service) + "}";
   }
   out += "}}";
   return out;

@@ -1,64 +1,12 @@
 #include "trace/jsonl_io.h"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters are invalid raw inside JSON
-          // strings; emit the \u00XX escape.
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(
-                            static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void AppendField(std::string& out, const char* key, const std::string& value,
-                 bool first = false) {
-  if (!first) out += ',';
-  out += '"';
-  out += key;
-  out += "\":\"";
-  AppendEscaped(out, value);
-  out += '"';
-}
 
 void AppendField(std::string& out, const char* key, std::int64_t value) {
   out += ",\"";
@@ -67,140 +15,14 @@ void AppendField(std::string& out, const char* key, std::int64_t value) {
   out += std::to_string(value);
 }
 
-void AppendField(std::string& out, const char* key, std::uint64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-bool IsJsonWhitespace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// Finds a top-level `"key":` in `line` and returns the position of the
-/// value (just past the colon and any whitespace), or npos. The scan
-/// tracks in-string state so a key embedded inside a string *value*
-/// (e.g. a caller literally named `x"id":9`) never matches, and tolerates
-/// whitespace around the colon for interop with pretty-printing producers.
-std::size_t FindValue(const std::string& line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] != '"') continue;
-    // At a top-level opening quote: either our key, another key, or a
-    // string value. Check for `"key"` followed by an (optionally padded)
-    // colon.
-    if (line.compare(i + 1, key_len, key) == 0 &&
-        i + 1 + key_len < line.size() && line[i + 1 + key_len] == '"') {
-      std::size_t j = i + 2 + key_len;
-      while (j < line.size() && IsJsonWhitespace(line[j])) ++j;
-      if (j < line.size() && line[j] == ':') {
-        ++j;
-        while (j < line.size() && IsJsonWhitespace(line[j])) ++j;
-        return j;
-      }
-    }
-    // Not our key: skip the whole string (honoring escapes) so nothing
-    // inside it can be mistaken for a top-level key.
-    ++i;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') ++i;
-      if (i < line.size()) ++i;
-    }
-    if (i >= line.size()) return std::string::npos;  // Unterminated.
-  }
-  return std::string::npos;
-}
-
-/// Appends the UTF-8 encoding of a BMP code point.
-void AppendUtf8(std::string& out, unsigned cp) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xC0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    out += static_cast<char>(0xE0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-}
-
-std::optional<std::string> GetString(const std::string& line,
-                                     const char* key) {
-  std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '"') {
-    return std::nullopt;
-  }
-  ++pos;
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos + 4 >= line.size()) return std::nullopt;
-          unsigned cp = 0;
-          const auto [ptr, ec] = std::from_chars(
-              line.data() + pos + 1, line.data() + pos + 5, cp, 16);
-          if (ec != std::errc{} || ptr != line.data() + pos + 5) {
-            return std::nullopt;  // Malformed \uXXXX escape.
-          }
-          AppendUtf8(out, cp);
-          pos += 4;
-          break;
-        }
-        default:
-          out += line[pos];
-      }
-    } else {
-      out += line[pos];
-    }
-    ++pos;
-  }
-  if (pos >= line.size()) return std::nullopt;  // Unterminated string.
-  return out;
-}
-
-template <typename Int>
-std::optional<Int> GetInt(const std::string& line, const char* key) {
-  const std::size_t pos = FindValue(line, key);
-  if (pos == std::string::npos) return std::nullopt;
-  std::size_t end = pos;
-  while (end < line.size() &&
-         (line[end] == '-' || (line[end] >= '0' && line[end] <= '9'))) {
-    ++end;
-  }
-  Int value{};
-  const auto [ptr, ec] =
-      std::from_chars(line.data() + pos, line.data() + end, value);
-  if (ec != std::errc{} || ptr == line.data() + pos) return std::nullopt;
-  return value;
-}
-
 }  // namespace
 
 std::string SpanToJson(const Span& s, bool include_ground_truth) {
   std::string out = "{\"id\":";
   out += std::to_string(static_cast<std::uint64_t>(s.id));
-  AppendField(out, "caller", s.caller);
-  AppendField(out, "callee", s.callee);
-  AppendField(out, "endpoint", s.endpoint);
+  json::AppendStrField(out += ',', "caller", s.caller);
+  json::AppendStrField(out += ',', "callee", s.callee);
+  json::AppendStrField(out += ',', "endpoint", s.endpoint);
   AppendField(out, "client_send", static_cast<std::int64_t>(s.client_send));
   AppendField(out, "server_recv", static_cast<std::int64_t>(s.server_recv));
   AppendField(out, "server_send", static_cast<std::int64_t>(s.server_send));
@@ -210,24 +32,23 @@ std::string SpanToJson(const Span& s, bool include_ground_truth) {
   AppendField(out, "callee_replica",
               static_cast<std::int64_t>(s.callee_replica));
   if (include_ground_truth) {
-    AppendField(out, "true_parent",
-                static_cast<std::uint64_t>(s.true_parent));
-    AppendField(out, "true_trace", static_cast<std::uint64_t>(s.true_trace));
+    out += ",\"true_parent\":" + std::to_string(s.true_parent);
+    out += ",\"true_trace\":" + std::to_string(s.true_trace);
   }
   out += '}';
   return out;
 }
 
-std::optional<Span> SpanFromJson(const std::string& line) {
+std::optional<Span> SpanFromJson(std::string_view line) {
   Span s;
-  const auto id = GetInt<std::uint64_t>(line, "id");
-  const auto caller = GetString(line, "caller");
-  const auto callee = GetString(line, "callee");
-  const auto endpoint = GetString(line, "endpoint");
-  const auto cs = GetInt<std::int64_t>(line, "client_send");
-  const auto sr = GetInt<std::int64_t>(line, "server_recv");
-  const auto ss = GetInt<std::int64_t>(line, "server_send");
-  const auto cr = GetInt<std::int64_t>(line, "client_recv");
+  const auto id = json::FieldU64(line, "id");
+  const auto caller = json::FieldStr(line, "caller");
+  const auto callee = json::FieldStr(line, "callee");
+  const auto endpoint = json::FieldStr(line, "endpoint");
+  const auto cs = json::FieldI64(line, "client_send");
+  const auto sr = json::FieldI64(line, "server_recv");
+  const auto ss = json::FieldI64(line, "server_send");
+  const auto cr = json::FieldI64(line, "client_recv");
   if (!id || !caller || !callee || !endpoint || !cs || !sr || !ss || !cr) {
     return std::nullopt;
   }
@@ -240,13 +61,13 @@ std::optional<Span> SpanFromJson(const std::string& line) {
   s.server_send = *ss;
   s.client_recv = *cr;
   s.caller_replica =
-      static_cast<int>(GetInt<std::int64_t>(line, "caller_replica").value_or(0));
+      static_cast<int>(json::FieldI64(line, "caller_replica").value_or(0));
   s.callee_replica =
-      static_cast<int>(GetInt<std::int64_t>(line, "callee_replica").value_or(0));
+      static_cast<int>(json::FieldI64(line, "callee_replica").value_or(0));
   s.true_parent =
-      GetInt<std::uint64_t>(line, "true_parent").value_or(kInvalidSpanId);
+      json::FieldU64(line, "true_parent").value_or(kInvalidSpanId);
   s.true_trace =
-      GetInt<std::uint64_t>(line, "true_trace").value_or(kInvalidTraceId);
+      json::FieldU64(line, "true_trace").value_or(kInvalidTraceId);
   return s;
 }
 

@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/span.h"
@@ -20,7 +21,7 @@ std::string SpanToJson(const Span& s, bool include_ground_truth = false);
 
 /// Parses a span from a JSON line produced by SpanToJson. Returns nullopt
 /// on malformed input (missing required fields, bad numbers).
-std::optional<Span> SpanFromJson(const std::string& line);
+std::optional<Span> SpanFromJson(std::string_view line);
 
 /// Writes the whole population, one line per span.
 void WriteSpansJsonl(std::ostream& out, const std::vector<Span>& spans,

@@ -1,114 +1,19 @@
 #include "trace/trace_record.h"
 
-#include <cstdio>
-#include <cstring>
+#include <charconv>
 
-#include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
+#include "util/json.h"
 
 namespace traceweaver {
-namespace {
-
-void AppendF64(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"%s\":%.6f", key, v);
-  out += buf;
-}
-
-void AppendBool(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += v ? "\":true" : "\":false";
-}
-
-/// Position just past a top-level `"key":` in `line` (string-aware, same
-/// contract as the jsonl_io/checkpoint field scanners), or npos. Needed
-/// here because the record embeds whole span objects: scalar extraction
-/// must stop before the `spans` array so a span field can never shadow a
-/// record field.
-std::size_t TopLevelValue(const std::string& line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  int depth = 0;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-    } else if (c == '"') {
-      if (depth == 1 && line.compare(i + 1, key_len, key) == 0 &&
-          i + 1 + key_len < line.size() && line[i + 1 + key_len] == '"' &&
-          i + 2 + key_len < line.size() && line[i + 2 + key_len] == ':') {
-        return i + 3 + key_len;
-      }
-      ++i;
-      while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\') ++i;
-        if (i < line.size()) ++i;
-      }
-      if (i >= line.size()) return std::string::npos;
-    }
-  }
-  return std::string::npos;
-}
-
-bool TopLevelBool(const std::string& line, const char* key) {
-  const std::size_t pos = TopLevelValue(line, key);
-  return pos != std::string::npos && line.compare(pos, 4, "true") == 0;
-}
-
-/// Splits a JSON array of objects starting at line[pos] == '['. Elements
-/// are returned verbatim; returns false on malformed framing.
-bool SplitObjectArray(const std::string& line, std::size_t pos,
-                      std::vector<std::string>& elements) {
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
-    return false;
-  }
-  ++pos;
-  while (pos < line.size()) {
-    if (line[pos] == ']') return true;
-    if (line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (line[pos] != '{') return false;
-    const std::size_t start = pos;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < line.size(); ++pos) {
-      const char c = line[pos];
-      if (in_string) {
-        if (c == '\\') {
-          ++pos;
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          elements.push_back(line.substr(start, pos - start + 1));
-          ++pos;
-          break;
-        }
-      }
-    }
-    if (depth != 0) return false;
-  }
-  return false;  // No closing ']'.
-}
-
-}  // namespace
 
 std::string TraceRecordToJson(const TraceRecord& record) {
   std::string out = "{\"schema\":\"";
   out += TraceRecord::kSchema;
   out += "\",\"trace\":";
   out += std::to_string(static_cast<std::uint64_t>(record.trace_id));
-  ckpt::AppendStrField(out += ',', "root_service", record.root_service);
-  ckpt::AppendStrField(out += ',', "root_endpoint", record.root_endpoint);
+  json::AppendStrField(out += ',', "root_service", record.root_service);
+  json::AppendStrField(out += ',', "root_endpoint", record.root_endpoint);
   out += ",\"start\":";
   out += std::to_string(static_cast<std::int64_t>(record.start));
   out += ",\"end\":";
@@ -116,10 +21,10 @@ std::string TraceRecordToJson(const TraceRecord& record) {
   out += ",\"grade\":\"";
   out += record.grade;
   out += '"';
-  AppendF64(out, "confidence", record.confidence);
-  AppendF64(out, "min_confidence", record.min_confidence);
-  AppendBool(out, "orphan", record.orphan);
-  AppendBool(out, "suspect", record.suspect);
+  out += ",\"confidence\":" + json::Fixed(record.confidence);
+  out += ",\"min_confidence\":" + json::Fixed(record.min_confidence);
+  out += record.orphan ? ",\"orphan\":true" : ",\"orphan\":false";
+  out += record.suspect ? ",\"suspect\":true" : ",\"suspect\":false";
   out += ",\"span_count\":";
   out += std::to_string(record.spans.size());
   out += ",\"spans\":[";
@@ -150,25 +55,21 @@ std::string TraceRecordToJson(const TraceRecord& record) {
   return out;
 }
 
-std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
-  // Scalars come from the prefix before the spans array so span fields
-  // can never alias record fields; the checkpoint field helpers handle
-  // escapes on the string values.
-  const std::size_t spans_pos = TopLevelValue(line, "spans");
-  if (spans_pos == std::string::npos) return std::nullopt;
-  const std::string head = line.substr(0, spans_pos);
-  const auto schema = ckpt::FieldStr(head, "schema");
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
+  // Top-level lookups never descend into the spans or provenance arrays,
+  // so a span field can never alias a record field.
+  const auto schema = json::FieldStr(line, "schema");
   if (!schema || *schema != TraceRecord::kSchema) return std::nullopt;
 
   TraceRecord record;
-  const auto trace = ckpt::FieldU64(head, "trace");
-  const auto service = ckpt::FieldStr(head, "root_service");
-  const auto endpoint = ckpt::FieldStr(head, "root_endpoint");
-  const auto start = ckpt::FieldI64(head, "start");
-  const auto end = ckpt::FieldI64(head, "end");
-  const auto grade = ckpt::FieldStr(head, "grade");
-  const auto confidence = ckpt::FieldF64(head, "confidence");
-  const auto min_confidence = ckpt::FieldF64(head, "min_confidence");
+  const auto trace = json::FieldU64(line, "trace");
+  const auto service = json::FieldStr(line, "root_service");
+  const auto endpoint = json::FieldStr(line, "root_endpoint");
+  const auto start = json::FieldI64(line, "start");
+  const auto end = json::FieldI64(line, "end");
+  const auto grade = json::FieldStr(line, "grade");
+  const auto confidence = json::FieldF64(line, "confidence");
+  const auto min_confidence = json::FieldF64(line, "min_confidence");
   if (!trace || !service || !endpoint || !start || !end || !grade ||
       grade->size() != 1 || !confidence || !min_confidence) {
     return std::nullopt;
@@ -181,13 +82,16 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   record.grade = (*grade)[0];
   record.confidence = *confidence;
   record.min_confidence = *min_confidence;
-  record.orphan = TopLevelBool(head, "orphan");
-  record.suspect = TopLevelBool(head, "suspect");
+  record.orphan = json::FieldBool(line, "orphan").value_or(false);
+  record.suspect = json::FieldBool(line, "suspect").value_or(false);
 
-  std::vector<std::string> elements;
-  if (!SplitObjectArray(line, spans_pos, elements)) return std::nullopt;
+  std::vector<std::string_view> elements;
+  if (!json::SplitObjectArray(line, json::FindValue(line, "spans"),
+                              &elements)) {
+    return std::nullopt;
+  }
   record.spans.reserve(elements.size());
-  for (const std::string& element : elements) {
+  for (const std::string_view element : elements) {
     auto span = SpanFromJson(element);
     if (!span) return std::nullopt;
     record.spans.push_back(std::move(*span));
@@ -195,36 +99,37 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   if (record.spans.empty()) return std::nullopt;
 
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
-  std::size_t pos = TopLevelValue(line, "parents");
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
-    return std::nullopt;
-  }
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == ',' || line[pos] == '[') {
-      ++pos;
-      continue;
+  std::size_t pos = json::FindValue(line, "parents");
+  if (pos >= line.size() || line[pos] != '[') return std::nullopt;
+  const char* const last = line.data() + line.size();
+  for (++pos; pos < line.size() && line[pos] != ']'; ++pos) {
+    if (line[pos] == ',') continue;
+    SpanId child = 0;
+    SpanId parent = 0;
+    if (line[pos] != '[') return std::nullopt;
+    const auto c = std::from_chars(line.data() + pos + 1, last, child);
+    if (c.ec != std::errc() || c.ptr == last || *c.ptr != ',') {
+      return std::nullopt;
     }
-    char* after = nullptr;
-    const SpanId child = std::strtoull(line.c_str() + pos, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ',') return std::nullopt;
-    const SpanId parent = std::strtoull(line.c_str() + pos + 1, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ']') return std::nullopt;
-    ++pos;
+    const auto p = std::from_chars(c.ptr + 1, last, parent);
+    if (p.ec != std::errc() || p.ptr == last || *p.ptr != ']') {
+      return std::nullopt;
+    }
+    pos = static_cast<std::size_t>(p.ptr - line.data());
     record.parents.emplace_back(child, parent);
   }
   if (pos >= line.size()) return std::nullopt;
 
   // Optional provenance block (absent on records committed without a
   // ledger and on every pre-provenance record).
-  const std::size_t prov_pos = TopLevelValue(line, "provenance");
-  if (prov_pos != std::string::npos) {
-    std::vector<std::string> events;
-    if (!SplitObjectArray(line, prov_pos, events)) return std::nullopt;
+  const std::size_t prov_pos = json::FindValue(line, "provenance");
+  if (prov_pos != std::string_view::npos) {
+    std::vector<std::string_view> events;
+    if (!json::SplitObjectArray(line, prov_pos, &events)) {
+      return std::nullopt;
+    }
     record.provenance.reserve(events.size());
-    for (const std::string& element : events) {
+    for (const std::string_view element : events) {
       auto event = obs::ProvEventFromJson(element);
       if (!event) return std::nullopt;
       record.provenance.push_back(std::move(*event));

@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/provenance.h"
@@ -64,6 +65,6 @@ std::string TraceRecordToJson(const TraceRecord& record);
 
 /// Parses a line written by TraceRecordToJson. Returns nullopt on
 /// malformed input (wrong schema tag, missing fields, bad span elements).
-std::optional<TraceRecord> TraceRecordFromJson(const std::string& line);
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line);
 
 }  // namespace traceweaver

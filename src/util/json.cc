@@ -1,0 +1,266 @@
+#include "util/json.h"
+
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdio>
+
+namespace traceweaver::json {
+namespace {
+
+constexpr std::size_t npos = std::string_view::npos;
+
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+void AppendEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // Start of the pending verbatim run.
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// Index of the quote closing the string whose body starts at `i`, or
+/// npos when unterminated.
+std::size_t StringEnd(std::string_view text, std::size_t i) {
+  for (; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;
+    } else if (text[i] == '"') {
+      return i;
+    }
+  }
+  return npos;
+}
+
+/// Parses the four hex digits at text[at..at+4).
+bool Hex4(std::string_view text, std::size_t at, unsigned* cp) {
+  if (at + 4 > text.size()) return false;
+  const char* begin = text.data() + at;
+  const auto [ptr, ec] = std::from_chars(begin, begin + 4, *cp, 16);
+  return ec == std::errc() && ptr == begin + 4;
+}
+
+void AppendUtf8(std::string& out, unsigned cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+/// Decodes the string whose opening quote is text[pos].
+std::optional<std::string> DecodeString(std::string_view text,
+                                        std::size_t pos) {
+  if (pos >= text.size() || text[pos] != '"') return std::nullopt;
+  std::string out;
+  std::size_t run = ++pos;  // Start of the pending verbatim run.
+  for (; pos < text.size(); ++pos) {
+    if (text[pos] == '"') {
+      out.append(text.data() + run, pos - run);
+      return out;
+    }
+    if (text[pos] != '\\') continue;
+    out.append(text.data() + run, pos - run);
+    if (++pos >= text.size()) return std::nullopt;
+    switch (text[pos]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        unsigned cp = 0;
+        if (!Hex4(text, pos + 1, &cp)) return std::nullopt;
+        pos += 4;
+        if (cp >= 0xD800 && cp <= 0xDFFF) {
+          // Only a high surrogate followed by a \u low surrogate forms a
+          // code point; anything else would decode to invalid UTF-8.
+          unsigned low = 0;
+          if (cp > 0xDBFF || pos + 2 >= text.size() ||
+              text[pos + 1] != '\\' || text[pos + 2] != 'u' ||
+              !Hex4(text, pos + 3, &low) || low < 0xDC00 || low > 0xDFFF) {
+            return std::nullopt;
+          }
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+          pos += 6;
+        }
+        AppendUtf8(out, cp);
+        break;
+      }
+      default:
+        return std::nullopt;
+    }
+    run = pos + 1;
+  }
+  return std::nullopt;  // Unterminated.
+}
+
+template <typename Number>
+std::optional<Number> FieldNumber(std::string_view text,
+                                  std::string_view key) {
+  const std::size_t pos = FindValue(text, key);
+  if (pos == npos) return std::nullopt;
+  Number v{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data() + pos, text.data() + text.size(), v);
+  if (ec != std::errc()) return std::nullopt;
+  return v;
+}
+
+/// Appends `"<escaped s>"`.
+void AppendStr(std::string& out, std::string_view s) {
+  out += '"';
+  AppendEscaped(out, s);
+  out += '"';
+}
+
+}  // namespace
+
+std::string Str(std::string_view s) {
+  std::string out;
+  AppendStr(out, s);
+  return out;
+}
+
+void AppendStrField(std::string& out, std::string_view key,
+                    std::string_view value) {
+  AppendStr(out, key);
+  out += ':';
+  AppendStr(out, value);
+}
+
+std::string Fixed(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+std::string Exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::size_t FindValue(std::string_view text, std::string_view key) {
+  // Only quotes and brackets matter to the scan; a table test per byte
+  // keeps the common case (plain bytes) to one load and branch.
+  static constexpr auto kStop = [] {
+    std::array<bool, 256> stop{};
+    for (const char c : std::string_view("\"{}[]")) {
+      stop[static_cast<unsigned char>(c)] = true;
+    }
+    return stop;
+  }();
+  int depth = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (!kStop[static_cast<unsigned char>(c)]) continue;
+    if (c != '"') {
+      depth += c == '{' || c == '[' ? 1 : -1;
+      continue;
+    }
+    const std::size_t start = i + 1;
+    i = StringEnd(text, start);
+    if (i == npos) return npos;
+    if (depth != 1 || i - start != key.size() ||
+        text.compare(start, key.size(), key) != 0) {
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < text.size() && IsSpace(text[j])) ++j;
+    if (j >= text.size() || text[j] != ':') continue;
+    ++j;
+    while (j < text.size() && IsSpace(text[j])) ++j;
+    return j;
+  }
+  return npos;
+}
+
+std::optional<std::string> FieldStr(std::string_view text,
+                                    std::string_view key) {
+  const std::size_t pos = FindValue(text, key);
+  return pos == npos ? std::nullopt : DecodeString(text, pos);
+}
+
+std::optional<std::int64_t> FieldI64(std::string_view text,
+                                     std::string_view key) {
+  return FieldNumber<std::int64_t>(text, key);
+}
+
+std::optional<std::uint64_t> FieldU64(std::string_view text,
+                                      std::string_view key) {
+  return FieldNumber<std::uint64_t>(text, key);
+}
+
+std::optional<double> FieldF64(std::string_view text, std::string_view key) {
+  return FieldNumber<double>(text, key);
+}
+
+std::optional<bool> FieldBool(std::string_view text, std::string_view key) {
+  const std::string_view value = text.substr(std::min(
+      FindValue(text, key), text.size()));
+  if (value.starts_with("true")) return true;
+  if (value.starts_with("false")) return false;
+  return std::nullopt;
+}
+
+bool SplitObjectArray(std::string_view text, std::size_t pos,
+                      std::vector<std::string_view>* elements) {
+  if (pos >= text.size() || text[pos] != '[') return false;
+  for (++pos; pos < text.size(); ++pos) {
+    const char c = text[pos];
+    if (c == ']') return true;
+    if (c == ',' || IsSpace(c)) continue;
+    if (c != '{') return false;
+    const std::size_t start = pos;
+    int depth = 0;
+    for (; pos < text.size(); ++pos) {
+      if (text[pos] == '"') {
+        pos = StringEnd(text, pos + 1);
+        if (pos == npos) return false;
+      } else if (text[pos] == '{') {
+        ++depth;
+      } else if (text[pos] == '}' && --depth == 0) {
+        break;
+      }
+    }
+    if (pos >= text.size()) return false;
+    elements->push_back(text.substr(start, pos - start + 1));
+  }
+  return false;  // No closing ']'.
+}
+
+}  // namespace traceweaver::json

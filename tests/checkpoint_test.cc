@@ -18,10 +18,14 @@
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
+#include "test_helpers.h"
 #include "trace/checkpoint.h"
 
 namespace traceweaver {
 namespace {
+
+using ::traceweaver::testing::HasRawControlByte;
+using ::traceweaver::testing::RandomHostileString;
 
 // ---------------------------------------------------------------------
 // CRC-32 and the checksummed container.
@@ -130,6 +134,23 @@ TEST(CkptFields, AppendStrFieldRoundTripsEscapes) {
   ckpt::AppendStrField(line, "k", value);
   line += "}";
   EXPECT_EQ(ckpt::FieldStr(line, "k"), value);
+}
+
+TEST(CkptFields, HostileStringsRoundTripOnOneLine) {
+  Rng rng(20241017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string service = RandomHostileString(rng);
+    const std::string endpoint = RandomHostileString(rng);
+    std::string line = "{\"ckpt\":\"slot\",";
+    ckpt::AppendStrField(line, "service", service);
+    line += ",\"stage\":3,";
+    ckpt::AppendStrField(line, "endpoint", endpoint);
+    line += '}';
+    ASSERT_FALSE(HasRawControlByte(line)) << line;
+    EXPECT_EQ(ckpt::FieldStr(line, "service"), service) << line;
+    EXPECT_EQ(ckpt::FieldStr(line, "endpoint"), endpoint) << line;
+    EXPECT_EQ(ckpt::FieldI64(line, "stage"), 3) << line;
+  }
 }
 
 // ---------------------------------------------------------------------

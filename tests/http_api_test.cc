@@ -27,12 +27,15 @@
 #include "test_helpers.h"
 #include "trace/jaeger_export.h"
 #include "trace/trace_record.h"
+#include "util/json.h"
 
 namespace traceweaver::serve {
 namespace {
 
 namespace fs = std::filesystem;
+using ::traceweaver::testing::HasRawControlByte;
 using ::traceweaver::testing::MakeSpan;
+using ::traceweaver::testing::RandomHostileString;
 using ::traceweaver::testing::SimpleGraph;
 
 /// One parsed HTTP response read raw off the socket.
@@ -640,6 +643,96 @@ TEST_F(HttpApiTest, ProvenanceRouteErrors) {
   EXPECT_NE(Get("/metrics").body.find(
                 "tw_http_requests_total{route=\"provenance\"}"),
             std::string::npos);
+}
+
+TEST_F(HttpApiTest, ProvenanceControlBytesSurviveSealAndReopen) {
+  // A skew-corrected callee whose captured name holds a newline: its
+  // provenance detail must not split the sealed record's line, or reopen
+  // rejects the whole segment.
+  TraceRecord rec;
+  rec.trace_id = 11;
+  rec.root_service = "A";
+  rec.root_endpoint = "/a";
+  rec.grade = 'B';
+  rec.confidence = 0.7;
+  rec.min_confidence = 0.7;
+  rec.spans = {MakeSpan(11, kClientCaller, "A", "/a", Millis(110),
+                        Millis(115))};
+  rec.start = rec.spans[0].client_send;
+  rec.end = rec.spans[0].client_recv;
+  rec.provenance = {
+      {obs::ProvEventType::kSkewCorrect, 11, -1500, "B\nC@0"},
+      {obs::ProvEventType::kValidatorQuarantine, 11, 0, "bad\tname\x01"},
+      {obs::ProvEventType::kSettled, 11, 1, ""},
+  };
+  ASSERT_TRUE(store_->Commit(rec));
+  ASSERT_TRUE(store_->Seal());
+
+  store::TraceStore reopened(dir_.string());
+  const auto stats = reopened.Open();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->segments_rejected, 0u);
+  EXPECT_EQ(stats->traces_loaded, 5u);
+  const auto back = reopened.Get(11);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->provenance, rec.provenance);
+  EXPECT_EQ(TraceRecordToJson(*back), TraceRecordToJson(rec));
+
+  const HttpResult r = Get("/traces/11/provenance");
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+  ASSERT_FALSE(r.body.empty());
+  EXPECT_EQ(r.body.back(), '\n');
+  const std::string doc = r.body.substr(0, r.body.size() - 1);
+  EXPECT_FALSE(HasRawControlByte(doc)) << doc;
+  EXPECT_NE(doc.find("\"d\":\"B\\nC@0\""), std::string::npos) << doc;
+}
+
+TEST(ExplainJsonTest, HostileNamesStayEscapedAndRecoverable) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    ExplainCapture e;
+    e.found = true;
+    e.parent = 7;
+    e.service = RandomHostileString(rng);
+    e.endpoint = RandomHostileString(rng);
+    ExplainCandidate c;
+    c.children = {8};
+    ScoreBreakdown::Position p;
+    p.service = RandomHostileString(rng);
+    p.endpoint = RandomHostileString(rng);
+    c.breakdown.positions = {p};
+    e.candidates = {c};
+    e.conflicts = {{9, RandomHostileString(rng), RandomHostileString(rng), 1}};
+    std::string out = ExplainJson(e);
+    ASSERT_FALSE(out.empty());
+    EXPECT_EQ(out.back(), '\n');
+    out.pop_back();
+    ASSERT_FALSE(HasRawControlByte(out)) << out;
+    EXPECT_EQ(json::FieldStr(out, "service"), e.service) << out;
+    EXPECT_EQ(json::FieldStr(out, "endpoint"), e.endpoint) << out;
+
+    std::vector<std::string_view> candidates, positions, conflicts;
+    ASSERT_TRUE(json::SplitObjectArray(
+        out, json::FindValue(out, "candidates"), &candidates)) << out;
+    ASSERT_EQ(candidates.size(), 1u);
+    const std::string_view breakdown = candidates[0].substr(
+        std::min(json::FindValue(candidates[0], "breakdown"),
+                 candidates[0].size()));
+    ASSERT_TRUE(json::SplitObjectArray(
+        breakdown, json::FindValue(breakdown, "positions"), &positions))
+        << out;
+    ASSERT_EQ(positions.size(), 1u);
+    EXPECT_EQ(json::FieldStr(positions[0], "service"), p.service) << out;
+    EXPECT_EQ(json::FieldStr(positions[0], "endpoint"), p.endpoint) << out;
+    ASSERT_TRUE(json::SplitObjectArray(
+        out, json::FindValue(out, "conflicts"), &conflicts)) << out;
+    ASSERT_EQ(conflicts.size(), 1u);
+    EXPECT_EQ(json::FieldStr(conflicts[0], "service"),
+              e.conflicts[0].service) << out;
+    EXPECT_EQ(json::FieldStr(conflicts[0], "endpoint"),
+              e.conflicts[0].endpoint) << out;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -7,11 +7,16 @@
 #include <string>
 #include <vector>
 
+#include "test_helpers.h"
 #include "trace/jaeger_export.h"
 #include "trace/trace.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
+
+using ::traceweaver::testing::HasRawControlByte;
+using ::traceweaver::testing::RandomHostileString;
 
 // A two-span trace: front "end" (id 255 = 0xff) -> backend (id 4096 =
 // 0x1000). The service name carries a quote to pin the JSON escaping.
@@ -122,6 +127,49 @@ TEST(JaegerExport, OrphanFragmentsBecomeTheirOwnTraces) {
     ++count;
   }
   EXPECT_EQ(count, 2u);
+}
+
+/// The value of top-level `key` in `object`, from its first byte to the
+/// end of `object` (enough for the flat reader to look inside it).
+std::string_view Member(std::string_view object, std::string_view key) {
+  const std::size_t pos = json::FindValue(object, key);
+  return pos == std::string_view::npos ? std::string_view{}
+                                       : object.substr(pos);
+}
+
+TEST(JaegerExport, HostileNamesStayEscapedAndRecoverable) {
+  Rng rng(4096);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Span> spans = FixtureSpans();
+    spans[0].callee = spans[1].caller = RandomHostileString(rng);
+    spans[0].endpoint = RandomHostileString(rng);
+    spans[1].callee = RandomHostileString(rng);
+    spans[1].endpoint = RandomHostileString(rng);
+    const std::string out = TracesToJaegerJson(spans, FixtureAssignment());
+    ASSERT_FALSE(HasRawControlByte(out)) << out;
+
+    std::vector<std::string_view> traces, jspans;
+    ASSERT_TRUE(json::SplitObjectArray(out, json::FindValue(out, "data"),
+                                       &traces)) << out;
+    ASSERT_EQ(traces.size(), 1u);
+    ASSERT_TRUE(json::SplitObjectArray(
+        traces[0], json::FindValue(traces[0], "spans"), &jspans)) << out;
+    ASSERT_EQ(jspans.size(), spans.size());
+    const std::string_view processes = Member(traces[0], "processes");
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_EQ(json::FieldStr(jspans[i], "operationName"),
+                spans[i].endpoint) << out;
+      std::vector<std::string_view> tags;
+      ASSERT_TRUE(json::SplitObjectArray(
+          jspans[i], json::FindValue(jspans[i], "tags"), &tags)) << out;
+      ASSERT_FALSE(tags.empty());
+      EXPECT_EQ(json::FieldStr(tags[0], "value"), spans[i].caller) << out;
+      const auto pid = json::FieldStr(jspans[i], "processID");
+      ASSERT_TRUE(pid.has_value()) << out;
+      EXPECT_EQ(json::FieldStr(Member(processes, *pid), "serviceName"),
+                spans[i].callee) << out;
+    }
+  }
 }
 
 }  // namespace

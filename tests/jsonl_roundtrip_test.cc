@@ -12,12 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "test_helpers.h"
 #include "trace/jsonl_io.h"
 #include "trace/span.h"
 #include "util/rng.h"
 
 namespace traceweaver {
 namespace {
+
+using ::traceweaver::testing::RandomHostileString;
 
 void ExpectSpanEq(const Span& a, const Span& b, const std::string& context) {
   EXPECT_EQ(a.id, b.id) << context;
@@ -39,21 +42,6 @@ void ExpectRoundTrips(const Span& s) {
   const std::optional<Span> back = SpanFromJson(line);
   ASSERT_TRUE(back.has_value()) << line;
   ExpectSpanEq(s, *back, line);
-}
-
-// Characters chosen to be maximally hostile to a by-hand JSON scanner.
-std::string RandomHostileString(Rng& rng) {
-  static const std::string kAlphabet =
-      "abcXYZ019 _-/\"\\\n\t\r\b\f\x01\x1f{}[]:,";
-  const std::size_t len = static_cast<std::size_t>(rng.UniformInt(0, 24));
-  std::string out;
-  out.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    out.push_back(
-        kAlphabet[static_cast<std::size_t>(rng.UniformInt(
-            0, static_cast<std::int64_t>(kAlphabet.size()) - 1))]);
-  }
-  return out;
 }
 
 TEST(JsonlRoundTrip, RandomizedHostileStringsSurvive) {
@@ -165,6 +153,36 @@ TEST(JsonlRoundTrip, GroundTruthRoundTripsWhenRequested) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->true_parent, 3u);
   EXPECT_EQ(back->true_trace, 99u);
+}
+
+/// A span line whose caller is the raw JSON string body `caller_json`.
+std::string LineWithCaller(const std::string& caller_json) {
+  return "{\"id\":1,\"caller\":\"" + caller_json +
+         "\",\"callee\":\"f\",\"endpoint\":\"/e\",\"client_send\":1,"
+         "\"server_recv\":2,\"server_send\":3,\"client_recv\":4}";
+}
+
+TEST(JsonlRoundTrip, SurrogatePairDecodesToOneFourByteSequence) {
+  // U+1F600 as a UTF-16 surrogate pair must become its UTF-8 encoding,
+  // not two 3-byte encodings of the halves (CESU-8, invalid UTF-8).
+  const std::optional<Span> s =
+      SpanFromJson(LineWithCaller("a\\ud83d\\ude00b"));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->caller, "a\xf0\x9f\x98\x80" "b");
+  // BMP escapes keep decoding as before, in either hex case.
+  const std::optional<Span> bmp =
+      SpanFromJson(LineWithCaller("\\u00e9\\u20AC\\/"));
+  ASSERT_TRUE(bmp.has_value());
+  EXPECT_EQ(bmp->caller, "\xc3\xa9\xe2\x82\xac/");
+}
+
+TEST(JsonlRoundTrip, LoneSurrogatesAndUnknownEscapesAreRejected) {
+  for (const char* bad :
+       {"\\ud83d", "\\ude00", "\\ud83dx", "\\ud83d\\u0041",
+        "\\ude00\\ud83d", "\\ud83d\\ud83d", "\\u12", "\\u12g4",
+        "\\x41"}) {
+    EXPECT_FALSE(SpanFromJson(LineWithCaller(bad)).has_value()) << bad;
+  }
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #include "obs/stage_timer.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
+#include "test_helpers.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -31,6 +33,8 @@ using obs::HistogramBucketUpperBound;
 using obs::kHistogramBuckets;
 using obs::MetricsRegistry;
 using obs::RegistrySnapshot;
+using ::traceweaver::testing::HasRawControlByte;
+using ::traceweaver::testing::RandomHostileString;
 
 // ---------------------------------------------------------------------------
 // Registry basics.
@@ -300,6 +304,27 @@ TEST(RunReportTest, ProvenanceSectionFromLedgerMetrics) {
             std::string::npos);
   EXPECT_NE(obs::RunReportTable(r).find("provenance: 3 events recorded"),
             std::string::npos);
+}
+
+TEST(RunReportTest, HostileNamesStayEscapedAndRecoverable) {
+  Rng rng(1700);
+  for (int trial = 0; trial < 500; ++trial) {
+    obs::RunReport r;
+    r.stages.push_back({RandomHostileString(rng), 1, 1, 0.5});
+    r.services.push_back({RandomHostileString(rng), 2, 1, 1, 3});
+    std::string json = obs::RunReportJson(r);
+    while (!json.empty() && json.back() == '\n') json.pop_back();
+    ASSERT_FALSE(HasRawControlByte(json)) << json;
+    std::vector<std::string_view> stages, services;
+    ASSERT_TRUE(json::SplitObjectArray(json, json::FindValue(json, "stages"),
+                                       &stages)) << json;
+    ASSERT_TRUE(json::SplitObjectArray(
+        json, json::FindValue(json, "services"), &services)) << json;
+    ASSERT_EQ(stages.size(), 1u);
+    ASSERT_EQ(services.size(), 1u);
+    EXPECT_EQ(json::FieldStr(stages[0], "stage"), r.stages[0].stage);
+    EXPECT_EQ(json::FieldStr(services[0], "service"), r.services[0].service);
+  }
 }
 
 // ---------------------------------------------------------------------------

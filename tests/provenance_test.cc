@@ -34,7 +34,9 @@ using obs::ProvenanceLedger;
 using store::CommitterOptions;
 using store::TraceCommitter;
 using store::TraceStore;
+using ::traceweaver::testing::HasRawControlByte;
 using ::traceweaver::testing::MakeSpan;
+using ::traceweaver::testing::RandomHostileString;
 
 // ---------------------------------------------------------------------
 // Wire vocabulary and event JSON.
@@ -95,6 +97,22 @@ TEST(ProvEventJsonTest, RoundTripsEveryTypeAndRejectsMalformed) {
   EXPECT_FALSE(
       obs::ProvEventFromJson("{\"t\":\"settled\",\"span\":-1,\"v\":0}")
           .has_value());
+}
+
+TEST(ProvEventJsonTest, HostileDetailsRoundTripOnOneLine) {
+  // Details carry service names straight from capture; whatever bytes
+  // they hold, the event must stay one JSON line and decode unchanged.
+  Rng rng(8259);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const ProvEvent event{ProvEventType::kSkewCorrect,
+                          static_cast<SpanId>(trial), -trial,
+                          RandomHostileString(rng)};
+    const std::string json = obs::ProvEventToJson(event);
+    ASSERT_FALSE(HasRawControlByte(json)) << json;
+    const auto back = obs::ProvEventFromJson(json);
+    ASSERT_TRUE(back.has_value()) << json;
+    EXPECT_EQ(*back, event) << json;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,9 @@ namespace traceweaver::store {
 namespace {
 
 namespace fs = std::filesystem;
+using ::traceweaver::testing::HasRawControlByte;
 using ::traceweaver::testing::MakeSpan;
+using ::traceweaver::testing::RandomHostileString;
 
 /// Fresh per-test directory under the build tree's temp space.
 class StoreTest : public ::testing::Test {
@@ -83,6 +85,42 @@ TEST_F(StoreTest, RecordJsonRoundtrip) {
   EXPECT_FALSE(TraceRecordFromJson("not json").has_value());
   EXPECT_FALSE(
       TraceRecordFromJson("{\"schema\":\"traceweaver.trace.v2\"}").has_value());
+}
+
+TEST_F(StoreTest, RecordJsonRoundTripsHostileStrings) {
+  // Root names, span names and provenance details all come from outside
+  // the program; none of them may break the one-line record framing.
+  Rng rng(20240807);
+  for (SpanId id = 1; id <= 500; ++id) {
+    TraceRecord r = MakeRecord(id);
+    r.root_service = RandomHostileString(rng);
+    r.root_endpoint = RandomHostileString(rng);
+    for (Span& span : r.spans) {
+      span.caller = RandomHostileString(rng);
+      span.callee = RandomHostileString(rng);
+      span.endpoint = RandomHostileString(rng);
+    }
+    r.provenance = {
+        {obs::ProvEventType::kSkewCorrect, id, -1500,
+         RandomHostileString(rng)},
+        {obs::ProvEventType::kValidatorQuarantine, id + 1000000, 0,
+         RandomHostileString(rng)},
+    };
+    const std::string line = TraceRecordToJson(r);
+    ASSERT_FALSE(HasRawControlByte(line)) << line;
+    const auto back = TraceRecordFromJson(line);
+    ASSERT_TRUE(back.has_value()) << line;
+    EXPECT_EQ(back->root_service, r.root_service);
+    EXPECT_EQ(back->root_endpoint, r.root_endpoint);
+    ASSERT_EQ(back->spans.size(), r.spans.size());
+    for (std::size_t i = 0; i < r.spans.size(); ++i) {
+      EXPECT_EQ(back->spans[i].caller, r.spans[i].caller);
+      EXPECT_EQ(back->spans[i].callee, r.spans[i].callee);
+      EXPECT_EQ(back->spans[i].endpoint, r.spans[i].endpoint);
+    }
+    EXPECT_EQ(back->provenance, r.provenance);
+    EXPECT_EQ(TraceRecordToJson(*back), line);
+  }
 }
 
 TEST_F(StoreTest, CommitGetRoundtrip) {

@@ -1,12 +1,14 @@
-// Shared helpers for the test suite: terse span construction and small
-// canned call graphs.
+// Shared helpers for the test suite: terse span construction, small
+// canned call graphs, and hostile strings for the JSON codec properties.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "callgraph/call_graph.h"
 #include "trace/span.h"
+#include "util/rng.h"
 
 namespace traceweaver::testing {
 
@@ -70,6 +72,37 @@ inline CallGraph ParallelGraph() {
   g.SetPlan(HandlerKey{"B", "/b"}, InvocationPlan{});
   g.SetPlan(HandlerKey{"C", "/c"}, InvocationPlan{});
   return g;
+}
+
+// Characters chosen to be maximally hostile to a by-hand JSON scanner,
+// plus whole multi-byte UTF-8 sequences (2- and 4-byte) that must pass
+// through every codec untouched.
+inline std::string RandomHostileString(Rng& rng) {
+  static const std::string kAlphabet =
+      "abcXYZ019 _-/\"\\\n\t\r\b\f\x01\x1f{}[]:,";
+  static const std::string kMultiByte[] = {"\xc3\xa9", "\xf0\x9f\x98\x80"};
+  const std::int64_t picks =
+      static_cast<std::int64_t>(kAlphabet.size() + std::size(kMultiByte));
+  const std::size_t len = static_cast<std::size_t>(rng.UniformInt(0, 24));
+  std::string out;
+  for (std::size_t i = 0; i < len; ++i) {
+    const auto pick = static_cast<std::size_t>(rng.UniformInt(0, picks - 1));
+    if (pick < kAlphabet.size()) {
+      out.push_back(kAlphabet[pick]);
+    } else {
+      out += kMultiByte[pick - kAlphabet.size()];
+    }
+  }
+  return out;
+}
+
+/// True when `text` holds a raw byte below 0x20 -- never allowed inside a
+/// JSON document, and fatal to line-framed (JSONL) output.
+inline bool HasRawControlByte(std::string_view text) {
+  for (const char c : text) {
+    if (static_cast<unsigned char>(c) < 0x20) return true;
+  }
+  return false;
 }
 
 }  // namespace traceweaver::testing

@@ -100,6 +100,7 @@
 #include "trace/jsonl_io.h"
 #include "trace/span_validator.h"
 #include "trace/trace_record.h"
+#include "util/json.h"
 
 namespace {
 
@@ -1537,21 +1538,14 @@ int CmdQuery(int argc, char** argv) {
           return true;
         });
   } else {
-    const auto esc = [](const std::string& s) {
-      std::string out;
-      for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
-      return out;
-    };
     for (const store::TraceSummary& s : tstore.QuerySummaries(query)) {
       std::printf(
-          "{\"trace\":%llu,\"root_service\":\"%s\",\"root_endpoint\":"
-          "\"%s\",\"start\":%lld,\"end\":%lld,\"grade\":\"%c\","
+          "{\"trace\":%llu,\"root_service\":%s,\"root_endpoint\":"
+          "%s,\"start\":%lld,\"end\":%lld,\"grade\":\"%c\","
           "\"confidence\":%.6f,\"orphan\":%s,\"span_count\":%zu}\n",
           static_cast<unsigned long long>(s.trace_id),
-          esc(s.root_service).c_str(), esc(s.root_endpoint).c_str(),
+          json::Str(s.root_service).c_str(),
+          json::Str(s.root_endpoint).c_str(),
           static_cast<long long>(s.start), static_cast<long long>(s.end),
           s.grade, s.confidence, s.orphan ? "true" : "false", s.span_count);
       ++matched;

@@ -1,8 +1,7 @@
 #include "store/committer.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <string_view>
 
 #include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
@@ -11,9 +10,22 @@
 namespace traceweaver::store {
 
 TraceCommitter::TraceCommitter(CommitterOptions options, TraceStore* store)
-    : options_(options), store_(store) {}
+    : options_(options),
+      store_(store),
+      settle_(options.window * std::max(options.settle_windows, 0) +
+              options.margin) {}
 
-void TraceCommitter::OnSpan(const Span& span) { spans_[span.id] = span; }
+TimeNs TraceCommitter::DueTime(const Span& span) const {
+  // A fragment root waits one window beyond the rooted-trace horizon, so
+  // a slow root commit always wins over a fragment split.
+  return span.client_recv +
+         (span.IsRoot() ? settle_ : settle_ + options_.window);
+}
+
+void TraceCommitter::OnSpan(const Span& span) {
+  spans_[span.id] = span;
+  due_.emplace(DueTime(span), span.id);
+}
 
 bool TraceCommitter::CommitTrace(SpanId root, obs::ProvEventType outcome) {
   const auto root_it = spans_.find(root);
@@ -63,8 +75,8 @@ bool TraceCommitter::CommitTrace(SpanId root, obs::ProvEventType outcome) {
     children_.erase(s.id);
     parent_of_.erase(s.id);
     spans_.erase(s.id);
+    quality_.erase(s.id);
   }
-  quality_.erase(root);
 
   if (options_.sampler != nullptr) {
     const TailSampler::Decision d = options_.sampler->Decide(record);
@@ -102,40 +114,25 @@ bool TraceCommitter::CommitTrace(SpanId root, obs::ProvEventType outcome) {
 }
 
 std::size_t TraceCommitter::SweepSettled() {
-  const DurationNs settle =
-      options_.window * std::max(options_.settle_windows, 0) +
-      options_.margin;
+  // Lazy deletion (see the class comment): a popped entry counts only if
+  // it still describes a due span. A re-ingest with a new completion
+  // time strands the old entry, and its own entry takes over.
   std::vector<SpanId> due;
-  for (const auto& [id, span] : spans_) {
-    if (!span.IsRoot()) continue;
-    if (span.client_recv + settle <= last_closed_end_) due.push_back(id);
-  }
-  // Fragment roots: spans whose parent link never materialized and whose
-  // trace window is well past (one extra window beyond the rooted-trace
-  // horizon, so a slow root commit always wins over a fragment split).
-  const DurationNs fragment_settle = settle + options_.window;
-  for (const auto& [id, span] : spans_) {
-    if (span.IsRoot() || parent_of_.count(id) > 0) continue;
-    if (span.client_recv + fragment_settle <= last_closed_end_) {
-      due.push_back(id);
-    }
+  while (!due_.empty() && due_.top().first <= last_closed_end_) {
+    const auto [when, id] = due_.top();
+    due_.pop();
+    const auto it = spans_.find(id);
+    if (it == spans_.end() || DueTime(it->second) != when) continue;
+    if (!it->second.IsRoot() && parent_of_.count(id) > 0) continue;
+    due.push_back(id);
   }
   std::sort(due.begin(), due.end());
+  due.erase(std::unique(due.begin(), due.end()), due.end());
   std::size_t committed = 0;
   for (SpanId id : due) {
     if (CommitTrace(id)) ++committed;
   }
   return committed;
-}
-
-void TraceCommitter::PruneQuality() {
-  for (auto it = quality_.begin(); it != quality_.end();) {
-    if (spans_.count(it->first) == 0) {
-      it = quality_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 std::size_t TraceCommitter::OnResults(
@@ -150,8 +147,10 @@ std::size_t TraceCommitter::OnResults(
         children_[parent].push_back(child);
       }
     }
+    // A row whose root already committed (or never arrived) can never
+    // reach a record.
     for (const obs::TraceQuality& tq : r.trace_quality) {
-      quality_[tq.root] = tq;
+      if (spans_.count(tq.root) > 0) quality_[tq.root] = tq;
     }
     last_closed_end_ = std::max(last_closed_end_, r.window_end);
     // Spans the weaver gave up on are final now: commit what is known of
@@ -166,7 +165,6 @@ std::size_t TraceCommitter::OnResults(
     }
   }
   committed += SweepSettled();
-  PruneQuality();
   committed_ += committed;
   return committed;
 }
@@ -199,15 +197,12 @@ std::size_t TraceCommitter::Finalize() {
 
 void TraceCommitter::SaveState(std::ostream& out) const {
   ChecksummedWriter writer(out, kStateSchema);
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"schema\":\"%s\",\"spans\":%zu,\"edges\":%zu,"
-                "\"quality\":%zu,\"last_closed_end\":%" PRId64
-                ",\"committed\":%zu}",
-                kStateSchema, spans_.size(), parent_of_.size(),
-                quality_.size(), static_cast<std::int64_t>(last_closed_end_),
-                committed_);
-  writer.WriteLine(buf);
+  writer.WriteLine("{\"schema\":" + json::Str(kStateSchema) +
+                   ",\"spans\":" + std::to_string(spans_.size()) +
+                   ",\"edges\":" + std::to_string(parent_of_.size()) +
+                   ",\"quality\":" + std::to_string(quality_.size()) +
+                   ",\"last_closed_end\":" + std::to_string(last_closed_end_) +
+                   ",\"committed\":" + std::to_string(committed_) + "}");
 
   // Deterministic order (sorted by id) within each positional section:
   // `spans` span lines, then `edges` edge lines, then `quality` rows.
@@ -223,11 +218,8 @@ void TraceCommitter::SaveState(std::ostream& out) const {
                                                parent_of_.end());
   std::sort(edges.begin(), edges.end());
   for (const auto& [child, parent] : edges) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"child\":%" PRIu64 ",\"parent\":%" PRIu64 "}",
-                  static_cast<std::uint64_t>(child),
-                  static_cast<std::uint64_t>(parent));
-    writer.WriteLine(buf);
+    writer.WriteLine("{\"child\":" + std::to_string(child) +
+                     ",\"parent\":" + std::to_string(parent) + "}");
   }
 
   ids.clear();
@@ -235,15 +227,16 @@ void TraceCommitter::SaveState(std::ostream& out) const {
   std::sort(ids.begin(), ids.end());
   for (SpanId root : ids) {
     const obs::TraceQuality& tq = quality_.at(root);
-    std::snprintf(buf, sizeof(buf),
-                  "{\"root\":%" PRIu64
-                  ",\"tspans\":%zu,\"tparents\":%zu,\"skips\":%zu,"
-                  "\"orphan\":%d,\"suspect\":%d,\"confidence\":%.17g,"
-                  "\"min_confidence\":%.17g,\"grade\":\"%c\"}",
-                  static_cast<std::uint64_t>(root), tq.spans, tq.parents,
-                  tq.skips, tq.orphan ? 1 : 0, tq.suspect_orphan ? 1 : 0,
-                  tq.confidence, tq.min_confidence, tq.grade);
-    writer.WriteLine(buf);
+    writer.WriteLine(
+        "{\"root\":" + std::to_string(root) +
+        ",\"tspans\":" + std::to_string(tq.spans) +
+        ",\"tparents\":" + std::to_string(tq.parents) +
+        ",\"skips\":" + std::to_string(tq.skips) +
+        ",\"orphan\":" + (tq.orphan ? "1" : "0") +
+        ",\"suspect\":" + (tq.suspect_orphan ? "1" : "0") +
+        ",\"confidence\":" + json::Exact(tq.confidence) +
+        ",\"min_confidence\":" + json::Exact(tq.min_confidence) +
+        ",\"grade\":" + json::Str(std::string_view(&tq.grade, 1)) + "}");
   }
   writer.Finish();
 }
@@ -313,13 +306,19 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     tq.confidence = *conf;
     tq.min_confidence = *min_conf;
     tq.grade = (*grade)[0];
-    quality[tq.root] = tq;
+    // Rows of roots that are no longer pending are dead (older versions
+    // could save such rows after Finalize).
+    if (spans.count(tq.root) > 0) quality[tq.root] = tq;
   }
 
+  std::vector<DueEntry> due;
+  due.reserve(spans.size());
+  for (const auto& [id, span] : spans) due.emplace_back(DueTime(span), id);
   spans_ = std::move(spans);
   parent_of_ = std::move(parent_of);
   children_ = std::move(children);
   quality_ = std::move(quality);
+  due_ = DueQueue(std::greater<DueEntry>(), std::move(due));
   last_closed_end_ = static_cast<TimeNs>(*last_end);
   committed_ = static_cast<std::size_t>(*committed);
   return true;

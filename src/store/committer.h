@@ -9,10 +9,22 @@
 // completion time is `settle_windows` full windows behind the latest
 // closed window -- by then the root's window has closed (so every parent
 // beneath it committed) and the late-graft retention period has passed.
-// Spans the weaver declares definitively lost (shed windows, admission
-// drops, expired late spans) are committed immediately as orphan
-// fragments so nothing silently disappears between the stream and the
-// store.
+// A span still without a parent edge one window after that horizon
+// commits as the root of an orphan fragment. Spans the weaver declares
+// definitively lost (shed windows, admission drops, expired late spans)
+// are committed immediately as orphan fragments so nothing silently
+// disappears between the stream and the store.
+//
+// Settle-time index: OnSpan pushes (due time, id) onto a min-heap, and
+// each OnResults pops only the entries the closed-window clock has
+// passed, so a call costs O(log n) per ingested span plus O(due), not a
+// scan of the pending set. Entries are deleted lazily: a popped entry is
+// re-checked against the current state (still pending, still due at that
+// time, and for a fragment root still without a parent edge) and dropped
+// otherwise. That is exact, because a span only becomes pending or moves
+// its due time through OnSpan, which pushes a matching entry, and a
+// pending span never loses its parent edge. Quality rows are kept only
+// for pending roots and leave with every committed member span.
 //
 // Commit order within one process is deterministic (due roots by id);
 // TraceStore::Commit is idempotent by trace id, so replaying a stream
@@ -20,8 +32,11 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/online.h"
@@ -85,7 +100,8 @@ class TraceCommitter {
   /// replayed from the source offset re-commits idempotently.
   void SaveState(std::ostream& out) const;
 
-  /// Replaces this committer's pending state with a SaveState snapshot.
+  /// Replaces this committer's pending state with a SaveState snapshot
+  /// and rebuilds the settle-time index from the restored spans.
   /// Returns false (state untouched) on truncated, corrupted or
   /// schema-mismatched input, with a reason in *error.
   bool LoadState(std::istream& in, std::string* error = nullptr);
@@ -97,18 +113,29 @@ class TraceCommitter {
   /// downgraded to kOrphanCommit automatically for fragment roots).
   bool CommitTrace(SpanId root,
                    obs::ProvEventType outcome = obs::ProvEventType::kSettled);
+  /// Commits every span the closed-window clock has passed: rooted traces
+  /// whose settle horizon ended, and fragment roots one window later.
   std::size_t SweepSettled();
-  void PruneQuality();
+  /// When `span` falls due: client_recv + settle for a root, one window
+  /// later for a possible fragment root.
+  TimeNs DueTime(const Span& span) const;
+
+  using DueEntry = std::pair<TimeNs, SpanId>;
+  using DueQueue = std::priority_queue<DueEntry, std::vector<DueEntry>,
+                                       std::greater<DueEntry>>;
 
   CommitterOptions options_;
   TraceStore* store_;  ///< Not owned.
+  DurationNs settle_;  ///< settle_windows full windows + margin.
 
   std::unordered_map<SpanId, Span> spans_;            ///< Pending spans.
   std::unordered_map<SpanId, SpanId> parent_of_;      ///< Committed edges.
   std::unordered_map<SpanId, std::vector<SpanId>> children_;
-  /// Latest per-root quality row seen in a WindowResult (present only
-  /// when the weaver ran with compute_quality).
+  /// Latest quality row of each pending root seen in a WindowResult
+  /// (present only when the weaver ran with compute_quality).
   std::unordered_map<SpanId, obs::TraceQuality> quality_;
+  /// Settle-time index: min-heap of (DueTime, id), lazily deleted.
+  DueQueue due_;
   TimeNs last_closed_end_ = 0;
   std::size_t committed_ = 0;
 };

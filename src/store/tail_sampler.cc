@@ -1,8 +1,8 @@
 #include "store/tail_sampler.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "trace/checkpoint.h"
 #include "util/json.h"
@@ -97,18 +97,16 @@ TailSampler::Decision TailSampler::Decide(const TraceRecord& record) {
 
 void TailSampler::SaveState(std::ostream& out) const {
   ChecksummedWriter writer(out, kStateSchema);
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"schema\":\"%s\",\"considered\":%zu,\"shed\":%zu,"
-                "\"kept_interesting\":%zu,\"kept_random\":%zu,"
-                "\"last_shed_end\":%" PRId64 "}",
-                kStateSchema, considered_, shed_, kept_interesting_,
-                kept_random_,
-                static_cast<std::int64_t>(
-                    last_shed_end_ == std::numeric_limits<TimeNs>::min()
-                        ? -1
-                        : last_shed_end_));
-  writer.WriteLine(buf);
+  const TimeNs last_shed =
+      last_shed_end_ == std::numeric_limits<TimeNs>::min() ? -1
+                                                           : last_shed_end_;
+  writer.WriteLine("{\"schema\":" + json::Str(kStateSchema) +
+                   ",\"considered\":" + std::to_string(considered_) +
+                   ",\"shed\":" + std::to_string(shed_) +
+                   ",\"kept_interesting\":" +
+                   std::to_string(kept_interesting_) +
+                   ",\"kept_random\":" + std::to_string(kept_random_) +
+                   ",\"last_shed_end\":" + std::to_string(last_shed) + "}");
   writer.Finish();
 }
 

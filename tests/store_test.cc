@@ -1,21 +1,30 @@
 // Trace store (src/store): segment commit atomicity, index-vs-scan
 // equivalence, LRU bounds, reader-while-ingest safety, and the
-// online -> store committer.
+// online -> store committer (its settle-time index checked against a
+// full-scan reference and across save/restore at every call).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
 #include "store/committer.h"
 #include "store/store.h"
+#include "store/tail_sampler.h"
 #include "test_helpers.h"
+#include "trace/checkpoint.h"
+#include "trace/jsonl_io.h"
 #include "trace/trace_record.h"
+#include "util/json.h"
 
 namespace traceweaver::store {
 namespace {
@@ -588,6 +597,470 @@ TEST_F(StoreTest, CommitterStateRoundtrip) {
   TraceCommitter reject(copts, &store);
   EXPECT_FALSE(reject.LoadState(bad, &err));
   EXPECT_EQ(reject.pending_spans(), 0u);
+}
+
+
+TEST_F(StoreTest, CommitterFinalizeLeavesNoQualityRows) {
+  // Span 2 is first reported as the root of its own fragment (quality
+  // row for 2), then grafted under root 1. Finalize commits it inside 1's
+  // subtree, and its row must go with it.
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  TraceCommitter committer(CommitterOptions{}, &store);
+  committer.OnSpan(MakeSpan(1, kClientCaller, "A", "/a", 100, 900));
+  committer.OnSpan(MakeSpan(2, "A", "B", "/b", 200, 800));
+  WindowResult w = Window(0, Millis(1));
+  obs::TraceQuality tq;
+  tq.root = 2;
+  tq.grade = 'D';
+  w.trace_quality.push_back(tq);
+  committer.OnResults({w, Window(Millis(1), Millis(2), {{2, 1}})});
+  EXPECT_EQ(committer.Finalize(), 1u);
+
+  std::stringstream state;
+  committer.SaveState(state);
+  std::string err;
+  const auto lines =
+      ReadChecksummedLines(state, TraceCommitter::kStateSchema, &err);
+  ASSERT_TRUE(lines.has_value()) << err;
+  ASSERT_EQ(lines->size(), 1u) << "only the header may remain";
+  EXPECT_EQ(json::FieldU64(lines->front(), "spans"), 0u);
+  EXPECT_EQ(json::FieldU64(lines->front(), "edges"), 0u);
+  EXPECT_EQ(json::FieldU64(lines->front(), "quality"), 0u);
+}
+
+TEST_F(StoreTest, CommitterAndSamplerStateBytesArePinned) {
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  TailSamplerOptions sopts;
+  sopts.window = Millis(100);
+  TailSampler sampler(sopts);
+  CommitterOptions copts;
+  copts.window = Millis(100);
+  copts.margin = Millis(10);
+  copts.sampler = &sampler;
+  TraceCommitter committer(copts, &store);
+  // Trace 5 settles (and is offered to the sampler); root 1 stays
+  // pending with an edge from a child not yet ingested.
+  committer.OnSpan(MakeSpan(5, kClientCaller, "A", "/a", 0, Millis(1)));
+  committer.OnSpan(MakeSpan(1, kClientCaller, "A", "/a", Millis(300),
+                            Millis(301)));
+  WindowResult w = Window(0, Millis(200), {{2, 1}});
+  w.shed = true;
+  obs::TraceQuality tq;
+  tq.root = 1;
+  tq.spans = 2;
+  tq.parents = 1;
+  tq.grade = 'B';
+  tq.confidence = 0.1;
+  tq.min_confidence = 0.25;
+  w.trace_quality.push_back(tq);
+  ASSERT_EQ(committer.OnResults({w}), 1u);
+
+  std::stringstream committer_state;
+  committer.SaveState(committer_state);
+  EXPECT_EQ(
+      committer_state.str(),
+      "{\"schema\":\"traceweaver.committer.v1\",\"spans\":1,\"edges\":1,"
+      "\"quality\":1,\"last_closed_end\":200000000,\"committed\":1}\n"
+      "{\"id\":1,\"caller\":\"client\",\"callee\":\"A\",\"endpoint\":"
+      "\"/a\",\"client_send\":299900000,\"server_recv\":300000000,"
+      "\"server_send\":301000000,\"client_recv\":301100000,"
+      "\"caller_replica\":0,\"callee_replica\":0,"
+      "\"true_parent\":18446744073709551615,"
+      "\"true_trace\":18446744073709551615}\n"
+      "{\"child\":2,\"parent\":1}\n"
+      "{\"root\":1,\"tspans\":2,\"tparents\":1,\"skips\":0,\"orphan\":0,"
+      "\"suspect\":0,\"confidence\":0.10000000000000001,"
+      "\"min_confidence\":0.25,\"grade\":\"B\"}\n"
+      "{\"footer\":\"traceweaver.committer.v1\",\"lines\":4,"
+      "\"crc32\":1077831024}\n");
+
+  std::stringstream sampler_state;
+  sampler.SaveState(sampler_state);
+  EXPECT_EQ(sampler_state.str(),
+            "{\"schema\":\"traceweaver.sampler.v1\",\"considered\":1,"
+            "\"shed\":0,\"kept_interesting\":1,\"kept_random\":0,"
+            "\"last_shed_end\":200000000}\n"
+            "{\"footer\":\"traceweaver.sampler.v1\",\"lines\":1,"
+            "\"crc32\":3597692960}\n");
+}
+
+// ---------------------------------------------------------------------
+// The settle-time index against a full-scan reference.
+
+/// The committer as it was before the settle-time index: every OnResults
+/// rescans the whole pending set for due roots and fragment roots, then
+/// prunes the quality rows of roots no longer pending. A brute-force
+/// oracle for the indexed sweep (provenance left out).
+class ScanCommitter {
+ public:
+  ScanCommitter(CommitterOptions options, TraceStore* store)
+      : options_(options), store_(store) {}
+
+  void OnSpan(const Span& span) { spans_[span.id] = span; }
+
+  std::size_t OnResults(const std::vector<WindowResult>& results) {
+    std::size_t committed = 0;
+    for (const WindowResult& r : results) {
+      if (options_.sampler != nullptr && r.shed) {
+        options_.sampler->NoteShed(r.window_end);
+      }
+      for (const auto& [child, parent] : r.assignment) {
+        if (parent_of_.emplace(child, parent).second) {
+          children_[parent].push_back(child);
+        }
+      }
+      for (const obs::TraceQuality& tq : r.trace_quality) {
+        quality_[tq.root] = tq;
+      }
+      last_closed_end_ = std::max(last_closed_end_, r.window_end);
+      std::vector<SpanId> lost(r.orphans);
+      std::sort(lost.begin(), lost.end());
+      for (SpanId id : lost) {
+        if (spans_.count(id) > 0 && parent_of_.count(id) == 0 &&
+            CommitTrace(id)) {
+          ++committed;
+        }
+      }
+    }
+    const DurationNs settle =
+        options_.window * std::max(options_.settle_windows, 0) +
+        options_.margin;
+    std::vector<SpanId> due;
+    for (const auto& [id, span] : spans_) {
+      if (span.IsRoot() && span.client_recv + settle <= last_closed_end_) {
+        due.push_back(id);
+      }
+    }
+    for (const auto& [id, span] : spans_) {
+      if (span.IsRoot() || parent_of_.count(id) > 0) continue;
+      if (span.client_recv + settle + options_.window <= last_closed_end_) {
+        due.push_back(id);
+      }
+    }
+    std::sort(due.begin(), due.end());
+    for (SpanId id : due) {
+      if (CommitTrace(id)) ++committed;
+    }
+    for (auto it = quality_.begin(); it != quality_.end();) {
+      it = spans_.count(it->first) == 0 ? quality_.erase(it) : std::next(it);
+    }
+    committed_ += committed;
+    return committed;
+  }
+
+  void SaveState(std::ostream& out) const {
+    ChecksummedWriter writer(out, TraceCommitter::kStateSchema);
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"schema\":\"%s\",\"spans\":%zu,\"edges\":%zu,"
+                  "\"quality\":%zu,\"last_closed_end\":%" PRId64
+                  ",\"committed\":%zu}",
+                  TraceCommitter::kStateSchema, spans_.size(),
+                  parent_of_.size(), quality_.size(),
+                  static_cast<std::int64_t>(last_closed_end_), committed_);
+    writer.WriteLine(buf);
+    for (const auto& [id, span] : spans_) {
+      writer.WriteLine(SpanToJson(span, /*include_ground_truth=*/true));
+    }
+    for (const auto& [child, parent] : parent_of_) {
+      std::snprintf(buf, sizeof(buf),
+                    "{\"child\":%" PRIu64 ",\"parent\":%" PRIu64 "}", child,
+                    parent);
+      writer.WriteLine(buf);
+    }
+    for (const auto& [root, tq] : quality_) {
+      std::snprintf(buf, sizeof(buf),
+                    "{\"root\":%" PRIu64
+                    ",\"tspans\":%zu,\"tparents\":%zu,\"skips\":%zu,"
+                    "\"orphan\":%d,\"suspect\":%d,\"confidence\":%.17g,"
+                    "\"min_confidence\":%.17g,\"grade\":\"%c\"}",
+                    root, tq.spans, tq.parents, tq.skips, tq.orphan ? 1 : 0,
+                    tq.suspect_orphan ? 1 : 0, tq.confidence,
+                    tq.min_confidence, tq.grade);
+      writer.WriteLine(buf);
+    }
+    writer.Finish();
+  }
+
+ private:
+  bool CommitTrace(SpanId root) {
+    const auto root_it = spans_.find(root);
+    if (root_it == spans_.end()) return false;
+    TraceRecord record;
+    record.trace_id = root;
+    record.root_service = root_it->second.callee;
+    record.root_endpoint = root_it->second.endpoint;
+    record.orphan = !root_it->second.IsRoot();
+    if (const auto q = quality_.find(root); q != quality_.end()) {
+      record.grade = q->second.grade;
+      record.confidence = q->second.confidence;
+      record.min_confidence = q->second.min_confidence;
+      record.suspect = q->second.suspect_orphan;
+    }
+    std::vector<SpanId> stack{root};
+    while (!stack.empty()) {
+      const SpanId id = stack.back();
+      stack.pop_back();
+      const auto it = spans_.find(id);
+      if (it == spans_.end()) continue;
+      record.spans.push_back(it->second);
+      if (id != root) record.parents.emplace_back(id, parent_of_.at(id));
+      if (const auto kids = children_.find(id); kids != children_.end()) {
+        std::vector<SpanId> ordered = kids->second;
+        std::sort(ordered.begin(), ordered.end(), std::greater<SpanId>());
+        stack.insert(stack.end(), ordered.begin(), ordered.end());
+      }
+    }
+    std::sort(record.parents.begin(), record.parents.end());
+    record.start = record.spans.front().client_send;
+    record.end = record.spans.front().client_recv;
+    for (const Span& s : record.spans) {
+      record.start = std::min(record.start, s.client_send);
+      record.end = std::max(record.end, s.client_recv);
+    }
+    for (const Span& s : record.spans) {
+      children_.erase(s.id);
+      parent_of_.erase(s.id);
+      spans_.erase(s.id);
+    }
+    quality_.erase(root);
+    if (options_.sampler != nullptr && !options_.sampler->Decide(record).keep) {
+      return false;
+    }
+    return store_->Commit(std::move(record));
+  }
+
+  CommitterOptions options_;
+  TraceStore* store_;
+  // Ordered maps: SaveState walks them in id order.
+  std::map<SpanId, Span> spans_;
+  std::map<SpanId, SpanId> parent_of_;
+  std::map<SpanId, std::vector<SpanId>> children_;
+  std::map<SpanId, obs::TraceQuality> quality_;
+  TimeNs last_closed_end_ = 0;
+  std::size_t committed_ = 0;
+};
+
+/// One committer input stream: before call k, ingest[k] goes to OnSpan;
+/// then results[k] goes to OnResults.
+struct CommitterStream {
+  std::vector<std::vector<Span>> ingest;
+  std::vector<std::vector<WindowResult>> results;
+};
+
+/// Random roots, children and orphans over `calls` OnResults calls of
+/// 0-2 windows of `window` each. Completion times straddle the closed
+/// clock, so some spans arrive late (already due). Some spans are
+/// re-ingested with a shifted completion time; edges, orphans and
+/// quality rows name ids at random, including spans not yet ingested or
+/// already committed. Every third id is a client root, and, as from the
+/// weaver, roots never get a parent edge.
+CommitterStream RandomCommitterStream(Rng& rng, int calls, DurationNs window) {
+  CommitterStream stream;
+  std::vector<Span> known;
+  SpanId next_id = 1;
+  TimeNs window_end = 0;
+  const auto is_root = [](SpanId id) { return id % 3 == 0; };
+  const auto any_id = [&] {
+    return static_cast<SpanId>(
+        rng.UniformInt(1, static_cast<std::int64_t>(next_id) + 3));
+  };
+  for (int k = 0; k < calls; ++k) {
+    std::vector<Span>& batch = stream.ingest.emplace_back();
+    for (std::int64_t n = rng.UniformInt(0, 8); n > 0; --n) {
+      const TimeNs recv = window_end + rng.UniformInt(-2 * window, window);
+      const TimeNs send = recv + rng.UniformInt(Millis(1), Millis(60));
+      known.push_back(MakeSpan(next_id, is_root(next_id) ? kClientCaller : "A",
+                               "B", "/b", recv, send));
+      ++next_id;
+      batch.push_back(known.back());
+    }
+    if (!known.empty() && rng.Bernoulli(0.3)) {
+      Span again = known[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(known.size()) - 1))];
+      again.client_recv += rng.UniformInt(-window, window);
+      batch.push_back(again);
+    }
+
+    std::vector<WindowResult>& results = stream.results.emplace_back();
+    for (std::int64_t n = rng.UniformInt(0, 2); n > 0; --n) {
+      const TimeNs start = window_end;
+      if (rng.Bernoulli(0.8)) window_end += window;
+      WindowResult r = Window(start, window_end);
+      r.shed = rng.Bernoulli(0.1);
+      for (std::int64_t e = rng.UniformInt(0, 5); e > 0; --e) {
+        const SpanId child = any_id();
+        // Parents precede children, so assignments never form a cycle.
+        if (child > 1 && !is_root(child)) {
+          r.assignment[child] = static_cast<SpanId>(
+              rng.UniformInt(1, static_cast<std::int64_t>(child) - 1));
+        }
+      }
+      for (std::int64_t o = rng.UniformInt(0, 2); o > 0; --o) {
+        r.orphans.push_back(any_id());
+      }
+      for (std::int64_t q = rng.UniformInt(0, 4); q > 0; --q) {
+        obs::TraceQuality tq;
+        tq.root = any_id();
+        tq.spans = static_cast<std::size_t>(rng.UniformInt(1, 9));
+        tq.grade = static_cast<char>('A' + rng.UniformInt(0, 3));
+        tq.confidence = rng.Uniform(0.0, 1.0);
+        tq.min_confidence = tq.confidence * rng.Uniform(0.0, 1.0);
+        tq.suspect_orphan = rng.Bernoulli(0.1);
+        r.trace_quality.push_back(tq);
+      }
+      results.push_back(std::move(r));
+    }
+  }
+  return stream;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Every sealed segment of the store in `dir`, concatenated in order.
+std::string SegmentBytes(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("segment-", 0) == 0 && entry.path().extension() == ".jsonl") {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  std::string bytes;
+  for (const std::string& name : names) bytes += ReadFileBytes(dir + "/" + name);
+  return bytes;
+}
+
+TEST_F(StoreTest, CommitterSettleIndexMatchesFullScan) {
+  const DurationNs window = Millis(100);
+  std::uint64_t seed = 0;
+  for (int settle_windows = 0; settle_windows <= 2; ++settle_windows) {
+    for (const bool sampled : {false, true}) {
+      for (int stream_no = 0; stream_no < 12; ++stream_no) {
+        Rng rng(20261017 + ++seed);
+        const CommitterStream stream = RandomCommitterStream(rng, 40, window);
+        SCOPED_TRACE(::testing::Message()
+                     << "settle_windows=" << settle_windows
+                     << " sampled=" << sampled << " stream=" << stream_no);
+
+        const std::string indexed_dir = Dir() + "/indexed";
+        const std::string scan_dir = Dir() + "/scan";
+        fs::remove_all(Dir());
+        TraceStore indexed_store(indexed_dir);
+        TraceStore scan_store(scan_dir);
+        ASSERT_TRUE(indexed_store.Open().has_value());
+        ASSERT_TRUE(scan_store.Open().has_value());
+        TailSamplerOptions sopts;
+        sopts.window = window;
+        sopts.keep_rate = 0.5;
+        TailSampler indexed_sampler(sopts);
+        TailSampler scan_sampler(sopts);
+        CommitterOptions copts;
+        copts.window = window;
+        copts.margin = Millis(10);
+        copts.settle_windows = settle_windows;
+        copts.sampler = sampled ? &indexed_sampler : nullptr;
+        TraceCommitter indexed(copts, &indexed_store);
+        copts.sampler = sampled ? &scan_sampler : nullptr;
+        ScanCommitter scan(copts, &scan_store);
+
+        for (std::size_t k = 0; k < stream.results.size(); ++k) {
+          for (const Span& span : stream.ingest[k]) {
+            indexed.OnSpan(span);
+            scan.OnSpan(span);
+          }
+          ASSERT_EQ(indexed.OnResults(stream.results[k]),
+                    scan.OnResults(stream.results[k]))
+              << "call " << k;
+          // Sealing after every call makes each call's commits (ids,
+          // order and records) one segment file to compare.
+          ASSERT_TRUE(indexed_store.Seal());
+          ASSERT_TRUE(scan_store.Seal());
+          ASSERT_EQ(SegmentBytes(indexed_dir), SegmentBytes(scan_dir))
+              << "call " << k;
+          std::stringstream indexed_state;
+          std::stringstream scan_state;
+          indexed.SaveState(indexed_state);
+          scan.SaveState(scan_state);
+          ASSERT_EQ(indexed_state.str(), scan_state.str()) << "call " << k;
+          std::stringstream indexed_sampler_state;
+          std::stringstream scan_sampler_state;
+          indexed_sampler.SaveState(indexed_sampler_state);
+          scan_sampler.SaveState(scan_sampler_state);
+          ASSERT_EQ(indexed_sampler_state.str(), scan_sampler_state.str());
+        }
+      }
+    }
+  }
+}
+
+TEST_F(StoreTest, CommitterRestoreAtEveryCallMatchesUninterruptedRun) {
+  const DurationNs window = Millis(100);
+  CommitterOptions copts;
+  copts.window = window;
+  copts.margin = Millis(10);
+  Rng rng(9117);
+  CommitterStream stream = RandomCommitterStream(rng, 30, window);
+  // A fragment root no window result ever names: due at client_recv +
+  // settle + window (~230 ms), past the end of the first call's windows
+  // (at most 200 ms), so a restore after that call must find it through
+  // the rebuilt index.
+  constexpr SpanId kFragment = 1000000;
+  stream.ingest[0].push_back(
+      MakeSpan(kFragment, "A", "B", "/b", Millis(5), Millis(20)));
+
+  struct Outcome {
+    std::string state;     ///< SaveState before Finalize.
+    std::string segments;  ///< Sealed store after Finalize.
+  };
+  // Runs the stream, restoring into a fresh committer after call `split`
+  // (-1: never).
+  const auto run = [&](const std::string& dir, int split) {
+    TraceStore store(dir);
+    EXPECT_TRUE(store.Open().has_value());
+    auto committer = std::make_unique<TraceCommitter>(copts, &store);
+    for (std::size_t k = 0; k < stream.results.size(); ++k) {
+      for (const Span& span : stream.ingest[k]) committer->OnSpan(span);
+      committer->OnResults(stream.results[k]);
+      if (k == 0) {
+        EXPECT_FALSE(store.Contains(kFragment)) << "fragment due too early";
+      }
+      if (static_cast<int>(k) == split) {
+        std::stringstream saved;
+        committer->SaveState(saved);
+        committer = std::make_unique<TraceCommitter>(copts, &store);
+        std::string err;
+        EXPECT_TRUE(committer->LoadState(saved, &err)) << err;
+      }
+    }
+    EXPECT_TRUE(store.Contains(kFragment)) << "fragment never settled";
+    Outcome out;
+    std::stringstream state;
+    committer->SaveState(state);
+    out.state = state.str();
+    committer->Finalize();
+    EXPECT_TRUE(store.Seal());
+    out.segments = SegmentBytes(dir);
+    return out;
+  };
+
+  const Outcome reference = run(Dir() + "/reference", -1);
+  for (int split = 0; split < static_cast<int>(stream.results.size());
+       ++split) {
+    const std::string dir = Dir() + "/split" + std::to_string(split);
+    const Outcome restored = run(dir, split);
+    EXPECT_EQ(restored.state, reference.state) << "split after call " << split;
+    EXPECT_EQ(restored.segments, reference.segments)
+        << "split after call " << split;
+  }
 }
 
 }  // namespace

@@ -102,6 +102,12 @@ class DelayModel {
 
   const GaussianMixture* Find(const DelayKey& key) const;
 
+  /// Calls fn(key, mixture) for every distribution, in key order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [key, entry] : dists_) fn(key, entry.mixture);
+  }
+
  private:
   struct Entry {
     GaussianMixture mixture;

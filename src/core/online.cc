@@ -355,7 +355,10 @@ WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
     // Reconstruct over the full buffer (children of closing parents may
     // have been buffered in earlier windows' tails), then commit only the
     // parents whose processing window lies within the closed window.
-    const TraceWeaverOutput out = WeaverForLevel().Reconstruct(buffer_);
+    TraceWeaverOutput out = WeaverForLevel().Reconstruct(buffer_, &models_);
+    for (ContainerResult& c : out.containers) {
+      if (!c.parents.empty()) models_[c.instance] = std::move(c.model);
+    }
     if (options_.weaver.compute_quality) {
       result.trace_quality = out.quality.traces;
     }
@@ -682,6 +685,30 @@ void OnlineTraceWeaver::SaveCheckpoint(
     line += '}';
     w.WriteLine(line);
   }
+  for (const auto& [instance, model] : models_) {
+    model.ForEach([&](const DelayKey& key, const GaussianMixture& mixture) {
+      std::string line = "{\"ckpt\":\"model\",";
+      json::AppendStrField(line, "service", instance.service);
+      line += ",\"replica\":" + std::to_string(instance.replica);
+      line += ',';
+      json::AppendStrField(line, "key_service", key.service);
+      line += ',';
+      json::AppendStrField(line, "endpoint", key.endpoint);
+      line += ",\"stage\":" + std::to_string(key.stage);
+      line += ",\"call\":" + std::to_string(key.call);
+      line += ",\"components\":[";
+      for (std::size_t c = 0; c < mixture.num_components(); ++c) {
+        const GmmComponent& comp = mixture.components()[c];
+        if (c > 0) line += ',';
+        line += "{\"w\":" + json::Exact(comp.weight);
+        line += ",\"m\":" + json::Exact(comp.mean);
+        line += ",\"s\":" + json::Exact(comp.stddev);
+        line += '}';
+      }
+      line += "]}";
+      w.WriteLine(line);
+    });
+  }
   for (const WindowResult& pending : pending_results_) {
     std::string line = "{\"ckpt\":\"pendingw\",\"start\":";
     line += std::to_string(pending.window_start);
@@ -803,6 +830,35 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       post.mean = json::FieldF64(line, "mean").value_or(0.0);
       post.m2 = json::FieldF64(line, "m2").value_or(0.0);
       fresh.posteriors_[std::move(key)] = post;
+    } else if (*type == "model") {
+      const auto service = json::FieldStr(line, "service");
+      const auto replica = json::FieldI64(line, "replica");
+      const auto key_service = json::FieldStr(line, "key_service");
+      const auto endpoint = json::FieldStr(line, "endpoint");
+      const auto stage = json::FieldI64(line, "stage");
+      const auto call = json::FieldI64(line, "call");
+      if (!service || !replica || !key_service || !endpoint || !stage ||
+          !call) {
+        return bad("model key");
+      }
+      const std::size_t at = json::FindValue(line, "components");
+      std::vector<std::string_view> elements;
+      if (at == std::string::npos ||
+          !json::SplitObjectArray(line, at, &elements) || elements.empty()) {
+        return bad("model components");
+      }
+      std::vector<GmmComponent> components;
+      for (const std::string_view e : elements) {
+        const auto weight = json::FieldF64(e, "w");
+        const auto mean = json::FieldF64(e, "m");
+        const auto stddev = json::FieldF64(e, "s");
+        if (!weight || !mean || !stddev) return bad("model component");
+        components.push_back(GmmComponent{*weight, *mean, *stddev});
+      }
+      fresh.models_[ServiceInstance{*service, static_cast<int>(*replica)}]
+          .Install(DelayKey{*key_service, *endpoint, static_cast<int>(*stage),
+                            static_cast<int>(*call)},
+                   GaussianMixture(std::move(components)));
     } else if (*type == "stats") {
       Stats& s = fresh.stats_;
       s.ingested = json::FieldU64(line, "ingested").value_or(0);

@@ -38,10 +38,11 @@
 //
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
 //     full streaming state (buffer, committed assignments, late pool,
-//     graft slots, delay posteriors, watermark, ladder position) as a
-//     CRC-guarded `traceweaver.checkpoint.v1` JSONL stream
-//     (trace/checkpoint.h), so a killed serve loop resumes within one
-//     window of where it died without losing or duplicating commitments.
+//     graft slots, delay posteriors, carried delay models, watermark,
+//     ladder position) as a CRC-guarded `traceweaver.checkpoint.v1` JSONL
+//     stream (trace/checkpoint.h), so a killed serve loop resumes within
+//     one window of where it died without losing or duplicating
+//     commitments.
 #pragma once
 
 #include <iosfwd>
@@ -186,6 +187,12 @@ class OnlineTraceWeaver {
     return posteriors_;
   }
 
+  /// Each container's delay model from the last window close that gave it
+  /// tasks, passed as the prior of the next close (TraceWeaver::
+  /// Reconstruct): keys whose new gaps still fit it skip the EM refit.
+  /// Survives checkpoint/restore as `"ckpt":"model"` records.
+  const ContainerModels& delay_models() const { return models_; }
+
   /// Online skew state (active when OnlineOptions::skew_correct); survives
   /// checkpoint/restore as `"ckpt":"skew"` records.
   const SkewEstimator& skew_estimator() const { return skew_estimator_; }
@@ -289,6 +296,9 @@ class OnlineTraceWeaver {
   std::vector<WindowResult> pending_results_;
   std::vector<SpanId> pending_orphans_;
   std::map<DelayKey, DelayPosterior> posteriors_;
+  /// Lives here rather than on the cached weaver, so ladder-level rebuilds
+  /// and edge-slack refreshes keep it.
+  ContainerModels models_;
   SkewEstimator skew_estimator_;
   Stats stats_;
   /// Cached weaver, rebuilt when the degradation level changes (avoids

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/batching.h"
+#include "core/drift.h"
 #include "core/explain.h"
 #include "core/mis_solver.h"
 #include "obs/pipeline_metrics.h"
@@ -977,11 +978,13 @@ bool SameMixture(const GaussianMixture& a, const GaussianMixture& b) {
 /// gap samples are identical to the previous fit are skipped outright
 /// (FitGmmBicSweep is deterministic, so the fit would reproduce the
 /// installed mixture); `last_fitted` tracks the samples behind each
-/// installed fit.
+/// installed fit. With a `prior`, keys whose gaps pass the drift check
+/// against it take its mixture instead of a BIC sweep.
 std::vector<DelayKey> RefitModel(
     const Workspace& ws, const std::vector<ParentResult>& results,
     DelayModel& model,
-    std::map<DelayKey, std::vector<double>>& last_fitted) {
+    std::map<DelayKey, std::vector<double>>& last_fitted,
+    const DelayModel* prior) {
   std::map<DelayKey, std::vector<double>> gaps;
   for (std::size_t t = 0; t < ws.tasks.size(); ++t) {
     const ParentResult& r = results[t];
@@ -997,22 +1000,39 @@ std::vector<DelayKey> RefitModel(
   fit.max_components = ws.opts->params.max_gmm_components;
   fit.obs = &ws.pm->gmm;
 
+  // Keys the prior still fits: DetectDrift skips keys with too few
+  // samples or no prior distribution, so those stay on the EM path.
+  std::set<DelayKey> fits_prior;
+  if (prior != nullptr) {
+    for (const DriftFinding& f : DetectDrift(*prior, gaps)) {
+      if (!f.drifted) fits_prior.insert(f.key);
+    }
+  }
+
   struct Work {
     const DelayKey* key;
     std::vector<double>* samples;
+    const GaussianMixture* reuse;  ///< Prior mixture to install, or null.
     GaussianMixture fitted;
   };
   std::vector<Work> work;
+  std::uint64_t reused = 0;
   for (auto& [key, samples] : gaps) {
     if (samples.size() < ws.opts->params.min_refit_samples) continue;
     auto it = last_fitted.find(key);
     if (it != last_fitted.end() && it->second == samples) continue;
-    work.push_back(Work{&key, &samples, {}});
+    const GaussianMixture* reuse =
+        fits_prior.count(key) > 0 ? prior->Find(key) : nullptr;
+    if (reuse != nullptr) ++reused;
+    work.push_back(Work{&key, &samples, reuse, {}});
   }
+  ws.pm->gmm.fits_reused.Inc(reused);
   // Each fit is deterministic given its samples, so fitting in parallel
   // and installing in key order gives the same model as the serial path.
   ThreadPool::Run(ws.pool, work.size(), [&](std::size_t i) {
-    work[i].fitted = FitGmmBicSweep(*work[i].samples, fit);
+    work[i].fitted = work[i].reuse != nullptr
+                         ? *work[i].reuse
+                         : FitGmmBicSweep(*work[i].samples, fit);
   });
 
   std::vector<DelayKey> dirty;
@@ -1151,7 +1171,8 @@ void ContainerResult::AppendAssignment(ParentAssignment& out) const {
 
 ContainerResult OptimizeContainer(const ContainerView& view,
                                   const CallGraph& graph,
-                                  const OptimizerOptions& options) {
+                                  const OptimizerOptions& options,
+                                  const DelayModel* prior) {
   Workspace ws;
   ws.view = &view;
   ws.graph = &graph;
@@ -1322,7 +1343,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
       std::vector<DelayKey> dirty;
       {
         auto t = timer(obs::Stage::kRefit);
-        dirty = RefitModel(ws, results, model, last_fitted);
+        dirty = RefitModel(ws, results, model, last_fitted, prior);
       }
       // Convergence: an unchanged model reproduces this iteration's
       // ranking and solution exactly, so further rounds are no-ops.
@@ -1439,6 +1460,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   }
 
   result.parents = std::move(results);
+  result.model = std::move(model);
   return result;
 }
 

@@ -21,6 +21,7 @@
 
 #include "callgraph/call_graph.h"
 #include "core/candidates.h"
+#include "core/delay_model.h"
 #include "core/parameters.h"
 #include "stats/gmm.h"
 #include "trace/trace.h"
@@ -151,14 +152,27 @@ struct ContainerResult {
   /// duplicates racing one plan position). Empty when the window is 0.
   std::vector<std::pair<SpanId, SpanId>> adopted;
 
+  /// The delay model behind the final ranking (empty when the container
+  /// had no tasks). The online weaver carries it into the next window's
+  /// optimization of the same container as its prior.
+  DelayModel model;
+
   /// Merges the chosen mappings (and twin adoptions) into `out`
   /// (child id -> parent id).
   void AppendAssignment(ParentAssignment& out) const;
 };
 
 /// Runs the full pipeline for one container view.
+///
+/// `prior` is the container's delay model from an earlier optimization
+/// (not owned; may be null). At each refit, a key whose new gap samples
+/// pass the drift check against the prior (DetectDrift, default
+/// DriftOptions) takes the prior's mixture instead of a fresh BIC sweep;
+/// drifted keys, keys with too few samples and keys the prior lacks are
+/// fitted by EM. A null prior fits every key from scratch.
 ContainerResult OptimizeContainer(const ContainerView& view,
                                   const CallGraph& graph,
-                                  const OptimizerOptions& options);
+                                  const OptimizerOptions& options,
+                                  const DelayModel* prior = nullptr);
 
 }  // namespace traceweaver

@@ -52,7 +52,7 @@ TraceWeaver::TraceWeaver(TraceWeaver&&) noexcept = default;
 TraceWeaver& TraceWeaver::operator=(TraceWeaver&&) noexcept = default;
 
 TraceWeaverOutput TraceWeaver::Reconstruct(
-    const std::vector<Span>& spans) const {
+    const std::vector<Span>& spans, const ContainerModels* prior) const {
   static const obs::PipelineMetrics kInertMetrics;
   const obs::PipelineMetrics& pm =
       metrics_ != nullptr ? *metrics_ : kInertMetrics;
@@ -84,7 +84,13 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
   if (oopts.metrics == nullptr) oopts.metrics = metrics_.get();
   if (options_.compute_quality) oopts.collect_quality = true;
   ThreadPool::Run(pool_.get(), views.size(), [&](std::size_t i) {
-    out.containers[i] = OptimizeContainer(views[i], graph_, oopts);
+    const DelayModel* container_prior = nullptr;
+    if (prior != nullptr) {
+      const auto it = prior->find(views[i].instance);
+      if (it != prior->end()) container_prior = &it->second;
+    }
+    out.containers[i] =
+        OptimizeContainer(views[i], graph_, oopts, container_prior);
   });
 
   {

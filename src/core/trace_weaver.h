@@ -33,6 +33,9 @@ namespace traceweaver {
 
 class ThreadPool;
 
+/// Per-container delay models, as carried between window closes.
+using ContainerModels = std::map<ServiceInstance, DelayModel>;
+
 struct TraceWeaverOptions {
   OptimizerOptions optimizer;
   /// Worker threads for reconstruction, shared across every level of the
@@ -90,8 +93,13 @@ class TraceWeaver : public Mapper {
   /// constructor-supplied graph.
   ParentAssignment Map(const MapperInput& input) override;
 
-  /// Full reconstruction with ranked candidates and statistics.
-  TraceWeaverOutput Reconstruct(const std::vector<Span>& spans) const;
+  /// Full reconstruction with ranked candidates and statistics. `prior`
+  /// holds each container's delay model from an earlier reconstruction
+  /// (ContainerResult::model), handed to OptimizeContainer as that
+  /// container's prior; containers it lacks, and a null prior, fit from
+  /// scratch. Not owned.
+  TraceWeaverOutput Reconstruct(const std::vector<Span>& spans,
+                                const ContainerModels* prior = nullptr) const;
 
   const CallGraph& call_graph() const { return graph_; }
   const TraceWeaverOptions& options() const { return options_; }

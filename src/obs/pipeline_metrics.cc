@@ -104,6 +104,13 @@ PipelineMetrics::PipelineMetrics(MetricsRegistry& reg) : registry(&reg) {
   gmm.em_iterations = reg.GetCounter(
       "tw_gmm_em_iterations_total", "",
       "EM iterations executed across all candidate fits", "1");
+  gmm.fits_reused = reg.GetCounter(
+      "tw_gmm_fits_reused_total", "",
+      "Delay keys that reused the carried prior mixture instead of a fit",
+      "1");
+  gmm.em_capped = reg.GetCounter(
+      "tw_gmm_em_capped_total", "",
+      "EM runs stopped at the iteration cap, not the tolerance", "1");
   gmm.components = reg.GetHistogram(
       "tw_gmm_components", "", "BIC-selected component counts", "1");
 

@@ -39,6 +39,12 @@ const char* StageName(Stage stage);
 struct GmmCounters {
   Counter fits;           ///< tw_gmm_fits_total: BIC sweeps completed.
   Counter em_iterations;  ///< tw_gmm_em_iterations_total: EM rounds run.
+  /// tw_gmm_fits_reused_total: keys that took a carried prior mixture
+  /// (passed the drift check) instead of a BIC sweep.
+  Counter fits_reused;
+  /// tw_gmm_em_capped_total: EM runs stopped by the iteration cap rather
+  /// than the tolerance.
+  Counter em_capped;
   Histogram components;   ///< tw_gmm_components: BIC-selected sizes.
 };
 

@@ -288,6 +288,7 @@ GaussianMixture FitGmm(const std::vector<double>& samples,
 
   std::vector<double> log_w(k), sigma(k), log_sigma(k);
   std::size_t iters_run = 0;
+  bool converged = false;
   for (std::size_t iter = 0; iter < options.em_iterations; ++iter) {
     ++iters_run;
     // E step. The sample-independent terms -- log(weight), the floored
@@ -354,10 +355,16 @@ GaussianMixture FitGmm(const std::vector<double>& samples,
           std::max(std::sqrt(var), kMinGaussianStddev);
     }
 
-    if (ll - prev_ll < options.tolerance && iter > 0) break;
+    if (ll - prev_ll < options.tolerance && iter > 0) {
+      converged = true;
+      break;
+    }
     prev_ll = ll;
   }
-  if (options.obs != nullptr) options.obs->em_iterations.Inc(iters_run);
+  if (options.obs != nullptr) {
+    options.obs->em_iterations.Inc(iters_run);
+    if (!converged) options.obs->em_capped.Inc();
+  }
 
   return GaussianMixture(std::move(comps));
 }

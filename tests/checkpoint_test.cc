@@ -15,6 +15,7 @@
 
 #include "callgraph/inference.h"
 #include "core/online.h"
+#include "obs/metrics.h"
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
@@ -179,6 +180,8 @@ Stream MakeStream(double rps, double seconds) {
   return s;
 }
 
+constexpr const char* kSchema = OnlineTraceWeaver::kCheckpointSchema;
+
 OnlineOptions MidStreamOptions() {
   OnlineOptions opts;
   opts.window = Millis(500);
@@ -305,9 +308,196 @@ TEST(OnlineCheckpoint, TruncatedFileRejectedWithStateUntouched) {
   std::stringstream wrong_schema(MakeContainer());
   EXPECT_FALSE(victim.LoadCheckpoint(wrong_schema, &error));
 
+  // A correctly checksummed file whose carried-model record is malformed:
+  // each variant replaces the first `model` line.
+  std::stringstream reread(bytes);
+  auto lines = ReadChecksummedLines(reread, kSchema, &error);
+  ASSERT_TRUE(lines.has_value()) << error;
+  const auto model_line =
+      std::find_if(lines->begin(), lines->end(), [](const std::string& l) {
+        return l.rfind("{\"ckpt\":\"model\"", 0) == 0;
+      });
+  ASSERT_NE(model_line, lines->end()) << "no carried model in checkpoint";
+  const std::string good = *model_line;
+  const std::string components = good.substr(good.find(",\"components\":"));
+  const std::string broken[] = {
+      // Components array cut off.
+      good.substr(0, good.find(",\"components\":")) + '}',
+      // Empty mixture.
+      good.substr(0, good.size() - components.size()) +
+          ",\"components\":[]}",
+      // A component without its stddev.
+      good.substr(0, good.size() - components.size()) +
+          ",\"components\":[{\"w\":1,\"m\":5}]}",
+      // Unterminated array.
+      good.substr(0, good.size() - 2),
+      // Key without its stage.
+      "{\"ckpt\":\"model\",\"service\":\"a\",\"replica\":0,"
+      "\"key_service\":\"a\",\"endpoint\":\"/x\",\"call\":0" +
+          components,
+  };
+  for (const std::string& line : broken) {
+    *model_line = line;
+    std::stringstream file;
+    ChecksummedWriter w(file, kSchema);
+    for (const std::string& l : *lines) w.WriteLine(l);
+    w.Finish();
+    error.clear();
+    EXPECT_FALSE(victim.LoadCheckpoint(file, &error)) << line;
+    EXPECT_NE(error.find("model"), std::string::npos) << error;
+  }
+
   std::stringstream post;
   victim.SaveCheckpoint(post);
   EXPECT_EQ(post.str(), pre.str());
+}
+
+TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {
+  // Long enough that later windows reuse carried mixtures: a resume that
+  // dropped or perturbed the carried models would refit those keys and
+  // drift from the uninterrupted run.
+  Stream s = MakeStream(150, 4);
+  const auto replay = [&](std::size_t from, std::size_t to,
+                          OnlineTraceWeaver& w, TimeNs watermark) {
+    for (std::size_t i = from; i < to; ++i) {
+      w.Ingest(s.spans[i]);
+      watermark = std::max(watermark, s.spans[i].client_send);
+      w.Advance(watermark);
+    }
+    return watermark;
+  };
+  const auto reused = [](const obs::MetricsRegistry& reg) {
+    return reg.Snapshot().Value("tw_gmm_fits_reused_total");
+  };
+
+  // Reference: one uninterrupted run, noting the first span after which
+  // a carried mixture has been reused.
+  obs::MetricsRegistry ref_reg;
+  OnlineOptions ref_opts = MidStreamOptions();
+  ref_opts.weaver.metrics = &ref_reg;
+  OnlineTraceWeaver ref(s.graph, ref_opts);
+  std::size_t first_reuse = 0;
+  TimeNs watermark = 0;
+  for (std::size_t i = 0; i < s.spans.size(); ++i) {
+    watermark = replay(i, i + 1, ref, watermark);
+    if (first_reuse == 0 && reused(ref_reg) > 0) first_reuse = i + 1;
+  }
+  ref.Flush();
+  ASSERT_GT(first_reuse, 0u);
+  ASSERT_LT(first_reuse + 1, s.spans.size());
+  std::stringstream ref_final;
+  ref.SaveCheckpoint(ref_final);
+
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<std::size_t> dist(first_reuse,
+                                                  s.spans.size() - 1);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::size_t kill = dist(rng);
+    obs::MetricsRegistry reg;
+    OnlineOptions opts = MidStreamOptions();
+    opts.weaver.metrics = &reg;
+    OnlineTraceWeaver before(s.graph, opts);
+    const TimeNs at_kill = replay(0, kill, before, 0);
+    ASSERT_GT(reused(reg), 0) << "kill=" << kill;
+    ASSERT_FALSE(before.delay_models().empty());
+    std::stringstream ck;
+    before.SaveCheckpoint(ck);
+    ASSERT_NE(ck.str().find("{\"ckpt\":\"model\""), std::string::npos);
+
+    OnlineTraceWeaver resumed(s.graph, MidStreamOptions());
+    std::string error;
+    ASSERT_TRUE(resumed.LoadCheckpoint(ck, &error))
+        << "kill=" << kill << ": " << error;
+    replay(kill, s.spans.size(), resumed, at_kill);
+    resumed.Flush();
+
+    EXPECT_EQ(resumed.assignment(), ref.assignment()) << "kill=" << kill;
+    std::stringstream resumed_final;
+    resumed.SaveCheckpoint(resumed_final);
+    EXPECT_EQ(resumed_final.str(), ref_final.str()) << "kill=" << kill;
+  }
+}
+
+TEST(OnlineCheckpoint, ModelRecordsRoundTripHostileNames) {
+  // Carried models keyed by hostile container and endpoint names, with
+  // awkward doubles, spliced into an idle weaver's checkpoint where
+  // SaveCheckpoint puts them (after the stats line when nothing else is
+  // held). Restoring and re-saving must reproduce every byte.
+  OnlineTraceWeaver idle(CallGraph{}, MidStreamOptions());
+  std::stringstream base;
+  idle.SaveCheckpoint(base);
+  std::string error;
+  const auto base_lines = ReadChecksummedLines(base, kSchema, &error);
+  ASSERT_TRUE(base_lines.has_value()) << error;
+  ASSERT_EQ(base_lines->size(), 2u);  // Header + stats.
+
+  Rng rng(20261017);
+  const double awkward[] = {0.1 + 0.2, 1.0 / 3.0, -0.0, 4.9e-324,
+                            1.7976931348623157e308, 123456.789};
+  ContainerModels models;
+  for (int trial = 0; trial < 40; ++trial) {
+    const ServiceInstance instance{RandomHostileString(rng), trial % 3};
+    const DelayKey key{RandomHostileString(rng), RandomHostileString(rng),
+                       trial % 4 - 1, trial % 5 - 1};
+    std::vector<GmmComponent> comps;
+    for (int c = 0; c <= trial % 3; ++c) {
+      comps.push_back(GmmComponent{awkward[(trial + c) % 6],
+                                   awkward[(trial + 2 * c + 1) % 6],
+                                   awkward[(trial + 3 * c + 2) % 6]});
+    }
+    models[instance].Install(key, GaussianMixture(std::move(comps)));
+  }
+
+  std::stringstream file;
+  ChecksummedWriter w(file, kSchema);
+  for (const std::string& l : *base_lines) w.WriteLine(l);
+  for (const auto& [instance, model] : models) {
+    model.ForEach([&](const DelayKey& key, const GaussianMixture& g) {
+      std::string line = "{\"ckpt\":\"model\",";
+      ckpt::AppendStrField(line, "service", instance.service);
+      line += ",\"replica\":" + std::to_string(instance.replica) + ',';
+      ckpt::AppendStrField(line, "key_service", key.service);
+      line += ',';
+      ckpt::AppendStrField(line, "endpoint", key.endpoint);
+      line += ",\"stage\":" + std::to_string(key.stage) +
+              ",\"call\":" + std::to_string(key.call) + ",\"components\":[";
+      for (std::size_t c = 0; c < g.num_components(); ++c) {
+        const GmmComponent& comp = g.components()[c];
+        line += (c > 0 ? ",{\"w\":" : "{\"w\":") + ckpt::Exact(comp.weight) +
+                ",\"m\":" + ckpt::Exact(comp.mean) +
+                ",\"s\":" + ckpt::Exact(comp.stddev) + '}';
+      }
+      line += "]}";
+      ASSERT_FALSE(HasRawControlByte(line)) << line;
+      w.WriteLine(line);
+    });
+  }
+  w.Finish();
+  const std::string bytes = file.str();
+
+  OnlineTraceWeaver restored(CallGraph{}, MidStreamOptions());
+  ASSERT_TRUE(restored.LoadCheckpoint(file, &error)) << error;
+  ASSERT_EQ(restored.delay_models().size(), models.size());
+  for (const auto& [instance, model] : models) {
+    const auto it = restored.delay_models().find(instance);
+    ASSERT_NE(it, restored.delay_models().end()) << instance.service;
+    ASSERT_EQ(it->second.size(), model.size());
+    model.ForEach([&](const DelayKey& key, const GaussianMixture& g) {
+      const GaussianMixture* got = it->second.Find(key);
+      ASSERT_NE(got, nullptr) << key.service << key.endpoint;
+      ASSERT_EQ(got->num_components(), g.num_components());
+      for (std::size_t c = 0; c < g.num_components(); ++c) {
+        const GmmComponent& a = got->components()[c];
+        const GmmComponent& b = g.components()[c];
+        EXPECT_EQ(ckpt::Exact(a.weight), ckpt::Exact(b.weight));
+        EXPECT_EQ(ckpt::Exact(a.mean), ckpt::Exact(b.mean));
+        EXPECT_EQ(ckpt::Exact(a.stddev), ckpt::Exact(b.stddev));
+      }
+    });
+  }
+  std::stringstream resaved;
+  restored.SaveCheckpoint(resaved);
+  EXPECT_EQ(resaved.str(), bytes);
 }
 
 // The ISSUE acceptance for skew correction in serve: a kill -9 between

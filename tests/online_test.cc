@@ -5,6 +5,7 @@
 #include "callgraph/inference.h"
 #include "core/accuracy.h"
 #include "core/online.h"
+#include "obs/metrics.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
 
@@ -216,6 +217,99 @@ TEST(Online, MultiWindowBitIdenticalAcrossThreadCounts) {
   const ParentAssignment parallel = run(4);
   EXPECT_EQ(serial, parallel);
   EXPECT_GT(serial.size(), 0u);
+}
+
+TEST(Online, ShiftedHandlerDelayGoesBackToEm) {
+  // A steady HotelReservation stream whose frontend /hotels response gap
+  // grows by 300 us halfway through (the handler's AnomalySpec switched
+  // on for every request). Before the shift the carried model keeps
+  // passing the fit check; after it the key fails the check and is refit
+  // by EM, so the carried mixture follows the new delay instead of the
+  // stale one.
+  sim::AppSpec app = sim::MakeHotelReservationApp();
+  sim::IsolatedReplayOptions iso;
+  iso.requests_per_root = 15;
+  const CallGraph graph =
+      InferCallGraph(sim::RunIsolatedReplay(app, iso).spans);
+  sim::AppSpec shifted_app = app;
+  sim::HandlerSpec& hotels =
+      shifted_app.services.at("frontend").handlers.at("/hotels");
+  hotels.anomaly.probability = 1.0;
+  hotels.anomaly.extra = Micros(300);
+
+  sim::OpenLoopOptions load;
+  load.requests_per_sec = 200;
+  load.duration = Seconds(3);
+  load.seed = 21;
+  std::vector<Span> before = sim::RunOpenLoop(app, load).spans;
+  load.seed = 22;
+  std::vector<Span> after = sim::RunOpenLoop(shifted_app, load).spans;
+  // The second half starts after the first ends, with fresh ids.
+  SpanId id_offset = 0;
+  TraceId trace_offset = 0;
+  TimeNs end = 0;
+  for (const Span& span : before) {
+    id_offset = std::max(id_offset, span.id);
+    trace_offset = std::max(trace_offset, span.true_trace);
+    end = std::max(end, span.client_recv);
+  }
+  const TimeNs time_offset = end + Millis(50);
+  for (Span& span : after) {
+    span.id += id_offset;
+    if (span.true_parent != kInvalidSpanId) span.true_parent += id_offset;
+    span.true_trace += trace_offset;
+    span.client_send += time_offset;
+    span.server_recv += time_offset;
+    span.server_send += time_offset;
+    span.client_recv += time_offset;
+  }
+  std::vector<Span> stream = before;
+  stream.insert(stream.end(), after.begin(), after.end());
+  std::sort(stream.begin(), stream.end(), [](const Span& a, const Span& b) {
+    return a.client_recv < b.client_recv;
+  });
+
+  obs::MetricsRegistry reg;
+  OnlineOptions opts;
+  opts.window = Millis(500);
+  opts.weaver.metrics = &reg;
+  OnlineTraceWeaver online(graph, opts);
+  const ServiceInstance frontend{"frontend", 0};
+  const DelayKey gap = DelayKey::ResponseGap("frontend", "/hotels");
+  const auto carried_mean = [&]() {
+    const GaussianMixture* g = online.delay_models().at(frontend).Find(gap);
+    if (g == nullptr) {
+      ADD_FAILURE() << "no carried response-gap distribution";
+      return -1.0;
+    }
+    double mean = 0.0;
+    for (const GmmComponent& c : g->components()) mean += c.weight * c.mean;
+    return mean;
+  };
+  double mean_before_shift = -1.0;
+  for (const Span& span : stream) {
+    online.Ingest(span);
+    online.Advance(span.client_recv);
+    // Last look at the carried model before a post-shift window closes.
+    if (span.client_recv < time_offset &&
+        online.delay_models().count(frontend) > 0) {
+      mean_before_shift = carried_mean();
+    }
+  }
+  ASSERT_GT(reg.Snapshot().Value("tw_gmm_fits_reused_total"), 0);
+  online.Flush();
+
+  // Response gap ~LogNormal(200 us) before, +300 us after.
+  EXPECT_GT(mean_before_shift, 0.0);
+  EXPECT_LT(mean_before_shift, static_cast<double>(Micros(300)));
+  EXPECT_GT(carried_mean(), static_cast<double>(Micros(400)));
+
+  // Accuracy after the shift stays above a floor (measured: ~0.97 on the
+  // steady half, ~0.96 on the shifted half).
+  const double acc_before =
+      Evaluate(before, online.assignment()).TraceAccuracy();
+  const double acc_after = Evaluate(after, online.assignment()).TraceAccuracy();
+  EXPECT_GE(acc_after, 0.9) << "before shift " << acc_before;
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "callgraph/inference.h"
 #include "core/accuracy.h"
 #include "core/optimizer.h"
 #include "core/trace_weaver.h"
+#include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
 #include "test_helpers.h"
@@ -176,6 +181,101 @@ TEST(TraceWeaverFacade, TopKAccuracyAtLeastTop1) {
   const double top5 = TopKTraceAccuracy(e.spans, out, 5);
   EXPECT_GE(top5, top1);
   EXPECT_GT(top5, 0.9);
+}
+
+// --- Carried delay models (prior) -------------------------------------------
+
+/// Every field of a ContainerResult, doubles at full precision: equal
+/// strings mean byte-identical results.
+std::string Fingerprint(const ContainerResult& r) {
+  std::ostringstream o;
+  o.precision(17);
+  o << r.instance.service << '/' << r.instance.replica << ' '
+    << r.leaf_parents << ' ' << r.batches << ' ' << r.imperfect_batches
+    << ' ' << r.mis_fallbacks << '\n';
+  for (const ParentResult& p : r.parents) {
+    o << p.parent << ' ' << p.chosen << ' ' << p.candidates_considered << ' '
+      << p.batch;
+    for (const CandidateMapping& m : p.ranked) {
+      o << " [" << m.score << ' ' << m.skips;
+      for (SpanId c : m.children) o << ' ' << c;
+      o << ']';
+    }
+    o << '\n';
+  }
+  for (const auto& [child, parent] : r.adopted) {
+    o << "adopt " << child << ' ' << parent << '\n';
+  }
+  r.model.ForEach([&](const DelayKey& k, const GaussianMixture& g) {
+    o << k.service << ' ' << k.endpoint << ' ' << k.stage << ' ' << k.call;
+    for (const GmmComponent& c : g.components()) {
+      o << ' ' << c.weight << ' ' << c.mean << ' ' << c.stddev;
+    }
+    o << '\n';
+  });
+  return o.str();
+}
+
+TEST(Optimizer, PriorFailingTheFitCheckMatchesNoPriorByteForByte) {
+  // Every mixture of the prior is moved 1 s away from the data, so every
+  // key with enough samples fails the drift check and goes to EM exactly
+  // as without a prior.
+  EndToEnd e = HotelAtLoad(400);
+  SpanStore store(e.spans);
+  std::size_t containers = 0;
+  for (const ContainerView& view : store.AllViews()) {
+    obs::MetricsRegistry reg;
+    const obs::PipelineMetrics pm(reg);
+    OptimizerOptions opts;
+    opts.metrics = &pm;
+    const ContainerResult fresh = OptimizeContainer(view, e.graph, opts);
+    if (fresh.parents.empty()) continue;
+    ++containers;
+    ASSERT_GT(fresh.model.size(), 0u);
+    DelayModel shifted;
+    fresh.model.ForEach([&](const DelayKey& key, const GaussianMixture& g) {
+      std::vector<GmmComponent> comps = g.components();
+      for (GmmComponent& c : comps) c.mean += 1e9;  // Gaps are in ns.
+      shifted.Install(key, GaussianMixture(std::move(comps)));
+    });
+    const std::int64_t fits = reg.Snapshot().Value("tw_gmm_fits_total");
+
+    const ContainerResult with_prior =
+        OptimizeContainer(view, e.graph, opts, &shifted);
+    EXPECT_EQ(Fingerprint(with_prior), Fingerprint(fresh))
+        << view.instance.service;
+    const obs::RegistrySnapshot snap = reg.Snapshot();
+    EXPECT_EQ(snap.Value("tw_gmm_fits_reused_total"), 0);
+    EXPECT_EQ(snap.Value("tw_gmm_fits_total"), 2 * fits);
+  }
+  EXPECT_GT(containers, 0u);
+}
+
+TEST(Optimizer, PriorThatStillFitsReplacesEm) {
+  // Positive control for the test above: the container's own final model
+  // fits its gaps, so keys take it instead of a BIC sweep.
+  EndToEnd e = HotelAtLoad(400);
+  SpanStore store(e.spans);
+  obs::MetricsRegistry fresh_reg, prior_reg;
+  const obs::PipelineMetrics fresh_pm(fresh_reg), prior_pm(prior_reg);
+  ParentAssignment fresh_assignment, prior_assignment;
+  for (const ContainerView& view : store.AllViews()) {
+    OptimizerOptions opts;
+    opts.metrics = &fresh_pm;
+    const ContainerResult fresh = OptimizeContainer(view, e.graph, opts);
+    fresh.AppendAssignment(fresh_assignment);
+    opts.metrics = &prior_pm;
+    OptimizeContainer(view, e.graph, opts, &fresh.model)
+        .AppendAssignment(prior_assignment);
+  }
+  const obs::RegistrySnapshot fresh_snap = fresh_reg.Snapshot();
+  const obs::RegistrySnapshot prior_snap = prior_reg.Snapshot();
+  EXPECT_EQ(fresh_snap.Value("tw_gmm_fits_reused_total"), 0);
+  EXPECT_GT(prior_snap.Value("tw_gmm_fits_reused_total"), 0);
+  EXPECT_LT(prior_snap.Value("tw_gmm_fits_total"),
+            fresh_snap.Value("tw_gmm_fits_total"));
+  EXPECT_GE(Evaluate(e.spans, prior_assignment).SpanAccuracy() + 0.01,
+            Evaluate(e.spans, fresh_assignment).SpanAccuracy());
 }
 
 class LoadSweep : public ::testing::TestWithParam<double> {};

@@ -13,6 +13,36 @@ using ArenaIdSet =
     std::unordered_set<SpanId, std::hash<SpanId>, std::equal_to<SpanId>,
                        ArenaStlAllocator<SpanId>>;
 
+/// The §4.1 stage bound, stepped position by position in plan order.
+/// `stage_lb` is the current stage's enabling event: the parent's arrival
+/// for stage 0 and, with dependency order on, the latest completion of any
+/// earlier child for later stages. `max_recv` is that latest completion.
+/// Enumeration (feasibility windows) and WalkGaps (scoring gaps) both step
+/// this one rule, so they agree on every enabling event.
+struct StageBound {
+  TimeNs stage_lb;
+  TimeNs max_recv;
+
+  explicit StageBound(const Span& parent)
+      : stage_lb(parent.server_recv), max_recv(parent.server_recv) {}
+
+  /// Enters plan position `pos` (index `i`) and returns its enabling
+  /// event; without dependency order every event is the parent's arrival.
+  TimeNs Enter(const Span& parent, const InvocationPlan::Position& pos,
+               std::size_t i, bool use_order_constraints) {
+    if (!use_order_constraints) return parent.server_recv;
+    if (pos.call == 0 && i > 0) stage_lb = std::max(stage_lb, max_recv);
+    return stage_lb;
+  }
+
+  /// The bound after the current position is filled with `child`.
+  StageBound Filled(const Span& child) const {
+    StageBound next = *this;
+    next.max_recv = std::max(max_recv, child.client_recv);
+    return next;
+  }
+};
+
 struct DfsState {
   const Span* parent = nullptr;
   const InvocationPlan* plan = nullptr;
@@ -37,11 +67,9 @@ struct DfsState {
              ArenaStlAllocator<SpanId>(arena)) {}
 };
 
-/// DFS over plan positions. `stage_lb` is the earliest time a call in the
-/// current stage may depart (enabling-event time); `max_recv` is the latest
-/// child completion seen across all previous positions.
-void Dfs(DfsState& state, std::size_t pos_idx, TimeNs stage_lb,
-         TimeNs max_recv) {
+/// DFS over plan positions; `bound` carries the enabling event of the
+/// current stage (StageBound) for the feasibility window.
+void Dfs(DfsState& state, std::size_t pos_idx, StageBound bound) {
   if (state.results->size() >= state.options->total_cap) return;
   ++state.stats.dfs_nodes;
   if (pos_idx == state.positions->size()) {
@@ -58,14 +86,8 @@ void Dfs(DfsState& state, std::size_t pos_idx, TimeNs stage_lb,
   }
 
   const auto& pos = (*state.positions)[pos_idx];
-  // Entering a new stage: with dependency order on, its calls may only
-  // depart after every previous stage's call has completed.
-  if (state.options->use_order_constraints && pos.call == 0 && pos_idx > 0) {
-    stage_lb = std::max(stage_lb, max_recv);
-  }
-  const TimeNs lb = state.options->use_order_constraints
-                        ? stage_lb
-                        : state.parent->server_recv;
+  const TimeNs lb = bound.Enter(*state.parent, pos, pos_idx,
+                                state.options->use_order_constraints);
 
   // Pinned position (partial instrumentation): take the known child and
   // move on -- no alternatives, no skip.
@@ -74,8 +96,7 @@ void Dfs(DfsState& state, std::size_t pos_idx, TimeNs stage_lb,
     const Span* child = (*state.options->forced)[pos_idx];
     state.current.push_back(child->id);
     state.current_spans.push_back(child);
-    Dfs(state, pos_idx + 1, stage_lb,
-        std::max(max_recv, child->client_recv));
+    Dfs(state, pos_idx + 1, bound.Filled(*child));
     state.current_spans.pop_back();
     state.current.pop_back();
     return;
@@ -110,8 +131,7 @@ void Dfs(DfsState& state, std::size_t pos_idx, TimeNs stage_lb,
     state.current.push_back(child->id);
     state.current_spans.push_back(child);
     state.used.insert(child->id);
-    Dfs(state, pos_idx + 1, stage_lb,
-        std::max(max_recv, child->client_recv));
+    Dfs(state, pos_idx + 1, bound.Filled(*child));
     state.used.erase(child->id);
     state.current_spans.pop_back();
     state.current.pop_back();
@@ -125,11 +145,100 @@ void Dfs(DfsState& state, std::size_t pos_idx, TimeNs stage_lb,
     state.current.push_back(kSkippedChild);
     state.current_spans.push_back(nullptr);
     ++state.skips;
-    Dfs(state, pos_idx + 1, stage_lb, max_recv);
+    Dfs(state, pos_idx + 1, bound);
     --state.skips;
     state.current_spans.pop_back();
     state.current.pop_back();
   }
+}
+
+/// The gap walk behind every score term (§4.1 step 4): steps StageBound
+/// through the positions in plan order and reports each skipped position,
+/// each filled position with its timing gap (child departure - enabling
+/// event), and finally the response gap (last child completion -> parent
+/// response departure) when any position is filled. Timestamps stay
+/// integer until each gap is cast, so every caller sees the same exact
+/// gaps.
+template <typename OnSkip, typename OnChild, typename OnResponse>
+inline void WalkGaps(const Span& parent,
+                     const std::vector<InvocationPlan::Position>& positions,
+                     const Span* const* children, bool use_order_constraints,
+                     OnSkip&& on_skip, OnChild&& on_child,
+                     OnResponse&& on_response) {
+  StageBound bound(parent);
+  bool any_child = false;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const TimeNs trigger =
+        bound.Enter(parent, positions[i], i, use_order_constraints);
+    const Span* child = children[i];
+    if (child == nullptr) {
+      on_skip(i);
+      continue;
+    }
+    on_child(i, *child, static_cast<double>(child->client_send - trigger));
+    bound = bound.Filled(*child);
+    any_child = true;
+  }
+  if (any_child) {
+    on_response(static_cast<double>(parent.server_send - bound.max_recv));
+  }
+}
+
+/// Mode-normalized log-likelihood ratio of `gap` under `dist` (fallback
+/// Gaussian when null): unit-free, <= 0, directly comparable with the
+/// discrete skip/keep log-probabilities.
+double NormalizedLogPdf(const GaussianMixture* dist, double max_log_pdf,
+                        double gap) {
+  const double lp = dist != nullptr ? dist->LogPdf(gap)
+                                    : DelayModel::FallbackLogPdf(gap);
+  return lp - max_log_pdf;
+}
+
+/// The one place the order of the score terms is written: per position the
+/// skip term, or keep + thread bonus + timing; then the response term.
+/// With `rows` set, each term is also recorded there; the running sum is
+/// the same chain of additions either way.
+double ScoreTerms(const Span& parent, const Span* const* children,
+                  const ScoringContext& ctx, ScoreBreakdown* rows) {
+  const std::vector<ScoringContext::PositionScore>& table =
+      *ctx.position_scores;
+  double score = 0.0;
+  WalkGaps(
+      parent, *ctx.positions, children, ctx.use_order_constraints,
+      [&](std::size_t i) {
+        const double discrete = table[i].skip_lp + kSkipMargin;
+        score += discrete;
+        if (rows != nullptr) rows->positions[i].discrete_lp = discrete;
+      },
+      [&](std::size_t i, const Span& child, double gap) {
+        const ScoringContext::PositionScore& ps = table[i];
+        score += ps.keep_lp;
+        const bool bonus = ctx.thread_match_bonus > 0.0 &&
+                           child.caller_thread == parent.handler_thread;
+        if (bonus) score += ctx.thread_match_bonus;
+        const double timing = NormalizedLogPdf(ps.dist, ps.max_log_pdf, gap);
+        score += timing;
+        if (rows != nullptr) {
+          ScoreBreakdown::Position& row = rows->positions[i];
+          row.skipped = false;
+          row.child = child.id;
+          row.discrete_lp = ps.keep_lp;
+          if (bonus) row.thread_bonus = ctx.thread_match_bonus;
+          row.gap_ns = gap;
+          row.timing_lp = timing;
+        }
+      },
+      [&](double gap) {
+        const double lp = NormalizedLogPdf(
+            ctx.response.mixture, ctx.response.max_log_pdf, gap);
+        score += lp;
+        if (rows != nullptr) {
+          rows->has_response = true;
+          rows->response_gap_ns = gap;
+          rows->response_lp = lp;
+        }
+      });
+  return score;
 }
 
 }  // namespace
@@ -161,7 +270,7 @@ std::vector<CandidateMapping> EnumerateCandidates(
   state.positions =
       options.positions != nullptr ? options.positions : &own_positions;
   state.results = &results;
-  Dfs(state, 0, parent.server_recv, parent.server_recv);
+  Dfs(state, 0, StageBound(parent));
   if (options.stats != nullptr) {
     options.stats->dfs_nodes += state.stats.dfs_nodes;
     options.stats->branch_limited += state.stats.branch_limited;
@@ -170,100 +279,9 @@ std::vector<CandidateMapping> EnumerateCandidates(
   return results;
 }
 
-double ScoreMapping(const Span& parent, const InvocationPlan& plan,
-                    const std::vector<const Span*>& resolved_children,
+double ScoreMapping(const Span& parent, const Span* const* children,
                     const ScoringContext& ctx) {
-  return ScoreMappingFlat(parent, plan, resolved_children.data(), ctx);
-}
-
-double ScoreMappingFlat(const Span& parent, const InvocationPlan& plan,
-                        const Span* const* resolved_children,
-                        const ScoringContext& ctx) {
-  std::vector<InvocationPlan::Position> flat;
-  if (ctx.positions == nullptr) flat = plan.Positions();
-  const std::vector<InvocationPlan::Position>& positions =
-      ctx.positions != nullptr ? *ctx.positions : flat;
-  double score = 0.0;
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (ctx.use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    double skip_lp;
-    double keep_lp;
-    const ScoringContext::PositionScore* ps = nullptr;
-    if (ctx.position_scores != nullptr) {
-      ps = &(*ctx.position_scores)[i];
-      skip_lp = ps->skip_lp;
-      keep_lp = ps->keep_lp;
-    } else {
-      skip_lp = ctx.skip_log_prob;
-      keep_lp = ctx.keep_log_prob;
-      bool known = false;
-      if (ctx.skip_rates != nullptr) {
-        const BackendCall& call = plan.At(positions[i]);
-        auto it = ctx.skip_rates->find({call.service, call.endpoint});
-        if (it != ctx.skip_rates->end()) {
-          const double rate = std::clamp(it->second, 1e-4, 1.0 - 1e-4);
-          skip_lp = std::log(rate);
-          keep_lp = std::log(1.0 - rate);
-          known = true;
-        }
-      }
-      // Known rates already absorb sampling through the observed
-      // discrepancy budget; only the defaults need re-deriving.
-      if (!known) AdjustForSampling(ctx.sampling_rate, skip_lp, keep_lp);
-    }
-    const Span* child = resolved_children[i];
-    if (child == nullptr) {
-      score += skip_lp + ctx.skip_margin;
-      continue;
-    }
-    score += keep_lp;
-    if (ctx.thread_match_bonus > 0.0 &&
-        child->caller_thread == parent.handler_thread) {
-      score += ctx.thread_match_bonus;
-    }
-    const TimeNs trigger =
-        ctx.use_order_constraints ? stage_lb : parent.server_recv;
-    const double gap = static_cast<double>(child->client_send - trigger);
-    // Mode-normalized log-likelihood ratio: unit-free, <= 0, directly
-    // comparable with the discrete skip log-probabilities above.
-    if (ps != nullptr) {
-      const double lp = ps->dist != nullptr ? ps->dist->LogPdf(gap)
-                                            : DelayModel::FallbackLogPdf(gap);
-      score += lp - ps->max_log_pdf;
-    } else {
-      const DelayKey key{parent.callee, parent.endpoint,
-                         static_cast<int>(positions[i].stage),
-                         static_cast<int>(positions[i].call)};
-      score += ctx.model->LogScore(key, gap) - ctx.model->MaxLogScore(key);
-    }
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
-  }
-
-  // Response-gap term: last child completion -> parent response departure.
-  if (any_child) {
-    const double gap = static_cast<double>(parent.server_send - max_recv);
-    if (ctx.position_scores != nullptr) {
-      const double lp = ctx.response_dist != nullptr
-                            ? ctx.response_dist->LogPdf(gap)
-                            : DelayModel::FallbackLogPdf(gap);
-      score += lp - ctx.response_max_log_pdf;
-    } else {
-      const DelayKey rkey =
-          DelayKey::ResponseGap(parent.callee, parent.endpoint);
-      score += ctx.model->LogScore(rkey, gap) - ctx.model->MaxLogScore(rkey);
-    }
-  }
-  return score;
+  return ScoreTerms(parent, children, ctx, nullptr);
 }
 
 CandidateGapTable BuildGapTable(
@@ -282,36 +300,21 @@ CandidateGapTable BuildGapTable(
   t.any_child.assign(num_candidates, 0);
 
   for (std::size_t c = 0; c < num_candidates; ++c) {
-    const Span* const* children = resolved + c * np;
-    // The stage_lb / max_recv walk is ScoreMappingFlat's, on integer
-    // timestamps throughout -- the extracted gaps are exact.
-    TimeNs stage_lb = parent.server_recv;
-    TimeNs max_recv = parent.server_recv;
-    std::size_t prev_stage = 0;
-    bool any_child = false;
-    for (std::size_t i = 0; i < np; ++i) {
-      if (use_order_constraints && positions[i].stage != prev_stage) {
-        stage_lb = std::max(stage_lb, max_recv);
-        prev_stage = positions[i].stage;
-      }
-      const Span* child = children[i];
-      if (child == nullptr) continue;
-      const std::size_t slot = i * num_candidates + c;
-      t.filled[slot] = 1;
-      if (child->caller_thread == parent.handler_thread) {
-        t.thread_match[slot] = 1;
-      }
-      const TimeNs trigger =
-          use_order_constraints ? stage_lb : parent.server_recv;
-      t.gaps[slot] = static_cast<double>(child->client_send - trigger);
-      max_recv = std::max(max_recv, child->client_recv);
-      any_child = true;
-    }
-    if (any_child) {
-      t.any_child[c] = 1;
-      t.response_gap[c] =
-          static_cast<double>(parent.server_send - max_recv);
-    }
+    WalkGaps(
+        parent, positions, resolved + c * np, use_order_constraints,
+        [](std::size_t) {},
+        [&](std::size_t i, const Span& child, double gap) {
+          const std::size_t slot = i * num_candidates + c;
+          t.filled[slot] = 1;
+          if (child.caller_thread == parent.handler_thread) {
+            t.thread_match[slot] = 1;
+          }
+          t.gaps[slot] = gap;
+        },
+        [&](double gap) {
+          t.any_child[c] = 1;
+          t.response_gap[c] = gap;
+        });
   }
   return t;
 }
@@ -338,10 +341,10 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
     }
     const std::uint8_t* fl = table.filled.data() + i * nc;
     const std::uint8_t* tm = table.thread_match.data() + i * nc;
-    // Accumulation mirrors ScoreMappingFlat's adds term by term (skip sum,
-    // keep, bonus, normalized timing), so per-candidate totals are
-    // bitwise identical.
-    const double skip_term = ps.skip_lp + ctx.skip_margin;
+    // Accumulation mirrors ScoreTerms' adds term by term (skip sum, keep,
+    // bonus, normalized timing), so per-candidate totals are bitwise
+    // identical.
+    const double skip_term = ps.skip_lp + kSkipMargin;
     for (std::size_t c = 0; c < nc; ++c) {
       if (fl[c] == 0) {
         scores[c] += skip_term;
@@ -353,16 +356,16 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
     }
   }
 
-  if (ctx.response_dist != nullptr) {
-    ctx.response_dist->LogPdfBatch({table.response_gap.data(), nc},
-                                   {lp, nc});
+  if (ctx.response.mixture != nullptr) {
+    ctx.response.mixture->LogPdfBatch({table.response_gap.data(), nc},
+                                      {lp, nc});
   } else {
     DelayModel::FallbackLogPdfBatch({table.response_gap.data(), nc},
                                     {lp, nc});
   }
   for (std::size_t c = 0; c < nc; ++c) {
     if (table.any_child[c] != 0) {
-      scores[c] += lp[c] - ctx.response_max_log_pdf;
+      scores[c] += lp[c] - ctx.response.max_log_pdf;
     }
   }
 }
@@ -370,109 +373,18 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
 ScoreBreakdown ExplainMapping(const Span& parent, const InvocationPlan& plan,
                               const std::vector<const Span*>& resolved_children,
                               const ScoringContext& ctx) {
-  // Mirrors ScoreMappingFlat term by term; `total` accumulates in the same
-  // order so the result is bitwise identical to the ranked score.
   ScoreBreakdown out;
-  std::vector<InvocationPlan::Position> flat;
-  if (ctx.positions == nullptr) flat = plan.Positions();
-  const std::vector<InvocationPlan::Position>& positions =
-      ctx.positions != nullptr ? *ctx.positions : flat;
-  double score = 0.0;
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (ctx.use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    double skip_lp;
-    double keep_lp;
-    const ScoringContext::PositionScore* ps = nullptr;
-    if (ctx.position_scores != nullptr) {
-      ps = &(*ctx.position_scores)[i];
-      skip_lp = ps->skip_lp;
-      keep_lp = ps->keep_lp;
-    } else {
-      skip_lp = ctx.skip_log_prob;
-      keep_lp = ctx.keep_log_prob;
-      bool known = false;
-      if (ctx.skip_rates != nullptr) {
-        const BackendCall& bc = plan.At(positions[i]);
-        auto it = ctx.skip_rates->find({bc.service, bc.endpoint});
-        if (it != ctx.skip_rates->end()) {
-          const double rate = std::clamp(it->second, 1e-4, 1.0 - 1e-4);
-          skip_lp = std::log(rate);
-          keep_lp = std::log(1.0 - rate);
-          known = true;
-        }
-      }
-      if (!known) AdjustForSampling(ctx.sampling_rate, skip_lp, keep_lp);
-    }
-    const BackendCall& call = plan.At(positions[i]);
+  out.positions.reserve(ctx.positions->size());
+  for (const InvocationPlan::Position& pos : *ctx.positions) {
+    const BackendCall& call = plan.At(pos);
     ScoreBreakdown::Position row;
-    row.stage = positions[i].stage;
-    row.call = positions[i].call;
+    row.stage = pos.stage;
+    row.call = pos.call;
     row.service = call.service;
     row.endpoint = call.endpoint;
-
-    const Span* child = resolved_children[i];
-    if (child == nullptr) {
-      row.discrete_lp = skip_lp + ctx.skip_margin;
-      score += row.discrete_lp;
-      out.positions.push_back(std::move(row));
-      continue;
-    }
-    row.skipped = false;
-    row.child = child->id;
-    row.discrete_lp = keep_lp;
-    score += keep_lp;
-    if (ctx.thread_match_bonus > 0.0 &&
-        child->caller_thread == parent.handler_thread) {
-      row.thread_bonus = ctx.thread_match_bonus;
-      score += ctx.thread_match_bonus;
-    }
-    const TimeNs trigger =
-        ctx.use_order_constraints ? stage_lb : parent.server_recv;
-    const double gap = static_cast<double>(child->client_send - trigger);
-    row.gap_ns = gap;
-    if (ps != nullptr) {
-      const double lp = ps->dist != nullptr ? ps->dist->LogPdf(gap)
-                                            : DelayModel::FallbackLogPdf(gap);
-      row.timing_lp = lp - ps->max_log_pdf;
-    } else {
-      const DelayKey key{parent.callee, parent.endpoint,
-                         static_cast<int>(positions[i].stage),
-                         static_cast<int>(positions[i].call)};
-      row.timing_lp = ctx.model->LogScore(key, gap) - ctx.model->MaxLogScore(key);
-    }
-    score += row.timing_lp;
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
     out.positions.push_back(std::move(row));
   }
-
-  if (any_child) {
-    out.has_response = true;
-    const double gap = static_cast<double>(parent.server_send - max_recv);
-    out.response_gap_ns = gap;
-    if (ctx.position_scores != nullptr) {
-      const double lp = ctx.response_dist != nullptr
-                            ? ctx.response_dist->LogPdf(gap)
-                            : DelayModel::FallbackLogPdf(gap);
-      out.response_lp = lp - ctx.response_max_log_pdf;
-    } else {
-      const DelayKey rkey =
-          DelayKey::ResponseGap(parent.callee, parent.endpoint);
-      out.response_lp =
-          ctx.model->LogScore(rkey, gap) - ctx.model->MaxLogScore(rkey);
-    }
-    score += out.response_lp;
-  }
-  out.total = score;
+  out.total = ScoreTerms(parent, resolved_children.data(), ctx, &out);
   return out;
 }
 
@@ -483,34 +395,20 @@ std::vector<GapSample> ExtractGaps(
   const auto positions = plan.Positions();
   std::vector<GapSample> samples;
   samples.reserve(positions.size() + 1);
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    const Span* child = resolved_children[i];
-    if (child == nullptr) continue;
-    const TimeNs trigger =
-        use_order_constraints ? stage_lb : parent.server_recv;
-    samples.push_back(GapSample{
-        DelayKey{parent.callee, parent.endpoint,
-                 static_cast<int>(positions[i].stage),
-                 static_cast<int>(positions[i].call)},
-        static_cast<double>(child->client_send - trigger)});
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
-  }
-  if (any_child) {
-    samples.push_back(GapSample{
-        DelayKey::ResponseGap(parent.callee, parent.endpoint),
-        static_cast<double>(parent.server_send - max_recv)});
-  }
+  WalkGaps(
+      parent, positions, resolved_children.data(), use_order_constraints,
+      [](std::size_t) {},
+      [&](std::size_t i, const Span&, double gap) {
+        samples.push_back(GapSample{
+            DelayKey{parent.callee, parent.endpoint,
+                     static_cast<int>(positions[i].stage),
+                     static_cast<int>(positions[i].call)},
+            gap});
+      },
+      [&](double gap) {
+        samples.push_back(GapSample{
+            DelayKey::ResponseGap(parent.callee, parent.endpoint), gap});
+      });
   return samples;
 }
 

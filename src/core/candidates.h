@@ -16,10 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "callgraph/call_graph.h"
@@ -105,61 +103,45 @@ std::vector<CandidateMapping> EnumerateCandidates(
     const Span& parent, const InvocationPlan& plan,
     const PositionPools& pools, const EnumerationOptions& options);
 
+/// Fallback log P(position skipped) when no per-backend skip rate is known.
+inline constexpr double kDefaultSkipLogProb = -6.0;
+/// Fallback log P(position present).
+inline constexpr double kDefaultKeepLogProb = 0.0;
+/// Extra log-penalty applied to skips on top of log(rate). Timing terms are
+/// mode-normalized likelihood ratios (<= 0), so this margin sets how
+/// atypical a feasible child's timing must be before skipping scores
+/// higher: fills within ~1.5 log-likelihood units of the distribution peak
+/// beat a skip.
+inline constexpr double kSkipMargin = -1.5;
+
+/// Everything the scorers read for one parent task. The optimizer builds it
+/// once per (task, ranking iteration): resolving a DelayKey and a skip rate
+/// per position per candidate would dominate the innermost loop, and both
+/// are identical for every candidate of a task.
 struct ScoringContext {
-  const DelayModel* model = nullptr;
-  /// Fallback log P(position skipped) when no per-backend rate is known.
-  double skip_log_prob = -6.0;
-  /// Fallback log P(position present).
-  double keep_log_prob = 0.0;
+  /// One entry per plan position (InvocationPlan::Positions() order).
+  struct PositionScore {
+    double skip_lp = kDefaultSkipLogProb;  ///< log P(skipped), margin excluded.
+    double keep_lp = kDefaultKeepLogProb;  ///< log P(position present).
+    const GaussianMixture* dist = nullptr;  ///< null: fallback Gaussian.
+    double max_log_pdf = 0.0;               ///< Peak log-density of `dist`.
+  };
+
   /// Score timing gaps against the stage-enabling event (dependency order
   /// on) or uniformly against the parent arrival (ablation).
   bool use_order_constraints = true;
-  /// Per-backend skip rates keyed by (service, endpoint), estimated from
-  /// incoming/outgoing discrepancies (§4.2); overrides the fallbacks.
-  const std::map<std::pair<std::string, std::string>, double>* skip_rates =
-      nullptr;
-  /// Extra log-penalty applied to skips on top of log(rate). Timing terms
-  /// are mode-normalized likelihood ratios (<= 0), so this margin sets how
-  /// atypical a feasible child's timing must be before skipping scores
-  /// higher: with the default, fills within ~1.5 log-likelihood units of
-  /// the distribution peak beat a skip.
-  double skip_margin = -1.5;
   /// Soft thread-affinity hint (§7 future work): log-score bonus added per
   /// child whose sending thread matches the parent's pickup thread. 0
   /// disables. Unlike the hard mode this only nudges ranking, so it stays
   /// safe when the threading model is only sometimes informative.
   double thread_match_bonus = 0.0;
-  /// Known capture-sampling keep probability (Parameters::sampling_rate).
-  /// Applied to the *fallback* skip/keep terms only (AdjustForSampling):
-  /// water-filled rates already absorb sampling through the observed
-  /// discrepancy budget, so adjusting them too would double-count. 1.0
-  /// (default) is a no-op.
-  double sampling_rate = 1.0;
-
-  // ------- precomputed hot path (optimizer-internal) -------
-  // Scoring one candidate is the innermost loop of the pipeline; resolving
-  // a DelayKey (two string copies + map lookup) and a skip-rate map lookup
-  // per position per candidate dominates it. The optimizer precomputes
-  // both per (task, batch) -- they are identical for every candidate of a
-  // task -- and ScoreMapping reads the table instead. Scores are bitwise
-  // identical to the lookup path.
-
-  /// One entry per plan position (InvocationPlan::Positions() order).
-  struct PositionScore {
-    double skip_lp = -6.0;  ///< log P(position skipped), margin excluded.
-    double keep_lp = 0.0;   ///< log P(position present).
-    const GaussianMixture* dist = nullptr;  ///< null: fallback Gaussian.
-    double max_log_pdf = 0.0;               ///< Peak log-density of `dist`.
-  };
-  /// When set, overrides `model`/`skip_rates` lookups entirely.
-  const std::vector<PositionScore>* position_scores = nullptr;
-  /// Response-gap distribution, valid when `position_scores` is set.
-  const GaussianMixture* response_dist = nullptr;  ///< null: fallback.
-  double response_max_log_pdf = 0.0;
-  /// Flattened plan positions, reused across candidates (avoids one vector
-  /// allocation per ScoreMapping call). Optional independently of the
-  /// table.
+  /// The task's flattened plan positions. Required.
   const std::vector<InvocationPlan::Position>* positions = nullptr;
+  /// Per-position discrete terms and delay distributions, parallel to
+  /// `positions`. Required.
+  const std::vector<PositionScore>* position_scores = nullptr;
+  /// Response-gap distribution (mixture null: fallback Gaussian).
+  DelayModel::DistView response;
 };
 
 /// Folds a known sampling keep-probability `rate` into discrete skip/keep
@@ -172,19 +154,12 @@ struct ScoringContext {
 void AdjustForSampling(double rate, double& skip_lp, double& keep_lp);
 
 /// Scores one candidate mapping for `parent`: sum of per-position delay
-/// log-densities plus the response-gap term and skip penalties. Needs the
-/// actual Span objects; `lookup` resolves span ids from the pools.
-double ScoreMapping(const Span& parent, const InvocationPlan& plan,
-                    const std::vector<const Span*>& resolved_children,
+/// log-densities plus the response-gap term and skip penalties (§4.1 step
+/// 4, §4.2). `children` holds one resolved span per ctx.positions entry,
+/// nullptr where the position is skipped. This is the reference the batch
+/// kernel and the explain drill-down reproduce bit for bit.
+double ScoreMapping(const Span& parent, const Span* const* children,
                     const ScoringContext& ctx);
-
-/// Pointer flavour for callers holding resolved children in a flat buffer
-/// (one slot per plan position); identical scoring. Named distinctly so a
-/// braced-init argument ({...}) can never silently select the raw-pointer
-/// signature over the vector one.
-double ScoreMappingFlat(const Span& parent, const InvocationPlan& plan,
-                        const Span* const* resolved_children,
-                        const ScoringContext& ctx);
 
 /// Structure-of-arrays view of one task's enumerated candidates: the
 /// timing gaps and discrete flags ScoreMapping derives from the resolved
@@ -213,8 +188,8 @@ struct CandidateGapTable {
 
 /// Builds the gap table for `num_candidates` mappings whose resolved
 /// children live in `resolved`, flat [cand * positions.size() + pos]
-/// (ParentTask layout). Gap arithmetic is integer until the final cast,
-/// identical to ScoreMapping's.
+/// (ParentTask layout). The gaps come from the same walk ScoreMapping
+/// scores, so they are exactly the ones it would compute.
 CandidateGapTable BuildGapTable(
     const Span& parent,
     const std::vector<InvocationPlan::Position>& positions,
@@ -223,10 +198,9 @@ CandidateGapTable BuildGapTable(
 
 /// Scores every candidate of one task in one pass: per position, one
 /// batched LogPdf over the gap column, then per-candidate accumulation in
-/// exactly ScoreMappingFlat's term order -- scores are bitwise identical
-/// to calling ScoreMappingFlat per candidate. Requires
-/// ctx.position_scores (the optimizer's precomputed table). `scores` must
-/// hold num_candidates slots; `scratch` at least num_candidates doubles.
+/// exactly ScoreMapping's term order -- scores are bitwise identical to
+/// calling ScoreMapping per candidate. `scores` must hold num_candidates
+/// slots; `scratch` at least num_candidates doubles.
 void ScoreCandidatesBatch(const CandidateGapTable& table,
                           const ScoringContext& ctx,
                           std::span<double> scores,
@@ -256,9 +230,10 @@ struct ScoreBreakdown {
   double total = 0.0;  ///< Sum of every term; equals ScoreMapping's result.
 };
 
-/// Recomputes one candidate's score with every additive term recorded.
-/// Cold path (explain drill-down only); given the same ScoringContext the
-/// `total` is bitwise identical to ScoreMapping.
+/// Recomputes one candidate's score with every additive term recorded, on
+/// ScoreMapping's own accumulation chain. Cold path (explain drill-down
+/// only); given the same ScoringContext the `total` is bitwise identical
+/// to ScoreMapping.
 ScoreBreakdown ExplainMapping(const Span& parent, const InvocationPlan& plan,
                               const std::vector<const Span*>& resolved_children,
                               const ScoringContext& ctx);

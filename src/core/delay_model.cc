@@ -47,18 +47,6 @@ void DelayModel::Install(const DelayKey& key, GaussianMixture mixture) {
   dists_[key] = std::move(e);
 }
 
-double DelayModel::LogScore(const DelayKey& key, double gap) const {
-  auto it = dists_.find(key);
-  if (it == dists_.end()) return FallbackGaussian().LogPdf(gap);
-  return it->second.mixture.LogPdf(gap);
-}
-
-double DelayModel::MaxLogScore(const DelayKey& key) const {
-  auto it = dists_.find(key);
-  if (it == dists_.end()) return FallbackGaussian().LogPdf(0.0);
-  return it->second.max_log_pdf;
-}
-
 const GaussianMixture* DelayModel::Find(const DelayKey& key) const {
   auto it = dists_.find(key);
   return it == dists_.end() ? nullptr : &it->second.mixture;

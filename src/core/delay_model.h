@@ -55,19 +55,13 @@ class DelayModel {
   void Refit(const DelayKey& key, const std::vector<double>& gaps,
              const GmmFitOptions& options);
 
-  /// Log-density of `gap` under the key's distribution. Unknown keys score
-  /// against a weak, wide fallback so candidates stay comparable.
-  double LogScore(const DelayKey& key, double gap) const;
-
-  /// Peak log-density of the key's distribution: the best score any gap can
-  /// achieve. `LogScore - MaxLogScore` is a unit-free likelihood ratio used
-  /// to compare timing terms against discrete skip probabilities.
-  double MaxLogScore(const DelayKey& key) const;
-
-  /// Hot-path view of one distribution: the mixture pointer (stable across
+  /// Scoring view of one distribution: the mixture pointer (stable across
   /// Refit/Install -- map nodes are never moved) plus its cached peak
-  /// log-density. Unknown keys yield {nullptr, FallbackLogPdf(0)} and score
-  /// against the fallback Gaussian.
+  /// log-density, the best score any gap can achieve. `LogPdf(gap) -
+  /// max_log_pdf` is a unit-free likelihood ratio used to compare timing
+  /// terms against discrete skip probabilities. Unknown keys yield
+  /// {nullptr, FallbackLogPdf(0)} and score against a weak, wide fallback
+  /// Gaussian so candidates stay comparable.
   struct DistView {
     const GaussianMixture* mixture = nullptr;
     double max_log_pdf = 0.0;
@@ -75,8 +69,7 @@ class DelayModel {
   DistView View(const DelayKey& key) const;
 
   /// Log-density of the wide fallback distribution used for unknown keys
-  /// (mean 0, stddev 50 ms). Exposed so precomputed scoring tables can
-  /// reproduce LogScore exactly without a map lookup.
+  /// (mean 0, stddev 50 ms), for views whose mixture is null.
   static double FallbackLogPdf(double gap);
 
   /// Batched flavour: out[i] = FallbackLogPdf(gaps[i]), bitwise identical

@@ -271,46 +271,6 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
       graft_slots_.end());
 }
 
-void OnlineTraceWeaver::RecordPosterior(
-    const Span& parent, const InvocationPlan& plan,
-    const CandidateMapping& mapping,
-    const std::map<SpanId, const Span*>& by_id) {
-  const auto positions = plan.Positions();
-  // The enabling event for stage 0 is the parent's arrival; for later
-  // stages the completion of the previous stage's slowest filled child
-  // (unobservable positions keep the previous enable -- an approximation,
-  // matching the delay model's dependency-edge semantics).
-  TimeNs enable = parent.server_recv;
-  std::size_t cur_stage = 0;
-  TimeNs stage_max_end = std::numeric_limits<TimeNs>::min();
-  const std::size_t n = std::min(mapping.children.size(), positions.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (positions[i].stage != cur_stage) {
-      if (stage_max_end != std::numeric_limits<TimeNs>::min()) {
-        enable = stage_max_end;
-      }
-      cur_stage = positions[i].stage;
-      stage_max_end = std::numeric_limits<TimeNs>::min();
-    }
-    const SpanId child_id = mapping.children[i];
-    if (child_id == kSkippedChild) continue;
-    const auto it = by_id.find(child_id);
-    if (it == by_id.end()) continue;
-    const Span& child = *it->second;
-    const double gap = static_cast<double>(child.client_send - enable);
-    DelayPosterior& post =
-        posteriors_[DelayKey{parent.callee, parent.endpoint,
-                             static_cast<int>(positions[i].stage),
-                             static_cast<int>(positions[i].call)}];
-    // Welford update: numerically stable online mean/variance.
-    post.count += 1;
-    const double delta = gap - post.mean;
-    post.mean += delta / static_cast<double>(post.count);
-    post.m2 += delta * (gap - post.mean);
-    stage_max_end = std::max(stage_max_end, child.client_recv);
-  }
-}
-
 TraceWeaver& OnlineTraceWeaver::WeaverForLevel() {
   if (weaver_cache_ == nullptr || weaver_cache_level_ != level_) {
     TraceWeaverOptions opts = options_.weaver;
@@ -409,7 +369,6 @@ WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
         const InvocationPlan* plan =
             graph_.PlanFor({parent_span->callee, parent_span->endpoint});
         if (plan == nullptr) continue;
-        RecordPosterior(*parent_span, *plan, m, by_id);
         // Skipped positions stay open for late-span grafting.
         const auto positions = plan->Positions();
         const std::size_t n =
@@ -672,19 +631,6 @@ void OnlineTraceWeaver::SaveCheckpoint(
       w.WriteLine(line);
     }
   }
-  for (const auto& [key, post] : posteriors_) {
-    std::string line = "{\"ckpt\":\"posterior\",";
-    json::AppendStrField(line, "service", key.service);
-    line += ',';
-    json::AppendStrField(line, "endpoint", key.endpoint);
-    line += ",\"stage\":" + std::to_string(key.stage);
-    line += ",\"call\":" + std::to_string(key.call);
-    line += ",\"count\":" + std::to_string(post.count);
-    line += ",\"mean\":" + json::Exact(post.mean);
-    line += ",\"m2\":" + json::Exact(post.m2);
-    line += '}';
-    w.WriteLine(line);
-  }
   for (const auto& [instance, model] : models_) {
     model.ForEach([&](const DelayKey& key, const GaussianMixture& mixture) {
       std::string line = "{\"ckpt\":\"model\",";
@@ -819,17 +765,8 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       slot.call_endpoint = *endpoint;
       fresh.graft_slots_.push_back(std::move(slot));
     } else if (*type == "posterior") {
-      const auto service = json::FieldStr(line, "service");
-      const auto endpoint = json::FieldStr(line, "endpoint");
-      if (!service || !endpoint) return bad("posterior key");
-      DelayKey key{*service, *endpoint,
-                   static_cast<int>(json::FieldI64(line, "stage").value_or(0)),
-                   static_cast<int>(json::FieldI64(line, "call").value_or(0))};
-      DelayPosterior post;
-      post.count = json::FieldU64(line, "count").value_or(0);
-      post.mean = json::FieldF64(line, "mean").value_or(0.0);
-      post.m2 = json::FieldF64(line, "m2").value_or(0.0);
-      fresh.posteriors_[std::move(key)] = post;
+      // Older checkpoints carry per-key delay posteriors that nothing
+      // reads; accept and drop them so those checkpoints still resume.
     } else if (*type == "model") {
       const auto service = json::FieldStr(line, "service");
       const auto replica = json::FieldI64(line, "replica");

@@ -38,11 +38,12 @@
 //
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
 //     full streaming state (buffer, committed assignments, late pool,
-//     graft slots, delay posteriors, carried delay models, watermark,
-//     ladder position) as a CRC-guarded `traceweaver.checkpoint.v1` JSONL
-//     stream (trace/checkpoint.h), so a killed serve loop resumes within
-//     one window of where it died without losing or duplicating
-//     commitments.
+//     graft slots, carried delay models, watermark, ladder position) as a
+//     CRC-guarded `traceweaver.checkpoint.v1` JSONL stream
+//     (trace/checkpoint.h), so a killed serve loop resumes within one
+//     window of where it died without losing or duplicating commitments.
+//     Legacy `posterior` records from older checkpoints are ignored on
+//     load.
 #pragma once
 
 #include <iosfwd>
@@ -171,22 +172,6 @@ class OnlineTraceWeaver {
   int degradation_level() const { return level_; }
   TimeNs high_watermark() const { return high_watermark_; }
 
-  /// Online estimate of one delay distribution, accumulated (Welford)
-  /// from the gaps implied by committed assignments. Survives
-  /// checkpoint/restore, so drift detection can span process restarts.
-  struct DelayPosterior {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double m2 = 0.0;  ///< Sum of squared deviations.
-
-    double Variance() const {
-      return count < 2 ? 0.0 : m2 / static_cast<double>(count - 1);
-    }
-  };
-  const std::map<DelayKey, DelayPosterior>& delay_posteriors() const {
-    return posteriors_;
-  }
-
   /// Each container's delay model from the last window close that gave it
   /// tasks, passed as the prior of the next close (TraceWeaver::
   /// Reconstruct): keys whose new gaps still fit it skip the EM refit.
@@ -272,9 +257,6 @@ class OnlineTraceWeaver {
   void EnforceBudget();
   void ShedOldestWindow();
   bool OverBudget() const;
-  void RecordPosterior(const Span& parent, const InvocationPlan& plan,
-                       const CandidateMapping& mapping,
-                       const std::map<SpanId, const Span*>& by_id);
   void UpdateBufferGauges();
   TraceWeaver& WeaverForLevel();
 
@@ -295,7 +277,6 @@ class OnlineTraceWeaver {
   /// next Advance()/Flush() output.
   std::vector<WindowResult> pending_results_;
   std::vector<SpanId> pending_orphans_;
-  std::map<DelayKey, DelayPosterior> posteriors_;
   /// Lives here rather than on the cached weaver, so ladder-level rebuilds
   /// and edge-slack refreshes keep it.
   ContainerModels models_;

@@ -618,17 +618,20 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
   return rates;
 }
 
-/// Fills the task's per-position scoring table for one iteration: discrete
-/// skip/keep terms from the (batch or container) rates plus the current
-/// delay distributions. O(positions) per task -- tiny next to scoring.
-void BuildPositionScores(const Workspace& ws, ParentTask& task,
-                         const BatchRates& batch, const DelayModel& model,
-                         const ScoringContext& defaults) {
+/// Builds the task's scoring context for the current delay model: the
+/// per-position table (discrete skip/keep terms from the batch or
+/// container rates, plus the delay distributions) and the response-gap
+/// view. Ranking and the explain capture both score through it, so the
+/// drill-down reproduces the ranked scores exactly. O(positions) per task
+/// -- tiny next to scoring.
+ScoringContext TaskScoringContext(const Workspace& ws, ParentTask& task,
+                                  const BatchRates& batch,
+                                  const DelayModel& model) {
   task.pos_scores.resize(task.positions.size());
   for (std::size_t i = 0; i < task.positions.size(); ++i) {
     ScoringContext::PositionScore& ps = task.pos_scores[i];
-    ps.skip_lp = defaults.skip_log_prob;
-    ps.keep_lp = defaults.keep_log_prob;
+    ps.skip_lp = kDefaultSkipLogProb;
+    ps.keep_lp = kDefaultKeepLogProb;
     const std::size_t p = static_cast<std::size_t>(task.position_pool[i]);
     const bool known = batch.any ? batch.has[p] != 0 : ws.has_rate[p] != 0;
     if (known) {
@@ -639,7 +642,8 @@ void BuildPositionScores(const Workspace& ws, ParentTask& task,
     } else {
       // Water-filled rates already reflect sampled-out children via the
       // floored budget (DetectDynamism); only the defaults need it.
-      AdjustForSampling(defaults.sampling_rate, ps.skip_lp, ps.keep_lp);
+      AdjustForSampling(ws.opts->params.sampling_rate, ps.skip_lp,
+                        ps.keep_lp);
     }
     const DelayModel::DistView view =
         model.View(DelayKey{task.span->callee, task.span->endpoint,
@@ -648,6 +652,17 @@ void BuildPositionScores(const Workspace& ws, ParentTask& task,
     ps.dist = view.mixture;
     ps.max_log_pdf = view.max_log_pdf;
   }
+
+  ScoringContext ctx;
+  ctx.use_order_constraints = ws.opts->use_order_constraints;
+  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
+    ctx.thread_match_bonus = ws.opts->thread_match_bonus;
+  }
+  ctx.positions = &task.positions;
+  ctx.position_scores = &task.pos_scores;
+  ctx.response = model.View(
+      DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
+  return ctx;
 }
 
 /// Scores and ranks each task's candidates, keeping the top K. Skip rates
@@ -661,14 +676,6 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
                     const std::vector<BatchRates>& batch_rates,
                     const std::set<HandlerPair>* dirty_handlers,
                     std::vector<ParentResult>& results) {
-  ScoringContext base;
-  base.model = &model;
-  base.use_order_constraints = ws.opts->use_order_constraints;
-  base.sampling_rate = ws.opts->params.sampling_rate;
-  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
-    base.thread_match_bonus = ws.opts->thread_match_bonus;
-  }
-
   const std::size_t top_k = ws.opts->params.max_candidates_per_span;
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
     ParentTask& task = ws.tasks[t];
@@ -679,23 +686,16 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
       return;  // Scores unchanged since last iteration.
     }
     ws.pm->rank_tasks.Inc();
-    BuildPositionScores(ws, task, batch_rates[batch_of_task[t]], model,
-                        base);
-    ScoringContext ctx = base;
-    ctx.positions = &task.positions;
-    ctx.position_scores = &task.pos_scores;
-    const DelayModel::DistView response = model.View(
-        DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
-    ctx.response_dist = response.mixture;
-    ctx.response_max_log_pdf = response.max_log_pdf;
+    const ScoringContext ctx =
+        TaskScoringContext(ws, task, batch_rates[batch_of_task[t]], model);
 
     const std::size_t npos = task.positions.size();
     const std::size_t n = task.all_candidates.size();
     task.order.resize(n);
     if (ws.fast_path) {
       // One batched LogPdf per gap-table column instead of one per
-      // (candidate, position); scores accumulate in ScoreMappingFlat's
-      // exact floating-point order, so the ranking is bitwise unchanged.
+      // (candidate, position); scores accumulate in ScoreMapping's exact
+      // floating-point order, so the ranking is bitwise unchanged.
       task.scores.resize(n);
       task.lp_scratch.resize(n);
       ScoreCandidatesBatch(task.gap_table, ctx, task.scores,
@@ -706,8 +706,7 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
     } else {
       for (std::size_t c = 0; c < n; ++c) {
         task.order[c] = {
-            ScoreMappingFlat(*task.span, *task.plan,
-                             task.resolved.data() + c * npos, ctx),
+            ScoreMapping(*task.span, task.resolved.data() + c * npos, ctx),
             static_cast<std::uint32_t>(c)};
       }
     }
@@ -1080,19 +1079,8 @@ void FillExplain(Workspace& ws, const std::vector<ParentResult>& results,
   out.chosen_rank = r.chosen;
 
   // Rebuild the exact scoring context of the final ranking iteration.
-  ScoringContext ctx;
-  ctx.model = &model;
-  ctx.use_order_constraints = ws.opts->use_order_constraints;
-  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
-    ctx.thread_match_bonus = ws.opts->thread_match_bonus;
-  }
-  BuildPositionScores(ws, task, batch_rates[batch_of_task[t]], model, ctx);
-  ctx.positions = &task.positions;
-  ctx.position_scores = &task.pos_scores;
-  const DelayModel::DistView response = model.View(
-      DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
-  ctx.response_dist = response.mixture;
-  ctx.response_max_log_pdf = response.max_log_pdf;
+  const ScoringContext ctx =
+      TaskScoringContext(ws, task, batch_rates[batch_of_task[t]], model);
 
   // Re-rank all enumerated candidates with the ranking comparator, so the
   // explain rows carry the same ranks the optimizer saw.
@@ -1100,8 +1088,7 @@ void FillExplain(Workspace& ws, const std::vector<ParentResult>& results,
   const std::size_t npos = task.positions.size();
   std::vector<std::pair<double, std::uint32_t>> order(n);
   for (std::size_t c = 0; c < n; ++c) {
-    order[c] = {ScoreMappingFlat(*task.span, *task.plan,
-                                 task.resolved.data() + c * npos, ctx),
+    order[c] = {ScoreMapping(*task.span, task.resolved.data() + c * npos, ctx),
                 static_cast<std::uint32_t>(c)};
   }
   std::sort(order.begin(), order.end(),

@@ -59,7 +59,7 @@ struct OptimizerOptions {
   /// LogPdf calls, and per-worker arena-backed enumeration scratch.
   /// Assignments, ranked scores and quality grades are bit-identical with
   /// the toggle on or off -- the batch path accumulates every score in
-  /// exactly ScoreMappingFlat's floating-point order (see DESIGN.md §4g).
+  /// exactly ScoreMapping's floating-point order (see DESIGN.md §4g).
   /// Off exists for A/B verification and as a debugging fallback.
   bool fast_data_path = true;
 

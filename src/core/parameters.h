@@ -66,10 +66,6 @@ struct Parameters {
   /// on iterations >= 2 (smaller sets keep the seed).
   std::size_t min_refit_samples = 8;
 
-  /// Window (ns) over which outgoing/incoming discrepancies are totaled to
-  /// size the skip-span budget (§4.2 step 1; paper: ~10 s).
-  long long dynamism_window_ns = 10'000'000'000LL;
-
   /// Feasibility-constraint slack (ns) tolerating capture-clock jitter
   /// between vantage points; raise to ~4x the expected jitter stddev when
   /// capture clocks are noisy.

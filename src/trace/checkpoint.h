@@ -65,8 +65,9 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error);
 
 // Field helpers for the records inside a checkpoint (and every other
-// machine-written JSON line) live in util/json.h; `ckpt::` is the name
-// older callers use for them.
+// machine-written JSON line) live in util/json.h. `ckpt::` remains only
+// because the serve benchmark (servebench/bench_serve.cc) still spells
+// them that way; new code uses `json::`.
 namespace ckpt = json;
 
 }  // namespace traceweaver

@@ -2,13 +2,18 @@
 // with batching: every enumerated mapping must satisfy the §4.1 feasibility
 // constraints, and parents separated by a perfect cut must never share an
 // enumerated candidate child (Theorem A.1 at the candidate level, not just
-// the window level).
+// the window level). The scoring property pins the contract between the
+// scorers: the batch kernel, the explain decomposition and the scalar
+// reference agree bit for bit, and the refit gaps are the gap table's.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/batching.h"
 #include "core/candidates.h"
+#include "core/delay_model.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -131,6 +136,167 @@ TEST_P(CandidateProperty, PerfectCutsShareNoCandidates) {
       }
     }
   }
+}
+
+/// A random multi-stage plan at A:/a with one pool per position: 1-3
+/// stages of 1-3 calls, some optional.
+struct RandomScoringCase {
+  InvocationPlan plan;
+  std::vector<InvocationPlan::Position> positions;
+  Span parent;
+  std::vector<std::vector<Span>> owned;  ///< Children, per position.
+  std::vector<std::vector<const Span*>> pools;
+  DelayModel model;
+};
+
+RandomScoringCase MakeScoringCase(Rng& rng) {
+  RandomScoringCase sc;
+  const int stages = static_cast<int>(rng.UniformInt(1, 3));
+  for (int st = 0; st < stages; ++st) {
+    Stage stage;
+    const int calls = static_cast<int>(rng.UniformInt(1, 3));
+    for (int c = 0; c < calls; ++c) {
+      const std::string name = std::to_string(st) + "." + std::to_string(c);
+      stage.calls.push_back(
+          BackendCall{"B" + name, "/b" + name, rng.Bernoulli(0.3)});
+    }
+    sc.plan.stages.push_back(std::move(stage));
+  }
+  sc.positions = sc.plan.Positions();
+
+  const TimeNs start = Millis(1);
+  const TimeNs end = start + rng.UniformInt(Millis(4), Millis(12));
+  sc.parent = ::traceweaver::testing::MakeSpan(1, kClientCaller, "A", "/a",
+                                               start, end);
+  sc.parent.handler_thread = 1;
+  SpanId id = 2;
+  sc.owned.resize(sc.positions.size());
+  sc.pools.resize(sc.positions.size());
+  for (std::size_t i = 0; i < sc.positions.size(); ++i) {
+    const BackendCall& call = sc.plan.At(sc.positions[i]);
+    const int n = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < n; ++k) {
+      const TimeNs send = rng.UniformInt(start, end - Micros(200));
+      const TimeNs dur = rng.UniformInt(Micros(20), (end - send) / 2);
+      Span child = ::traceweaver::testing::MakeSpan(
+          id++, "A", call.service, call.endpoint, send + Micros(5),
+          send + dur, Micros(5));
+      child.caller_thread = static_cast<int>(rng.UniformInt(1, 2));
+      sc.owned[i].push_back(child);
+    }
+    std::sort(sc.owned[i].begin(), sc.owned[i].end(), SpanClientSendOrder{});
+    for (const Span& s : sc.owned[i]) sc.pools[i].push_back(&s);
+  }
+
+  // Each delay key (and the response gap) is a random one- or
+  // two-component mixture, or left out so it scores against the fallback.
+  const auto random_mixture = [&rng] {
+    std::vector<GmmComponent> comps;
+    const int k = static_cast<int>(rng.UniformInt(1, 2));
+    for (int j = 0; j < k; ++j) {
+      comps.push_back(GmmComponent{1.0 / k, rng.Uniform(0.0, 3e6),
+                                   rng.Uniform(1e4, 1e6)});
+    }
+    return GaussianMixture(std::move(comps));
+  };
+  for (const InvocationPlan::Position& pos : sc.positions) {
+    if (rng.Bernoulli(0.3)) continue;
+    sc.model.Install(DelayKey{"A", "/a", static_cast<int>(pos.stage),
+                              static_cast<int>(pos.call)},
+                     random_mixture());
+  }
+  if (rng.Bernoulli(0.7)) {
+    sc.model.Install(DelayKey::ResponseGap("A", "/a"), random_mixture());
+  }
+  return sc;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST_P(CandidateProperty, ScorersAgreeBitForBit) {
+  Rng rng(GetParam() * 7919 + 11);
+  std::size_t scored = 0, skipped_slots = 0;
+  for (int round = 0; round < 24; ++round) {
+    RandomScoringCase sc = MakeScoringCase(rng);
+    const bool order = rng.Bernoulli(0.5);
+    const std::size_t np = sc.positions.size();
+
+    PositionPools pools;
+    for (const auto& pool : sc.pools) pools.push_back(&pool);
+    std::vector<const Span*> resolved;
+    EnumerationOptions eopts;
+    eopts.use_order_constraints = order;
+    eopts.allow_all_skips = rng.Bernoulli(0.5);
+    eopts.positions = &sc.positions;
+    eopts.resolved_out = &resolved;
+    const std::vector<CandidateMapping> mappings =
+        EnumerateCandidates(sc.parent, sc.plan, pools, eopts);
+    const std::size_t n = mappings.size();
+    ASSERT_EQ(resolved.size(), n * np);
+
+    std::vector<ScoringContext::PositionScore> table(np);
+    for (std::size_t i = 0; i < np; ++i) {
+      const double rate = rng.Uniform(1e-3, 0.5);
+      table[i].skip_lp = std::log(rate);
+      table[i].keep_lp = std::log1p(-rate);
+      const DelayModel::DistView view = sc.model.View(
+          DelayKey{"A", "/a", static_cast<int>(sc.positions[i].stage),
+                   static_cast<int>(sc.positions[i].call)});
+      table[i].dist = view.mixture;
+      table[i].max_log_pdf = view.max_log_pdf;
+    }
+    ScoringContext ctx;
+    ctx.use_order_constraints = order;
+    ctx.thread_match_bonus = rng.Bernoulli(0.5) ? 1.5 : 0.0;
+    ctx.positions = &sc.positions;
+    ctx.position_scores = &table;
+    ctx.response = sc.model.View(DelayKey::ResponseGap("A", "/a"));
+
+    const CandidateGapTable gaps =
+        BuildGapTable(sc.parent, sc.positions, resolved.data(), n, order);
+    std::vector<double> batch(n), scratch(n);
+    ScoreCandidatesBatch(gaps, ctx, batch, scratch);
+
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::vector<const Span*> children(
+          resolved.begin() + static_cast<long>(c * np),
+          resolved.begin() + static_cast<long>((c + 1) * np));
+      const double scalar = ScoreMapping(sc.parent, children.data(), ctx);
+      EXPECT_EQ(Bits(batch[c]), Bits(scalar)) << "candidate " << c;
+      EXPECT_EQ(Bits(ExplainMapping(sc.parent, sc.plan, children, ctx).total),
+                Bits(scalar))
+          << "candidate " << c;
+
+      // The refit samples are exactly the gap table's filled slots, in
+      // position order, then the response gap.
+      const std::vector<GapSample> samples =
+          ExtractGaps(sc.parent, sc.plan, children, order);
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < np; ++i) {
+        if (gaps.filled[i * n + c] == 0) {
+          ++skipped_slots;
+          continue;
+        }
+        ASSERT_LT(k, samples.size());
+        const InvocationPlan::Position& pos = sc.positions[i];
+        EXPECT_EQ(samples[k].key.stage, static_cast<int>(pos.stage));
+        EXPECT_EQ(samples[k].key.call, static_cast<int>(pos.call));
+        EXPECT_EQ(Bits(samples[k].gap), Bits(gaps.gaps[i * n + c]));
+        ++k;
+      }
+      if (gaps.any_child[c] != 0) {
+        ASSERT_LT(k, samples.size());
+        EXPECT_EQ(samples[k].key.stage, -1);
+        EXPECT_EQ(Bits(samples[k].gap), Bits(gaps.response_gap[c]));
+        ++k;
+      }
+      EXPECT_EQ(k, samples.size());
+      ++scored;
+    }
+  }
+  // The random cases must actually exercise skips and real scoring.
+  EXPECT_GT(scored, 50u);
+  EXPECT_GT(skipped_slots, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CandidateProperty,

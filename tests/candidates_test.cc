@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/candidates.h"
 #include "test_helpers.h"
@@ -197,42 +198,50 @@ TEST_F(CandidatesTest, BranchCapPrefersNearestInTime) {
   EXPECT_EQ(got, (std::vector<SpanId>{100, 101, 102}));
 }
 
+/// Scoring context for a one-position plan at A:/a, as the optimizer
+/// builds it: the position's delay view and discrete terms from a skip
+/// `rate` (log rate / log(1 - rate)), plus the response-gap view.
+struct OnePositionScoring {
+  std::vector<InvocationPlan::Position> positions{{0, 0}};
+  std::vector<ScoringContext::PositionScore> table{1};
+  ScoringContext ctx;
+
+  OnePositionScoring(const DelayModel& model, double rate) {
+    const DelayModel::DistView view = model.View(DelayKey{"A", "/a", 0, 0});
+    table[0].skip_lp = std::log(rate);
+    table[0].keep_lp = std::log(1.0 - rate);
+    table[0].dist = view.mixture;
+    table[0].max_log_pdf = view.max_log_pdf;
+    ctx.positions = &positions;
+    ctx.position_scores = &table;
+    ctx.response = model.View(DelayKey::ResponseGap("A", "/a"));
+  }
+};
+
 TEST_F(CandidatesTest, ScoringPrefersTypicalGaps) {
   DelayModel model;
   // B is called ~1000ns after the parent arrives.
   model.SetSeed(DelayKey{"A", "/a", 0, 0}, Gaussian{1000.0, 100.0});
   model.SetSeed(DelayKey::ResponseGap("A", "/a"), Gaussian{4000.0, 2000.0});
-
-  InvocationPlan plan;
-  plan.stages.push_back(Stage{{{"B", "/b", false}}});
+  const OnePositionScoring scoring(model, 0.01);
 
   std::vector<Span> owned{Child(10, "B", 2000, 3000),   // Gap 1000: typical.
                           Child(11, "B", 5000, 6000)};  // Gap 4000: unusual.
-  ScoringContext ctx;
-  ctx.model = &model;
-  const double good =
-      ScoreMapping(parent_, plan, {&owned[0]}, ctx);
-  const double bad =
-      ScoreMapping(parent_, plan, {&owned[1]}, ctx);
+  const Span* typical = &owned[0];
+  const Span* unusual = &owned[1];
+  const double good = ScoreMapping(parent_, &typical, scoring.ctx);
+  const double bad = ScoreMapping(parent_, &unusual, scoring.ctx);
   EXPECT_GT(good, bad);
 }
 
 TEST_F(CandidatesTest, SkipRateShapesSkipPenalty) {
   DelayModel model;
-  InvocationPlan plan;
-  plan.stages.push_back(Stage{{{"B", "/b", false}}});
+  const OnePositionScoring high_rate(model, 0.5);
+  const OnePositionScoring low_rate(model, 0.01);
 
-  std::map<std::pair<std::string, std::string>, double> high_rate{
-      {{"B", "/b"}, 0.5}};
-  std::map<std::pair<std::string, std::string>, double> low_rate{
-      {{"B", "/b"}, 0.01}};
-
-  ScoringContext ctx;
-  ctx.model = &model;
-  ctx.skip_rates = &high_rate;
-  const double cheap_skip = ScoreMapping(parent_, plan, {nullptr}, ctx);
-  ctx.skip_rates = &low_rate;
-  const double dear_skip = ScoreMapping(parent_, plan, {nullptr}, ctx);
+  const Span* skipped = nullptr;
+  const double cheap_skip = ScoreMapping(parent_, &skipped, high_rate.ctx);
+  const double dear_skip = ScoreMapping(parent_, &skipped, low_rate.ctx);
   EXPECT_GT(cheap_skip, dear_skip);
 }
 

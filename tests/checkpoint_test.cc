@@ -113,28 +113,28 @@ TEST(ChecksummedContainer, SchemaMismatchRejected) {
 TEST(CkptFields, ScalarExtraction) {
   const std::string line =
       "{\"u\":18446744073709551615,\"i\":-42,\"f\":1.5,\"s\":\"hi\"}";
-  EXPECT_EQ(ckpt::FieldU64(line, "u"),
+  EXPECT_EQ(json::FieldU64(line, "u"),
             std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(ckpt::FieldI64(line, "i"), -42);
-  EXPECT_EQ(ckpt::FieldF64(line, "f"), 1.5);
-  EXPECT_EQ(ckpt::FieldStr(line, "s"), "hi");
-  EXPECT_FALSE(ckpt::FieldU64(line, "absent").has_value());
+  EXPECT_EQ(json::FieldI64(line, "i"), -42);
+  EXPECT_EQ(json::FieldF64(line, "f"), 1.5);
+  EXPECT_EQ(json::FieldStr(line, "s"), "hi");
+  EXPECT_FALSE(json::FieldU64(line, "absent").has_value());
 }
 
 TEST(CkptFields, KeyInsideStringValueNeverMatches) {
   // A hostile service name that embeds what looks like another field.
   const std::string line =
       "{\"service\":\"x\\\",\\\"parent\\\":9\",\"parent\":7}";
-  EXPECT_EQ(ckpt::FieldU64(line, "parent"), 7u);
-  EXPECT_EQ(ckpt::FieldStr(line, "service"), "x\",\"parent\":9");
+  EXPECT_EQ(json::FieldU64(line, "parent"), 7u);
+  EXPECT_EQ(json::FieldStr(line, "service"), "x\",\"parent\":9");
 }
 
 TEST(CkptFields, AppendStrFieldRoundTripsEscapes) {
   const std::string value = "a\"b\\c\nd\te\x01f";
   std::string line = "{";
-  ckpt::AppendStrField(line, "k", value);
+  json::AppendStrField(line, "k", value);
   line += "}";
-  EXPECT_EQ(ckpt::FieldStr(line, "k"), value);
+  EXPECT_EQ(json::FieldStr(line, "k"), value);
 }
 
 TEST(CkptFields, HostileStringsRoundTripOnOneLine) {
@@ -143,14 +143,14 @@ TEST(CkptFields, HostileStringsRoundTripOnOneLine) {
     const std::string service = RandomHostileString(rng);
     const std::string endpoint = RandomHostileString(rng);
     std::string line = "{\"ckpt\":\"slot\",";
-    ckpt::AppendStrField(line, "service", service);
+    json::AppendStrField(line, "service", service);
     line += ",\"stage\":3,";
-    ckpt::AppendStrField(line, "endpoint", endpoint);
+    json::AppendStrField(line, "endpoint", endpoint);
     line += '}';
     ASSERT_FALSE(HasRawControlByte(line)) << line;
-    EXPECT_EQ(ckpt::FieldStr(line, "service"), service) << line;
-    EXPECT_EQ(ckpt::FieldStr(line, "endpoint"), endpoint) << line;
-    EXPECT_EQ(ckpt::FieldI64(line, "stage"), 3) << line;
+    EXPECT_EQ(json::FieldStr(line, "service"), service) << line;
+    EXPECT_EQ(json::FieldStr(line, "endpoint"), endpoint) << line;
+    EXPECT_EQ(json::FieldI64(line, "stage"), 3) << line;
   }
 }
 
@@ -216,7 +216,6 @@ TEST(OnlineCheckpoint, RoundTripIsByteIdenticalAndCarriesExtra) {
   EXPECT_EQ(b.late_pool_size(), a.late_pool_size());
   EXPECT_EQ(b.stats().ingested, a.stats().ingested);
   EXPECT_EQ(b.stats().parents_committed, a.stats().parents_committed);
-  EXPECT_EQ(b.delay_posteriors().size(), a.delay_posteriors().size());
 
   // Checkpoints are byte-deterministic, so "restored state == saved
   // state" is checkable exactly: re-saving must reproduce the bytes.
@@ -224,6 +223,57 @@ TEST(OnlineCheckpoint, RoundTripIsByteIdenticalAndCarriesExtra) {
   a.SaveCheckpoint(ra, {{"source_offset", 123456u}});
   b.SaveCheckpoint(rb, {{"source_offset", 123456u}});
   EXPECT_EQ(ra.str(), rb.str());
+}
+
+/// Re-frames a weaver checkpoint with `record` inserted after the header,
+/// as a CRC-valid stream.
+std::string WithRecord(const std::string& checkpoint,
+                       const std::string& record) {
+  std::stringstream in(checkpoint);
+  std::string error;
+  const auto lines = ReadChecksummedLines(in, kSchema, &error);
+  EXPECT_TRUE(lines.has_value()) << error;
+  std::stringstream out;
+  ChecksummedWriter w(out, kSchema);
+  for (std::size_t i = 0; lines && i < lines->size(); ++i) {
+    w.WriteLine((*lines)[i]);
+    if (i == 0) w.WriteLine(record);
+  }
+  w.Finish();
+  return out.str();
+}
+
+TEST(OnlineCheckpoint, LegacyPosteriorRecordsLoadAndAreDropped) {
+  Stream s = MakeStream(150, 2);
+  OnlineTraceWeaver a(s.graph, MidStreamOptions());
+  TimeNs watermark = 0;
+  for (std::size_t i = 0; i < s.spans.size() / 2; ++i) {
+    a.Ingest(s.spans[i]);
+    watermark = std::max(watermark, s.spans[i].client_send);
+    a.Advance(watermark);
+  }
+  std::stringstream ck;
+  a.SaveCheckpoint(ck);
+  const std::string saved = ck.str();
+
+  // Older weavers wrote one Welford delay posterior per key.
+  std::stringstream legacy(WithRecord(
+      saved,
+      "{\"ckpt\":\"posterior\",\"service\":\"frontend\","
+      "\"endpoint\":\"/hotels\",\"stage\":0,\"call\":0,\"count\":12,"
+      "\"mean\":1500.25,\"m2\":20000.5}"));
+  OnlineTraceWeaver b(s.graph, MidStreamOptions());
+  std::string error;
+  ASSERT_TRUE(b.LoadCheckpoint(legacy, &error)) << error;
+  EXPECT_EQ(b.assignment(), a.assignment());
+  std::stringstream resaved;
+  b.SaveCheckpoint(resaved);
+  EXPECT_EQ(resaved.str(), saved);  // The posterior record is gone.
+
+  std::stringstream unknown(WithRecord(saved, "{\"ckpt\":\"bogus\"}"));
+  OnlineTraceWeaver c(s.graph, MidStreamOptions());
+  EXPECT_FALSE(c.LoadCheckpoint(unknown, &error));
+  EXPECT_NE(error.find("unknown record type"), std::string::npos) << error;
 }
 
 TEST(OnlineCheckpoint, RandomKillPointsNeverLoseOrDuplicateCommits) {
@@ -454,18 +504,18 @@ TEST(OnlineCheckpoint, ModelRecordsRoundTripHostileNames) {
   for (const auto& [instance, model] : models) {
     model.ForEach([&](const DelayKey& key, const GaussianMixture& g) {
       std::string line = "{\"ckpt\":\"model\",";
-      ckpt::AppendStrField(line, "service", instance.service);
+      json::AppendStrField(line, "service", instance.service);
       line += ",\"replica\":" + std::to_string(instance.replica) + ',';
-      ckpt::AppendStrField(line, "key_service", key.service);
+      json::AppendStrField(line, "key_service", key.service);
       line += ',';
-      ckpt::AppendStrField(line, "endpoint", key.endpoint);
+      json::AppendStrField(line, "endpoint", key.endpoint);
       line += ",\"stage\":" + std::to_string(key.stage) +
               ",\"call\":" + std::to_string(key.call) + ",\"components\":[";
       for (std::size_t c = 0; c < g.num_components(); ++c) {
         const GmmComponent& comp = g.components()[c];
-        line += (c > 0 ? ",{\"w\":" : "{\"w\":") + ckpt::Exact(comp.weight) +
-                ",\"m\":" + ckpt::Exact(comp.mean) +
-                ",\"s\":" + ckpt::Exact(comp.stddev) + '}';
+        line += (c > 0 ? ",{\"w\":" : "{\"w\":") + json::Exact(comp.weight) +
+                ",\"m\":" + json::Exact(comp.mean) +
+                ",\"s\":" + json::Exact(comp.stddev) + '}';
       }
       line += "]}";
       ASSERT_FALSE(HasRawControlByte(line)) << line;
@@ -489,9 +539,9 @@ TEST(OnlineCheckpoint, ModelRecordsRoundTripHostileNames) {
       for (std::size_t c = 0; c < g.num_components(); ++c) {
         const GmmComponent& a = got->components()[c];
         const GmmComponent& b = g.components()[c];
-        EXPECT_EQ(ckpt::Exact(a.weight), ckpt::Exact(b.weight));
-        EXPECT_EQ(ckpt::Exact(a.mean), ckpt::Exact(b.mean));
-        EXPECT_EQ(ckpt::Exact(a.stddev), ckpt::Exact(b.stddev));
+        EXPECT_EQ(json::Exact(a.weight), json::Exact(b.weight));
+        EXPECT_EQ(json::Exact(a.mean), json::Exact(b.mean));
+        EXPECT_EQ(json::Exact(a.stddev), json::Exact(b.stddev));
       }
     });
   }

@@ -14,7 +14,9 @@ TEST(DelayModel, SeedRoundTrip) {
   const DelayKey key{"A", "/a", 0, 0};
   model.SetSeed(key, Gaussian{1000.0, 100.0});
   EXPECT_TRUE(model.Has(key));
-  EXPECT_NEAR(model.LogScore(key, 1000.0),
+  const DelayModel::DistView view = model.View(key);
+  ASSERT_NE(view.mixture, nullptr);
+  EXPECT_NEAR(view.mixture->LogPdf(1000.0),
               (Gaussian{1000.0, 100.0}).LogPdf(1000.0), 1e-9);
 }
 
@@ -22,9 +24,14 @@ TEST(DelayModel, UnknownKeyUsesWideFallback) {
   DelayModel model;
   const DelayKey key{"X", "/x", 0, 0};
   EXPECT_FALSE(model.Has(key));
+  // Scores against the fallback Gaussian, whose peak the view caches.
+  const DelayModel::DistView view = model.View(key);
+  EXPECT_EQ(view.mixture, nullptr);
+  EXPECT_EQ(view.max_log_pdf, DelayModel::FallbackLogPdf(0.0));
   // Finite, and nearly flat across plausible gaps.
-  const double near = model.LogScore(key, 0.0);
-  const double far = model.LogScore(key, static_cast<double>(Millis(10)));
+  const double near = DelayModel::FallbackLogPdf(0.0);
+  const double far =
+      DelayModel::FallbackLogPdf(static_cast<double>(Millis(10)));
   EXPECT_TRUE(std::isfinite(near));
   EXPECT_TRUE(std::isfinite(far));
   EXPECT_LT(near - far, 1.0);
@@ -34,10 +41,11 @@ TEST(DelayModel, MaxLogScoreIsPeak) {
   DelayModel model;
   const DelayKey key{"A", "/a", 0, 0};
   model.SetSeed(key, Gaussian{500.0, 50.0});
-  const double peak = model.MaxLogScore(key);
-  EXPECT_NEAR(peak, model.LogScore(key, 500.0), 1e-9);
+  const DelayModel::DistView view = model.View(key);
+  const double peak = view.max_log_pdf;
+  EXPECT_NEAR(peak, view.mixture->LogPdf(500.0), 1e-9);
   for (double gap : {0.0, 400.0, 600.0, 1000.0}) {
-    EXPECT_LE(model.LogScore(key, gap), peak + 1e-9);
+    EXPECT_LE(view.mixture->LogPdf(gap), peak + 1e-9);
   }
 }
 
@@ -53,12 +61,13 @@ TEST(DelayModel, MaxLogScoreCoversMixtureModes) {
   GmmFitOptions opts;
   opts.max_components = 4;
   model.Refit(key, gaps, opts);
-  const double peak = model.MaxLogScore(key);
-  EXPECT_GE(peak + 1e-9, model.LogScore(key, 100.0));
-  EXPECT_GE(peak + 1e-9, model.LogScore(key, 900.0));
+  const DelayModel::DistView view = model.View(key);
+  const double peak = view.max_log_pdf;
+  EXPECT_GE(peak + 1e-9, view.mixture->LogPdf(100.0));
+  EXPECT_GE(peak + 1e-9, view.mixture->LogPdf(900.0));
   // Normalized scores at both modes should be close to zero.
-  EXPECT_GT(model.LogScore(key, 100.0) - peak, -1.0);
-  EXPECT_GT(model.LogScore(key, 900.0) - peak, -1.0);
+  EXPECT_GT(view.mixture->LogPdf(100.0) - peak, -1.0);
+  EXPECT_GT(view.mixture->LogPdf(900.0) - peak, -1.0);
 }
 
 TEST(DelayModel, RefitReplacesSeed) {
@@ -69,7 +78,8 @@ TEST(DelayModel, RefitReplacesSeed) {
   std::vector<double> gaps;
   for (int i = 0; i < 500; ++i) gaps.push_back(rng.Normal(5000.0, 100.0));
   model.Refit(key, gaps, {});
-  EXPECT_GT(model.LogScore(key, 5000.0), model.LogScore(key, 0.0));
+  const GaussianMixture* refit = model.View(key).mixture;
+  EXPECT_GT(refit->LogPdf(5000.0), refit->LogPdf(0.0));
 }
 
 TEST(DelayModel, RefitIgnoresEmptyGapSets) {
@@ -77,7 +87,7 @@ TEST(DelayModel, RefitIgnoresEmptyGapSets) {
   const DelayKey key{"A", "/a", 0, 0};
   model.SetSeed(key, Gaussian{42.0, 1.0});
   model.Refit(key, {}, {});
-  EXPECT_NEAR(model.LogScore(key, 42.0),
+  EXPECT_NEAR(model.View(key).mixture->LogPdf(42.0),
               (Gaussian{42.0, 1.0}).LogPdf(42.0), 1e-9);
 }
 

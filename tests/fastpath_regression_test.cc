@@ -2,8 +2,9 @@
 // reconstruction with OptimizerOptions::fast_data_path on must be
 // byte-identical to the legacy pointer-chasing path -- same assignment,
 // same ranked scores, same quality grades -- at one thread and at four.
-// The two paths share no scoring code beyond the distributions, so this is
-// the end-to-end witness of the batch path's bit-identity contract.
+// The two paths share the gap walk but accumulate scores separately (the
+// batch kernel vs the scalar ScoreMapping), so this is the end-to-end
+// witness of the batch path's bit-identity contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>

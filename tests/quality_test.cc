@@ -333,6 +333,51 @@ TEST(Explain, RoundTripsOnIntegrationFixture) {
   }
 }
 
+TEST(Explain, ScoresMatchRankingUnderSamplingWithPinnedPools) {
+  // Pinning every frontend -> search link empties that candidate pool, so
+  // it gets no water-filled skip rate and its discrete terms fall back to
+  // the sampling-adjusted defaults. The drill-down must score them with
+  // the same adjustment the ranking used.
+  const Pipeline p = HotelPipeline(300, 1);
+  ParentAssignment pinned;
+  for (const Span& s : p.spans) {
+    if (s.caller == "frontend" && s.callee == "search" &&
+        s.true_parent != kInvalidSpanId) {
+      pinned[s.id] = s.true_parent;
+    }
+  }
+  ASSERT_FALSE(pinned.empty());
+  TraceWeaverOptions opts;
+  opts.optimizer.params.sampling_rate = 0.5;
+  opts.optimizer.pinned = &pinned;
+  const TraceWeaverOutput base =
+      TraceWeaver(p.graph, opts).Reconstruct(p.spans);
+
+  std::size_t explained = 0;
+  for (const ContainerResult& c : base.containers) {
+    if (c.instance.service != "frontend") continue;
+    for (const ParentResult& r : c.parents) {
+      if (explained == 40) break;
+      if (r.ranked.empty()) continue;
+      ++explained;
+      ExplainCapture capture;
+      TraceWeaverOptions armed = opts;
+      armed.optimizer.explain_parent = r.parent;
+      armed.optimizer.explain_out = &capture;
+      TraceWeaver(p.graph, armed).Reconstruct(p.spans);
+      ASSERT_TRUE(capture.found);
+      ASSERT_GE(capture.candidates.size(), r.ranked.size());
+      for (std::size_t j = 0; j < r.ranked.size(); ++j) {
+        EXPECT_EQ(capture.candidates[j].children, r.ranked[j].children);
+        EXPECT_EQ(capture.candidates[j].score, r.ranked[j].score)
+            << "parent " << r.parent << " rank " << j;
+        EXPECT_EQ(capture.candidates[j].breakdown.total, r.ranked[j].score);
+      }
+    }
+  }
+  EXPECT_EQ(explained, 40u);
+}
+
 TEST(Explain, JsonSchemaIsStable) {
   Pipeline p;
   p.graph = SimpleGraph();

@@ -233,26 +233,33 @@ SpanId OnlineTraceWeaver::TryGraft(const Span& span) {
   return parent;
 }
 
+bool OnlineTraceWeaver::ResolveLate(const LateSpan& late, bool expire,
+                                    WindowResult& result) {
+  const SpanId id = late.span.id;
+  const SpanId parent = TryGraft(late.span);
+  if (parent != kInvalidSpanId) {
+    committed_[id] = parent;
+    result.assignment[id] = parent;
+    prov_.Record(obs::ProvEventType::kLateGraft, id,
+                 static_cast<std::int64_t>(parent));
+    ++result.late_grafted;
+    ++stats_.late_grafted;
+    metrics_.late_grafted.Inc();
+    return true;
+  }
+  if (!expire) return false;
+  result.orphans.push_back(id);
+  prov_.Record(obs::ProvEventType::kLateExpire, id, late.deadline);
+  ++stats_.late_orphans;
+  metrics_.late_orphans.Inc();
+  return true;
+}
+
 void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
   std::vector<LateSpan> keep;
   keep.reserve(late_pool_.size());
   for (LateSpan& late : late_pool_) {
-    const SpanId parent = TryGraft(late.span);
-    if (parent != kInvalidSpanId) {
-      committed_[late.span.id] = parent;
-      result.assignment[late.span.id] = parent;
-      prov_.Record(obs::ProvEventType::kLateGraft, late.span.id,
-                   static_cast<std::int64_t>(parent));
-      ++result.late_grafted;
-      ++stats_.late_grafted;
-      metrics_.late_grafted.Inc();
-    } else if (next_window_start_ > late.deadline) {
-      result.orphans.push_back(late.span.id);
-      prov_.Record(obs::ProvEventType::kLateExpire, late.span.id,
-                   late.deadline);
-      ++stats_.late_orphans;
-      metrics_.late_orphans.Inc();
-    } else {
+    if (!ResolveLate(late, next_window_start_ > late.deadline, result)) {
       keep.push_back(std::move(late));
     }
   }
@@ -511,23 +518,8 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
     for (Span& s : buffer_) last.orphans.push_back(s.id);
     buffer_.clear();
     buffer_bytes_ = 0;
-    for (LateSpan& late : late_pool_) {
-      const SpanId parent = TryGraft(late.span);
-      if (parent != kInvalidSpanId) {
-        committed_[late.span.id] = parent;
-        last.assignment[late.span.id] = parent;
-        prov_.Record(obs::ProvEventType::kLateGraft, late.span.id,
-                     static_cast<std::int64_t>(parent));
-        ++last.late_grafted;
-        ++stats_.late_grafted;
-        metrics_.late_grafted.Inc();
-      } else {
-        last.orphans.push_back(late.span.id);
-        prov_.Record(obs::ProvEventType::kLateExpire, late.span.id,
-                     late.deadline);
-        ++stats_.late_orphans;
-        metrics_.late_orphans.Inc();
-      }
+    for (const LateSpan& late : late_pool_) {
+      ResolveLate(late, /*expire=*/true, last);
     }
     late_pool_.clear();
     for (SpanId id : pending_orphans_) last.orphans.push_back(id);
@@ -538,52 +530,106 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint/restore (schema traceweaver.checkpoint.v1; IO layer in
-// trace/checkpoint.h).
+// Checkpoint/restore (schema traceweaver.checkpoint.v1; IO layer and the
+// field-list convention in trace/checkpoint.h).
+
+namespace {
+
+template <class F, class S>
+void StatsFields(F& f, S& s) {
+  f("ingested", s.ingested);
+  f("windows_closed", s.windows_closed);
+  f("parents_committed", s.parents_committed);
+  f("windows_shed", s.windows_shed);
+  f("spans_shed", s.spans_shed);
+  f("admission_drops", s.admission_drops);
+  f("late_spans", s.late_spans);
+  f("late_grafted", s.late_grafted);
+  f("late_orphans", s.late_orphans);
+  f("late_dropped", s.late_dropped);
+  f("watermark_regressions", s.watermark_regressions);
+  f("deadline_misses", s.deadline_misses);
+  f("degrade_up_steps", s.degrade_up_steps);
+  f("degrade_down_steps", s.degrade_down_steps);
+}
+
+template <class F, class Edge>
+void CommitFields(F& f, Edge& child_parent) {
+  f("child", child_parent.first);
+  f("parent", child_parent.second);
+}
+
+template <class F, class Slot>
+void SlotFields(F& f, Slot& s) {
+  f("parent", s.parent);
+  f("parent_service", s.parent_service);
+  f("parent_endpoint", s.parent_endpoint);
+  f("server_recv", s.server_recv);
+  f("server_send", s.server_send);
+  f("replica", s.callee_replica);
+  f("stage", s.stage);
+  f("call", s.call);
+  f("service", s.call_service);
+  f("endpoint", s.call_endpoint);
+}
+
+/// A carried model's key; its `components` array follows by hand.
+template <class F, class Instance, class Key>
+void ModelKeyFields(F& f, Instance& instance, Key& key) {
+  f("service", instance.service);
+  f("replica", instance.replica);
+  f("key_service", key.service);
+  f("endpoint", key.endpoint);
+  f("stage", key.stage);
+  f("call", key.call);
+}
+
+/// A shed window awaiting delivery; its orphans follow as `pendingo`.
+template <class F, class Window>
+void PendingWindowFields(F& f, Window& w) {
+  f("start", w.window_start);
+  f("end", w.window_end);
+  f("shed", w.shed);
+  f("level", w.degradation_level);
+}
+
+/// The `pendingo` and `orphan` records.
+template <class F, class Id>
+void IdFields(F& f, Id& id) {
+  f("id", id);
+}
+
+template <class F, class Entry>
+void ExtraFields(F& f, Entry& key_value) {
+  f("key", key_value.first);
+  f("value", key_value.second);
+}
+
+}  // namespace
+
+template <class F, class Self>
+void OnlineTraceWeaver::HeaderFields(F& f, Self& self) {
+  f("started", self.started_);
+  f("next_window_start", self.next_window_start_);
+  f("high_watermark", self.high_watermark_);
+  f("level", self.level_);
+}
 
 void OnlineTraceWeaver::SaveCheckpoint(
     std::ostream& out,
     const std::map<std::string, std::uint64_t>& extra) const {
   ChecksummedWriter w(out, kCheckpointSchema);
-
-  std::string header = "{\"schema\":\"";
-  header += kCheckpointSchema;
-  header += "\",\"started\":";
-  header += started_ ? '1' : '0';
-  header += ",\"next_window_start\":" + std::to_string(next_window_start_);
-  header += ",\"high_watermark\":" + std::to_string(high_watermark_);
-  header += ",\"level\":" + std::to_string(level_);
-  header += '}';
-  w.WriteLine(header);
-
-  {
-    const Stats& s = stats_;
-    std::string line = "{\"ckpt\":\"stats\"";
-    const std::pair<const char*, std::uint64_t> fields[] = {
-        {"ingested", s.ingested},
-        {"windows_closed", s.windows_closed},
-        {"parents_committed", s.parents_committed},
-        {"windows_shed", s.windows_shed},
-        {"spans_shed", s.spans_shed},
-        {"admission_drops", s.admission_drops},
-        {"late_spans", s.late_spans},
-        {"late_grafted", s.late_grafted},
-        {"late_orphans", s.late_orphans},
-        {"late_dropped", s.late_dropped},
-        {"watermark_regressions", s.watermark_regressions},
-        {"deadline_misses", s.deadline_misses},
-        {"degrade_up_steps", s.degrade_up_steps},
-        {"degrade_down_steps", s.degrade_down_steps},
-    };
-    for (const auto& [key, value] : fields) {
-      line += ",\"";
-      line += key;
-      line += "\":" + std::to_string(value);
-    }
-    line += '}';
-    w.WriteLine(line);
-  }
-
+  std::string line;  // One buffer for every record line.
+  const auto record = [&](std::string_view tag, const auto& fields) {
+    RecordWriter r(line, tag);
+    fields(r);
+    w.WriteLine(r.Finish());
+  };
+  record("", [&](auto& f) {
+    f("schema", kCheckpointSchema);
+    HeaderFields(f, *this);
+  });
+  record("stats", [&](auto& f) { StatsFields(f, stats_); });
   for (const Span& s : buffer_) {
     w.WriteLine(WrapSpanLine("buffer", s, ""));
   }
@@ -592,92 +638,56 @@ void OnlineTraceWeaver::SaveCheckpoint(
         "late", late.span,
         "\"deadline\":" + std::to_string(late.deadline)));
   }
-  {
-    // Sorted so identical state always serializes to identical bytes.
-    std::vector<std::pair<SpanId, SpanId>> commits(committed_.begin(),
-                                                   committed_.end());
-    std::sort(commits.begin(), commits.end());
-    for (const auto& [child, parent] : commits) {
-      w.WriteLine("{\"ckpt\":\"commit\",\"child\":" + std::to_string(child) +
-                  ",\"parent\":" + std::to_string(parent) + '}');
-    }
+  // Sorted so identical state always serializes to identical bytes.
+  std::vector<std::pair<SpanId, SpanId>> commits(committed_.begin(),
+                                                 committed_.end());
+  std::sort(commits.begin(), commits.end());
+  for (const auto& edge : commits) {
+    record("commit", [&](auto& f) { CommitFields(f, edge); });
   }
   for (const GraftSlot& s : graft_slots_) {
-    std::string line = "{\"ckpt\":\"slot\",\"parent\":";
-    line += std::to_string(s.parent);
-    line += ',';
-    json::AppendStrField(line, "parent_service", s.parent_service);
-    line += ',';
-    json::AppendStrField(line, "parent_endpoint", s.parent_endpoint);
-    line += ",\"server_recv\":" + std::to_string(s.server_recv);
-    line += ",\"server_send\":" + std::to_string(s.server_send);
-    line += ",\"replica\":" + std::to_string(s.callee_replica);
-    line += ",\"stage\":" + std::to_string(s.stage);
-    line += ",\"call\":" + std::to_string(s.call);
-    line += ',';
-    json::AppendStrField(line, "service", s.call_service);
-    line += ',';
-    json::AppendStrField(line, "endpoint", s.call_endpoint);
-    line += '}';
-    w.WriteLine(line);
+    record("slot", [&](auto& f) { SlotFields(f, s); });
   }
-  for (const std::string& line : skew_estimator_.CheckpointLines()) {
-    w.WriteLine(line);
+  for (const std::string& skew : skew_estimator_.CheckpointLines()) {
+    w.WriteLine(skew);
   }
   if (options_.provenance != nullptr) {
     // Pending (uncommitted) decision-provenance events ride the same
     // stream, so a kill -9 resume reproduces byte-identical provenance.
-    for (const std::string& line : options_.provenance->CheckpointLines()) {
-      w.WriteLine(line);
+    for (const std::string& prov : options_.provenance->CheckpointLines()) {
+      w.WriteLine(prov);
     }
   }
   for (const auto& [instance, model] : models_) {
     model.ForEach([&](const DelayKey& key, const GaussianMixture& mixture) {
-      std::string line = "{\"ckpt\":\"model\",";
-      json::AppendStrField(line, "service", instance.service);
-      line += ",\"replica\":" + std::to_string(instance.replica);
-      line += ',';
-      json::AppendStrField(line, "key_service", key.service);
-      line += ',';
-      json::AppendStrField(line, "endpoint", key.endpoint);
-      line += ",\"stage\":" + std::to_string(key.stage);
-      line += ",\"call\":" + std::to_string(key.call);
-      line += ",\"components\":[";
-      for (std::size_t c = 0; c < mixture.num_components(); ++c) {
-        const GmmComponent& comp = mixture.components()[c];
-        if (c > 0) line += ',';
-        line += "{\"w\":" + json::Exact(comp.weight);
-        line += ",\"m\":" + json::Exact(comp.mean);
-        line += ",\"s\":" + json::Exact(comp.stddev);
-        line += '}';
-      }
-      line += "]}";
-      w.WriteLine(line);
+      record("model", [&](auto& f) {
+        ModelKeyFields(f, instance, key);
+        line += ",\"components\":[";
+        for (std::size_t c = 0; c < mixture.num_components(); ++c) {
+          const GmmComponent& comp = mixture.components()[c];
+          line += c > 0 ? ",{\"w\":" : "{\"w\":";
+          json::AppendExact(line, comp.weight);
+          line += ",\"m\":";
+          json::AppendExact(line, comp.mean);
+          line += ",\"s\":";
+          json::AppendExact(line, comp.stddev);
+          line += '}';
+        }
+        line += ']';
+      });
     });
   }
   for (const WindowResult& pending : pending_results_) {
-    std::string line = "{\"ckpt\":\"pendingw\",\"start\":";
-    line += std::to_string(pending.window_start);
-    line += ",\"end\":" + std::to_string(pending.window_end);
-    line += ",\"shed\":";
-    line += pending.shed ? '1' : '0';
-    line += ",\"level\":" + std::to_string(pending.degradation_level);
-    line += '}';
-    w.WriteLine(line);
-    for (SpanId id : pending.orphans) {
-      w.WriteLine("{\"ckpt\":\"pendingo\",\"id\":" + std::to_string(id) +
-                  '}');
+    record("pendingw", [&](auto& f) { PendingWindowFields(f, pending); });
+    for (const SpanId id : pending.orphans) {
+      record("pendingo", [&](auto& f) { IdFields(f, id); });
     }
   }
-  for (SpanId id : pending_orphans_) {
-    w.WriteLine("{\"ckpt\":\"orphan\",\"id\":" + std::to_string(id) + '}');
+  for (const SpanId id : pending_orphans_) {
+    record("orphan", [&](auto& f) { IdFields(f, id); });
   }
-  for (const auto& [key, value] : extra) {
-    std::string line = "{\"ckpt\":\"extra\",";
-    json::AppendStrField(line, "key", key);
-    line += ",\"value\":" + std::to_string(value);
-    line += '}';
-    w.WriteLine(line);
+  for (const auto& entry : extra) {
+    record("extra", [&](auto& f) { ExtraFields(f, entry); });
   }
   w.Finish();
 }
@@ -691,22 +701,24 @@ bool OnlineTraceWeaver::LoadCheckpoint(
     if (error != nullptr) *error = "checkpoint has no header line";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto schema = json::FieldStr(header, "schema");
-  if (!schema || *schema != kCheckpointSchema) {
-    if (error != nullptr) *error = "checkpoint header schema mismatch";
-    return false;
-  }
-
   // Parse into fresh state first so a malformed record leaves this weaver
-  // untouched.
+  // (and the caller's `extra`) untouched.
   OnlineTraceWeaver fresh(graph_, options_);
   std::vector<obs::ProvEvent> prov_events;
-  fresh.started_ = json::FieldU64(header, "started").value_or(0) != 0;
-  fresh.next_window_start_ =
-      json::FieldI64(header, "next_window_start").value_or(0);
-  fresh.high_watermark_ = json::FieldI64(header, "high_watermark").value_or(0);
-  fresh.level_ = static_cast<int>(json::FieldI64(header, "level").value_or(0));
+  std::vector<std::pair<std::string, std::uint64_t>> extras;
+  std::string schema;
+  RecordReader header((*lines)[0]);
+  header("schema", schema);
+  HeaderFields(header, fresh);
+  if (schema != kCheckpointSchema || !header.ok()) {
+    if (error != nullptr) {
+      *error = schema != kCheckpointSchema
+                   ? "checkpoint header schema mismatch"
+                   : "checkpoint header malformed: field " +
+                         std::string(header.bad_key());
+    }
+    return false;
+  }
 
   WindowResult* open_pending = nullptr;
   for (std::size_t i = 1; i < lines->size(); ++i) {
@@ -718,12 +730,18 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       }
       return false;
     }
-    const auto bad = [&](const char* what) {
+    const auto bad = [&](std::string_view what) {
       if (error != nullptr) {
         *error = "checkpoint record " + std::to_string(i) +
-                 " malformed: " + what;
+                 " malformed: " + std::string(what);
       }
       return false;
+    };
+    // Records are read into `fresh`, which a failure discards, so a
+    // branch may store what it read before the check below.
+    RecordReader r(line);
+    const auto bad_field = [&] {
+      return bad(*type + " field " + std::string(r.bad_key()));
     };
     if (*type == "buffer" || *type == "late") {
       const auto span = SpanFromJson(line);
@@ -732,52 +750,26 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         fresh.buffer_bytes_ += ApproxSpanBytes(*span);
         fresh.buffer_.push_back(*span);
       } else {
-        LateSpan late;
-        late.span = *span;
-        late.deadline = json::FieldI64(line, "deadline").value_or(0);
+        LateSpan late{*span};
+        r("deadline", late.deadline);
         fresh.late_pool_.push_back(std::move(late));
       }
     } else if (*type == "commit") {
-      const auto child = json::FieldU64(line, "child");
-      const auto parent = json::FieldU64(line, "parent");
-      if (!child || !parent) return bad("commit ids");
-      fresh.committed_[*child] = *parent;
+      std::pair<SpanId, SpanId> edge;
+      CommitFields(r, edge);
+      fresh.committed_[edge.first] = edge.second;
     } else if (*type == "slot") {
       GraftSlot slot;
-      const auto parent = json::FieldU64(line, "parent");
-      const auto pservice = json::FieldStr(line, "parent_service");
-      const auto pendpoint = json::FieldStr(line, "parent_endpoint");
-      const auto service = json::FieldStr(line, "service");
-      const auto endpoint = json::FieldStr(line, "endpoint");
-      if (!parent || !pservice || !pendpoint || !service || !endpoint) {
-        return bad("slot fields");
-      }
-      slot.parent = *parent;
-      slot.parent_service = *pservice;
-      slot.parent_endpoint = *pendpoint;
-      slot.server_recv = json::FieldI64(line, "server_recv").value_or(0);
-      slot.server_send = json::FieldI64(line, "server_send").value_or(0);
-      slot.callee_replica =
-          static_cast<int>(json::FieldI64(line, "replica").value_or(0));
-      slot.stage = static_cast<int>(json::FieldI64(line, "stage").value_or(0));
-      slot.call = static_cast<int>(json::FieldI64(line, "call").value_or(0));
-      slot.call_service = *service;
-      slot.call_endpoint = *endpoint;
+      SlotFields(r, slot);
       fresh.graft_slots_.push_back(std::move(slot));
     } else if (*type == "posterior") {
       // Older checkpoints carry per-key delay posteriors that nothing
       // reads; accept and drop them so those checkpoints still resume.
     } else if (*type == "model") {
-      const auto service = json::FieldStr(line, "service");
-      const auto replica = json::FieldI64(line, "replica");
-      const auto key_service = json::FieldStr(line, "key_service");
-      const auto endpoint = json::FieldStr(line, "endpoint");
-      const auto stage = json::FieldI64(line, "stage");
-      const auto call = json::FieldI64(line, "call");
-      if (!service || !replica || !key_service || !endpoint || !stage ||
-          !call) {
-        return bad("model key");
-      }
+      ServiceInstance instance;
+      DelayKey key;
+      ModelKeyFields(r, instance, key);
+      if (!r.ok()) return bad_field();
       const std::size_t at = json::FindValue(line, "components");
       std::vector<std::string_view> elements;
       if (at == std::string::npos ||
@@ -792,47 +784,19 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         if (!weight || !mean || !stddev) return bad("model component");
         components.push_back(GmmComponent{*weight, *mean, *stddev});
       }
-      fresh.models_[ServiceInstance{*service, static_cast<int>(*replica)}]
-          .Install(DelayKey{*key_service, *endpoint, static_cast<int>(*stage),
-                            static_cast<int>(*call)},
-                   GaussianMixture(std::move(components)));
+      fresh.models_[instance].Install(key,
+                                      GaussianMixture(std::move(components)));
     } else if (*type == "stats") {
-      Stats& s = fresh.stats_;
-      s.ingested = json::FieldU64(line, "ingested").value_or(0);
-      s.windows_closed = json::FieldU64(line, "windows_closed").value_or(0);
-      s.parents_committed =
-          json::FieldU64(line, "parents_committed").value_or(0);
-      s.windows_shed = json::FieldU64(line, "windows_shed").value_or(0);
-      s.spans_shed = json::FieldU64(line, "spans_shed").value_or(0);
-      s.admission_drops = json::FieldU64(line, "admission_drops").value_or(0);
-      s.late_spans = json::FieldU64(line, "late_spans").value_or(0);
-      s.late_grafted = json::FieldU64(line, "late_grafted").value_or(0);
-      s.late_orphans = json::FieldU64(line, "late_orphans").value_or(0);
-      s.late_dropped = json::FieldU64(line, "late_dropped").value_or(0);
-      s.watermark_regressions =
-          json::FieldU64(line, "watermark_regressions").value_or(0);
-      s.deadline_misses = json::FieldU64(line, "deadline_misses").value_or(0);
-      s.degrade_up_steps =
-          json::FieldU64(line, "degrade_up_steps").value_or(0);
-      s.degrade_down_steps =
-          json::FieldU64(line, "degrade_down_steps").value_or(0);
+      StatsFields(r, fresh.stats_);
     } else if (*type == "pendingw") {
-      WindowResult pending;
-      pending.window_start = json::FieldI64(line, "start").value_or(0);
-      pending.window_end = json::FieldI64(line, "end").value_or(0);
-      pending.shed = json::FieldU64(line, "shed").value_or(0) != 0;
-      pending.degradation_level =
-          static_cast<int>(json::FieldI64(line, "level").value_or(0));
-      fresh.pending_results_.push_back(std::move(pending));
+      fresh.pending_results_.emplace_back();
       open_pending = &fresh.pending_results_.back();
+      PendingWindowFields(r, *open_pending);
     } else if (*type == "pendingo") {
-      const auto id = json::FieldU64(line, "id");
-      if (!id || open_pending == nullptr) return bad("stray pending orphan");
-      open_pending->orphans.push_back(*id);
+      if (open_pending == nullptr) return bad("stray pending orphan");
+      IdFields(r, open_pending->orphans.emplace_back());
     } else if (*type == "orphan") {
-      const auto id = json::FieldU64(line, "id");
-      if (!id) return bad("orphan id");
-      fresh.pending_orphans_.push_back(*id);
+      IdFields(r, fresh.pending_orphans_.emplace_back());
     } else if (*type == "skew") {
       if (!fresh.skew_estimator_.LoadCheckpointLine(line)) {
         return bad("skew record");
@@ -842,13 +806,11 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       if (!event) return bad("prov record");
       prov_events.push_back(std::move(*event));
     } else if (*type == "extra") {
-      const auto key = json::FieldStr(line, "key");
-      const auto value = json::FieldU64(line, "value");
-      if (!key || !value) return bad("extra field");
-      if (extra != nullptr) (*extra)[*key] = *value;
+      ExtraFields(r, extras.emplace_back());
     } else {
       return bad("unknown record type");
     }
+    if (!r.ok()) return bad_field();
   }
 
   // Re-derive the per-edge slack map from the restored estimator state so
@@ -859,10 +821,13 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         fresh.skew_estimator_.EdgeSlacks();
   }
 
-  // Only mutate the shared ledger once the whole checkpoint parsed; a
+  // Only mutate shared state once the whole checkpoint parsed; a
   // malformed record above leaves it (like the weaver) untouched.
   if (options_.provenance != nullptr) {
     options_.provenance->RestorePending(std::move(prov_events));
+  }
+  if (extra != nullptr) {
+    for (auto& [key, value] : extras) (*extra)[key] = value;
   }
 
   *this = std::move(fresh);

@@ -251,6 +251,10 @@ class OnlineTraceWeaver {
   /// Grafts `span` into the best feasible free slot; returns the parent
   /// id or kInvalidSpanId.
   SpanId TryGraft(const Span& span);
+  /// Grafts `late` into `result` if a slot fits, else (when `expire`)
+  /// orphans it there, each with its provenance event and counters.
+  /// Returns whether the span left the late pool.
+  bool ResolveLate(const LateSpan& late, bool expire, WindowResult& result);
   /// Retries the late pool against slots opened by new commits, expires
   /// stale entries into `result`, prunes stale graft slots.
   void ServiceLatePool(WindowResult& result);
@@ -259,6 +263,10 @@ class OnlineTraceWeaver {
   bool OverBudget() const;
   void UpdateBufferGauges();
   TraceWeaver& WeaverForLevel();
+  /// The checkpoint header's fields (trace/checkpoint.h): Self is const
+  /// when saving, mutable when loading.
+  template <class F, class Self>
+  static void HeaderFields(F& f, Self& self);
 
   CallGraph graph_;
   OnlineOptions options_;

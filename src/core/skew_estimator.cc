@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "obs/metrics.h"
-#include "util/json.h"
+#include "trace/checkpoint.h"
 
 namespace traceweaver {
 namespace {
@@ -60,6 +60,23 @@ bool ParseGaps(const std::string& joined, std::vector<std::int64_t>* out) {
   }
   return out->size() <= PairSkewStats::kGapBuffer &&
          std::is_sorted(out->begin(), out->end());
+}
+
+/// The `"ckpt":"skew"` record's fields (trace/checkpoint.h); the gap
+/// buffers travel as JoinGaps strings.
+template <class F, class Key, class Stats, class Gaps>
+void SkewFields(F& f, Key& caller, Key& callee, Stats& stats, Gaps& req_gaps,
+                Gaps& resp_gaps) {
+  f("caller", caller.first);
+  f("caller_replica", caller.second);
+  f("callee", callee.first);
+  f("callee_replica", callee.second);
+  f("samples", stats.samples);
+  f("inversions", stats.inversions);
+  f("offset_mean", stats.offset_mean);
+  f("offset_m2", stats.offset_m2);
+  f("req_gaps", req_gaps);
+  f("resp_gaps", resp_gaps);
 }
 
 }  // namespace
@@ -226,53 +243,29 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
   std::vector<std::string> lines;
   lines.reserve(pairs_.size());
   for (const auto& [key, stats] : pairs_) {
-    std::string line = "{\"ckpt\":\"skew\",";
-    json::AppendStrField(line, "caller", key.first.first);
-    line += ",\"caller_replica\":" + std::to_string(key.first.second) + ",";
-    json::AppendStrField(line, "callee", key.second.first);
-    line += ",\"callee_replica\":" + std::to_string(key.second.second);
-    line += ",\"samples\":" + std::to_string(stats.samples);
-    line += ",\"inversions\":" + std::to_string(stats.inversions);
-    line += ",\"offset_mean\":" + json::Exact(stats.offset_mean);
-    line += ",\"offset_m2\":" + json::Exact(stats.offset_m2) + ",";
-    json::AppendStrField(line, "req_gaps", JoinGaps(stats.min_request_gaps));
-    line += ",";
-    json::AppendStrField(line, "resp_gaps",
-                         JoinGaps(stats.min_response_gaps));
-    line += "}";
+    const std::string req_gaps = JoinGaps(stats.min_request_gaps);
+    const std::string resp_gaps = JoinGaps(stats.min_response_gaps);
+    std::string line;
+    RecordWriter r(line, "skew");
+    SkewFields(r, key.first, key.second, stats, req_gaps, resp_gaps);
+    r.Finish();
     lines.push_back(std::move(line));
   }
   return lines;
 }
 
 bool SkewEstimator::LoadCheckpointLine(const std::string& line) {
-  const auto caller = json::FieldStr(line, "caller");
-  const auto caller_replica = json::FieldI64(line, "caller_replica");
-  const auto callee = json::FieldStr(line, "callee");
-  const auto callee_replica = json::FieldI64(line, "callee_replica");
-  const auto samples = json::FieldU64(line, "samples");
-  const auto inversions = json::FieldU64(line, "inversions");
-  const auto offset_mean = json::FieldF64(line, "offset_mean");
-  const auto offset_m2 = json::FieldF64(line, "offset_m2");
-  const auto req_gaps = json::FieldStr(line, "req_gaps");
-  const auto resp_gaps = json::FieldStr(line, "resp_gaps");
-  if (!caller || !caller_replica || !callee || !callee_replica || !samples ||
-      !inversions || !offset_mean || !offset_m2 || !req_gaps || !resp_gaps) {
-    return false;
-  }
+  VantageKey caller, callee;
   PairSkewStats stats;
-  stats.samples = *samples;
-  stats.inversions = *inversions;
-  stats.offset_mean = *offset_mean;
-  stats.offset_m2 = *offset_m2;
-  if (!ParseGaps(*req_gaps, &stats.min_request_gaps) ||
-      !ParseGaps(*resp_gaps, &stats.min_response_gaps)) {
+  std::string req_gaps, resp_gaps;
+  RecordReader r(line);
+  SkewFields(r, caller, callee, stats, req_gaps, resp_gaps);
+  if (!r.ok() || !ParseGaps(req_gaps, &stats.min_request_gaps) ||
+      !ParseGaps(resp_gaps, &stats.min_response_gaps)) {
     return false;
   }
-  const VantageKey caller_key{*caller, static_cast<int>(*caller_replica)};
-  const VantageKey callee_key{*callee, static_cast<int>(*callee_replica)};
   observations_ += stats.samples;
-  pairs_[{caller_key, callee_key}] = std::move(stats);
+  pairs_[{std::move(caller), std::move(callee)}] = std::move(stats);
   frames_valid_ = false;
   return true;
 }

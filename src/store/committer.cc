@@ -1,11 +1,9 @@
 #include "store/committer.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
-#include "util/json.h"
 
 namespace traceweaver::store {
 
@@ -195,14 +193,58 @@ std::size_t TraceCommitter::Finalize() {
   return committed;
 }
 
+namespace {
+
+// Field lists of the state records (trace/checkpoint.h).
+
+/// The header: section sizes and the committer's scalars.
+struct StateHeader {
+  std::uint64_t spans = 0, edges = 0, quality = 0;
+  TimeNs last_closed_end = 0;
+  std::uint64_t committed = 0;
+};
+
+template <class F, class Header>
+void HeaderFields(F& f, Header& h) {
+  f("spans", h.spans);
+  f("edges", h.edges);
+  f("quality", h.quality);
+  f("last_closed_end", h.last_closed_end);
+  f("committed", h.committed);
+}
+
+template <class F, class Edge>
+void EdgeFields(F& f, Edge& child_parent) {
+  f("child", child_parent.first);
+  f("parent", child_parent.second);
+}
+
+template <class F, class Quality>
+void QualityFields(F& f, Quality& q) {
+  f("root", q.root);
+  f("tspans", q.spans);
+  f("tparents", q.parents);
+  f("skips", q.skips);
+  f("orphan", q.orphan);
+  f("suspect", q.suspect_orphan);
+  f("confidence", q.confidence);
+  f("min_confidence", q.min_confidence);
+  f("grade", q.grade);
+}
+
+}  // namespace
+
 void TraceCommitter::SaveState(std::ostream& out) const {
   ChecksummedWriter writer(out, kStateSchema);
-  writer.WriteLine("{\"schema\":" + json::Str(kStateSchema) +
-                   ",\"spans\":" + std::to_string(spans_.size()) +
-                   ",\"edges\":" + std::to_string(parent_of_.size()) +
-                   ",\"quality\":" + std::to_string(quality_.size()) +
-                   ",\"last_closed_end\":" + std::to_string(last_closed_end_) +
-                   ",\"committed\":" + std::to_string(committed_) + "}");
+  std::string line;  // One buffer for every record line.
+  {
+    const StateHeader header{spans_.size(), parent_of_.size(),
+                             quality_.size(), last_closed_end_, committed_};
+    RecordWriter r(line);
+    r("schema", kStateSchema);
+    HeaderFields(r, header);
+    writer.WriteLine(r.Finish());
+  }
 
   // Deterministic order (sorted by id) within each positional section:
   // `spans` span lines, then `edges` edge lines, then `quality` rows.
@@ -217,26 +259,19 @@ void TraceCommitter::SaveState(std::ostream& out) const {
   std::vector<std::pair<SpanId, SpanId>> edges(parent_of_.begin(),
                                                parent_of_.end());
   std::sort(edges.begin(), edges.end());
-  for (const auto& [child, parent] : edges) {
-    writer.WriteLine("{\"child\":" + std::to_string(child) +
-                     ",\"parent\":" + std::to_string(parent) + "}");
+  for (const auto& edge : edges) {
+    RecordWriter r(line);
+    EdgeFields(r, edge);
+    writer.WriteLine(r.Finish());
   }
 
   ids.clear();
   for (const auto& [root, tq] : quality_) ids.push_back(root);
   std::sort(ids.begin(), ids.end());
   for (SpanId root : ids) {
-    const obs::TraceQuality& tq = quality_.at(root);
-    writer.WriteLine(
-        "{\"root\":" + std::to_string(root) +
-        ",\"tspans\":" + std::to_string(tq.spans) +
-        ",\"tparents\":" + std::to_string(tq.parents) +
-        ",\"skips\":" + std::to_string(tq.skips) +
-        ",\"orphan\":" + (tq.orphan ? "1" : "0") +
-        ",\"suspect\":" + (tq.suspect_orphan ? "1" : "0") +
-        ",\"confidence\":" + json::Exact(tq.confidence) +
-        ",\"min_confidence\":" + json::Exact(tq.min_confidence) +
-        ",\"grade\":" + json::Str(std::string_view(&tq.grade, 1)) + "}");
+    RecordWriter r(line);
+    QualityFields(r, quality_.at(root));
+    writer.WriteLine(r.Finish());
   }
   writer.Finish();
 }
@@ -247,14 +282,15 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     if (error != nullptr && lines) *error = "empty committer state";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto n_spans = json::FieldU64(header, "spans");
-  const auto n_edges = json::FieldU64(header, "edges");
-  const auto n_quality = json::FieldU64(header, "quality");
-  const auto last_end = json::FieldI64(header, "last_closed_end");
-  const auto committed = json::FieldU64(header, "committed");
-  if (!n_spans || !n_edges || !n_quality || !last_end || !committed ||
-      1 + *n_spans + *n_edges + *n_quality != lines->size()) {
+  StateHeader header;
+  RecordReader header_reader((*lines)[0]);
+  HeaderFields(header_reader, header);
+  // Each count is bounded before the sum, so hostile counts cannot wrap
+  // it into a match and walk past the end of `lines`.
+  const std::uint64_t n = lines->size();
+  if (!header_reader.ok() || header.spans >= n || header.edges >= n ||
+      header.quality >= n ||
+      1 + header.spans + header.edges + header.quality != n) {
     if (error != nullptr) *error = "committer state header mismatch";
     return false;
   }
@@ -264,7 +300,7 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
   std::unordered_map<SpanId, std::vector<SpanId>> children;
   std::unordered_map<SpanId, obs::TraceQuality> quality;
   std::size_t i = 1;
-  for (std::uint64_t k = 0; k < *n_spans; ++k, ++i) {
+  for (std::uint64_t k = 0; k < header.spans; ++k, ++i) {
     const auto span = SpanFromJson((*lines)[i]);
     if (!span) {
       if (error != nullptr) *error = "bad span line in committer state";
@@ -272,40 +308,29 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     }
     spans[span->id] = *span;
   }
-  for (std::uint64_t k = 0; k < *n_edges; ++k, ++i) {
-    const auto child = json::FieldU64((*lines)[i], "child");
-    const auto parent = json::FieldU64((*lines)[i], "parent");
-    if (!child || !parent) {
+  for (std::uint64_t k = 0; k < header.edges; ++k, ++i) {
+    std::pair<SpanId, SpanId> edge;
+    RecordReader r((*lines)[i]);
+    EdgeFields(r, edge);
+    if (!r.ok()) {
       if (error != nullptr) *error = "bad edge line in committer state";
       return false;
     }
-    if (parent_of.emplace(*child, *parent).second) {
-      children[*parent].push_back(*child);
+    if (parent_of.emplace(edge).second) {
+      children[edge.second].push_back(edge.first);
     }
   }
-  for (std::uint64_t k = 0; k < *n_quality; ++k, ++i) {
-    const std::string& line = (*lines)[i];
-    const auto root = json::FieldU64(line, "root");
-    const auto conf = json::FieldF64(line, "confidence");
-    const auto min_conf = json::FieldF64(line, "min_confidence");
-    const auto grade = json::FieldStr(line, "grade");
-    if (!root || !conf || !min_conf || !grade || grade->size() != 1) {
-      if (error != nullptr) *error = "bad quality line in committer state";
+  for (std::uint64_t k = 0; k < header.quality; ++k, ++i) {
+    obs::TraceQuality tq;
+    RecordReader r((*lines)[i]);
+    QualityFields(r, tq);
+    if (!r.ok()) {
+      if (error != nullptr) {
+        *error = "bad quality line in committer state (field " +
+                 std::string(r.bad_key()) + ")";
+      }
       return false;
     }
-    obs::TraceQuality tq;
-    tq.root = *root;
-    tq.spans = static_cast<std::size_t>(
-        json::FieldU64(line, "tspans").value_or(0));
-    tq.parents = static_cast<std::size_t>(
-        json::FieldU64(line, "tparents").value_or(0));
-    tq.skips =
-        static_cast<std::size_t>(json::FieldU64(line, "skips").value_or(0));
-    tq.orphan = json::FieldU64(line, "orphan").value_or(0) != 0;
-    tq.suspect_orphan = json::FieldU64(line, "suspect").value_or(0) != 0;
-    tq.confidence = *conf;
-    tq.min_confidence = *min_conf;
-    tq.grade = (*grade)[0];
     // Rows of roots that are no longer pending are dead (older versions
     // could save such rows after Finalize).
     if (spans.count(tq.root) > 0) quality[tq.root] = tq;
@@ -319,8 +344,8 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
   children_ = std::move(children);
   quality_ = std::move(quality);
   due_ = DueQueue(std::greater<DueEntry>(), std::move(due));
-  last_closed_end_ = static_cast<TimeNs>(*last_end);
-  committed_ = static_cast<std::size_t>(*committed);
+  last_closed_end_ = header.last_closed_end;
+  committed_ = static_cast<std::size_t>(header.committed);
   return true;
 }
 

@@ -206,36 +206,20 @@ bool TraceStore::SealLocked(std::string* error) {
 
   const std::uint32_t id = next_segment_;
   const std::string path = SegmentPath(id);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      if (error != nullptr) *error = "cannot write " + tmp;
-      return false;
-    }
+  const auto write = [&](std::ostream& out) {
     ChecksummedWriter writer(out, kSegmentSchema);
-    std::string header = "{\"schema\":\"";
-    header += kSegmentSchema;
-    header += "\",\"segment\":";
-    header += std::to_string(id);
-    header += ",\"traces\":";
-    header += std::to_string(current->active_records.size());
-    header += '}';
-    writer.WriteLine(header);
+    std::string header;
+    RecordWriter r(header);
+    r("schema", kSegmentSchema);
+    r("segment", id);
+    r("traces", current->active_records.size());
+    writer.WriteLine(r.Finish());
     for (const auto& record : current->active_records) {
       writer.WriteLine(TraceRecordToJson(*record));
     }
     writer.Finish();
-    out.flush();
-    if (!out) {
-      if (error != nullptr) *error = "write failed on " + tmp;
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "cannot rename " + tmp;
-    return false;
-  }
+  };
+  if (!WriteFileAtomic(path, write, error)) return false;
 
   auto part = std::make_shared<SegmentPart>();
   part->id = id;

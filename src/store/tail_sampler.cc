@@ -5,7 +5,6 @@
 #include <string>
 
 #include "trace/checkpoint.h"
-#include "util/json.h"
 
 namespace traceweaver::store {
 namespace {
@@ -95,18 +94,26 @@ TailSampler::Decision TailSampler::Decide(const TraceRecord& record) {
   return d;
 }
 
+template <class F, class Self>
+void TailSampler::StateFields(F& f, Self& self, TimeNs& last_shed_end) {
+  f("considered", self.considered_);
+  f("shed", self.shed_);
+  f("kept_interesting", self.kept_interesting_);
+  f("kept_random", self.kept_random_);
+  f("last_shed_end", last_shed_end);
+}
+
 void TailSampler::SaveState(std::ostream& out) const {
   ChecksummedWriter writer(out, kStateSchema);
-  const TimeNs last_shed =
+  // The no-shed sentinel is spelled -1 on disk.
+  TimeNs last_shed =
       last_shed_end_ == std::numeric_limits<TimeNs>::min() ? -1
                                                            : last_shed_end_;
-  writer.WriteLine("{\"schema\":" + json::Str(kStateSchema) +
-                   ",\"considered\":" + std::to_string(considered_) +
-                   ",\"shed\":" + std::to_string(shed_) +
-                   ",\"kept_interesting\":" +
-                   std::to_string(kept_interesting_) +
-                   ",\"kept_random\":" + std::to_string(kept_random_) +
-                   ",\"last_shed_end\":" + std::to_string(last_shed) + "}");
+  std::string line;
+  RecordWriter r(line);
+  r("schema", kStateSchema);
+  StateFields(r, *this, last_shed);
+  writer.WriteLine(r.Finish());
   writer.Finish();
 }
 
@@ -116,27 +123,20 @@ bool TailSampler::LoadState(std::istream& in, std::string* error) {
     if (error != nullptr && lines) *error = "empty sampler state";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto considered = json::FieldU64(header, "considered");
-  const auto shed = json::FieldU64(header, "shed");
-  const auto kept_interesting = json::FieldU64(header, "kept_interesting");
-  const auto kept_random = json::FieldU64(header, "kept_random");
-  const auto last_shed = json::FieldI64(header, "last_shed_end");
-  if (!considered || !shed || !kept_interesting || !kept_random ||
-      !last_shed) {
+  TailSampler fresh = *this;
+  TimeNs last_shed = 0;
+  RecordReader r((*lines)[0]);
+  StateFields(r, fresh, last_shed);
+  if (!r.ok()) {
     if (error != nullptr) *error = "sampler state header mismatch";
     return false;
   }
-  considered_ = static_cast<std::size_t>(*considered);
-  shed_ = static_cast<std::size_t>(*shed);
-  kept_interesting_ = static_cast<std::size_t>(*kept_interesting);
-  kept_random_ = static_cast<std::size_t>(*kept_random);
-  last_shed_end_ = *last_shed < 0
-                       ? std::numeric_limits<TimeNs>::min()
-                       : static_cast<TimeNs>(*last_shed);
+  fresh.last_shed_end_ =
+      last_shed < 0 ? std::numeric_limits<TimeNs>::min() : last_shed;
   // Counters restored above are process-lifetime tallies; the metric
   // handles re-count from zero after restart, which matches how every
   // other tw_* counter behaves across resumes.
+  *this = std::move(fresh);
   return true;
 }
 

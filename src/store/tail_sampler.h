@@ -94,6 +94,11 @@ class TailSampler {
   bool LoadState(std::istream& in, std::string* error = nullptr);
 
  private:
+  /// The state record's fields (trace/checkpoint.h), Self const when
+  /// saving; `last_shed_end` is the on-disk spelling (-1 for none).
+  template <class F, class Self>
+  static void StateFields(F& f, Self& self, TimeNs& last_shed_end);
+
   TailSamplerOptions options_;
   TimeNs last_shed_end_ = std::numeric_limits<TimeNs>::min();
   std::size_t considered_ = 0;

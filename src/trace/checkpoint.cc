@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -58,6 +59,30 @@ void ChecksummedWriter::Finish() {
                 schema_.c_str(), lines_, static_cast<unsigned long>(crc_));
   out_ << buf << '\n';
   out_.flush();
+}
+
+bool WriteFileAtomic(const std::string& path,
+                     const std::function<void(std::ostream&)>& write,
+                     std::string* error) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      SetError(error, "cannot write " + tmp);
+      return false;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+      SetError(error, "write failed on " + tmp);
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    SetError(error, "cannot rename " + tmp);
+    return false;
+  }
+  return true;
 }
 
 std::optional<std::vector<std::string>> ReadChecksummedLines(

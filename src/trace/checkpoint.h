@@ -15,15 +15,25 @@
 // Payload lines must not themselves start with `{"footer":` -- type-tag
 // records with a different leading key.
 //
-// Writers should write to a temporary file and rename() into place so a
-// crash mid-write leaves the previous checkpoint intact (the serve loop
-// does exactly this).
+// Files are written through WriteFileAtomic (a temporary file rename()d
+// into place), so a crash mid-write leaves the previous file intact.
+//
+// Each record type lists its fields once, in a template such as
+// `template <class F, class Slot> void SlotFields(F& f, Slot& s)` calling
+// `f("server_recv", s.server_recv)` per field. The saver runs it with a
+// RecordWriter, the loader with a RecordReader, so names, order and
+// encodings cannot drift apart, and a record missing a field is rejected.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -63,6 +73,108 @@ class ChecksummedWriter {
 /// mismatch or CRC failure.
 std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error);
+
+/// Appends a record's fields to a line: integers in decimal
+/// (std::to_string's spelling), doubles as json::Exact, strings
+/// JSON-escaped, bools as the digits 1/0, a char as a one-character
+/// string. Keys are plain literals, written unescaped.
+class RecordWriter {
+ public:
+  /// Starts a record in `line`, replacing its contents but keeping its
+  /// capacity: `{`, or `{"ckpt":"<tag>"` for a type-tagged record.
+  explicit RecordWriter(std::string& line, std::string_view tag = {})
+      : line_(line), first_(tag.empty()) {
+    line_.assign(1, '{');
+    if (!tag.empty()) json::AppendStrField(line_, "ckpt", tag);
+  }
+
+  template <class T>
+  void operator()(std::string_view key, const T& value) {
+    line_ += first_ ? "\"" : ",\"";
+    first_ = false;
+    line_ += key;
+    line_ += "\":";
+    if constexpr (std::is_same_v<T, bool>) {
+      line_ += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, char>) {
+      json::AppendStr(line_, std::string_view(&value, 1));
+    } else if constexpr (std::is_integral_v<T>) {
+      char buf[24];
+      line_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      json::AppendExact(line_, value);
+    } else {
+      json::AppendStr(line_, value);
+    }
+  }
+
+  /// Closes the record (`}`) and returns the finished line.
+  const std::string& Finish() { return line_ += '}'; }
+
+ private:
+  std::string& line_;
+  bool first_;
+};
+
+/// Reads a record's fields back from one line. A field that is absent,
+/// does not parse, or does not fit its type (a bool other than 0/1, a
+/// char other than a one-byte string, an out-of-range integer) marks the
+/// record bad and leaves its target unchanged.
+class RecordReader {
+ public:
+  explicit RecordReader(std::string_view line) : line_(line) {}
+
+  template <class T>
+  void operator()(std::string_view key, T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      const auto v = json::FieldU64(line_, key);
+      if (!v || *v > 1) return Fail(key);
+      value = *v != 0;
+    } else if constexpr (std::is_same_v<T, char>) {
+      const auto v = json::FieldStr(line_, key);
+      if (!v || v->size() != 1) return Fail(key);
+      value = (*v)[0];
+    } else if constexpr (std::is_integral_v<T>) {
+      const auto v = [&] {
+        if constexpr (std::is_signed_v<T>) {
+          return json::FieldI64(line_, key);
+        } else {
+          return json::FieldU64(line_, key);
+        }
+      }();
+      if (!v || !std::in_range<T>(*v)) return Fail(key);
+      value = static_cast<T>(*v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      const auto v = json::FieldF64(line_, key);
+      if (!v) return Fail(key);
+      value = *v;
+    } else {
+      auto v = json::FieldStr(line_, key);
+      if (!v) return Fail(key);
+      value = std::move(*v);
+    }
+  }
+
+  bool ok() const { return bad_key_.empty(); }
+  /// The first field that was missing or malformed ("" while ok()).
+  std::string_view bad_key() const { return bad_key_; }
+
+ private:
+  void Fail(std::string_view key) {
+    if (ok()) bad_key_ = key;
+  }
+
+  std::string_view line_;
+  std::string_view bad_key_;
+};
+
+/// Writes `path` atomically: `write` fills `<path>.tmp` (opened binary,
+/// truncated), which is flushed, checked and rename()d over `path`. A
+/// crash at any point leaves either the old file or the new one, never a
+/// half-written one. False with a reason in *error on any failure.
+bool WriteFileAtomic(const std::string& path,
+                     const std::function<void(std::ostream&)>& write,
+                     std::string* error = nullptr);
 
 // Field helpers for the records inside a checkpoint (and every other
 // machine-written JSON line) live in util/json.h. `ckpt::` remains only

@@ -140,14 +140,13 @@ std::optional<Number> FieldNumber(std::string_view text,
   return v;
 }
 
-/// Appends `"<escaped s>"`.
+}  // namespace
+
 void AppendStr(std::string& out, std::string_view s) {
   out += '"';
   AppendEscaped(out, s);
   out += '"';
 }
-
-}  // namespace
 
 std::string Str(std::string_view s) {
   std::string out;
@@ -169,9 +168,15 @@ std::string Fixed(double v) {
 }
 
 std::string Exact(double v) {
+  std::string out;
+  AppendExact(out, v);
+  return out;
+}
+
+void AppendExact(std::string& out, double v) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
 std::size_t FindValue(std::string_view text, std::string_view key) {

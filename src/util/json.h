@@ -30,6 +30,8 @@ namespace traceweaver::json {
 
 /// `"<escaped s>"`.
 std::string Str(std::string_view s);
+/// Appends Str(s) without building a temporary.
+void AppendStr(std::string& out, std::string_view s);
 /// Appends `"key":"<escaped value>"` (no leading comma).
 void AppendStrField(std::string& out, std::string_view key,
                     std::string_view value);
@@ -37,6 +39,8 @@ void AppendStrField(std::string& out, std::string_view key,
 std::string Fixed(double v);
 /// %.17g: enough digits to restore the exact double.
 std::string Exact(double v);
+/// Appends Exact(v) without building a temporary.
+void AppendExact(std::string& out, double v);
 
 // --- Reader -----------------------------------------------------------
 

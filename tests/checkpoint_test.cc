@@ -15,7 +15,9 @@
 
 #include "callgraph/inference.h"
 #include "core/online.h"
+#include "core/skew_estimator.h"
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
@@ -610,6 +612,180 @@ TEST(OnlineCheckpoint, SkewEstimatorStateSurvivesResumeBitIdentically) {
   ref.SaveCheckpoint(a);
   resumed.SaveCheckpoint(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// ---------------------------------------------------------------------
+// Format goldens: hand-written lines for every record type, in the
+// saver's section order. Loading and re-saving must reproduce them byte
+// for byte, so a format change made on both the save and the load side
+// (which a save-vs-save round trip cannot see) still fails here.
+
+/// A hostile string as the writer escapes it (no surrounding quotes):
+/// quotes, backslashes, every short escape, control bytes as \u00XX,
+/// raw multi-byte UTF-8, and a key-shaped payload that must never shadow
+/// a real field.
+const std::string kHostile =
+    R"j(h\"o\\s\n\t\r\b\f\u0001\u001f)j"
+    "\xc3\xa9\xf0\x9f\x98\x80/"
+    R"j(x\",\"server_recv\":9,{}[]:)j";
+
+/// -0 and the smallest denormal, as %.17g spells them.
+constexpr const char* kNegZero = "-0";
+constexpr const char* kDenormal = "4.9406564584124654e-324";
+
+std::vector<std::string> WeaverGoldenLines() {
+  const std::string h = "\"" + kHostile + "\"";
+  const std::string nz = kNegZero;
+  const std::string dn = kDenormal;
+  return {
+      R"({"schema":"traceweaver.checkpoint.v1","started":1,)"
+      R"("next_window_start":1500000000,"high_watermark":1750000000,)"
+      R"("level":2})",
+      R"({"ckpt":"stats","ingested":1,"windows_closed":2,)"
+      R"("parents_committed":3,"windows_shed":4,"spans_shed":5,)"
+      R"("admission_drops":6,"late_spans":7,"late_grafted":8,)"
+      R"("late_orphans":9,"late_dropped":10,"watermark_regressions":11,)"
+      R"("deadline_misses":12,"degrade_up_steps":13,)"
+      R"("degrade_down_steps":14})",
+      R"({"ckpt":"buffer","id":41,"caller":)" + h +
+          R"(,"callee":"search","endpoint":"/nearby",)"
+          R"("client_send":1600000000,"server_recv":1600100000,)"
+          R"("server_send":1600900000,"client_recv":1601000000,)"
+          R"("caller_replica":1,"callee_replica":2,"true_parent":40,)"
+          R"("true_trace":7})",
+      R"({"ckpt":"late","deadline":2000000000,"id":42,"caller":"frontend",)"
+      R"("callee":"geo","endpoint":"/near","client_send":1400000000,)"
+      R"("server_recv":1400100000,"server_send":1400200000,)"
+      R"("client_recv":1400300000,"caller_replica":0,"callee_replica":0,)"
+      R"("true_parent":18446744073709551615,)"
+      R"("true_trace":18446744073709551615})",
+      R"({"ckpt":"commit","child":11,"parent":10})",
+      R"({"ckpt":"commit","child":12,"parent":10})",
+      R"({"ckpt":"slot","parent":10,"parent_service":)" + h +
+          R"(,"parent_endpoint":"/hotels","server_recv":1200000000,)"
+          R"("server_send":1300000000,"replica":1,"stage":0,"call":2,)"
+          R"("service":"geo","endpoint":)" + h + "}",
+      R"({"ckpt":"skew","caller":)" + h +
+          R"(,"caller_replica":0,"callee":"geo","callee_replica":1,)"
+          R"("samples":9,"inversions":2,"offset_mean":)" + nz +
+          R"(,"offset_m2":)" + dn +
+          R"(,"req_gaps":"-5,3,7","resp_gaps":""})",
+      R"({"ckpt":"prov","t":"late_graft","span":42,"v":10,"d":)" + h + "}",
+      R"({"ckpt":"prov","t":"skew_correct","span":42,"v":-250})",
+      R"({"ckpt":"model","service":)" + h +
+          R"(,"replica":0,"key_service":"geo","endpoint":)" + h +
+          R"(,"stage":0,"call":1,"components":[{"w":0.25,"m":)" + nz +
+          R"(,"s":)" + dn +
+          R"(},{"w":0.75,"m":1500.5,"s":0.10000000000000001}]})",
+      R"({"ckpt":"pendingw","start":1000000000,"end":1500000000,"shed":1,)"
+      R"("level":3})",
+      R"({"ckpt":"pendingo","id":43})",
+      R"({"ckpt":"pendingo","id":44})",
+      R"({"ckpt":"pendingw","start":1500000000,"end":1500000001,"shed":0,)"
+      R"("level":0})",
+      R"({"ckpt":"orphan","id":45})",
+      R"({"ckpt":"extra","key":)" + h + R"(,"value":0})",
+      R"({"ckpt":"extra","key":"source_offset","value":123456})",
+  };
+}
+
+std::string Frame(const std::vector<std::string>& lines,
+                  const std::string& schema) {
+  std::stringstream out;
+  ChecksummedWriter w(out, schema);
+  for (const std::string& l : lines) w.WriteLine(l);
+  w.Finish();
+  return out.str();
+}
+
+TEST(CheckpointFormatGolden, WeaverRecordsReSaveByteForByte) {
+  const std::string golden = Frame(WeaverGoldenLines(), kSchema);
+  obs::ProvenanceLedger ledger;
+  OnlineOptions opts = MidStreamOptions();
+  opts.provenance = &ledger;
+  OnlineTraceWeaver w(CallGraph{}, opts);
+  std::stringstream in(golden);
+  std::string error;
+  std::map<std::string, std::uint64_t> extra;
+  ASSERT_TRUE(w.LoadCheckpoint(in, &error, &extra)) << error;
+  EXPECT_EQ(w.buffered(), 1u);
+  EXPECT_EQ(w.late_pool_size(), 1u);
+  EXPECT_EQ(w.stats().degrade_down_steps, 14u);
+  EXPECT_EQ(extra.at("source_offset"), 123456u);
+  std::stringstream out;
+  w.SaveCheckpoint(out, extra);
+  EXPECT_EQ(out.str(), golden);
+}
+
+TEST(CheckpointFormatGolden, SkewRecordsReSaveByteForByte) {
+  const std::string h = "\"" + kHostile + "\"";
+  const std::vector<std::string> lines = {
+      R"({"ckpt":"skew","caller":"a","caller_replica":-1,"callee":)" + h +
+          R"(,"callee_replica":3,"samples":0,"inversions":0,)"
+          R"("offset_mean":)" + std::string(kDenormal) +
+          R"(,"offset_m2":)" + std::string(kNegZero) +
+          R"(,"req_gaps":"","resp_gaps":"-9,-9,0"})",
+      R"({"ckpt":"skew","caller":)" + h +
+          R"(,"caller_replica":0,"callee":"b","callee_replica":0,)"
+          R"("samples":18446744073709551615,"inversions":5,)"
+          R"("offset_mean":-1250.75,"offset_m2":0.10000000000000001,)"
+          R"("req_gaps":"1,2","resp_gaps":""})",
+  };
+  SkewEstimator estimator;
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(estimator.LoadCheckpointLine(line)) << line;
+  }
+  EXPECT_EQ(estimator.CheckpointLines(), lines);
+}
+
+
+/// `line` without its top-level numeric field `key` (the `,"key":<n>`
+/// run), as a writer that forgot the field would have emitted it.
+std::string DropField(std::string line, const std::string& key) {
+  const std::size_t at = line.find(",\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " not in " << line;
+  if (at == std::string::npos) return line;
+  const std::size_t end = line.find_first_of(",}", at + key.size() + 4);
+  return line.erase(at, end - at);
+}
+
+TEST(CheckpointFormatGolden, MissingFieldRejectedWithStateUntouched) {
+  const std::vector<std::string> lines = WeaverGoldenLines();
+  const std::string golden = Frame(lines, kSchema);
+  obs::ProvenanceLedger ledger;
+  OnlineOptions opts = MidStreamOptions();
+  opts.provenance = &ledger;
+  OnlineTraceWeaver victim(CallGraph{}, opts);
+  std::stringstream in(golden);
+  std::string error;
+  std::map<std::string, std::uint64_t> extra;
+  ASSERT_TRUE(victim.LoadCheckpoint(in, &error, &extra)) << error;
+
+  const struct {
+    const char* prefix;  // Leading bytes of the record to damage.
+    const char* field;
+    const char* record;  // What the error must name.
+  } cases[] = {
+      {"{\"schema\":", "next_window_start", "header"},
+      {"{\"ckpt\":\"stats\"", "windows_closed", "stats"},
+      {"{\"ckpt\":\"slot\"", "server_recv", "slot"},
+      {"{\"ckpt\":\"pendingw\"", "end", "pendingw"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> damaged = lines;
+    const auto it = std::find_if(
+        damaged.begin(), damaged.end(),
+        [&](const std::string& l) { return l.rfind(c.prefix, 0) == 0; });
+    ASSERT_NE(it, damaged.end()) << c.prefix;
+    *it = DropField(*it, c.field);
+    std::stringstream file(Frame(damaged, kSchema));
+    error.clear();
+    EXPECT_FALSE(victim.LoadCheckpoint(file, &error)) << c.field;
+    EXPECT_NE(error.find(c.record), std::string::npos) << error;
+    std::stringstream post;
+    victim.SaveCheckpoint(post, extra);
+    EXPECT_EQ(post.str(), golden) << c.field;
+  }
 }
 
 }  // namespace

@@ -686,6 +686,103 @@ TEST_F(StoreTest, CommitterAndSamplerStateBytesArePinned) {
             "\"crc32\":3597692960}\n");
 }
 
+/// Committer state written by hand, every record type in the saver's
+/// section order: hostile strings in a span, -0 and a denormal in a
+/// quality row, and grades that need escaping.
+std::vector<std::string> CommitterGoldenLines() {
+  const std::string hostile =
+      R"j("h\"o\\s\n\t\r\b\f\u0001\u001f)j"
+      "\xc3\xa9\xf0\x9f\x98\x80/"
+      R"j(x\",\"tspans\":9,{}[]:")j";
+  return {
+      R"({"schema":"traceweaver.committer.v1","spans":2,"edges":2,)"
+      R"("quality":2,"last_closed_end":200000000,"committed":3})",
+      R"({"id":1,"caller":"client","callee":)" + hostile +
+          R"(,"endpoint":"/a","client_send":299900000,)"
+          R"("server_recv":300000000,"server_send":301000000,)"
+          R"("client_recv":301100000,"caller_replica":0,)"
+          R"("callee_replica":3,"true_parent":18446744073709551615,)"
+          R"("true_trace":18446744073709551615})",
+      R"({"id":7,"caller":"client","callee":"A","endpoint":)" + hostile +
+          R"(,"client_send":-5,"server_recv":0,"server_send":10,)"
+          R"("client_recv":20,"caller_replica":1,"callee_replica":0,)"
+          R"("true_parent":0,"true_trace":7})",
+      R"({"child":2,"parent":1})",
+      R"({"child":3,"parent":1})",
+      R"({"root":1,"tspans":3,"tparents":2,"skips":1,"orphan":1,)"
+      R"("suspect":0,"confidence":-0,)"
+      R"("min_confidence":4.9406564584124654e-324,"grade":"\u0001"})",
+      R"({"root":7,"tspans":1,"tparents":0,"skips":0,"orphan":0,)"
+      R"("suspect":1,"confidence":0.10000000000000001,)"
+      R"("min_confidence":0.25,"grade":"\""})",
+  };
+}
+
+std::string FrameCommitter(const std::vector<std::string>& lines) {
+  std::stringstream out;
+  ChecksummedWriter w(out, TraceCommitter::kStateSchema);
+  for (const std::string& l : lines) w.WriteLine(l);
+  w.Finish();
+  return out.str();
+}
+
+TEST_F(StoreTest, CommitterFormatGoldenReSavesByteForByte) {
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  TraceCommitter committer(CommitterOptions{}, &store);
+  const std::string golden = FrameCommitter(CommitterGoldenLines());
+  std::stringstream in(golden);
+  std::string err;
+  ASSERT_TRUE(committer.LoadState(in, &err)) << err;
+  EXPECT_EQ(committer.pending_spans(), 2u);
+  std::stringstream out;
+  committer.SaveState(out);
+  EXPECT_EQ(out.str(), golden);
+}
+
+TEST_F(StoreTest, CommitterQualityRowMissingFieldRejected) {
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  TraceCommitter committer(CommitterOptions{}, &store);
+  std::vector<std::string> lines = CommitterGoldenLines();
+  const std::string golden = FrameCommitter(lines);
+  std::stringstream in(golden);
+  std::string err;
+  ASSERT_TRUE(committer.LoadState(in, &err)) << err;
+
+  // The first quality row without its `tspans` count.
+  std::string& row = lines[5];
+  ASSERT_EQ(row.rfind("{\"root\":1,", 0), 0u) << row;
+  const std::size_t at = row.find(",\"tspans\":3");
+  ASSERT_NE(at, std::string::npos);
+  row.erase(at, std::string(",\"tspans\":3").size());
+  std::stringstream damaged(FrameCommitter(lines));
+  err.clear();
+  EXPECT_FALSE(committer.LoadState(damaged, &err));
+  EXPECT_NE(err.find("quality"), std::string::npos) << err;
+  std::stringstream out;
+  committer.SaveState(out);
+  EXPECT_EQ(out.str(), golden);
+}
+
+TEST_F(StoreTest, CommitterStateWithWrappingCountsRejected) {
+  // Section counts whose sum wraps around to the real line count (2^64-1
+  // spans + 3 edges + the header == 3 lines) must not send the loader
+  // past the two span lines that are really there.
+  std::vector<std::string> lines = CommitterGoldenLines();
+  lines = {R"({"schema":"traceweaver.committer.v1",)"
+           R"("spans":18446744073709551615,"edges":3,"quality":0,)"
+           R"("last_closed_end":0,"committed":0})",
+           lines[1], lines[2]};
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  TraceCommitter committer(CommitterOptions{}, &store);
+  std::stringstream in(FrameCommitter(lines));
+  std::string err;
+  EXPECT_FALSE(committer.LoadState(in, &err));
+  EXPECT_EQ(committer.pending_spans(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // The settle-time index against a full-scan reference.
 

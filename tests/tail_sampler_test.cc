@@ -18,6 +18,7 @@
 #include "store/store.h"
 #include "store/tail_sampler.h"
 #include "test_helpers.h"
+#include "trace/checkpoint.h"
 #include "trace/trace_record.h"
 
 namespace traceweaver::store {
@@ -219,6 +220,30 @@ TEST(TailSamplerTest, StateRoundtripRestoresCountersAndHorizon) {
   TailSampler reject(opts);
   EXPECT_FALSE(reject.LoadState(bad, &err));
   EXPECT_EQ(reject.considered(), 0u);
+}
+
+TEST(TailSamplerTest, StateFormatGoldenReSavesByteForByte) {
+  // Hand-written state, with a shed horizon and with the no-shed
+  // sentinel: loading and re-saving must reproduce every byte.
+  const char* headers[] = {
+      R"({"schema":"traceweaver.sampler.v1","considered":7,"shed":3,)"
+      R"("kept_interesting":2,"kept_random":2,"last_shed_end":200000000})",
+      R"({"schema":"traceweaver.sampler.v1","considered":0,"shed":0,)"
+      R"("kept_interesting":0,"kept_random":0,"last_shed_end":-1})",
+  };
+  for (const char* header : headers) {
+    std::stringstream framed;
+    ChecksummedWriter w(framed, TailSampler::kStateSchema);
+    w.WriteLine(header);
+    w.Finish();
+    const std::string golden = framed.str();
+    TailSampler sampler{TailSamplerOptions{}};
+    std::string err;
+    ASSERT_TRUE(sampler.LoadState(framed, &err)) << err;
+    std::stringstream out;
+    sampler.SaveState(out);
+    EXPECT_EQ(out.str(), golden);
+  }
 }
 
 /// Per-test store directory helper (mirrors store_test.cc).

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""End-to-end smoke test of the traceweaver CLI, run as a ctest.
+
+Usage:
+    cli_smoke.py <path to the traceweaver binary>
+
+Drives every user-facing command once on a small simulated
+HotelReservation population, in a temporary directory:
+
+ 1. simulate + infer-graph;
+ 2. reconstruct, evaluate, explain <root span id> and export-jaeger, each
+    of which must exit 0 with non-empty stdout;
+ 3. sort-spans, then serve with a store, checkpoints and the tail sampler
+    to EOF;
+ 4. serve --resume on the same files, which must exit 0 and report the
+    weaver checkpoint, the committer state and the sampler state restored;
+ 5. query and provenance against the store.
+
+Exit status is 0 when every step passed, 1 on the first failure (the
+failing command, its exit status and its stderr are printed).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def run(cli, args, stdout_path=None, want_stdout=True):
+    """Runs `cli args`; returns (stdout, stderr), or exits when the command
+    fails or (with `want_stdout`) prints nothing."""
+    out = open(stdout_path, "w") if stdout_path else subprocess.PIPE
+    try:
+        proc = subprocess.run([cli] + args, stdout=out,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        if stdout_path:
+            out.close()
+    stdout = open(stdout_path).read() if stdout_path else proc.stdout
+    if proc.returncode != 0 or (want_stdout and not stdout.strip()):
+        sys.stderr.write("FAIL: %s %s\n  exit %d, %d stdout bytes\n%s" % (
+            os.path.basename(cli), " ".join(args), proc.returncode,
+            len(stdout), proc.stderr))
+        sys.exit(1)
+    return stdout, proc.stderr
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    cli = os.path.abspath(sys.argv[1])
+    with tempfile.TemporaryDirectory(prefix="tw_cli_smoke_") as tmp:
+        spans, graph, ordered = (os.path.join(tmp, f) for f in
+                                 ("spans.jsonl", "graph.txt", "sorted.jsonl"))
+        store, ckpt = os.path.join(tmp, "store"), os.path.join(tmp, "ckpt")
+        os.mkdir(ckpt)
+
+        run(cli, ["simulate", "hotel", "200", "2"], spans)
+        run(cli, ["infer-graph", spans], graph)
+
+        run(cli, ["reconstruct", graph, spans])
+        run(cli, ["evaluate", graph, spans])
+        with open(spans) as f:
+            root = next(json.loads(line)["id"] for line in f
+                        if json.loads(line)["caller"] == "client")
+        run(cli, ["explain", graph, spans, str(root)])
+        run(cli, ["export-jaeger", graph, spans])
+
+        run(cli, ["sort-spans", spans], ordered)
+        serve = ["serve", "--store-dir=" + store, "--checkpoint-dir=" + ckpt,
+                 "--tail-sample=0.5", graph, ordered]
+        run(cli, serve)
+        # Resuming at EOF has nothing left to emit on stdout.
+        _, err = run(cli, serve[:1] + ["--resume"] + serve[1:],
+                     want_stdout=False)
+        for restored in ("serve: resumed from", "pending spans from",
+                         "serve: restored tail sampler state from"):
+            if restored not in err:
+                sys.stderr.write("FAIL: serve --resume did not report %r\n%s"
+                                 % (restored, err))
+                return 1
+
+        listing, _ = run(cli, ["query", store])
+        trace = json.loads(listing.splitlines()[0])["trace"]
+        run(cli, ["provenance", store, str(trace)])
+    print("cli_smoke: all commands passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

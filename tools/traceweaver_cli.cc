@@ -69,9 +69,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -96,6 +98,7 @@
 #include "sim/workload.h"
 #include "store/committer.h"
 #include "store/store.h"
+#include "trace/checkpoint.h"
 #include "trace/jaeger_export.h"
 #include "trace/jsonl_io.h"
 #include "trace/span_validator.h"
@@ -762,24 +765,44 @@ int CmdInferGraph(int argc, char** argv) {
   return 0;
 }
 
+/// A batch command's reconstruction: the spans as ingested (and, with
+/// --skew-correct, shifted into the common clock frame) and the output.
+struct Batch {
+  std::vector<Span> spans;
+  TraceWeaverOutput out;
+};
+
+/// The prologue of reconstruct, export-jaeger, evaluate and explain:
+/// load the graph and spans, build the weaver options (`tune` adds a
+/// command's own last), correct skew, reconstruct, then emit the
+/// observability outputs and the low-confidence warning.
+std::optional<Batch> RunBatch(
+    const CliFlags& flags, const char* graph_path, const char* spans_path,
+    const std::function<void(TraceWeaverOptions&)>& tune = {}) {
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
+  auto graph = LoadGraph(graph_path);
+  auto loaded = LoadSpans(spans_path, flags, reg);
+  if (!graph || !loaded) return std::nullopt;
+  TraceWeaverOptions wopts =
+      WeaverOptions(flags, &registry, loaded->ingest.suggested_slack_ns);
+  ApplySkewCorrection(flags, loaded->spans, wopts, reg);
+  if (tune) tune(wopts);
+  TraceWeaver weaver(*graph, wopts);
+  TraceWeaverOutput out = weaver.Reconstruct(loaded->spans);
+  EmitObservability(flags, registry);
+  WarnLowConfidence(flags, out);
+  return Batch{std::move(loaded->spans), std::move(out)};
+}
+
 int CmdReconstruct(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
   if (argc < 3) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+  const auto batch = RunBatch(flags, argv[1], argv[2]);
+  if (!batch) return 1;
+  const auto& [spans, out] = *batch;
   std::size_t mapped = 0;
-  for (const Span& s : spans->spans) {
+  for (const Span& s : spans) {
     auto it = out.assignment.find(s.id);
     const SpanId parent =
         it == out.assignment.end() ? kInvalidSpanId : it->second;
@@ -789,31 +812,21 @@ int CmdReconstruct(int argc, char** argv) {
     if (parent != kInvalidSpanId) ++mapped;
   }
   std::fprintf(stderr, "%zu of %zu spans mapped to a parent\n", mapped,
-               spans->spans.size());
+               spans.size());
   return 0;
 }
 
 int CmdExportJaeger(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
   if (argc < 3) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+  const auto batch = RunBatch(flags, argv[1], argv[2]);
+  if (!batch) return 1;
+  const auto& [spans, out] = *batch;
   if (flags.quality) {
     const auto tags = QualityTags(out);
-    std::cout << TracesToJaegerJson(spans->spans, out.assignment, &tags)
-              << '\n';
+    std::cout << TracesToJaegerJson(spans, out.assignment, &tags) << '\n';
   } else {
-    std::cout << TracesToJaegerJson(spans->spans, out.assignment) << '\n';
+    std::cout << TracesToJaegerJson(spans, out.assignment) << '\n';
   }
   return 0;
 }
@@ -821,20 +834,10 @@ int CmdExportJaeger(int argc, char** argv) {
 int CmdEvaluate(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
   if (argc < 3) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
-  const AccuracyReport report = Evaluate(spans->spans, out.assignment);
+  const auto batch = RunBatch(flags, argv[1], argv[2]);
+  if (!batch) return 1;
+  const auto& [spans, out] = *batch;
+  const AccuracyReport report = Evaluate(spans, out.assignment);
   std::printf("spans:   %zu considered, %zu correct (%.2f%%)\n",
               report.spans_considered, report.spans_correct,
               report.SpanAccuracy() * 100.0);
@@ -842,14 +845,14 @@ int CmdEvaluate(int argc, char** argv) {
               report.traces_considered, report.traces_correct,
               report.TraceAccuracy() * 100.0);
   std::printf("top-5 end-to-end: %.2f%%\n",
-              TopKTraceAccuracy(spans->spans, out, 5) * 100.0);
+              TopKTraceAccuracy(spans, out, 5) * 100.0);
   std::printf("per-service confidence:\n");
   for (const auto& [service, confidence] : out.ConfidenceByService()) {
     std::printf("  %-24s %.1f%%\n", service.c_str(), confidence * 100.0);
   }
   if (flags.quality) {
     const obs::CalibrationResult acal =
-        obs::CalibrateAssignments(spans->spans, out.containers, out.quality);
+        obs::CalibrateAssignments(spans, out.containers, out.quality);
     const auto pearson_str = [](const obs::CalibrationResult& c) {
       if (!c.pearson_defined) return std::string("n/a");
       char buf[32];
@@ -862,7 +865,7 @@ int CmdEvaluate(int argc, char** argv) {
         acal.samples, pearson_str(acal).c_str(), acal.ece, acal.brier);
     std::fputs(acal.ReliabilityDiagram().c_str(), stdout);
     const obs::CalibrationResult calib =
-        obs::CalibrateTraces(spans->spans, out.quality, out.assignment);
+        obs::CalibrateTraces(spans, out.quality, out.assignment);
     std::printf(
         "calibration (trace confidence vs correctness, %zu traces):\n"
         "  pearson %s   ece %.4f   brier %.4f\n",
@@ -875,23 +878,14 @@ int CmdEvaluate(int argc, char** argv) {
 int CmdExplain(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
   if (argc < 4) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
   const SpanId target = std::strtoull(argv[3], nullptr, 10);
-
   ExplainCapture capture;
-  TraceWeaverOptions opts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, opts, reg);
-  opts.optimizer.explain_parent = target;
-  opts.optimizer.explain_out = &capture;
-  TraceWeaver weaver(*graph, opts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+  const auto batch =
+      RunBatch(flags, argv[1], argv[2], [&](TraceWeaverOptions& opts) {
+        opts.optimizer.explain_parent = target;
+        opts.optimizer.explain_out = &capture;
+      });
+  if (!batch) return 1;
   if (flags.json) {
     std::fputs(ExplainJson(capture).c_str(), stdout);
   } else {
@@ -948,52 +942,20 @@ std::ifstream OpenWithRetry(const std::string& path, int retries,
   }
 }
 
-/// Writes a checkpoint atomically: tmp file + rename, so a crash
-/// mid-write leaves the previous snapshot intact.
-bool WriteCheckpointAtomic(const OnlineTraceWeaver& weaver,
-                           const std::string& dir, std::uint64_t offset) {
-  const std::string path = dir + "/checkpoint.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    weaver.SaveCheckpoint(out, {{"source_offset", offset}});
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/// Same tmp + rename discipline for the committer's pending-trace state,
-/// written next to the weaver checkpoint.
-bool WriteCommitterAtomic(const store::TraceCommitter& committer,
-                          const std::string& dir) {
-  const std::string path = dir + "/committer.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    committer.SaveState(out);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/// And for the tail sampler's counters + shed horizon, so a resumed run
-/// re-decides the replayed stream tail identically.
-bool WriteSamplerAtomic(const store::TailSampler& sampler,
-                        const std::string& dir) {
-  const std::string path = dir + "/sampler.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    sampler.SaveState(out);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+/// Restores one state file for --resume: runs `load(in, &err)` on
+/// `path`. A rejected file is reported on stderr as
+/// `serve: <what> rejected (<reason>)<then>` and the component starts
+/// fresh. Returns nullopt when there is no file, else whether it loaded.
+template <typename Load>
+std::optional<bool> ResumeState(const std::string& path, const char* what,
+                                const char* then, Load&& load) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string err;
+  if (load(in, &err)) return true;
+  std::fprintf(stderr, "serve: %s rejected (%s)%s\n", what, err.c_str(),
+               then);
+  return false;
 }
 
 /// SIGINT/SIGTERM latch for the serve loop: first signal requests a
@@ -1124,63 +1086,46 @@ int CmdServe(int argc, char** argv) {
   }
 
   std::uint64_t offset = 0;
-  if (flags.resume && !flags.checkpoint_dir.empty()) {
-    const std::string path = flags.checkpoint_dir + "/checkpoint.jsonl";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+  const std::string& ckpt_dir = flags.checkpoint_dir;
+  if (flags.resume && !ckpt_dir.empty()) {
+    const std::string path = ckpt_dir + "/checkpoint.jsonl";
+    std::map<std::string, std::uint64_t> extra;
+    const auto resumed = ResumeState(
+        path, "checkpoint", ", starting fresh",
+        [&](std::istream& in, std::string* err) {
+          return weaver.LoadCheckpoint(in, err, &extra);
+        });
+    if (!resumed) {
       std::fprintf(stderr, "serve: no checkpoint at %s, starting fresh\n",
                    path.c_str());
-    } else {
-      std::string err;
-      std::map<std::string, std::uint64_t> extra;
-      if (weaver.LoadCheckpoint(in, &err, &extra)) {
-        const auto it = extra.find("source_offset");
-        offset = it != extra.end() ? it->second : 0;
-        ometrics.restores.Inc();
-        std::fprintf(stderr,
-                     "serve: resumed from %s at source offset %llu\n",
-                     path.c_str(),
-                     static_cast<unsigned long long>(offset));
-      } else {
-        std::fprintf(stderr,
-                     "serve: checkpoint rejected (%s), starting fresh\n",
-                     err.c_str());
-      }
+    } else if (*resumed) {
+      const auto it = extra.find("source_offset");
+      offset = it != extra.end() ? it->second : 0;
+      ometrics.restores.Inc();
+      std::fprintf(stderr, "serve: resumed from %s at source offset %llu\n",
+                   path.c_str(), static_cast<unsigned long long>(offset));
     }
-  }
-  if (flags.resume && committer != nullptr && !flags.checkpoint_dir.empty()) {
-    const std::string cpath = flags.checkpoint_dir + "/committer.jsonl";
-    std::ifstream cin(cpath, std::ios::binary);
-    if (cin) {
-      std::string err;
-      if (committer->LoadState(cin, &err)) {
-        std::fprintf(stderr,
-                     "serve: restored %zu pending spans from %s\n",
-                     committer->pending_spans(), cpath.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "serve: committer state rejected (%s); settling "
-                     "traces will be recovered from replay\n",
-                     err.c_str());
-      }
+    const std::string cpath = ckpt_dir + "/committer.jsonl";
+    if (committer != nullptr &&
+        ResumeState(cpath, "committer state",
+                    "; settling traces will be recovered from replay",
+                    [&](std::istream& in, std::string* err) {
+                      return committer->LoadState(in, err);
+                    }).value_or(false)) {
+      std::fprintf(stderr, "serve: restored %zu pending spans from %s\n",
+                   committer->pending_spans(), cpath.c_str());
     }
-  }
-  if (flags.resume && sampler != nullptr && !flags.checkpoint_dir.empty()) {
-    const std::string spath = flags.checkpoint_dir + "/sampler.jsonl";
-    std::ifstream sin(spath, std::ios::binary);
-    if (sin) {
-      std::string err;
-      if (sampler->LoadState(sin, &err)) {
-        std::fprintf(stderr,
-                     "serve: restored tail sampler state from %s "
-                     "(%zu considered, %zu shed)\n",
-                     spath.c_str(), sampler->considered(), sampler->shed());
-      } else {
-        std::fprintf(stderr,
-                     "serve: sampler state rejected (%s); decisions "
-                     "restart from a fresh horizon\n",
-                     err.c_str());
-      }
+    const std::string spath = ckpt_dir + "/sampler.jsonl";
+    if (sampler != nullptr &&
+        ResumeState(spath, "sampler state",
+                    "; decisions restart from a fresh horizon",
+                    [&](std::istream& in, std::string* err) {
+                      return sampler->LoadState(in, err);
+                    }).value_or(false)) {
+      std::fprintf(stderr,
+                   "serve: restored tail sampler state from %s "
+                   "(%zu considered, %zu shed)\n",
+                   spath.c_str(), sampler->considered(), sampler->shed());
     }
   }
 
@@ -1219,7 +1164,7 @@ int CmdServe(int argc, char** argv) {
   // committer state) before the offset moves, or a crash right after the
   // checkpoint would lose traces the resume will never replay.
   const auto checkpoint_impl = [&]() {
-    if (flags.checkpoint_dir.empty()) return;
+    if (ckpt_dir.empty()) return;
     if (tstore != nullptr) {
       std::string serr;
       if (!tstore->Seal(&serr)) {
@@ -1227,21 +1172,26 @@ int CmdServe(int argc, char** argv) {
         return;  // Keep the previous checkpoint; never outrun durability.
       }
       if (committer != nullptr &&
-          !WriteCommitterAtomic(*committer, flags.checkpoint_dir)) {
+          !WriteFileAtomic(ckpt_dir + "/committer.jsonl",
+                           [&](std::ostream& o) { committer->SaveState(o); })) {
         std::fprintf(stderr, "serve: committer state write failed\n");
         return;
       }
       if (sampler != nullptr &&
-          !WriteSamplerAtomic(*sampler, flags.checkpoint_dir)) {
+          !WriteFileAtomic(ckpt_dir + "/sampler.jsonl",
+                           [&](std::ostream& o) { sampler->SaveState(o); })) {
         std::fprintf(stderr, "serve: sampler state write failed\n");
         return;
       }
     }
-    if (WriteCheckpointAtomic(weaver, flags.checkpoint_dir, offset)) {
+    if (WriteFileAtomic(ckpt_dir + "/checkpoint.jsonl",
+                        [&](std::ostream& o) {
+                          weaver.SaveCheckpoint(o, {{"source_offset", offset}});
+                        })) {
       ometrics.checkpoints.Inc();
     } else {
       std::fprintf(stderr, "serve: checkpoint write to %s failed\n",
-                   flags.checkpoint_dir.c_str());
+                   ckpt_dir.c_str());
     }
   };
   const auto checkpoint = [&]() {
@@ -1356,7 +1306,7 @@ int CmdServe(int argc, char** argv) {
                           wall_ns(t_commit, SteadyClock::now()));
     }
     if (!flags.final_only) EmitWindowResults(results);
-    if (!flags.checkpoint_dir.empty() &&
+    if (!ckpt_dir.empty() &&
         ++since_checkpoint >= flags.checkpoint_every) {
       since_checkpoint = 0;
       checkpoint();

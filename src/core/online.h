@@ -61,9 +61,12 @@
 namespace traceweaver {
 
 struct OnlineOptions {
+  /// Tumbling-window width. Must be > 0: Advance steps the next window
+  /// start by this much until it passes the watermark, so a zero or
+  /// negative width never returns.
   DurationNs window = Seconds(2);
   /// Extra wait beyond the window end before closing it; should exceed the
-  /// maximum span duration.
+  /// maximum span duration. Must be >= 0.
   DurationNs margin = Millis(500);
   TraceWeaverOptions weaver;
 

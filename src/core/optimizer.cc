@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -18,9 +17,7 @@
 #include "obs/pipeline_metrics.h"
 #include "obs/stage_timer.h"
 #include "stats/water_filling.h"
-#include "trace/span_soa.h"
 #include "util/arena.h"
-#include "util/summary.h"
 #include "util/thread_pool.h"
 
 namespace traceweaver {
@@ -45,12 +42,13 @@ struct ParentTask {
   std::vector<CandidateMapping> all_candidates;  ///< Enumerated once.
   /// Children of all_candidates resolved to spans, flat
   /// [cand * positions.size() + pos]; null where skipped. Built once so
-  /// ranking never does per-candidate id lookups.
+  /// the gap table and the explain drill-down never do per-candidate id
+  /// lookups.
   std::vector<const Span*> resolved;
 
-  /// Timing gaps + discrete flags of all_candidates in column-major SoA
-  /// form, extracted once after enumeration (fast data path). Model-free,
-  /// so it survives every ranking iteration unchanged.
+  /// Timing gaps + discrete flags of all_candidates in column-major
+  /// form, extracted once after enumeration. Model-free, so it survives
+  /// every ranking iteration unchanged.
   CandidateGapTable gap_table;
 
   // Reusable per-task scratch (only touched by the thread ranking this
@@ -75,6 +73,12 @@ const std::vector<const Span*>& EmptyPool() {
 struct PoolTable {
   std::map<PoolKey, int> ids;
   std::vector<std::vector<const Span*>> spans;  ///< By id; may be empty.
+  /// The two timestamps the window scans and seed series read, copied
+  /// into contiguous columns parallel to `spans` (client_send order) so
+  /// those loops never chase span pointers. Filled by BuildColumns once
+  /// the pools are final.
+  std::vector<std::vector<TimeNs>> client_send;
+  std::vector<std::vector<TimeNs>> client_recv;
 
   int Intern(const PoolKey& key) {
     auto [it, inserted] = ids.emplace(key, static_cast<int>(spans.size()));
@@ -86,6 +90,19 @@ struct PoolTable {
     return it == ids.end() ? -1 : it->second;
   }
   std::size_t size() const { return spans.size(); }
+
+  void BuildColumns() {
+    client_send.resize(spans.size());
+    client_recv.resize(spans.size());
+    for (std::size_t p = 0; p < spans.size(); ++p) {
+      client_send[p].reserve(spans[p].size());
+      client_recv[p].reserve(spans[p].size());
+      for (const Span* s : spans[p]) {
+        client_send[p].push_back(s->client_send);
+        client_recv[p].push_back(s->client_recv);
+      }
+    }
+  }
 };
 
 /// Everything shared across the pipeline stages for one container.
@@ -99,13 +116,6 @@ struct Workspace {
   const obs::PipelineMetrics* pm = nullptr;
 
   PoolTable pools;
-  /// Structure-of-arrays columns per pool id (timestamps, thread ids,
-  /// interned names), built once after the pools settle; the window scans
-  /// and seed-series loops walk these contiguous arrays instead of chasing
-  /// Span pointers. Only filled on the fast data path.
-  std::vector<SpanColumns> pool_columns;
-  NameInterner names;
-  bool fast_path = false;  ///< OptimizerOptions::fast_data_path.
   std::unordered_map<SpanId, const Span*> span_by_id;
   std::vector<ParentTask> tasks;       ///< Sorted by SpanStartOrder.
   std::vector<const Span*> task_spans; ///< Parallel to tasks, for batching.
@@ -276,8 +286,7 @@ void EnumerateAll(Workspace& ws) {
     std::uint64_t allocs = 0; ///< Allocate() calls this task issued.
   };
   std::vector<EnumerationStats> stats(ws.tasks.size());
-  std::vector<ArenaTaskStats> arena_stats(
-      ws.fast_path ? ws.tasks.size() : 0);
+  std::vector<ArenaTaskStats> arena_stats(ws.tasks.size());
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
     ParentTask& task = ws.tasks[t];
     EnumerationOptions task_opts = eopts;
@@ -290,25 +299,20 @@ void EnumerateAll(Workspace& ws) {
     // The DFS fills the flat resolved-pointer buffer as a side product of
     // emitting each mapping, so no id -> span resolution pass is needed.
     task_opts.resolved_out = &task.resolved;
-    if (ws.fast_path) {
-      // One warmed-up arena per worker thread, rewound between tasks: after
-      // the first few tasks the DFS scratch never touches the heap again.
-      thread_local ArenaAllocator arena;
-      arena.Reset();
-      const std::uint64_t allocs_before = arena.allocations();
-      task_opts.scratch = &arena;
-      task.all_candidates =
-          EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
-      // The gap table is model-free, so it is built once here and reused by
-      // every ranking iteration's batched scoring pass.
-      task.gap_table = BuildGapTable(
-          *task.span, task.positions, task.resolved.data(),
-          task.all_candidates.size(), eopts.use_order_constraints);
-      arena_stats[t] = {arena.used(), arena.allocations() - allocs_before};
-    } else {
-      task.all_candidates =
-          EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
-    }
+    // One warmed-up arena per worker thread, rewound between tasks: after
+    // the first few tasks the DFS scratch never touches the heap again.
+    thread_local ArenaAllocator arena;
+    arena.Reset();
+    const std::uint64_t allocs_before = arena.allocations();
+    task_opts.scratch = &arena;
+    task.all_candidates =
+        EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
+    // The gap table is model-free, so it is built once here and reused by
+    // every ranking iteration's batched scoring pass.
+    task.gap_table = BuildGapTable(
+        *task.span, task.positions, task.resolved.data(),
+        task.all_candidates.size(), eopts.use_order_constraints);
+    arena_stats[t] = {arena.used(), arena.allocations() - allocs_before};
   });
 
   const obs::PipelineMetrics& pm = *ws.pm;
@@ -321,19 +325,15 @@ void EnumerateAll(Workspace& ws) {
     total.total_capped += stats[t].total_capped;
     candidates += ws.tasks[t].all_candidates.size();
     pm.candidates_per_parent.Observe(ws.tasks[t].all_candidates.size());
-    if (ws.fast_path) {
-      arena_bytes += arena_stats[t].used;
-      arena_allocs += arena_stats[t].allocs;
-    }
+    arena_bytes += arena_stats[t].used;
+    arena_allocs += arena_stats[t].allocs;
   }
   pm.candidates.Inc(candidates);
   pm.enum_dfs_nodes.Inc(total.dfs_nodes);
   pm.enum_branch_limited.Inc(total.branch_limited);
   pm.enum_total_capped.Inc(total.total_capped);
-  if (ws.fast_path) {
-    pm.arena_scratch_bytes.Inc(arena_bytes);
-    pm.arena_allocations.Inc(arena_allocs);
-  }
+  pm.arena_scratch_bytes.Inc(arena_bytes);
+  pm.arena_allocations.Inc(arena_allocs);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,27 +341,14 @@ void EnumerateAll(Workspace& ws) {
 // dynamism).
 // ---------------------------------------------------------------------------
 
-/// Widened copy of one pool timestamp column: the fast path reads the
-/// contiguous SoA column, the fallback chases the span pointers; both
-/// produce the same values in the same (client_send-sorted) order.
+/// Widened copy of one pool timestamp column, in the pool's
+/// (client_send-sorted) order.
 std::vector<double> PoolSeries(const Workspace& ws, const ParentTask& task,
                                std::size_t pos_idx, bool response_side) {
-  std::vector<double> out;
-  if (ws.fast_path) {
-    const auto id = static_cast<std::size_t>(task.position_pool[pos_idx]);
-    const std::vector<TimeNs>& col = response_side
-                                         ? ws.pool_columns[id].client_recv
-                                         : ws.pool_columns[id].client_send;
-    out.reserve(col.size());
-    for (const TimeNs t : col) out.push_back(static_cast<double>(t));
-    return out;
-  }
-  out.reserve(task.pools[pos_idx]->size());
-  for (const Span* c : *task.pools[pos_idx]) {
-    out.push_back(
-        static_cast<double>(response_side ? c->client_recv : c->client_send));
-  }
-  return out;
+  const auto id = static_cast<std::size_t>(task.position_pool[pos_idx]);
+  const std::vector<TimeNs>& col =
+      response_side ? ws.pools.client_recv[id] : ws.pools.client_send[id];
+  return std::vector<double>(col.begin(), col.end());
 }
 
 /// Series of enabling-event proxies per position: the parents' request
@@ -474,22 +461,18 @@ void SeedFromWap5(const Workspace& ws, DelayModel& model) {
   std::map<DelayKey, std::vector<double>> samples;
   for (const auto& [pkey, pid] : ws.pools.ids) {
     (void)pkey;
-    const auto& pool = ws.pools.spans[static_cast<std::size_t>(pid)];
-    const auto& cs = callers[static_cast<std::size_t>(pid)];
-    if (pool.empty() || cs.empty()) continue;
+    const auto p = static_cast<std::size_t>(pid);
+    const std::vector<TimeNs>& sends = ws.pools.client_send[p];
+    const std::vector<TimeNs>& recvs = ws.pools.client_recv[p];
+    const auto& cs = callers[p];
+    if (sends.empty() || cs.empty()) continue;
     // Children are sorted by client_send, so the cursor over eligible
     // parents only moves forward; the backward walk finds the most recent
-    // parent whose response window still covers the child. The fast path
-    // reads the pool's SoA timestamp columns; values are identical.
-    const SpanColumns* col =
-        ws.fast_path ? &ws.pool_columns[static_cast<std::size_t>(pid)]
-                     : nullptr;
+    // parent whose response window still covers the child.
     std::size_t hi = 0;
-    for (std::size_t ci = 0; ci < pool.size(); ++ci) {
-      const TimeNs child_send =
-          col != nullptr ? col->client_send[ci] : pool[ci]->client_send;
-      const TimeNs child_recv =
-          col != nullptr ? col->client_recv[ci] : pool[ci]->client_recv;
+    for (std::size_t ci = 0; ci < sends.size(); ++ci) {
+      const TimeNs child_send = sends[ci];
+      const TimeNs child_recv = recvs[ci];
       while (hi < cs.size() &&
              ws.tasks[cs[hi].task].span->server_recv <= child_send) {
         ++hi;
@@ -566,7 +549,8 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
     // spans confined to the batch's time window.
     std::vector<std::size_t> quotas(batches.size(), 0);
     std::vector<std::size_t> demand(batches.size(), 0);
-    const auto& pool = ws.pools.spans[p];
+    const std::vector<TimeNs>& sends = ws.pools.client_send[p];
+    const std::vector<TimeNs>& recvs = ws.pools.client_recv[p];
     for (std::size_t b = 0; b < batches.size(); ++b) {
       std::size_t x = 0;
       for (std::size_t t = batches[b].begin; t < batches[b].end; ++t) {
@@ -577,26 +561,13 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
       std::size_t y = 0;
       // Pool spans are sorted by client_send: jump to the window start and
       // stop once past its end (client_recv <= hi implies
-      // client_send <= hi). The fast path binary-searches and walks the
-      // contiguous SoA timestamp columns instead of span pointers.
-      if (ws.fast_path) {
-        const SpanColumns& col = ws.pool_columns[p];
-        const auto first = std::lower_bound(col.client_send.begin(),
-                                            col.client_send.end(), win_lo[b]);
-        for (auto i = static_cast<std::size_t>(
-                 first - col.client_send.begin());
-             i < col.client_send.size(); ++i) {
-          if (col.client_send[i] > win_hi[b]) break;
-          if (col.client_recv[i] <= win_hi[b]) ++y;
-        }
-      } else {
-        const auto first = std::lower_bound(
-            pool.begin(), pool.end(), win_lo[b],
-            [](const Span* s, TimeNs t) { return s->client_send < t; });
-        for (auto it = first; it != pool.end(); ++it) {
-          if ((*it)->client_send > win_hi[b]) break;
-          if ((*it)->client_recv <= win_hi[b]) ++y;
-        }
+      // client_send <= hi).
+      const auto first =
+          std::lower_bound(sends.begin(), sends.end(), win_lo[b]);
+      for (auto i = static_cast<std::size_t>(first - sends.begin());
+           i < sends.size(); ++i) {
+        if (sends[i] > win_hi[b]) break;
+        if (recvs[i] <= win_hi[b]) ++y;
       }
       demand[b] = x;
       quotas[b] = x > y ? x - y : 0;
@@ -689,26 +660,16 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
     const ScoringContext ctx =
         TaskScoringContext(ws, task, batch_rates[batch_of_task[t]], model);
 
-    const std::size_t npos = task.positions.size();
+    // One batched LogPdf per gap-table column instead of one per
+    // (candidate, position); scores accumulate in ScoreMapping's exact
+    // floating-point order, so the explain drill-down reproduces them.
     const std::size_t n = task.all_candidates.size();
+    task.scores.resize(n);
+    task.lp_scratch.resize(n);
+    ScoreCandidatesBatch(task.gap_table, ctx, task.scores, task.lp_scratch);
     task.order.resize(n);
-    if (ws.fast_path) {
-      // One batched LogPdf per gap-table column instead of one per
-      // (candidate, position); scores accumulate in ScoreMapping's exact
-      // floating-point order, so the ranking is bitwise unchanged.
-      task.scores.resize(n);
-      task.lp_scratch.resize(n);
-      ScoreCandidatesBatch(task.gap_table, ctx, task.scores,
-                           task.lp_scratch);
-      for (std::size_t c = 0; c < n; ++c) {
-        task.order[c] = {task.scores[c], static_cast<std::uint32_t>(c)};
-      }
-    } else {
-      for (std::size_t c = 0; c < n; ++c) {
-        task.order[c] = {
-            ScoreMapping(*task.span, task.resolved.data() + c * npos, ctx),
-            static_cast<std::uint32_t>(c)};
-      }
+    for (std::size_t c = 0; c < n; ++c) {
+      task.order[c] = {task.scores[c], static_cast<std::uint32_t>(c)};
     }
     const std::size_t keep = std::min(top_k, n);
     std::partial_sort(
@@ -1177,19 +1138,15 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   ContainerResult result;
   result.instance = view.instance;
 
-  ws.fast_path = options.fast_data_path;
   {
     auto t = timer(obs::Stage::kSetup);
     BuildPools(ws);
     BuildTasks(ws);
-    if (!ws.tasks.empty()) DetectDynamism(ws);
-    if (ws.fast_path && !ws.tasks.empty()) {
+    if (!ws.tasks.empty()) {
+      DetectDynamism(ws);
       // Pool spans are final after task construction (interning done), so
-      // the SoA columns can be extracted once for the whole optimization.
-      ws.pool_columns.resize(ws.pools.size());
-      for (std::size_t p = 0; p < ws.pools.size(); ++p) {
-        ws.pool_columns[p].Build(ws.pools.spans[p], &ws.names);
-      }
+      // the timestamp columns are copied once for the whole optimization.
+      ws.pools.BuildColumns();
     }
   }
   result.leaf_parents = ws.leaf_parents;

@@ -11,6 +11,15 @@
 // Skip-span budgets for dynamism are sized from per-backend discrepancies
 // and spread across batches by water-filling (§4.2).
 //
+// There is one data path (DESIGN.md §4g). Each candidate pool's
+// client_send/client_recv timestamps are copied into contiguous columns
+// for the window scans and seed series; each task's candidate gaps are
+// extracted once into a gap table and scored with one batched LogPdf per
+// plan position; enumeration scratch comes from a per-worker arena. The
+// batch scorer adds its terms in the scalar ScoreMapping's order, so the
+// explain drill-down, which rescores through ScoreMapping, reproduces
+// every ranked score bit for bit.
+//
 // The ablation toggles in OptimizerOptions correspond to Fig. 5's lines:
 // dependency-order constraints, iteration, and joint (batched) optimization
 // can each be disabled independently.
@@ -53,15 +62,6 @@ struct OptimizerOptions {
 
   /// Enable §4.2 skip-span handling when discrepancies are observed.
   bool enable_dynamism = true;
-
-  /// Fast single-thread data path: structure-of-arrays pool columns for
-  /// the window scans, per-task candidate gap tables scored with batched
-  /// LogPdf calls, and per-worker arena-backed enumeration scratch.
-  /// Assignments, ranked scores and quality grades are bit-identical with
-  /// the toggle on or off -- the batch path accumulates every score in
-  /// exactly ScoreMapping's floating-point order (see DESIGN.md §4g).
-  /// Off exists for A/B verification and as a debugging fallback.
-  bool fast_data_path = true;
 
   /// Thread-affinity hints (§7 future work). kSoft adds a ranking bonus to
   /// children sent from the parent's pickup thread; kHard prunes all other

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "trace/span.h"
-#include "trace/span_validator.h"
 
 namespace traceweaver::obs {
 class MetricsRegistry;  // obs/metrics.h
@@ -110,13 +109,13 @@ struct PairSkewStats {
 
 /// Streaming skew estimator + corrector. Not thread-safe; each pipeline
 /// owns one (the optimizer never touches it concurrently).
-class SkewEstimator : public SkewObserver {
+class SkewEstimator {
  public:
   explicit SkewEstimator(SkewEstimatorOptions options = {});
 
   /// Record-level evidence: one assembled span contributes its request and
   /// response cross-vantage gaps for the (caller, callee) vantage pair.
-  void ObserveSpan(const Span& s) override;
+  void ObserveSpan(const Span& s);
   /// Event-level evidence (span assembly feeds this before emitting spans).
   void ObserveGaps(const VantageKey& caller, const VantageKey& callee,
                    std::int64_t request_gap_ns, std::int64_t response_gap_ns);

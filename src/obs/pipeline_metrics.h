@@ -107,7 +107,7 @@ struct PipelineMetrics {
   Counter mwis_bb_nodes;   ///< tw_mwis_bb_nodes_total
   Counter mwis_fallbacks;  ///< tw_mwis_fallbacks_total
 
-  // --- Arena scratch (enumeration / conflict-graph fast path). ---
+  // --- Arena scratch (enumeration / conflict-graph assembly). ---
   Counter arena_scratch_bytes;  ///< tw_arena_scratch_bytes_total
   Counter arena_allocations;    ///< tw_arena_allocations_total
   Histogram arena_high_water;   ///< tw_arena_high_water_bytes (per scope).

@@ -197,11 +197,6 @@ SpanVerdict SpanValidator::Admit(Span& s) {
       quarantine_.push_back(s);
       break;
   }
-  if (verdict != SpanVerdict::kQuarantined &&
-      options_.skew_observer != nullptr &&
-      options_.mode != IngestMode::kOff) {
-    options_.skew_observer->ObserveSpan(s);
-  }
   return verdict;
 }
 

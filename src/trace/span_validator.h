@@ -63,26 +63,12 @@ enum class SpanVerdict {
   kQuarantined,  ///< Rejected; available via SpanValidator::quarantine().
 };
 
-/// Sink for per-span skew evidence: every span the validator keeps is
-/// offered to the observer (not just inversions -- positive cross-vantage
-/// gaps bound the feasible clock offset from the other side). Implemented
-/// by core/skew_estimator.h; declared here so the trace layer never
-/// depends on core.
-class SkewObserver {
- public:
-  virtual ~SkewObserver() = default;
-  virtual void ObserveSpan(const Span& s) = 0;
-};
-
 struct SpanValidatorOptions {
   IngestMode mode = IngestMode::kLenient;
   /// Replica indices outside [0, max_replica] are out of range.
   int max_replica = 1 << 20;
   /// Optional registry the final stats are flushed into by Finish().
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional skew-evidence sink fed every kept span (post same-clock
-  /// repair, which never touches the cross-vantage gaps). Not owned.
-  SkewObserver* skew_observer = nullptr;
   /// Optional decision-provenance sink (obs/provenance.h): every repair
   /// (clamp, id remap) and rejection (duplicate drop, quarantine) is
   /// recorded against the span's final id. Null disables recording;

@@ -347,32 +347,20 @@ TEST(Explain, ScoresMatchRankingUnderSamplingWithPinnedPools) {
     }
   }
   ASSERT_FALSE(pinned.empty());
-  TraceWeaverOptions opts;
-  opts.optimizer.params.sampling_rate = 0.5;
-  opts.optimizer.pinned = &pinned;
-  const TraceWeaverOutput base =
-      TraceWeaver(p.graph, opts).Reconstruct(p.spans);
+  OptimizerOptions opts;
+  opts.params.sampling_rate = 0.5;
+  opts.pinned = &pinned;
 
+  const SpanStore store(p.spans);
   std::size_t explained = 0;
-  for (const ContainerResult& c : base.containers) {
-    if (c.instance.service != "frontend") continue;
-    for (const ParentResult& r : c.parents) {
+  for (const ContainerView& view : store.AllViews()) {
+    if (view.instance.service != "frontend") continue;
+    const ContainerResult base = OptimizeContainer(view, p.graph, opts);
+    for (const ParentResult& r : base.parents) {
       if (explained == 40) break;
       if (r.ranked.empty()) continue;
       ++explained;
-      ExplainCapture capture;
-      TraceWeaverOptions armed = opts;
-      armed.optimizer.explain_parent = r.parent;
-      armed.optimizer.explain_out = &capture;
-      TraceWeaver(p.graph, armed).Reconstruct(p.spans);
-      ASSERT_TRUE(capture.found);
-      ASSERT_GE(capture.candidates.size(), r.ranked.size());
-      for (std::size_t j = 0; j < r.ranked.size(); ++j) {
-        EXPECT_EQ(capture.candidates[j].children, r.ranked[j].children);
-        EXPECT_EQ(capture.candidates[j].score, r.ranked[j].score)
-            << "parent " << r.parent << " rank " << j;
-        EXPECT_EQ(capture.candidates[j].breakdown.total, r.ranked[j].score);
-      }
+      testing::ExpectExplainMatchesRanking(view, p.graph, opts, r.parent);
     }
   }
   EXPECT_EQ(explained, 40u);

@@ -1,13 +1,19 @@
 // Shared helpers for the test suite: terse span construction, small
-// canned call graphs, and hostile strings for the JSON codec properties.
+// canned call graphs, hostile strings for the JSON codec properties, and
+// the explain witness of the optimizer's ranking.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "callgraph/call_graph.h"
+#include "core/explain.h"
+#include "core/optimizer.h"
 #include "trace/span.h"
+#include "trace/trace_store.h"
 #include "util/rng.h"
 
 namespace traceweaver::testing {
@@ -103,6 +109,38 @@ inline bool HasRawControlByte(std::string_view text) {
     if (static_cast<unsigned char>(c) < 0x20) return true;
   }
   return false;
+}
+
+/// Explain witness: optimizes `view` with the drill-down armed on
+/// `parent` and expects the captured rows to reproduce that run's ranking
+/// bit for bit -- children, score and the breakdown's re-added total of
+/// every ranked candidate. The ranking scores through the batch kernel
+/// (ScoreCandidatesBatch) and the drill-down through the scalar
+/// ScoreMapping, so any divergence in term order or arithmetic shows here.
+inline void ExpectExplainMatchesRanking(const ContainerView& view,
+                                        const CallGraph& graph,
+                                        OptimizerOptions opts,
+                                        SpanId parent) {
+  ExplainCapture capture;
+  opts.explain_parent = parent;
+  opts.explain_out = &capture;
+  const ContainerResult result = OptimizeContainer(view, graph, opts);
+  const ParentResult* r = nullptr;
+  for (const ParentResult& p : result.parents) {
+    if (p.parent == parent) r = &p;
+  }
+  ASSERT_NE(r, nullptr) << "parent " << parent;
+  ASSERT_TRUE(capture.found) << "parent " << parent;
+  ASSERT_GE(capture.candidates.size(), r->ranked.size());
+  for (std::size_t j = 0; j < r->ranked.size(); ++j) {
+    const ExplainCandidate& row = capture.candidates[j];
+    EXPECT_EQ(row.children, r->ranked[j].children)
+        << "parent " << parent << " rank " << j;
+    EXPECT_EQ(row.score, r->ranked[j].score)
+        << "parent " << parent << " rank " << j;
+    EXPECT_EQ(row.breakdown.total, r->ranked[j].score)
+        << "parent " << parent << " rank " << j;
+  }
 }
 
 }  // namespace traceweaver::testing

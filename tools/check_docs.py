@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker, run as a ctest (`ctest -R check_docs`).
 
-Four audits, all against the working tree (no build needed):
+Five audits, all against the working tree (no build needed):
 
  1. Relative markdown links in README.md, DESIGN.md and docs/*.md must
     point at files that exist.
@@ -12,6 +12,9 @@ Four audits, all against the working tree (no build needed):
     docs/METRICS.md.
  4. The provenance event-type vocabulary (src/obs/provenance.cc) and the
     catalogue in docs/API.md must list exactly the same wire names.
+ 5. Every backticked source path (`*.h`, `*.cc`, `*.cpp`, `*.py`, with an
+    optional `:line` suffix) in those docs must name a file that exists,
+    relative to the repo root or to src/.
 
 Exit status is the number of problems found; each problem is printed as
 `file: message` so editors can jump to it.
@@ -41,6 +44,7 @@ LITERAL_RE = re.compile(r'"(tw_[a-z0-9_]+)"')
 # Derived series are emitted as literal exposition text ("# HELP name …")
 # rather than registered through the registry; count those names too.
 EXPOSITION_RE = re.compile(r"# (?:HELP|TYPE) (tw_[a-z0-9_]+)")
+SOURCE_PATH_RE = re.compile(r"`([A-Za-z0-9_./-]+\.(?:h|cc|cpp|py))(?::[0-9,-]+)?`")
 
 
 def read(relpath):
@@ -57,6 +61,16 @@ def check_links(problems):
             path = target.split("#", 1)[0]
             if path and not os.path.exists(os.path.join(base, path)):
                 problems.append(f"{doc}: dead link -> {target}")
+
+
+def check_source_paths(problems):
+    for doc in DOC_FILES:
+        for path in sorted(set(SOURCE_PATH_RE.findall(read(doc)))):
+            if not any(
+                os.path.isfile(os.path.join(ROOT, base, path))
+                for base in ("", "src")
+            ):
+                problems.append(f"{doc}: source path `{path}` does not exist")
 
 
 def source_metric_names():
@@ -146,6 +160,7 @@ def check_provenance_vocabulary(problems):
 def main():
     problems = []
     check_links(problems)
+    check_source_paths(problems)
     names = source_metric_names()
     check_doc_mentions(problems, names)
     check_metrics_catalogue(problems, names)

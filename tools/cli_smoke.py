@@ -14,7 +14,9 @@ HotelReservation population, in a temporary directory:
     to EOF;
  4. serve --resume on the same files, which must exit 0 and report the
     weaver checkpoint, the committer state and the sampler state restored;
- 5. query and provenance against the store.
+ 5. query and provenance against the store;
+ 6. serve with a window of zero or a non-numeric window, each of which
+    must be rejected with exit status 2 (never loop).
 
 Exit status is 0 when every step passed, 1 on the first failure (the
 failing command, its exit status and its stderr are printed).
@@ -44,6 +46,23 @@ def run(cli, args, stdout_path=None, want_stdout=True):
             len(stdout), proc.stderr))
         sys.exit(1)
     return stdout, proc.stderr
+
+
+def expect_exit(cli, args, status):
+    """Runs `cli args` with a short timeout (subprocess.run kills a hung
+    child) and exits unless it terminates with `status`."""
+    try:
+        proc = subprocess.run([cli] + args, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write("FAIL: %s %s\n  still running after 10 s\n" % (
+            os.path.basename(cli), " ".join(args)))
+        sys.exit(1)
+    if proc.returncode != status:
+        sys.stderr.write("FAIL: %s %s\n  exit %d, want %d\n%s" % (
+            os.path.basename(cli), " ".join(args), proc.returncode, status,
+            proc.stderr))
+        sys.exit(1)
 
 
 def main():
@@ -85,6 +104,10 @@ def main():
         listing, _ = run(cli, ["query", store])
         trace = json.loads(listing.splitlines()[0])["trace"]
         run(cli, ["provenance", store, str(trace)])
+
+        for window in ("0", "abc"):
+            expect_exit(cli, ["serve", "--window-ms=" + window, graph,
+                              ordered], 2)
     print("cli_smoke: all commands passed")
     return 0
 

@@ -1010,6 +1010,12 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "serve: --tail-sample requires --store-dir\n");
     return 2;
   }
+  // Non-numeric values parse as 0, so this also rejects --window-ms=abc.
+  if (flags.window_ms <= 0 || flags.margin_ms < 0) {
+    std::fprintf(stderr,
+                 "serve: --window-ms must be > 0 and --margin-ms >= 0\n");
+    return 2;
+  }
   auto graph = LoadGraph(argv[1]);
   if (!graph) return 1;
   const std::string source = argv[2];

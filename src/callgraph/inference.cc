@@ -7,6 +7,10 @@
 namespace traceweaver {
 namespace {
 
+/// Minimum fraction of observations a call must appear in to be part of
+/// the plan at all (guards against stray spans in noisy captures).
+constexpr double kMinSupport = 0.05;
+
 /// One observed invocation of a handler: the parent span plus the child
 /// spans nested in its processing window.
 struct HandlerObservation {
@@ -46,8 +50,7 @@ std::map<HandlerKey, std::vector<HandlerObservation>> CollectObservations(
   return observations;
 }
 
-InvocationPlan InferPlan(const std::vector<HandlerObservation>& observations,
-                         const InferenceOptions& options) {
+InvocationPlan InferPlan(const std::vector<HandlerObservation>& observations) {
   // 1. Gather the callee universe and per-callee support counts.
   std::map<CalleeKey, std::size_t> support;
   for (const auto& obs : observations) {
@@ -60,7 +63,7 @@ InvocationPlan InferPlan(const std::vector<HandlerObservation>& observations,
   std::vector<CalleeKey> callees;
   const auto total = static_cast<double>(observations.size());
   for (const auto& [key, count] : support) {
-    if (static_cast<double>(count) / total >= options.min_support) {
+    if (static_cast<double>(count) / total >= kMinSupport) {
       callees.push_back(key);
     }
   }
@@ -173,11 +176,10 @@ std::vector<std::vector<std::size_t>> GroupIsolatedTraces(
   return groups;
 }
 
-CallGraph InferCallGraph(const std::vector<Span>& test_spans,
-                         const InferenceOptions& options) {
+CallGraph InferCallGraph(const std::vector<Span>& test_spans) {
   CallGraph graph;
   for (auto& [key, observations] : CollectObservations(test_spans)) {
-    graph.SetPlan(key, InferPlan(observations, options));
+    graph.SetPlan(key, InferPlan(observations));
   }
   return graph;
 }

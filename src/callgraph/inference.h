@@ -22,17 +22,10 @@
 
 namespace traceweaver {
 
-struct InferenceOptions {
-  /// Minimum fraction of observations a call must appear in to be part of
-  /// the plan at all (guards against stray spans in noisy captures).
-  double min_support = 0.05;
-};
-
 /// Learns the full CallGraph from test spans captured under one-at-a-time
 /// replay. `test_spans` is the flat span population of the test run; root
 /// spans (caller == kClientCaller) delimit the isolated requests.
-CallGraph InferCallGraph(const std::vector<Span>& test_spans,
-                         const InferenceOptions& options = {});
+CallGraph InferCallGraph(const std::vector<Span>& test_spans);
 
 /// Groups an isolated-replay span population into traces: each root span
 /// claims every span nested (by timing) inside the in-flight request.

@@ -55,6 +55,23 @@ std::map<SpanId, std::uint64_t> AssignSpanConnections(
 
 namespace {
 
+/// How far (ns) a same-stream response may precede its request before
+/// the reorder buffer gives up on it (delivery reordering within the
+/// jitter/skew window); older pending responses count as unmatched.
+constexpr DurationNs kReorderWindow = Micros(500);
+/// Pending reordered responses held per (connection, vantage) stream.
+constexpr std::size_t kReorderCapacity = 8;
+/// Nesting-alignment slack between the caller and callee windows of one
+/// RPC (tolerates cross-vantage skew during the half-span zip).
+constexpr DurationNs kAlignSlack = Micros(500);
+/// Skew-evidence pairing window: a caller half and a callee half count as
+/// the same RPC for the estimator only when their request timestamps
+/// agree within this bound. Must exceed any plausible skew + jitter and
+/// stay below per-connection RPC spacing; the two-pointer walk advances
+/// the earlier side otherwise, so it re-synchronizes right after an event
+/// loss instead of mis-pairing every later RPC on the connection.
+constexpr DurationNs kSkewMatchWindow = Millis(1);
+
 NetEvent MakeEvent(const Span& s, std::uint64_t conn, EventKind kind,
                    Vantage vantage, TimeNs ts) {
   NetEvent e;
@@ -238,7 +255,7 @@ std::vector<Span> AssembleSpans(std::vector<NetEvent> events,
       // Pending responses too old to belong to this request were real
       // orphans (their request event was dropped).
       while (!side.pending.empty() &&
-             side.pending.front()->timestamp + options.reorder_window <
+             side.pending.front()->timestamp + kReorderWindow <
                  e.timestamp) {
         side.pending.pop_front();
         ++local.unmatched_responses;
@@ -261,7 +278,7 @@ std::vector<Span> AssembleSpans(std::vector<NetEvent> events,
     } else {
       if (side.open == nullptr) {
         side.pending.push_back(&e);
-        if (side.pending.size() > options.reorder_capacity) {
+        if (side.pending.size() > kReorderCapacity) {
           side.pending.pop_front();
           ++local.unmatched_responses;
         }
@@ -301,11 +318,11 @@ std::vector<Span> AssembleSpans(std::vector<NetEvent> events,
         const HalfSpan& a = st.caller.halves[i];
         const HalfSpan& b = st.callee.halves[j];
         const std::int64_t dreq = b.request_ts - a.request_ts;
-        if (dreq > options.skew_match_window) {
+        if (dreq > kSkewMatchWindow) {
           ++i;  // Caller half too old: its callee events were lost.
           continue;
         }
-        if (dreq < -options.skew_match_window) {
+        if (dreq < -kSkewMatchWindow) {
           ++j;  // Callee half too old: its caller events were lost.
           continue;
         }
@@ -348,7 +365,6 @@ std::vector<Span> AssembleSpans(std::vector<NetEvent> events,
       // A connection serializes its RPCs, so a caller half and a callee
       // half belong to the same RPC exactly when their windows overlap
       // (callee nested in caller, modulo vantage clock skew).
-      const DurationNs kAlignSlack = options.align_slack;
       std::size_t i = 0, j = 0;
       while (i < st.caller.halves.size() && j < st.callee.halves.size()) {
         const HalfSpan& caller = st.caller.halves[i];

@@ -65,8 +65,8 @@ struct AssemblyStats {
   std::size_t skew_corrected_spans = 0;
 };
 
-/// Knobs of the span-assembly step (all defaults reproduce the historical
-/// behavior bit-for-bit on in-order, skew-free input).
+/// Skew correction of the span-assembly step (off by default, which keeps
+/// in-order, skew-free input bit-identical).
 struct AssemblyOptions {
   /// Estimate per-vantage clock offsets from this batch's cross-vantage
   /// gaps and shift every half-span into a common frame *before* the
@@ -77,22 +77,6 @@ struct AssemblyOptions {
   /// offsets out to per-edge slack derivation). Optional: when null and
   /// skew_correct is set, a batch-local estimator is used. Not owned.
   SkewEstimator* estimator = nullptr;
-  /// How far (ns) a same-stream response may precede its request before
-  /// the reorder buffer gives up on it (delivery reordering within the
-  /// jitter/skew window); older pending responses count as unmatched.
-  DurationNs reorder_window = Micros(500);
-  /// Pending reordered responses held per (connection, vantage) stream.
-  std::size_t reorder_capacity = 8;
-  /// Nesting-alignment slack between the caller and callee windows of one
-  /// RPC (tolerates cross-vantage skew during the half-span zip).
-  DurationNs align_slack = Micros(500);
-  /// Skew-evidence pairing window: a caller half and a callee half count
-  /// as the same RPC for the estimator only when their request timestamps
-  /// agree within this bound. Must exceed any plausible skew + jitter and
-  /// stay below per-connection RPC spacing; the two-pointer walk advances
-  /// the earlier side otherwise, so it re-synchronizes right after an
-  /// event loss instead of mis-pairing every later RPC on the connection.
-  DurationNs skew_match_window = Millis(1);
 };
 
 /// Reassembles spans from an event stream (any order; sorted internally).

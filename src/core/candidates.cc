@@ -7,6 +7,10 @@
 namespace traceweaver {
 namespace {
 
+/// Log-score bonus per thread-matched child under the soft
+/// thread-affinity hint (ScoringContext::thread_bonus).
+constexpr double kThreadMatchBonus = 1.5;
+
 template <typename T>
 using ArenaVec = std::vector<T, ArenaStlAllocator<T>>;
 using ArenaIdSet =
@@ -213,9 +217,9 @@ double ScoreTerms(const Span& parent, const Span* const* children,
       [&](std::size_t i, const Span& child, double gap) {
         const ScoringContext::PositionScore& ps = table[i];
         score += ps.keep_lp;
-        const bool bonus = ctx.thread_match_bonus > 0.0 &&
+        const bool bonus = ctx.thread_bonus &&
                            child.caller_thread == parent.handler_thread;
-        if (bonus) score += ctx.thread_match_bonus;
+        if (bonus) score += kThreadMatchBonus;
         const double timing = NormalizedLogPdf(ps.dist, ps.max_log_pdf, gap);
         score += timing;
         if (rows != nullptr) {
@@ -223,7 +227,7 @@ double ScoreTerms(const Span& parent, const Span* const* children,
           row.skipped = false;
           row.child = child.id;
           row.discrete_lp = ps.keep_lp;
-          if (bonus) row.thread_bonus = ctx.thread_match_bonus;
+          if (bonus) row.thread_bonus = kThreadMatchBonus;
           row.gap_ns = gap;
           row.timing_lp = timing;
         }
@@ -328,7 +332,6 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
   double* lp = scratch.data();
   for (std::size_t c = 0; c < nc; ++c) scores[c] = 0.0;
 
-  const bool bonus_on = ctx.thread_match_bonus > 0.0;
   for (std::size_t i = 0; i < np; ++i) {
     const ScoringContext::PositionScore& ps = (*ctx.position_scores)[i];
     const double* gcol = table.gaps.data() + i * nc;
@@ -351,7 +354,7 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
         continue;
       }
       scores[c] += ps.keep_lp;
-      if (bonus_on && tm[c] != 0) scores[c] += ctx.thread_match_bonus;
+      if (ctx.thread_bonus && tm[c] != 0) scores[c] += kThreadMatchBonus;
       scores[c] += lp[c] - ps.max_log_pdf;
     }
   }

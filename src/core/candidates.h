@@ -55,7 +55,11 @@ struct EnumerationOptions {
   /// Allow skipping *any* position (fuzzy/dynamism mode, §4.2). Optional
   /// positions (BackendCall::optional) are always skippable.
   bool allow_all_skips = false;
+  /// Per-position branching cap; feasible children closest in time are
+  /// explored first.
   std::size_t branch_cap = 8;
+  /// Cap on complete candidate mappings enumerated per incoming span
+  /// before ranking to top K.
   std::size_t total_cap = 96;
   /// Timing-constraint slack: tolerates capture-clock jitter between the
   /// vantage points of the parent and child records. 0 for exact clocks.
@@ -130,11 +134,11 @@ struct ScoringContext {
   /// Score timing gaps against the stage-enabling event (dependency order
   /// on) or uniformly against the parent arrival (ablation).
   bool use_order_constraints = true;
-  /// Soft thread-affinity hint (§7 future work): log-score bonus added per
-  /// child whose sending thread matches the parent's pickup thread. 0
-  /// disables. Unlike the hard mode this only nudges ranking, so it stays
+  /// Soft thread-affinity hint (§7 future work): add a fixed log-score
+  /// bonus per child whose sending thread matches the parent's pickup
+  /// thread. Unlike the hard mode this only nudges ranking, so it stays
   /// safe when the threading model is only sometimes informative.
-  double thread_match_bonus = 0.0;
+  bool thread_bonus = false;
   /// The task's flattened plan positions. Required.
   const std::vector<InvocationPlan::Position>* positions = nullptr;
   /// Per-position discrete terms and delay distributions, parallel to

@@ -22,19 +22,11 @@ struct DriftFinding {
   bool drifted = false;
 };
 
-struct DriftOptions {
-  /// Significance level below which a key counts as drifted.
-  double alpha = 0.01;
-  /// Minimum samples per key before testing (KS is unstable below this).
-  std::size_t min_samples = 30;
-};
-
 /// Tests each key's recent gap samples against the model. Keys without a
 /// learned distribution or with too few samples are skipped.
 std::vector<DriftFinding> DetectDrift(
     const DelayModel& model,
-    const std::map<DelayKey, std::vector<double>>& recent_gaps,
-    const DriftOptions& options = {});
+    const std::map<DelayKey, std::vector<double>>& recent_gaps);
 
 /// True if any key drifted -- the "re-run preprocessing" trigger.
 bool AnyDrift(const std::vector<DriftFinding>& findings);

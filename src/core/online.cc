@@ -169,7 +169,22 @@ void OnlineTraceWeaver::ShedOldestWindow() {
 void OnlineTraceWeaver::HandleLate(const Span& span) {
   ++stats_.late_spans;
   metrics_.late_spans.Inc();
-  if (late_pool_.size() >= options_.max_late_spans && !late_pool_.empty()) {
+  // Retention counts from the span's own window (the one its server_recv
+  // fell in), not from its arrival, so grafts and expiries stay within
+  // the store committer's settle horizon (DESIGN.md §4f). Unsigned
+  // (modular) arithmetic, so no input timestamp can overflow it.
+  const auto w = static_cast<std::uint64_t>(options_.window);
+  const auto first_open = static_cast<std::uint64_t>(next_window_start_);
+  const std::uint64_t retention = kGraftRetentionWindows;
+  const std::uint64_t behind =
+      (first_open - static_cast<std::uint64_t>(span.server_recv) - 1) / w + 1;
+  LateSpan late{
+      span, static_cast<TimeNs>(first_open + (retention - behind) * w)};
+  if (behind >= retention) {
+    ExpireLate(late, pending_orphans_);
+    return;
+  }
+  if (late_pool_.size() >= kMaxLateSpans && !late_pool_.empty()) {
     // Bounded pool: the oldest entry makes room and becomes an orphan.
     pending_orphans_.push_back(late_pool_.front().span.id);
     prov_.Record(obs::ProvEventType::kLateDrop, late_pool_.front().span.id);
@@ -177,11 +192,6 @@ void OnlineTraceWeaver::HandleLate(const Span& span) {
     ++stats_.late_dropped;
     metrics_.late_dropped.Inc();
   }
-  LateSpan late;
-  late.span = span;
-  late.deadline = next_window_start_ +
-                  static_cast<DurationNs>(options_.graft_retention_windows) *
-                      options_.window;
   late_pool_.push_back(std::move(late));
 }
 
@@ -233,25 +243,25 @@ SpanId OnlineTraceWeaver::TryGraft(const Span& span) {
   return parent;
 }
 
-bool OnlineTraceWeaver::ResolveLate(const LateSpan& late, bool expire,
-                                    WindowResult& result) {
-  const SpanId id = late.span.id;
-  const SpanId parent = TryGraft(late.span);
-  if (parent != kInvalidSpanId) {
-    committed_[id] = parent;
-    result.assignment[id] = parent;
-    prov_.Record(obs::ProvEventType::kLateGraft, id,
-                 static_cast<std::int64_t>(parent));
-    ++result.late_grafted;
-    ++stats_.late_grafted;
-    metrics_.late_grafted.Inc();
-    return true;
-  }
-  if (!expire) return false;
-  result.orphans.push_back(id);
-  prov_.Record(obs::ProvEventType::kLateExpire, id, late.deadline);
+void OnlineTraceWeaver::ExpireLate(const LateSpan& late,
+                                   std::vector<SpanId>& orphans) {
+  orphans.push_back(late.span.id);
+  prov_.Record(obs::ProvEventType::kLateExpire, late.span.id, late.deadline);
   ++stats_.late_orphans;
   metrics_.late_orphans.Inc();
+}
+
+bool OnlineTraceWeaver::GraftLate(const Span& span, WindowResult& result) {
+  const SpanId id = span.id;
+  const SpanId parent = TryGraft(span);
+  if (parent == kInvalidSpanId) return false;
+  committed_[id] = parent;
+  result.assignment[id] = parent;
+  prov_.Record(obs::ProvEventType::kLateGraft, id,
+               static_cast<std::int64_t>(parent));
+  ++result.late_grafted;
+  ++stats_.late_grafted;
+  metrics_.late_grafted.Inc();
   return true;
 }
 
@@ -259,7 +269,9 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
   std::vector<LateSpan> keep;
   keep.reserve(late_pool_.size());
   for (LateSpan& late : late_pool_) {
-    if (!ResolveLate(late, next_window_start_ > late.deadline, result)) {
+    if (next_window_start_ >= late.deadline) {
+      ExpireLate(late, result.orphans);
+    } else if (!GraftLate(late.span, result)) {
       keep.push_back(std::move(late));
     }
   }
@@ -267,9 +279,7 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
 
   // Prune graft slots too old for any in-flight child to still match.
   const TimeNs cutoff =
-      next_window_start_ -
-      static_cast<DurationNs>(options_.graft_retention_windows) *
-          options_.window;
+      next_window_start_ - kGraftRetentionWindows * options_.window;
   graft_slots_.erase(
       std::remove_if(graft_slots_.begin(), graft_slots_.end(),
                      [&](const GraftSlot& s) {
@@ -519,7 +529,7 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
     buffer_.clear();
     buffer_bytes_ = 0;
     for (const LateSpan& late : late_pool_) {
-      ResolveLate(late, /*expire=*/true, last);
+      if (!GraftLate(late.span, last)) ExpireLate(late, last.orphans);
     }
     late_pool_.clear();
     for (SpanId id : pending_orphans_) last.orphans.push_back(id);

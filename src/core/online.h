@@ -32,9 +32,10 @@
 //
 //   * Late / out-of-order input. Advance() watermarks may regress (they
 //     clamp to the high-water mark and count the regression); spans
-//     arriving after their window closed go to a bounded late-pool and
-//     are either grafted into a committed parent's free (skipped) slot or
-//     emitted as benign orphans.
+//     arriving after their window closed go to a bounded late-pool and,
+//     within kGraftRetentionWindows of their own window, are grafted into
+//     a committed parent's free (skipped) slot or else emitted as benign
+//     orphans (the store committer's settle horizon is derived from it).
 //
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
 //     full streaming state (buffer, committed assignments, late pool,
@@ -60,6 +61,14 @@
 
 namespace traceweaver {
 
+/// Bounded late-pool capacity; overflow drops the oldest entries as
+/// orphans.
+inline constexpr std::size_t kMaxLateSpans = 4096;
+/// How many windows a late span (counted from its own window, the one its
+/// server_recv falls in) and a committed parent's free slots stay
+/// graftable. store/committer.h derives its settle horizon from it.
+inline constexpr int kGraftRetentionWindows = 2;
+
 struct OnlineOptions {
   /// Tumbling-window width. Must be > 0: Advance steps the next window
   /// start by this much until it passes the watermark, so a zero or
@@ -78,14 +87,6 @@ struct OnlineOptions {
   /// degradation ladder, finishing under half of it de-escalates. 0
   /// disables the ladder (always full fidelity, fully deterministic).
   DurationNs window_close_deadline = 0;
-
-  // --- Late / out-of-order handling. ---
-  /// Bounded late-pool capacity; overflow drops the oldest entries as
-  /// orphans.
-  std::size_t max_late_spans = 4096;
-  /// How many windows a late span (and a committed parent's free slots)
-  /// stay graftable before being expired.
-  int graft_retention_windows = 2;
 
   /// Metric sink for the tw_online_* family (docs/METRICS.md). Null
   /// disables recording; behavior is identical either way. Not owned.
@@ -238,7 +239,9 @@ class OnlineTraceWeaver {
 
   struct LateSpan {
     Span span;
-    TimeNs deadline = 0;  ///< Orphaned once next_window_start_ passes it.
+    /// Own window start + kGraftRetentionWindows windows: grafts are
+    /// tried at closes starting before it, the first other close orphans.
+    TimeNs deadline = 0;
   };
 
   WindowResult CloseWindow(TimeNs window_start, TimeNs window_end);
@@ -254,10 +257,11 @@ class OnlineTraceWeaver {
   /// Grafts `span` into the best feasible free slot; returns the parent
   /// id or kInvalidSpanId.
   SpanId TryGraft(const Span& span);
-  /// Grafts `late` into `result` if a slot fits, else (when `expire`)
-  /// orphans it there, each with its provenance event and counters.
-  /// Returns whether the span left the late pool.
-  bool ResolveLate(const LateSpan& late, bool expire, WindowResult& result);
+  /// Orphans `late` into `orphans` with its provenance event and counters.
+  void ExpireLate(const LateSpan& late, std::vector<SpanId>& orphans);
+  /// Grafts a late `span` into `result` if a slot fits, with its
+  /// provenance event and counters; returns whether it did.
+  bool GraftLate(const Span& span, WindowResult& result);
   /// Retries the late pool against slots opened by new commits, expires
   /// stale entries into `result`, prunes stale graft slots.
   void ServiceLatePool(WindowResult& result);

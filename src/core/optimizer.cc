@@ -26,6 +26,10 @@ namespace {
 using PoolKey = std::pair<std::string, std::string>;  // (service, endpoint)
 using HandlerPair = std::pair<std::string, std::string>;
 
+/// Minimum gap samples for a delay key before its distribution is refit
+/// on iterations >= 2 (smaller sets keep the seed).
+constexpr std::size_t kMinRefitSamples = 8;
+
 /// One incoming span to be mapped, with its plan and per-position pools.
 struct ParentTask {
   const Span* span = nullptr;
@@ -260,8 +264,6 @@ void EnumerateAll(Workspace& ws) {
   EnumerationOptions eopts;
   eopts.use_order_constraints = ws.opts->use_order_constraints;
   eopts.allow_all_skips = ws.dynamism_active;
-  eopts.branch_cap = ws.opts->params.enumeration_branch_cap;
-  eopts.total_cap = ws.opts->params.enumeration_total_cap;
   eopts.slack = ws.opts->params.constraint_slack_ns;
   eopts.require_thread_match =
       ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kHard;
@@ -626,9 +628,8 @@ ScoringContext TaskScoringContext(const Workspace& ws, ParentTask& task,
 
   ScoringContext ctx;
   ctx.use_order_constraints = ws.opts->use_order_constraints;
-  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
-    ctx.thread_match_bonus = ws.opts->thread_match_bonus;
-  }
+  ctx.thread_bonus =
+      ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft;
   ctx.positions = &task.positions;
   ctx.position_scores = &task.pos_scores;
   ctx.response = model.View(
@@ -978,7 +979,7 @@ std::vector<DelayKey> RefitModel(
   std::vector<Work> work;
   std::uint64_t reused = 0;
   for (auto& [key, samples] : gaps) {
-    if (samples.size() < ws.opts->params.min_refit_samples) continue;
+    if (samples.size() < kMinRefitSamples) continue;
     auto it = last_fitted.find(key);
     if (it != last_fitted.end() && it->second == samples) continue;
     const GaussianMixture* reuse =

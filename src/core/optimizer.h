@@ -63,13 +63,12 @@ struct OptimizerOptions {
   /// Enable §4.2 skip-span handling when discrepancies are observed.
   bool enable_dynamism = true;
 
-  /// Thread-affinity hints (§7 future work). kSoft adds a ranking bonus to
-  /// children sent from the parent's pickup thread; kHard prunes all other
-  /// children (only sound under the vPath threading model).
+  /// Thread-affinity hints (§7 future work). kSoft adds a fixed ranking
+  /// bonus (core/candidates.cc) to children sent from the parent's pickup
+  /// thread; kHard prunes all other children (only sound under the vPath
+  /// threading model).
   enum class ThreadAffinity { kIgnore, kSoft, kHard };
   ThreadAffinity thread_affinity = ThreadAffinity::kIgnore;
-  /// Log-score bonus used by kSoft.
-  double thread_match_bonus = 1.5;
 
   /// Known child->parent links from partially instrumented services
   /// (§2.2.6). Pinned children are withheld from every other parent's
@@ -166,8 +165,8 @@ struct ContainerResult {
 ///
 /// `prior` is the container's delay model from an earlier optimization
 /// (not owned; may be null). At each refit, a key whose new gap samples
-/// pass the drift check against the prior (DetectDrift, default
-/// DriftOptions) takes the prior's mixture instead of a fresh BIC sweep;
+/// pass the drift check against the prior (DetectDrift) takes the
+/// prior's mixture instead of a fresh BIC sweep;
 /// drifted keys, keys with too few samples and keys the prior lacks are
 /// fitted by EM. A null prior fits every key from scratch.
 ContainerResult OptimizeContainer(const ContainerView& view,

@@ -50,21 +50,9 @@ struct Parameters {
 
   // ------- implementation knobs (not in Table 1) -------
 
-  /// Per-position branching cap during candidate enumeration; feasible
-  /// children closest in time are explored first.
-  std::size_t enumeration_branch_cap = 8;
-
-  /// Cap on complete candidate mappings enumerated per incoming span
-  /// before ranking to top K.
-  std::size_t enumeration_total_cap = 96;
-
   /// Node budget for the exact branch-and-bound MWIS solver before falling
   /// back to greedy + local search.
   std::size_t mis_node_budget = 200000;
-
-  /// Minimum gap samples for a delay key before its distribution is refit
-  /// on iterations >= 2 (smaller sets keep the seed).
-  std::size_t min_refit_samples = 8;
 
   /// Feasibility-constraint slack (ns) tolerating capture-clock jitter
   /// between vantage points; raise to ~4x the expected jitter stddev when

@@ -10,6 +10,10 @@
 namespace traceweaver {
 namespace {
 
+/// Edge slack = max(kSlackMultiplier * sd(d), kMinEdgeSlackNs), following
+/// the parameters.h guidance of ~4x the jitter stddev.
+constexpr double kSlackMultiplier = 4.0;
+
 /// Inserts `gap` into the ascending k-smallest buffer, evicting the
 /// largest element on overflow.
 void InsertGap(std::vector<std::int64_t>& buffer, std::int64_t gap) {
@@ -109,8 +113,8 @@ std::int64_t PairSkewStats::ResponseFloorNs() const {
   return Floor(min_response_gaps, samples);
 }
 
-std::int64_t PairSkewStats::OffsetNs(std::size_t min_samples) const {
-  if (samples < min_samples) return 0;
+std::int64_t PairSkewStats::OffsetNs() const {
+  if (samples < kMinSamples) return 0;
   const std::int64_t lo = -ResponseFloorNs();  // d >= -min g_resp
   const std::int64_t hi = RequestFloorNs();    // d <= min g_req
   // Clocks that could be synchronized (0 inside the feasible interval)
@@ -123,9 +127,6 @@ std::int64_t PairSkewStats::OffsetNs(std::size_t min_samples) const {
   // the midpoint still tracks a constant offset under unbiased noise.
   return (lo + hi) / 2;
 }
-
-SkewEstimator::SkewEstimator(SkewEstimatorOptions options)
-    : options_(options) {}
 
 void SkewEstimator::ObserveSpan(const Span& s) {
   ObserveGaps({s.caller, s.caller_replica}, {s.callee, s.callee_replica},
@@ -145,7 +146,7 @@ std::int64_t SkewEstimator::PairOffsetNs(const VantageKey& caller,
                                          const VantageKey& callee) const {
   const auto it = pairs_.find({caller, callee});
   if (it == pairs_.end()) return 0;
-  return it->second.OffsetNs(options_.min_samples);
+  return it->second.OffsetNs();
 }
 
 void SkewEstimator::SolveFrames() const {
@@ -159,8 +160,8 @@ void SkewEstimator::SolveFrames() const {
   std::map<VantageKey, std::vector<std::pair<VantageKey, std::int64_t>>>
       adjacency;
   for (const auto& [key, stats] : pairs_) {
-    if (stats.samples < options_.min_samples) continue;
-    const std::int64_t offset = stats.OffsetNs(options_.min_samples);
+    if (stats.samples < PairSkewStats::kMinSamples) continue;
+    const std::int64_t offset = stats.OffsetNs();
     adjacency[key.first].emplace_back(key.second, offset);
     adjacency[key.second].emplace_back(key.first, -offset);
   }
@@ -217,13 +218,13 @@ SkewEstimator::EdgeSlacks() const {
     // Only pairs that produced inversions need slack: without inversions
     // the constraints never pruned a true candidate, and widening windows
     // on clean edges only invites wrong ones.
-    if (stats.samples < options_.min_samples || stats.inversions == 0) {
+    if (stats.samples < PairSkewStats::kMinSamples || stats.inversions == 0) {
       continue;
     }
     const long long slack = std::max<long long>(
         static_cast<long long>(
-            std::ceil(options_.slack_multiplier * stats.OffsetSpreadNs())),
-        options_.min_edge_slack_ns);
+            std::ceil(kSlackMultiplier * stats.OffsetSpreadNs())),
+        kMinEdgeSlackNs);
     long long& slot = out[{key.first.first, key.second.first}];
     slot = std::max(slot, slack);
   }

@@ -62,19 +62,6 @@ namespace traceweaver {
 /// observation. Root spans use the workload generator's ("client", 0).
 using VantageKey = std::pair<std::string, int>;
 
-struct SkewEstimatorOptions {
-  /// Pairs with fewer observations than this report offset 0 and no edge
-  /// slack (not enough evidence to move timestamps).
-  std::size_t min_samples = 8;
-  /// Edge slack = max(slack_multiplier * sd(d), min_edge_slack_ns),
-  /// following the parameters.h guidance of ~4x the jitter stddev.
-  double slack_multiplier = 4.0;
-  /// Slack floor for pairs that showed inversions: the frame solve leaves
-  /// a residual of about one minimum network delay per hop, which spread
-  /// alone underestimates for near-constant skew.
-  long long min_edge_slack_ns = 50'000;
-};
-
 /// Accumulated skew evidence for one ordered (caller, callee) vantage
 /// pair. Offsets are "callee clock minus caller clock" in ns.
 struct PairSkewStats {
@@ -83,6 +70,9 @@ struct PairSkewStats {
   static constexpr std::size_t kGapBuffer = 16;
   /// One buffer index of outlier skip is earned per this many samples.
   static constexpr std::uint64_t kSamplesPerSkip = 256;
+  /// Pairs with fewer observations than this report offset 0 and no edge
+  /// slack (not enough evidence to move timestamps).
+  static constexpr std::uint64_t kMinSamples = 8;
 
   std::uint64_t samples = 0;
   /// Observations with a negative cross-vantage gap (the SpanValidator's
@@ -104,14 +94,17 @@ struct PairSkewStats {
   std::int64_t ResponseFloorNs() const;
   /// Minimal consistent pair offset (see file comment); 0 when the
   /// feasible interval contains 0 or evidence is thin.
-  std::int64_t OffsetNs(std::size_t min_samples) const;
+  std::int64_t OffsetNs() const;
 };
 
 /// Streaming skew estimator + corrector. Not thread-safe; each pipeline
 /// owns one (the optimizer never touches it concurrently).
 class SkewEstimator {
  public:
-  explicit SkewEstimator(SkewEstimatorOptions options = {});
+  /// Edge-slack floor for pairs that showed inversions: the frame solve
+  /// leaves a residual of about one minimum network delay per hop, which
+  /// spread alone underestimates for near-constant skew.
+  static constexpr long long kMinEdgeSlackNs = 50'000;
 
   /// Record-level evidence: one assembled span contributes its request and
   /// response cross-vantage gaps for the (caller, callee) vantage pair.
@@ -164,7 +157,6 @@ class SkewEstimator {
  private:
   void SolveFrames() const;
 
-  SkewEstimatorOptions options_;
   std::map<std::pair<VantageKey, VantageKey>, PairSkewStats> pairs_;
   std::uint64_t observations_ = 0;
   /// Frame solve cache, invalidated by new evidence.

@@ -112,10 +112,9 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
     auto t = timer(obs::Stage::kQuality);
     // Parameters::sampling_rate is the single source of truth; the quality
     // layer inherits it so orphan/skip downgrades match the scoring model.
-    obs::QualityOptions qopts = options_.quality;
-    qopts.sampling_rate = options_.optimizer.params.sampling_rate;
-    out.quality = obs::ComputeQuality(spans, out.containers, out.assignment,
-                                      qopts, quality_metrics_.get());
+    out.quality = obs::ComputeQuality(
+        spans, out.containers, out.assignment,
+        options_.optimizer.params.sampling_rate, quality_metrics_.get());
   }
 
   pm.runs.Inc();

@@ -55,7 +55,6 @@ struct TraceWeaverOptions {
   /// Observation only -- reconstruction output is bit-identical with the
   /// subsystem on or off.
   bool compute_quality = false;
-  obs::QualityOptions quality;
 };
 
 struct TraceWeaverOutput {

@@ -16,6 +16,42 @@ namespace {
 
 constexpr std::size_t kCalibrationBins = 10;
 
+/// Softmax temperature over the top-K log-likelihood scores. Raw log
+/// scores sum many per-position terms, so margins are large; a
+/// temperature > 1 flattens the posterior toward honest uncertainty.
+constexpr double kTemperature = 1.0;
+/// Multiplicative confidence penalty per §4.2 phantom skip in the chosen
+/// mapping (each skip is an unobserved guess).
+constexpr double kSkipPenalty = 0.95;
+/// Multiplicative penalty when the batch's B&B solve hit its node budget
+/// and fell back to the greedy incumbent.
+constexpr double kFallbackPenalty = 0.9;
+/// Weight of the MWIS greedy-vs-exact agreement factor in [0, 1]:
+/// confidence *= (1 - w) + w * (greedy_weight / chosen_weight).
+constexpr double kMwisGapWeight = 0.25;
+/// Weight of the ambiguity-entropy factor in [0, 1]: confidence *=
+/// 1 - w * H, with H the normalized entropy of the softmax over the kept
+/// candidates.
+constexpr double kEntropyWeight = 0.25;
+/// Multiplicative per-trace penalty for a *suspicious* orphan fragment:
+/// the root has a non-client caller (it observably had a parent that was
+/// not reconstructed) AND some mapped parent of the caller's service both
+/// covers the root's client window and skipped at least one plan position
+/// -- a candidate parent existed and declined the span, so the broken
+/// link is likely a reconstruction mistake.
+constexpr double kOrphanPenalty = 0.05;
+/// Penalty for the remaining (benign) orphan fragments: no covering
+/// same-service parent with a free slot exists, so the true parent was
+/// most plausibly never captured (dropped record, capture boundary) and
+/// the fragment's internal links carry their own evidence.
+constexpr double kFragmentPenalty = 0.9;
+/// Slack on each side of the covering-parent window test above. Links
+/// commonly break because clock jitter pushed the child's client window
+/// slightly outside its true parent's server window; without slack such a
+/// parent would not "cover" the orphan and the mistake would pass as
+/// benign.
+constexpr DurationNs kOrphanWindowSlack = Millis(1);
+
 std::uint64_t Milli(double v) {
   return static_cast<std::uint64_t>(
       std::llround(std::clamp(v, 0.0, 1.0) * 1000.0));
@@ -45,7 +81,7 @@ std::size_t GradeIndex(char grade) {
 /// chosen mapping) under the solver's own preference order.
 void Posterior(const std::vector<CandidateMapping>& ranked, int chosen,
                SpanId parent, const ParentAssignment& assignment,
-               double temperature, double* posterior, double* entropy) {
+               double* posterior, double* entropy) {
   const std::size_t k = ranked.size();
   if (k == 0 || chosen < 0) {
     *posterior = 0.0;
@@ -87,7 +123,7 @@ void Posterior(const std::vector<CandidateMapping>& ranked, int chosen,
   double sum = 0.0;
   std::vector<double> w(scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    w[i] = std::exp((scores[i] - max_score) / temperature);
+    w[i] = std::exp((scores[i] - max_score) / kTemperature);
     sum += w[i];
   }
   double h = 0.0;
@@ -100,10 +136,10 @@ void Posterior(const std::vector<CandidateMapping>& ranked, int chosen,
       std::clamp(h / std::log(static_cast<double>(scores.size())), 0.0, 1.0);
 }
 
-char GradeOf(double confidence, const QualityOptions& o) {
-  if (confidence >= o.grade_a) return 'A';
-  if (confidence >= o.grade_b) return 'B';
-  if (confidence >= o.grade_c) return 'C';
+char GradeOf(double confidence) {
+  if (confidence >= kGradeA) return 'A';
+  if (confidence >= kGradeB) return 'B';
+  if (confidence >= kGradeC) return 'C';
   return 'D';
 }
 
@@ -292,7 +328,7 @@ std::vector<std::pair<std::string, double>> QualityReport::WorstServices(
 QualityReport ComputeQuality(const std::vector<Span>& spans,
                              const std::vector<ContainerResult>& containers,
                              const ParentAssignment& assignment,
-                             const QualityOptions& options,
+                             double sampling_rate,
                              const QualityMetrics* metrics) {
   static const QualityMetrics kInert;
   const QualityMetrics& qm = metrics != nullptr ? *metrics : kInert;
@@ -305,15 +341,14 @@ QualityReport ComputeQuality(const std::vector<Span>& spans,
   // sampled out), a "suspicious" orphan's covering parent may have
   // declined a span whose true child was sampled out, and a benign
   // orphan's missing parent is the expected outcome.
-  double skip_penalty = options.skip_penalty;
-  double suspect_orphan_penalty = options.orphan_penalty;
-  double fragment_penalty = options.fragment_penalty;
-  if (options.sampling_rate < 1.0) {
-    const double r = std::clamp(options.sampling_rate, 0.0, 1.0);
-    skip_penalty = std::pow(options.skip_penalty, r);
-    suspect_orphan_penalty =
-        options.orphan_penalty * r + options.fragment_penalty * (1.0 - r);
-    fragment_penalty = 1.0 - (1.0 - options.fragment_penalty) * r;
+  double skip_penalty = kSkipPenalty;
+  double suspect_orphan_penalty = kOrphanPenalty;
+  double fragment_penalty = kFragmentPenalty;
+  if (sampling_rate < 1.0) {
+    const double r = std::clamp(sampling_rate, 0.0, 1.0);
+    skip_penalty = std::pow(kSkipPenalty, r);
+    suspect_orphan_penalty = kOrphanPenalty * r + kFragmentPenalty * (1.0 - r);
+    fragment_penalty = 1.0 - (1.0 - kFragmentPenalty) * r;
   }
   for (const ContainerResult& c : containers) {
     for (const ParentResult& r : c.parents) {
@@ -323,8 +358,8 @@ QualityReport ComputeQuality(const std::vector<Span>& spans,
       q.mapped = r.Mapped();
       q.top_choice = r.Mapped() && r.ChoseTop();
       q.candidates = r.candidates_considered;
-      Posterior(r.ranked, r.chosen, r.parent, assignment,
-                options.temperature, &q.posterior, &q.entropy);
+      Posterior(r.ranked, r.chosen, r.parent, assignment, &q.posterior,
+                &q.entropy);
       if (r.ranked.size() >= 2) {
         q.margin = std::max(r.ranked[0].score - r.ranked[1].score, 0.0);
       }
@@ -342,10 +377,9 @@ QualityReport ComputeQuality(const std::vector<Span>& spans,
       if (q.mapped) {
         double conf = q.posterior;
         conf *= std::pow(skip_penalty, static_cast<double>(q.skips));
-        if (!q.optimal_batch) conf *= options.fallback_penalty;
-        conf *= (1.0 - options.mwis_gap_weight) +
-                options.mwis_gap_weight * q.agreement;
-        conf *= 1.0 - options.entropy_weight * q.entropy;
+        if (!q.optimal_batch) conf *= kFallbackPenalty;
+        conf *= (1.0 - kMwisGapWeight) + kMwisGapWeight * q.agreement;
+        conf *= 1.0 - kEntropyWeight * q.entropy;
         q.confidence = std::clamp(conf, 0.0, 1.0);
       }
       qm.assignments.Inc();
@@ -375,9 +409,9 @@ QualityReport ComputeQuality(const std::vector<Span>& spans,
   const auto covered_by_skipping_parent = [&](const Span& s) {
     const auto it = skipped_windows.find(s.caller);
     if (it == skipped_windows.end()) return false;
-    const DurationNs slack = options.orphan_window_slack;
     for (const auto& [recv, send] : it->second) {
-      if (recv - slack <= s.client_send && s.client_recv <= send + slack) {
+      if (recv - kOrphanWindowSlack <= s.client_send &&
+          s.client_recv <= send + kOrphanWindowSlack) {
         return true;
       }
     }
@@ -424,7 +458,7 @@ QualityReport ComputeQuality(const std::vector<Span>& spans,
                                        : fragment_penalty;
       t.min_confidence = std::min(t.min_confidence, t.confidence);
     }
-    t.grade = GradeOf(t.confidence, options);
+    t.grade = GradeOf(t.confidence);
     qm.traces.Inc();
     qm.trace_confidence_milli.Observe(Milli(t.confidence));
     qm.grades[GradeIndex(t.grade)].Inc();

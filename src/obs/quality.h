@@ -38,55 +38,12 @@
 
 namespace traceweaver::obs {
 
-struct QualityOptions {
-  /// Softmax temperature over the top-K log-likelihood scores. Raw log
-  /// scores sum many per-position terms, so margins are large; a
-  /// temperature > 1 flattens the posterior toward honest uncertainty.
-  double temperature = 1.0;
-  /// Multiplicative confidence penalty per §4.2 phantom skip in the
-  /// chosen mapping (each skip is an unobserved guess).
-  double skip_penalty = 0.95;
-  /// Multiplicative penalty when the batch's B&B solve hit its node
-  /// budget and fell back to the greedy incumbent.
-  double fallback_penalty = 0.9;
-  /// Weight of the MWIS greedy-vs-exact agreement factor in [0, 1]:
-  /// confidence *= (1 - w) + w * (greedy_weight / chosen_weight).
-  double mwis_gap_weight = 0.25;
-  /// Weight of the ambiguity-entropy factor in [0, 1]:
-  /// confidence *= 1 - w * H, with H the normalized entropy of the
-  /// softmax over the kept candidates.
-  double entropy_weight = 0.25;
-  /// Multiplicative per-trace penalty for a *suspicious* orphan fragment:
-  /// the root has a non-client caller (it observably had a parent that was
-  /// not reconstructed) AND some mapped parent of the caller's service
-  /// both covers the root's client window and skipped at least one plan
-  /// position -- a candidate parent existed and declined the span, so the
-  /// broken link is likely a reconstruction mistake.
-  double orphan_penalty = 0.05;
-  /// Penalty for the remaining (benign) orphan fragments: no covering
-  /// same-service parent with a free slot exists, so the true parent was
-  /// most plausibly never captured (dropped record, capture boundary) and
-  /// the fragment's internal links carry their own evidence.
-  double fragment_penalty = 0.9;
-  /// Slack on each side of the covering-parent window test above. Links
-  /// commonly break because clock jitter pushed the child's client window
-  /// slightly outside its true parent's server window; without slack such
-  /// a parent would not "cover" the orphan and the mistake would pass as
-  /// benign.
-  DurationNs orphan_window_slack = Millis(1);
-  /// Grade cut points over per-trace confidence (product aggregation).
-  double grade_a = 0.80;
-  double grade_b = 0.50;
-  double grade_c = 0.20;
-  /// Known capture-sampling keep probability (Parameters::sampling_rate;
-  /// TraceWeaver::Reconstruct copies it here). Below 1.0, skips are
-  /// expected absences so the per-skip penalty softens
-  /// (skip_penalty^rate), and the orphan split loses its teeth: a
-  /// "suspicious" orphan's missing parent may simply have been sampled
-  /// out, so both orphan penalties interpolate toward lenient with
-  /// probability (1 - rate). 1.0 leaves every factor bit-identical.
-  double sampling_rate = 1.0;
-};
+/// Grade cut points over per-trace confidence (product aggregation):
+/// A at or above kGradeA, B at or above kGradeB, C at or above kGradeC,
+/// D below.
+inline constexpr double kGradeA = 0.80;
+inline constexpr double kGradeB = 0.50;
+inline constexpr double kGradeC = 0.20;
 
 /// Quality of one parent-span assignment.
 struct AssignmentQuality {
@@ -116,7 +73,7 @@ struct TraceQuality {
   bool suspect_orphan = false;
   double confidence = 1.0;      ///< Product over parent assignments.
   double min_confidence = 1.0;  ///< Weakest link.
-  char grade = 'A';             ///< A/B/C/D from QualityOptions cuts.
+  char grade = 'A';             ///< A/B/C/D from the kGrade* cuts.
 };
 
 struct QualityReport {
@@ -152,13 +109,20 @@ struct QualityMetrics {
   Histogram monitor_ks_milli;  ///< tw_quality_monitor_ks_milli (x1000)
 };
 
-/// Computes the quality report for one reconstruction. `metrics` may be
-/// null (or inert); recording only observes. Deterministic for a given
-/// (spans, containers, assignment) regardless of thread count.
+/// Computes the quality report for one reconstruction. `sampling_rate`
+/// is the known capture-sampling keep probability
+/// (Parameters::sampling_rate): below 1.0, skips are expected absences so
+/// the per-skip penalty softens (kSkipPenalty^rate), and the orphan split
+/// loses its teeth -- a "suspicious" orphan's missing parent may simply
+/// have been sampled out, so both orphan penalties interpolate toward
+/// lenient with probability (1 - rate). 1.0 leaves every factor
+/// bit-identical. `metrics` may be null (or inert); recording only
+/// observes. Deterministic for a given (spans, containers, assignment)
+/// regardless of thread count.
 QualityReport ComputeQuality(const std::vector<Span>& spans,
                              const std::vector<ContainerResult>& containers,
                              const ParentAssignment& assignment,
-                             const QualityOptions& options,
+                             double sampling_rate,
                              const QualityMetrics* metrics = nullptr);
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@
 namespace traceweaver::serve {
 namespace {
 
+/// Hard cap on one listing response; a larger (or absent) limit= is
+/// clamped to this. Streaming is chunked, so this bounds work, not memory.
+constexpr std::size_t kMaxResults = 1000;
+
 constexpr const char* kRouteNames[7] = {"trace_get", "trace_list", "explain",
                                         "metrics",   "healthz",    "other",
                                         "provenance"};
@@ -64,8 +68,8 @@ bool ParseDouble(const std::string& s, double* out) {
 /// Builds a store query from the request's parameters; false (with a
 /// human-readable reason) on any malformed value -- hostile query strings
 /// must produce a 400, never a crash or a silently-empty result.
-bool BuildQuery(const HttpRequest& request, std::size_t max_results,
-                store::TraceQuery* query, std::string* reason) {
+bool BuildQuery(const HttpRequest& request, store::TraceQuery* query,
+                std::string* reason) {
   query->service = request.Param("service");
   if (request.HasParam("from")) {
     if (!ParseI64(request.Param("from"), &query->from)) {
@@ -99,7 +103,7 @@ bool BuildQuery(const HttpRequest& request, std::size_t max_results,
     }
     query->min_confidence = v;
   }
-  query->limit = max_results;
+  query->limit = kMaxResults;
   if (request.HasParam("limit")) {
     std::uint64_t v = 0;
     if (!ParseU64(request.Param("limit"), &v) || v == 0) {
@@ -270,7 +274,7 @@ void QueryService::HandleTraceList(const HttpRequest& request,
                                    HttpResponse& response) {
   store::TraceQuery query;
   std::string reason;
-  if (!BuildQuery(request, options_.max_results, &query, &reason)) {
+  if (!BuildQuery(request, &query, &reason)) {
     response.Send(400, kText, reason + "\n");
     return;
   }

@@ -51,10 +51,6 @@ std::string MetricsExposition(const obs::RegistrySnapshot& snapshot);
 std::string ProvenanceJson(const TraceRecord& record);
 
 struct QueryServiceOptions {
-  /// Hard cap on one listing response; a larger (or absent) limit= is
-  /// clamped to this. Streaming is chunked, so this bounds work, not
-  /// memory.
-  std::size_t max_results = 1000;
   /// Explain reconstruction options (threads forced to 1 per request).
   TraceWeaverOptions explain_weaver;
 };

@@ -24,6 +24,11 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// mixtures larger than that spill to the heap.
 constexpr std::size_t kStackComponents = 16;
 
+/// EM convergence threshold on log-likelihood improvement.
+constexpr double kTolerance = 1e-6;
+/// Seed for the k-means++-style initialization.
+constexpr std::uint64_t kInitSeed = 42;
+
 /// Per-thread scratch reused across LogPdfBatch / LogLikelihood / EM calls
 /// so the fitting hot path performs no steady-state heap allocation. The
 /// batch and EM buffer sets are disjoint because Bic -> LogLikelihood ->
@@ -258,7 +263,7 @@ GaussianMixture FitGmm(const std::vector<double>& samples,
     return GaussianMixture::FromGaussian(Gaussian::Fit(samples));
   }
 
-  Rng rng(options.seed);
+  Rng rng(kInitSeed);
   std::vector<GmmComponent> comps = InitComponents(samples, k, rng);
 
   const std::size_t n = samples.size();
@@ -355,7 +360,7 @@ GaussianMixture FitGmm(const std::vector<double>& samples,
           std::max(std::sqrt(var), kMinGaussianStddev);
     }
 
-    if (ll - prev_ll < options.tolerance && iter > 0) {
+    if (ll - prev_ll < kTolerance && iter > 0) {
       converged = true;
       break;
     }

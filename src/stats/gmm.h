@@ -84,10 +84,6 @@ struct GmmFitOptions {
   std::size_t max_components = 5;
   /// EM iterations per candidate component count.
   std::size_t em_iterations = 50;
-  /// EM convergence threshold on log-likelihood improvement.
-  double tolerance = 1e-6;
-  /// Seed for the k-means++-style initialization.
-  std::uint64_t seed = 42;
   /// Optional observability counters (EM iterations, BIC sweeps, selected
   /// component counts); fitting is unchanged when null. Handles are
   /// thread-safe, so concurrent refits may share one bundle.

@@ -10,8 +10,7 @@ namespace traceweaver::store {
 TraceCommitter::TraceCommitter(CommitterOptions options, TraceStore* store)
     : options_(options),
       store_(store),
-      settle_(options.window * std::max(options.settle_windows, 0) +
-              options.margin) {}
+      settle_(options.window * kSettleWindows + options.margin) {}
 
 TimeNs TraceCommitter::DueTime(const Span& span) const {
   // A fragment root waits one window beyond the rooted-trace horizon, so

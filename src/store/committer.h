@@ -6,7 +6,7 @@
 // trace becomes final only once every span that could still join it has
 // been decided. The committer buffers spans, merges each window's
 // assignments and per-trace quality, and seals a trace when its root's
-// completion time is `settle_windows` full windows behind the latest
+// completion time is kSettleWindows full windows behind the latest
 // closed window -- by then the root's window has closed (so every parent
 // beneath it committed) and the late-graft retention period has passed.
 // A span still without a parent edge one window after that horizon
@@ -45,16 +45,19 @@
 
 namespace traceweaver::store {
 
+/// Full windows a rooted trace stays pending after its root completes,
+/// covering the late-graft retention period. The weaver grafts a late
+/// span only at closes starting before its own window start plus
+/// kGraftRetentionWindows windows, and the root completes after that
+/// window starts, so one window fewer (plus the margin) reaches past the
+/// last close that may graft into the trace.
+inline constexpr int kSettleWindows = kGraftRetentionWindows - 1;
+
 struct CommitterOptions {
   /// Must mirror the OnlineOptions the weaver runs with: they define when
   /// a trace can no longer change.
   DurationNs window = Seconds(2);
   DurationNs margin = Millis(500);
-  /// Full windows a rooted trace stays pending after its root completes,
-  /// covering the late-graft retention period. 1 matches the online
-  /// default (graft_retention_windows = 2 is measured from the span's own
-  /// window, which ends before the root's).
-  int settle_windows = 1;
   /// Decision-provenance ledger shared with the online weaver
   /// (obs/provenance.h). When set, every commit drains the pending events
   /// of the trace's spans into the record and stamps the settle outcome
@@ -126,7 +129,7 @@ class TraceCommitter {
 
   CommitterOptions options_;
   TraceStore* store_;  ///< Not owned.
-  DurationNs settle_;  ///< settle_windows full windows + margin.
+  DurationNs settle_;  ///< kSettleWindows full windows + margin.
 
   std::unordered_map<SpanId, Span> spans_;            ///< Pending spans.
   std::unordered_map<SpanId, SpanId> parent_of_;      ///< Committed edges.

@@ -9,6 +9,18 @@
 namespace traceweaver::store {
 namespace {
 
+/// Windows on each side of an overload shed whose traces are always kept
+/// (rule 2).
+constexpr int kShedAdjacentWindows = 2;
+/// Grades strictly worse than this are always kept (rule 3).
+constexpr char kMinBoringGrade = 'B';
+/// Confidences strictly below this are always kept (rule 3).
+constexpr double kMinBoringConfidence = 0.5;
+/// Traces at least this long are always kept (rule 4).
+constexpr DurationNs kLatencyKeepNs = Millis(50);
+/// Hash seed for the rule-5 coin; fixed so replays agree.
+constexpr std::uint64_t kCoinSeed = 0x7477736d706c72ULL;
+
 /// splitmix64 finalizer, the same order-independent construction the
 /// fault injector uses: one well-mixed word per trace id, no RNG state.
 std::uint64_t Mix64(std::uint64_t x) {
@@ -18,10 +30,10 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool HashKeep(std::uint64_t id, std::uint64_t seed, double rate) {
+bool HashKeep(std::uint64_t id, double rate) {
   if (rate >= 1.0) return true;
   if (rate <= 0.0) return false;
-  const double u = static_cast<double>(Mix64(id ^ seed) >> 11) *
+  const double u = static_cast<double>(Mix64(id ^ kCoinSeed) >> 11) *
                    0x1.0p-53;  // 53 uniform bits in [0, 1).
   return u < rate;
 }
@@ -63,20 +75,19 @@ TailSampler::Decision TailSampler::Decide(const TraceRecord& record) {
   if (record.orphan || record.suspect) {
     d.reason = "orphan";
   } else if (last_shed_end_ != std::numeric_limits<TimeNs>::min() &&
-             record.end + options_.window *
-                              std::max(options_.shed_adjacent_windows, 0) >=
+             record.end + options_.window * kShedAdjacentWindows >=
                  last_shed_end_) {
     // The trace's window reaches into the shed-adjacency horizon: it
     // documents the pressure event (sheds only move forward in stream
     // time, so one high-water mark suffices).
     d.reason = "shed_adjacent";
-  } else if (record.grade > options_.min_boring_grade ||
-             record.confidence < options_.min_boring_confidence) {
+  } else if (record.grade > kMinBoringGrade ||
+             record.confidence < kMinBoringConfidence) {
     d.reason = "low_grade";
-  } else if (record.Duration() >= options_.latency_keep_ns) {
+  } else if (record.Duration() >= kLatencyKeepNs) {
     d.reason = "high_latency";
   } else if (HashKeep(static_cast<std::uint64_t>(record.trace_id),
-                      options_.seed, options_.keep_rate)) {
+                      options_.keep_rate)) {
     d.reason = "random";
     ++kept_random_;
     m_kept_random_.Inc();

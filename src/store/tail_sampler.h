@@ -13,20 +13,20 @@
 //                       of capture gaps / reconstruction mistakes.
 //   2. shed_adjacent -- a trace whose window lies near an overload shed
 //                       documents the pressure event; keep everything
-//                       within `shed_adjacent_windows` windows of one.
-//   3. low_grade     -- grade below `min_boring_grade` or confidence
-//                       below `min_boring_confidence`: uncertain
-//                       reconstructions must stay auditable.
-//   4. high_latency  -- duration >= latency_keep_ns (the tail the
-//                       sampler is named for).
+//                       within 2 windows of one.
+//   3. low_grade     -- grade below B or confidence below 0.5:
+//                       uncertain reconstructions must stay auditable.
+//   4. high_latency  -- duration >= 50 ms (the tail the sampler is named
+//                       for).
 //   5. random        -- everything else is confident and boring: keep
 //                       with probability keep_rate, decided by hashing
-//                       the trace id against the seed (no RNG state, so
-//                       a kill -9 replay re-decides identically).
+//                       the trace id against a fixed seed (no RNG state,
+//                       so a kill -9 replay re-decides identically).
 //
-// Every decision is a pure function of (record, seed, last shed window);
-// the only mutable inputs ride SaveState/LoadState next to the serve
-// checkpoint, so a resumed run reproduces the exact store contents.
+// The thresholds are constants in tail_sampler.cc. Every decision is a
+// pure function of (record, last shed window); the only mutable inputs
+// ride SaveState/LoadState next to the serve checkpoint, so a resumed run
+// reproduces the exact store contents.
 #pragma once
 
 #include <cstdint>
@@ -42,18 +42,9 @@ namespace traceweaver::store {
 struct TailSamplerOptions {
   /// Keep probability for confident, boring, on-time traces (rule 5).
   double keep_rate = 0.1;
-  /// Traces at least this long are always kept (rule 4).
-  DurationNs latency_keep_ns = Millis(50);
-  /// Grades strictly worse than this are always kept (rule 3).
-  char min_boring_grade = 'B';
-  /// Confidences strictly below this are always kept (rule 3).
-  double min_boring_confidence = 0.5;
-  /// Windows on each side of an overload shed whose traces are always
-  /// kept (rule 2); `window` must mirror the online weaver's.
-  int shed_adjacent_windows = 2;
+  /// Must mirror the online weaver's window: it sizes the shed-adjacency
+  /// horizon (rule 2).
   DurationNs window = Seconds(2);
-  /// Hash seed for the rule-5 coin; fixed so replays agree.
-  std::uint64_t seed = 0x7477736d706c72ULL;
 };
 
 class TailSampler {

@@ -8,10 +8,10 @@
 namespace traceweaver {
 namespace {
 
-/// True if any replica index is outside [0, max_replica].
-bool ReplicasOutOfRange(const Span& s, int max_replica) {
-  return s.caller_replica < 0 || s.caller_replica > max_replica ||
-         s.callee_replica < 0 || s.callee_replica > max_replica;
+/// True if any replica index is outside [0, kMaxReplica].
+bool ReplicasOutOfRange(const Span& s) {
+  return s.caller_replica < 0 || s.caller_replica > kMaxReplica ||
+         s.callee_replica < 0 || s.callee_replica > kMaxReplica;
 }
 
 bool NamesEmpty(const Span& s) {
@@ -71,7 +71,7 @@ SpanVerdict SpanValidator::AdmitStrict(const Span& s) {
                 "empty_names");
     return SpanVerdict::kQuarantined;
   }
-  if (ReplicasOutOfRange(s, options_.max_replica)) {
+  if (ReplicasOutOfRange(s)) {
     ++stats_.replicas_rejected;
     prov.Record(obs::ProvEventType::kValidatorQuarantine, s.id, 0,
                 "replicas");
@@ -107,11 +107,11 @@ SpanVerdict SpanValidator::AdmitLenient(Span& s) {
   bool repaired = false;
   bool replicas_clamped = false;
   bool timestamps_clamped = false;
-  if (ReplicasOutOfRange(s, options_.max_replica)) {
+  if (ReplicasOutOfRange(s)) {
     s.caller_replica =
-        std::clamp(s.caller_replica, 0, options_.max_replica);
+        std::clamp(s.caller_replica, 0, kMaxReplica);
     s.callee_replica =
-        std::clamp(s.callee_replica, 0, options_.max_replica);
+        std::clamp(s.callee_replica, 0, kMaxReplica);
     ++stats_.replicas_clamped;
     replicas_clamped = true;
     repaired = true;

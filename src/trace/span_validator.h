@@ -63,10 +63,11 @@ enum class SpanVerdict {
   kQuarantined,  ///< Rejected; available via SpanValidator::quarantine().
 };
 
+/// Replica indices outside [0, kMaxReplica] are out of range.
+inline constexpr int kMaxReplica = 1 << 20;
+
 struct SpanValidatorOptions {
   IngestMode mode = IngestMode::kLenient;
-  /// Replica indices outside [0, max_replica] are out of range.
-  int max_replica = 1 << 20;
   /// Optional registry the final stats are flushed into by Finish().
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional decision-provenance sink (obs/provenance.h): every repair

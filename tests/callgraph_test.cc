@@ -118,11 +118,10 @@ TEST(Inference, MarksMissingCallsOptional) {
 
 TEST(Inference, LowSupportCallsAreDropped) {
   auto spans = SequentialObservations(50);
-  // One stray span to service Z in a single trace.
+  // One stray span to service Z in a single trace: 1/50 support is below
+  // the 5% floor.
   spans.push_back(MakeSpan(9999, "A", "Z", "/z", Millis(1), Millis(2)));
-  InferenceOptions opts;
-  opts.min_support = 0.1;
-  CallGraph g = InferCallGraph(spans, opts);
+  CallGraph g = InferCallGraph(spans);
   const InvocationPlan* plan = g.PlanFor({"A", "/a"});
   ASSERT_NE(plan, nullptr);
   for (const Stage& st : plan->stages) {

@@ -247,7 +247,7 @@ TEST_P(CandidateProperty, ScorersAgreeBitForBit) {
     }
     ScoringContext ctx;
     ctx.use_order_constraints = order;
-    ctx.thread_match_bonus = rng.Bernoulli(0.5) ? 1.5 : 0.0;
+    ctx.thread_bonus = rng.Bernoulli(0.5);
     ctx.positions = &sc.positions;
     ctx.position_scores = &table;
     ctx.response = sc.model.View(DelayKey::ResponseGap("A", "/a"));

@@ -305,7 +305,6 @@ TEST(OnlineOverload, ExpiredLateSpansBecomeBenignOrphans) {
   OnlineOptions opts;
   opts.window = 1000;
   opts.margin = 100;
-  opts.graft_retention_windows = 1;
   OnlineTraceWeaver online(GraftGraph(), opts);
 
   online.Ingest(MakeParent(1, 100));
@@ -315,9 +314,20 @@ TEST(OnlineOverload, ExpiredLateSpansBecomeBenignOrphans) {
   lost.caller_replica = 7;
   online.Ingest(lost);
 
-  // Once the retention horizon passes, the pool expires it as an orphan.
+  // Retention counts from its own window, [100, 1100): every close
+  // starting before the horizon keeps it in the pool...
+  const TimeNs horizon = 100 + kGraftRetentionWindows * opts.window;
+  // ...and the close starting at the horizon, run at this watermark,
+  // expires it as an orphan.
+  const TimeNs horizon_close = horizon + opts.window + opts.margin;
   std::vector<SpanId> orphans;
-  for (const auto& w : online.Advance(6000)) {
+  for (const auto& w : online.Advance(horizon_close - 1)) {
+    orphans.insert(orphans.end(), w.orphans.begin(), w.orphans.end());
+  }
+  EXPECT_EQ(online.late_pool_size(), 1u);
+  EXPECT_TRUE(orphans.empty());
+
+  for (const auto& w : online.Advance(horizon_close)) {
     orphans.insert(orphans.end(), w.orphans.begin(), w.orphans.end());
   }
   EXPECT_EQ(online.late_pool_size(), 0u);
@@ -329,17 +339,17 @@ TEST(OnlineOverload, LatePoolIsBounded) {
   OnlineOptions opts;
   opts.window = 1000;
   opts.margin = 100;
-  opts.max_late_spans = 2;
   OnlineTraceWeaver online(GraftGraph(), opts);
 
   online.Ingest(MakeParent(1, 100));
   online.Advance(1500);
-  for (SpanId id = 10; id < 16; ++id) {
+  for (SpanId id = 10; id < 10 + kMaxLateSpans + 4; ++id) {
     Span late = MakeChild(id, 100);
     late.caller_replica = 9;  // Never graftable.
     online.Ingest(late);
-    EXPECT_LE(online.late_pool_size(), opts.max_late_spans);
+    ASSERT_LE(online.late_pool_size(), kMaxLateSpans);
   }
+  EXPECT_EQ(online.late_pool_size(), kMaxLateSpans);
   EXPECT_EQ(online.stats().late_dropped, 4u);
   // Dropped entries surface as orphans with the next result.
   std::size_t orphans = 0;

@@ -261,7 +261,6 @@ class ProvenanceCommitTest : public ::testing::Test {
     CommitterOptions copts;
     copts.window = Millis(100);
     copts.margin = Millis(10);
-    copts.settle_windows = 1;
     copts.provenance = &ledger_;
     return copts;
   }
@@ -332,6 +331,157 @@ TEST_F(ProvenanceCommitTest, NullLedgerLeavesRecordsUntouched) {
   const auto rec = store_->Get(1);
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->provenance.empty());
+}
+
+// ---------------------------------------------------------------------
+// Online weaver + committer: the late-graft retention horizon
+// (kGraftRetentionWindows) and the settle horizon derived from it
+// (kSettleWindows) agree, so a late child either joins its root's record
+// or commits as a benign orphan fragment -- never strands.
+
+/// One frontend handler whose single backend call is optional: a parent
+/// committed before its child arrives keeps a graft slot open.
+CallGraph OptionalCallGraph() {
+  BackendCall call;
+  call.service = "B";
+  call.endpoint = "/b";
+  call.optional = true;
+  Stage stage;
+  stage.calls.push_back(call);
+  InvocationPlan plan;
+  plan.stages.push_back(stage);
+  CallGraph graph;
+  graph.SetPlan({"A", "/a"}, plan);
+  return graph;
+}
+
+/// Drives OnlineTraceWeaver and TraceCommitter the way the serve loop
+/// does: Ingest + OnSpan per span, then Advance + OnResults.
+struct LatePipeline {
+  LatePipeline(const CommitterOptions& copts, TraceStore* store,
+               ProvenanceLedger* ledger)
+      : weaver(OptionalCallGraph(), WeaverOptions(copts, ledger)),
+        committer(copts, store) {}
+
+  static OnlineOptions WeaverOptions(const CommitterOptions& copts,
+                                     ProvenanceLedger* ledger) {
+    OnlineOptions o;
+    o.window = copts.window;
+    o.margin = copts.margin;
+    o.provenance = ledger;
+    return o;
+  }
+
+  /// Returns the number of traces committed by this step.
+  std::size_t Step(const Span* span, TimeNs watermark) {
+    if (span != nullptr) {
+      weaver.Ingest(*span);
+      committer.OnSpan(*span);
+    }
+    return committer.OnResults(weaver.Advance(watermark));
+  }
+
+  OnlineTraceWeaver weaver;
+  TraceCommitter committer;
+};
+
+// The root spans [1 ms, 10 ms] and the child [3 ms, 6 ms]; windows are
+// 100 ms from the first span (1 ms) with a 10 ms margin. The child's own
+// window is [1, 101) ms, so its horizon ends at 1 + 2 windows = 201 ms:
+// the close of [101, 201) ms (run at watermark 211 ms) is the last that
+// may graft it, and it is also the close that settles the root (root
+// completion 10 ms + kSettleWindows windows + margin = 120 ms <= 201 ms).
+Span LateRoot() {
+  return MakeSpan(1, kClientCaller, "A", "/a", Millis(1), Millis(10), 0);
+}
+Span LateChild() { return MakeSpan(2, "A", "B", "/b", Millis(3), Millis(6)); }
+
+TEST_F(ProvenanceCommitTest, LateChildGraftedAtRetentionHorizonJoinsRoot) {
+  LatePipeline p(Opts(), store_.get(), &ledger_);
+  const Span root = LateRoot();
+  const Span child = LateChild();
+  EXPECT_EQ(p.Step(&root, Millis(210)), 0u);  // Root's window closed.
+  ASSERT_EQ(store_->Get(1), nullptr);
+  // The child arrives after its own window closed, just before the last
+  // close its retention allows -- the close that settles the root.
+  EXPECT_EQ(p.Step(&child, Millis(210)), 0u);
+  EXPECT_EQ(p.weaver.stats().late_spans, 1u);
+  EXPECT_EQ(p.Step(nullptr, Millis(211)), 1u);
+  EXPECT_EQ(p.weaver.stats().late_grafted, 1u);
+
+  const auto rec = store_->Get(1);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->spans.size(), 2u);
+  EXPECT_EQ(rec->spans[1].id, 2u);
+  ASSERT_EQ(rec->parents.size(), 1u);
+  EXPECT_EQ(rec->parents[0], (std::pair<SpanId, SpanId>{2, 1}));
+  EXPECT_TRUE(std::any_of(
+      rec->provenance.begin(), rec->provenance.end(),
+      [](const ProvEvent& e) {
+        return e.type == ProvEventType::kLateGraft && e.span == 2;
+      }));
+  EXPECT_EQ(store_->Get(2), nullptr) << "split off as a fragment";
+  EXPECT_EQ(p.committer.pending_spans(), 0u);
+}
+
+TEST_F(ProvenanceCommitTest, LateChildPastRetentionHorizonIsBenignOrphan) {
+  LatePipeline p(Opts(), store_.get(), &ledger_);
+  const Span root = LateRoot();
+  const Span child = LateChild();
+  p.Step(&root, Millis(211));  // Root settled alone.
+  ASSERT_NE(store_->Get(1), nullptr);
+  // One close later than above: past the horizon, so no close may graft
+  // it any more and the weaver expires it on arrival.
+  p.Step(&child, Millis(211));
+  EXPECT_EQ(p.weaver.stats().late_orphans, 1u);
+  p.Step(nullptr, Millis(311));
+
+  const auto frag = store_->Get(2);
+  ASSERT_NE(frag, nullptr);
+  EXPECT_TRUE(frag->orphan);
+  EXPECT_FALSE(frag->suspect);
+  ASSERT_EQ(frag->spans.size(), 1u);
+  ASSERT_EQ(frag->provenance.size(), 2u);
+  EXPECT_EQ(frag->provenance[0].type, ProvEventType::kLateExpire);
+  EXPECT_EQ(frag->provenance[0].value, Millis(201));  // The horizon.
+  EXPECT_EQ(frag->provenance[1].type, ProvEventType::kOrphanCommit);
+  EXPECT_EQ(store_->Get(1)->spans.size(), 1u);
+  EXPECT_EQ(p.committer.pending_spans(), 0u);
+  EXPECT_EQ(ledger_.pending_events(), 0u);
+}
+
+TEST_F(ProvenanceCommitTest, LateChildNeverStrandsAtAnyArrivalTime) {
+  for (TimeNs arrive = Millis(111); arrive <= Millis(611);
+       arrive += Millis(10)) {
+    SCOPED_TRACE(::testing::Message() << "arrival watermark " << arrive);
+    TraceStore store((dir_ / std::to_string(arrive)).string());
+    ASSERT_TRUE(store.Open().has_value());
+    ProvenanceLedger ledger;
+    CommitterOptions copts = Opts();
+    copts.provenance = &ledger;
+    LatePipeline p(copts, &store, &ledger);
+    const Span root = LateRoot();
+    const Span child = LateChild();
+    p.Step(&root, arrive);
+    p.Step(&child, arrive);
+    for (TimeNs w = arrive; w <= Millis(1000); w += Millis(10)) {
+      p.Step(nullptr, w);
+    }
+    // Everything settled before end of stream, every event drained.
+    EXPECT_EQ(p.committer.pending_spans(), 0u);
+    EXPECT_EQ(ledger.pending_events(), 0u);
+    const auto rec = store.Get(1);
+    ASSERT_NE(rec, nullptr);
+    const auto frag = store.Get(2);
+    if (arrive < Millis(211)) {
+      EXPECT_EQ(rec->spans.size(), 2u);
+      EXPECT_EQ(frag, nullptr);
+    } else {
+      EXPECT_EQ(rec->spans.size(), 1u);
+      ASSERT_NE(frag, nullptr);
+      EXPECT_EQ(frag->provenance.front().type, ProvEventType::kLateExpire);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -205,14 +205,13 @@ TEST(QualityReport, MeansAndWorstServices) {
 TEST(QualityReport, GradesFollowConfidenceCuts) {
   const Pipeline p = HotelPipeline(150, 2);
   const TraceWeaverOutput out = Reconstruct(p, /*quality=*/true);
-  obs::QualityOptions opts;  // Defaults used by Reconstruct above.
   for (const obs::TraceQuality& t : out.quality.traces) {
     char expect = 'D';
-    if (t.confidence >= opts.grade_a) {
+    if (t.confidence >= obs::kGradeA) {
       expect = 'A';
-    } else if (t.confidence >= opts.grade_b) {
+    } else if (t.confidence >= obs::kGradeB) {
       expect = 'B';
-    } else if (t.confidence >= opts.grade_c) {
+    } else if (t.confidence >= obs::kGradeC) {
       expect = 'C';
     }
     EXPECT_EQ(t.grade, expect);

@@ -13,6 +13,7 @@
 #include "callgraph/inference.h"
 #include "collector/capture.h"
 #include "core/accuracy.h"
+#include "core/candidates.h"
 #include "core/trace_weaver.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
@@ -70,7 +71,7 @@ TEST(Scenario, HedgedCandidateSetsStayBounded) {
   opts.optimizer.params.duplicate_twin_window_ns = Millis(5);
   TraceWeaver weaver(s.graph, opts);
   const TraceWeaverOutput out = weaver.Reconstruct(s.spans);
-  const std::size_t cap = opts.optimizer.params.enumeration_total_cap;
+  const std::size_t cap = EnumerationOptions{}.total_cap;
   for (const ContainerResult& c : out.containers) {
     for (const ParentResult& p : c.parents) {
       EXPECT_LE(p.candidates_considered, cap);

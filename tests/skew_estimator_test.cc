@@ -28,7 +28,7 @@ TEST(PairSkewStats, OffsetZeroWhenClocksCouldBeSynchronized) {
   PairSkewStats stats;
   // Both gaps positive: a zero offset is feasible (delays explain both).
   for (int i = 0; i < 16; ++i) stats.Observe(Micros(80), Micros(120));
-  EXPECT_EQ(stats.OffsetNs(8), 0);
+  EXPECT_EQ(stats.OffsetNs(), 0);
   EXPECT_EQ(stats.inversions, 0u);
 }
 
@@ -37,14 +37,18 @@ TEST(PairSkewStats, OffsetMidpointWhenSkewForced) {
   // Callee clock +100us: request gap inflated, response gap inverted.
   // Feasible offsets are [60us, 140us]; the midpoint recovers 100us.
   for (int i = 0; i < 16; ++i) stats.Observe(Micros(140), -Micros(60));
-  EXPECT_EQ(stats.OffsetNs(8), Micros(100));
+  EXPECT_EQ(stats.OffsetNs(), Micros(100));
   EXPECT_GT(stats.inversions, 0u);
 }
 
 TEST(PairSkewStats, BelowMinSamplesReportsNoOffset) {
   PairSkewStats stats;
-  for (int i = 0; i < 4; ++i) stats.Observe(Micros(140), -Micros(60));
-  EXPECT_EQ(stats.OffsetNs(8), 0);
+  for (std::uint64_t i = 0; i + 1 < PairSkewStats::kMinSamples; ++i) {
+    stats.Observe(Micros(140), -Micros(60));
+  }
+  EXPECT_EQ(stats.OffsetNs(), 0);
+  stats.Observe(Micros(140), -Micros(60));
+  EXPECT_EQ(stats.OffsetNs(), Micros(100));
 }
 
 TEST(PairSkewStats, QuantileFloorSkipsOutliersOnLargePopulations) {
@@ -54,7 +58,7 @@ TEST(PairSkewStats, QuantileFloorSkipsOutliersOnLargePopulations) {
   // the outlier, so the estimate is not held hostage by a single record.
   stats.Observe(Micros(100), -Micros(900));
   for (int i = 0; i < 300; ++i) stats.Observe(Micros(100), Micros(100));
-  EXPECT_EQ(stats.OffsetNs(8), 0);
+  EXPECT_EQ(stats.OffsetNs(), 0);
 }
 
 TEST(SkewEstimator, FrameSolveChainsAcrossPairs) {
@@ -115,8 +119,8 @@ TEST(SkewEstimator, EdgeSlackOnlyForPairsWithInversions) {
   ASSERT_EQ(slacks.size(), 1u);
   const auto it = slacks.find({kA.first, kB.first});
   ASSERT_NE(it, slacks.end());
-  // Constant gaps have zero spread, so the configured floor applies.
-  EXPECT_EQ(it->second, SkewEstimatorOptions{}.min_edge_slack_ns);
+  // Constant gaps have zero spread, so the slack floor applies.
+  EXPECT_EQ(it->second, SkewEstimator::kMinEdgeSlackNs);
 }
 
 TEST(SkewEstimator, CheckpointRoundTripIsExact) {

@@ -186,21 +186,21 @@ TEST(SpanValidator, StrictKeepsFirstDropsLaterDuplicates) {
 // --- Replicas and names. ---
 
 TEST(SpanValidator, LenientClampsOutOfRangeReplicas) {
-  SpanValidator v({.max_replica = 8});
+  SpanValidator v;
   Span s = MakeSpan(1);
   s.caller_replica = -3;
-  s.callee_replica = 1 << 30;
+  s.callee_replica = kMaxReplica + 1;
   EXPECT_EQ(v.Admit(s), SpanVerdict::kRepaired);
   EXPECT_EQ(s.caller_replica, 0);
-  EXPECT_EQ(s.callee_replica, 8);
+  EXPECT_EQ(s.callee_replica, kMaxReplica);
   // Counted per span, not per field.
   EXPECT_EQ(v.stats().replicas_clamped, 1u);
 }
 
 TEST(SpanValidator, StrictRejectsOutOfRangeReplica) {
-  SpanValidator v({.mode = IngestMode::kStrict, .max_replica = 8});
+  SpanValidator v({.mode = IngestMode::kStrict});
   Span s = MakeSpan(1);
-  s.callee_replica = 9;
+  s.callee_replica = kMaxReplica + 1;
   EXPECT_EQ(v.Admit(s), SpanVerdict::kQuarantined);
   EXPECT_EQ(v.stats().replicas_rejected, 1u);
 }

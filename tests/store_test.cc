@@ -480,7 +480,6 @@ TEST_F(StoreTest, CommitterSettlesRootedTrace) {
   CommitterOptions copts;
   copts.window = Millis(100);
   copts.margin = Millis(10);
-  copts.settle_windows = 1;
   TraceCommitter committer(copts, &store);
 
   const Span root = MakeSpan(1, kClientCaller, "A", "/a", Millis(1), Millis(9));
@@ -821,9 +820,7 @@ class ScanCommitter {
         }
       }
     }
-    const DurationNs settle =
-        options_.window * std::max(options_.settle_windows, 0) +
-        options_.margin;
+    const DurationNs settle = options_.window * kSettleWindows + options_.margin;
     std::vector<SpanId> due;
     for (const auto& [id, span] : spans_) {
       if (span.IsRoot() && span.client_recv + settle <= last_closed_end_) {
@@ -1039,61 +1036,57 @@ std::string SegmentBytes(const std::string& dir) {
 TEST_F(StoreTest, CommitterSettleIndexMatchesFullScan) {
   const DurationNs window = Millis(100);
   std::uint64_t seed = 0;
-  for (int settle_windows = 0; settle_windows <= 2; ++settle_windows) {
-    for (const bool sampled : {false, true}) {
-      for (int stream_no = 0; stream_no < 12; ++stream_no) {
-        Rng rng(20261017 + ++seed);
-        const CommitterStream stream = RandomCommitterStream(rng, 40, window);
-        SCOPED_TRACE(::testing::Message()
-                     << "settle_windows=" << settle_windows
-                     << " sampled=" << sampled << " stream=" << stream_no);
+  for (const bool sampled : {false, true}) {
+    for (int stream_no = 0; stream_no < 36; ++stream_no) {
+      Rng rng(20261017 + ++seed);
+      const CommitterStream stream = RandomCommitterStream(rng, 40, window);
+      SCOPED_TRACE(::testing::Message()
+                   << "sampled=" << sampled << " stream=" << stream_no);
 
-        const std::string indexed_dir = Dir() + "/indexed";
-        const std::string scan_dir = Dir() + "/scan";
-        fs::remove_all(Dir());
-        TraceStore indexed_store(indexed_dir);
-        TraceStore scan_store(scan_dir);
-        ASSERT_TRUE(indexed_store.Open().has_value());
-        ASSERT_TRUE(scan_store.Open().has_value());
-        TailSamplerOptions sopts;
-        sopts.window = window;
-        sopts.keep_rate = 0.5;
-        TailSampler indexed_sampler(sopts);
-        TailSampler scan_sampler(sopts);
-        CommitterOptions copts;
-        copts.window = window;
-        copts.margin = Millis(10);
-        copts.settle_windows = settle_windows;
-        copts.sampler = sampled ? &indexed_sampler : nullptr;
-        TraceCommitter indexed(copts, &indexed_store);
-        copts.sampler = sampled ? &scan_sampler : nullptr;
-        ScanCommitter scan(copts, &scan_store);
+      const std::string indexed_dir = Dir() + "/indexed";
+      const std::string scan_dir = Dir() + "/scan";
+      fs::remove_all(Dir());
+      TraceStore indexed_store(indexed_dir);
+      TraceStore scan_store(scan_dir);
+      ASSERT_TRUE(indexed_store.Open().has_value());
+      ASSERT_TRUE(scan_store.Open().has_value());
+      TailSamplerOptions sopts;
+      sopts.window = window;
+      sopts.keep_rate = 0.5;
+      TailSampler indexed_sampler(sopts);
+      TailSampler scan_sampler(sopts);
+      CommitterOptions copts;
+      copts.window = window;
+      copts.margin = Millis(10);
+      copts.sampler = sampled ? &indexed_sampler : nullptr;
+      TraceCommitter indexed(copts, &indexed_store);
+      copts.sampler = sampled ? &scan_sampler : nullptr;
+      ScanCommitter scan(copts, &scan_store);
 
-        for (std::size_t k = 0; k < stream.results.size(); ++k) {
-          for (const Span& span : stream.ingest[k]) {
-            indexed.OnSpan(span);
-            scan.OnSpan(span);
-          }
-          ASSERT_EQ(indexed.OnResults(stream.results[k]),
-                    scan.OnResults(stream.results[k]))
-              << "call " << k;
-          // Sealing after every call makes each call's commits (ids,
-          // order and records) one segment file to compare.
-          ASSERT_TRUE(indexed_store.Seal());
-          ASSERT_TRUE(scan_store.Seal());
-          ASSERT_EQ(SegmentBytes(indexed_dir), SegmentBytes(scan_dir))
-              << "call " << k;
-          std::stringstream indexed_state;
-          std::stringstream scan_state;
-          indexed.SaveState(indexed_state);
-          scan.SaveState(scan_state);
-          ASSERT_EQ(indexed_state.str(), scan_state.str()) << "call " << k;
-          std::stringstream indexed_sampler_state;
-          std::stringstream scan_sampler_state;
-          indexed_sampler.SaveState(indexed_sampler_state);
-          scan_sampler.SaveState(scan_sampler_state);
-          ASSERT_EQ(indexed_sampler_state.str(), scan_sampler_state.str());
+      for (std::size_t k = 0; k < stream.results.size(); ++k) {
+        for (const Span& span : stream.ingest[k]) {
+          indexed.OnSpan(span);
+          scan.OnSpan(span);
         }
+        ASSERT_EQ(indexed.OnResults(stream.results[k]),
+                  scan.OnResults(stream.results[k]))
+            << "call " << k;
+        // Sealing after every call makes each call's commits (ids,
+        // order and records) one segment file to compare.
+        ASSERT_TRUE(indexed_store.Seal());
+        ASSERT_TRUE(scan_store.Seal());
+        ASSERT_EQ(SegmentBytes(indexed_dir), SegmentBytes(scan_dir))
+            << "call " << k;
+        std::stringstream indexed_state;
+        std::stringstream scan_state;
+        indexed.SaveState(indexed_state);
+        scan.SaveState(scan_state);
+        ASSERT_EQ(indexed_state.str(), scan_state.str()) << "call " << k;
+        std::stringstream indexed_sampler_state;
+        std::stringstream scan_sampler_state;
+        indexed_sampler.SaveState(indexed_sampler_state);
+        scan_sampler.SaveState(scan_sampler_state);
+        ASSERT_EQ(indexed_sampler_state.str(), scan_sampler_state.str());
       }
     }
   }

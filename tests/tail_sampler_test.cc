@@ -67,11 +67,11 @@ TEST(TailSamplerTest, KeepPolicyOrderFirstMatchWins) {
   EXPECT_STREQ(sampler.Decide(graded).reason, "low_grade");
 
   TraceRecord shaky = BoringRecord(4);
-  shaky.confidence = 0.3;  // Below min_boring_confidence.
+  shaky.confidence = 0.3;  // Below the 0.5 boring floor.
   EXPECT_STREQ(sampler.Decide(shaky).reason, "low_grade");
 
   TraceRecord slow = BoringRecord(5);
-  slow.end = slow.start + Millis(60);  // Past latency_keep_ns = 50ms.
+  slow.end = slow.start + Millis(60);  // Past the 50 ms latency keep.
   EXPECT_STREQ(sampler.Decide(slow).reason, "high_latency");
 
   // An orphan that is also slow reports the earlier rule: the order is
@@ -90,7 +90,6 @@ TEST(TailSamplerTest, ShedAdjacencyKeepsTracesNearOverload) {
   TailSamplerOptions opts;
   opts.keep_rate = 0.0;
   opts.window = Millis(100);
-  opts.shed_adjacent_windows = 2;
   TailSampler sampler(opts);
 
   // Before any shed, a boring trace sheds.
@@ -100,7 +99,8 @@ TEST(TailSamplerTest, ShedAdjacencyKeepsTracesNearOverload) {
   sampler.NoteShed(Millis(500));
 
   // record.end + 2 windows reaches the shed horizon -> kept. Durations
-  // stay below latency_keep_ns so only the adjacency rule can keep them.
+  // stay below the 50 ms latency keep so only the adjacency rule can keep
+  // them.
   TraceRecord near = BoringRecord(2);
   near.start = Millis(300);
   near.end = Millis(320);  // 320 + 200 >= 500.
@@ -166,19 +166,6 @@ TEST(TailSamplerTest, CoinIsDeterministicAndRateFaithful) {
   // ~25% +- a generous tolerance for 2000 hash coins.
   EXPECT_GT(kept, 400u);
   EXPECT_LT(kept, 600u);
-
-  // A different seed flips a nontrivial subset of the decisions.
-  TailSamplerOptions reseeded = opts;
-  reseeded.seed ^= 0xdeadbeefULL;
-  TailSampler c(reseeded);
-  std::size_t differs = 0;
-  TailSampler a2(opts);
-  for (SpanId id = 1; id <= 2000; ++id) {
-    if (a2.Decide(BoringRecord(id)).keep != c.Decide(BoringRecord(id)).keep) {
-      ++differs;
-    }
-  }
-  EXPECT_GT(differs, 100u);
 }
 
 TEST(TailSamplerTest, StateRoundtripRestoresCountersAndHorizon) {

@@ -160,24 +160,14 @@ TEST(WireCapture, ReorderedDeliveryIsRepairedByTheReorderBuffer) {
 
   auto events = WireToEvents(wire.chunks, wire.meta);
 
-  // With the reorder buffer (default options): every span reassembles and
-  // each inverted pair is recovered, not orphaned.
+  // The reorder buffer recovers each inverted pair instead of orphaning
+  // it: every span reassembles.
   AssemblyStats stats;
-  const auto rebuilt = AssembleSpans(events, &stats);
+  const auto rebuilt = AssembleSpans(std::move(events), &stats);
   EXPECT_EQ(rebuilt.size(), spans.size());
   EXPECT_EQ(stats.reordered_responses, inverted);
   EXPECT_EQ(stats.unmatched_requests, 0u);
   EXPECT_EQ(stats.unmatched_responses, 0u);
-
-  // The historical behavior (reorder buffer disabled): inverted pairs are
-  // lost and pairings shift -- the bug this buffer exists to fix.
-  AssemblyOptions legacy;
-  legacy.reorder_capacity = 0;
-  AssemblyStats legacy_stats;
-  const auto shifted = AssembleSpans(std::move(events), &legacy_stats, nullptr,
-                                     legacy);
-  EXPECT_LT(shifted.size(), spans.size());
-  EXPECT_GT(legacy_stats.unmatched_responses, 0u);
 }
 
 TEST(WireCapture, CorruptStreamIsIsolated) {

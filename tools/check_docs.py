@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker, run as a ctest (`ctest -R check_docs`).
 
-Five audits, all against the working tree (no build needed):
+Six audits, all against the working tree (no build needed):
 
  1. Relative markdown links in README.md, DESIGN.md and docs/*.md must
     point at files that exist.
@@ -15,6 +15,9 @@ Five audits, all against the working tree (no build needed):
  5. Every backticked source path (`*.h`, `*.cc`, `*.cpp`, `*.py`, with an
     optional `:line` suffix) in those docs must name a file that exists,
     relative to the repo root or to src/.
+ 6. Every `XxxOptions::member` or `Parameters::member` mention in those
+    docs must name a member that a struct or class of that name declares
+    in a src/**/*.h header, so no doc keeps naming a deleted option.
 
 Exit status is the number of problems found; each problem is printed as
 `file: message` so editors can jump to it.
@@ -45,6 +48,12 @@ LITERAL_RE = re.compile(r'"(tw_[a-z0-9_]+)"')
 # rather than registered through the registry; count those names too.
 EXPOSITION_RE = re.compile(r"# (?:HELP|TYPE) (tw_[a-z0-9_]+)")
 SOURCE_PATH_RE = re.compile(r"`([A-Za-z0-9_./-]+\.(?:h|cc|cpp|py))(?::[0-9,-]+)?`")
+OPTION_MENTION_RE = re.compile(r"\b(\w*Options|Parameters)::(\w+)")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+TYPE_RE = re.compile(r"\b(?:struct|class)\s+(\w+)\s*(?:final\s*)?(?::[^{;]*)?\{")
+# A member is the name right before its initializer, its ';', or the '('
+# of a member function.
+MEMBER_RE = re.compile(r"(\w+)\s*(?:\[[^\]]*\]\s*)?(?:=|;|\{|\()")
 
 
 def read(relpath):
@@ -71,6 +80,44 @@ def check_source_paths(problems):
                 for base in ("", "src")
             ):
                 problems.append(f"{doc}: source path `{path}` does not exist")
+
+
+def declared_members():
+    """Struct/class name -> the names declared at its top level, over
+    every header under src/ (same-named types are merged)."""
+    members = {}
+    for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for f in files:
+            if not f.endswith(".h"):
+                continue
+            with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                text = COMMENT_RE.sub("", fh.read())
+            for m in TYPE_RE.finditer(text):
+                depth, top = 0, []
+                for ch in text[m.end() - 1:]:
+                    if ch == "{":
+                        depth += 1
+                        if depth == 2:
+                            top.append("{")
+                    elif ch == "}":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    elif depth == 1:
+                        top.append(ch)
+                names = members.setdefault(m.group(1), set())
+                names.update(MEMBER_RE.findall("".join(top)))
+    return members
+
+
+def check_option_mentions(problems):
+    members = declared_members()
+    for doc in DOC_FILES:
+        for owner, member in sorted(set(OPTION_MENTION_RE.findall(read(doc)))):
+            if member not in members.get(owner, set()):
+                problems.append(
+                    f"{doc}: {owner}::{member} is not declared in src/"
+                )
 
 
 def source_metric_names():
@@ -161,6 +208,7 @@ def main():
     problems = []
     check_links(problems)
     check_source_paths(problems)
+    check_option_mentions(problems)
     names = source_metric_names()
     check_doc_mentions(problems, names)
     check_metrics_catalogue(problems, names)

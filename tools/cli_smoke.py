@@ -16,7 +16,11 @@ HotelReservation population, in a temporary directory:
     weaver checkpoint, the committer state and the sampler state restored;
  5. query and provenance against the store;
  6. serve with a window of zero or a non-numeric window, each of which
-    must be rejected with exit status 2 (never loop).
+    must be rejected with exit status 2 (never loop);
+ 7. serve with a malformed numeric flag (a sign on an unsigned flag, a
+    non-numeric rate, an exponent on an integer), each of which must be
+    rejected with exit status 2 and "<flag>: expected <type>" on stderr
+    instead of running with a silently wrapped or truncated value.
 
 Exit status is 0 when every step passed, 1 on the first failure (the
 failing command, its exit status and its stderr are printed).
@@ -48,9 +52,10 @@ def run(cli, args, stdout_path=None, want_stdout=True):
     return stdout, proc.stderr
 
 
-def expect_exit(cli, args, status):
+def expect_exit(cli, args, status, stderr_has=""):
     """Runs `cli args` with a short timeout (subprocess.run kills a hung
-    child) and exits unless it terminates with `status`."""
+    child) and exits unless it terminates with `status` and its stderr
+    contains `stderr_has`."""
     try:
         proc = subprocess.run([cli] + args, stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, timeout=10)
@@ -58,10 +63,10 @@ def expect_exit(cli, args, status):
         sys.stderr.write("FAIL: %s %s\n  still running after 10 s\n" % (
             os.path.basename(cli), " ".join(args)))
         sys.exit(1)
-    if proc.returncode != status:
-        sys.stderr.write("FAIL: %s %s\n  exit %d, want %d\n%s" % (
+    if proc.returncode != status or stderr_has not in proc.stderr:
+        sys.stderr.write("FAIL: %s %s\n  exit %d, want %d and %r\n%s" % (
             os.path.basename(cli), " ".join(args), proc.returncode, status,
-            proc.stderr))
+            stderr_has, proc.stderr))
         sys.exit(1)
 
 
@@ -108,6 +113,19 @@ def main():
         for window in ("0", "abc"):
             expect_exit(cli, ["serve", "--window-ms=" + window, graph,
                               ordered], 2)
+
+        # Each flag is otherwise a valid serve run, so a parser that
+        # accepts the value runs to EOF (exit 0) or past the timeout.
+        for n, (flag, want) in enumerate((
+                ("--http-port=-1", "--http-port: expected unsigned integer"),
+                ("--tail-sample=abc", "--tail-sample: expected number"),
+                ("--checkpoint-every=1e3",
+                 "--checkpoint-every: expected unsigned integer"))):
+            bad_ckpt = os.path.join(tmp, "bad_ckpt%d" % n)
+            os.mkdir(bad_ckpt)
+            expect_exit(cli, ["serve", "--store-dir=" + os.path.join(
+                tmp, "bad_store%d" % n), "--checkpoint-dir=" + bad_ckpt,
+                flag, graph, ordered], 2, want)
     print("cli_smoke: all commands passed")
     return 0
 

@@ -64,8 +64,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,6 +78,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -288,19 +292,58 @@ struct CliFlags {
   }
 };
 
-/// Consumes leading flag arguments (any order), shifting argv.
+/// Parses all of `arg` past `prefix` into `v` with std::from_chars: no
+/// leading whitespace or '+', a '-' only for signed types, no trailing
+/// bytes, nothing out of range.
+template <typename V>
+bool ParseWhole(const std::string& arg, std::size_t prefix, V& v) {
+  const char* first = arg.data() + prefix;
+  const char* last = arg.data() + arg.size();
+  const auto [end, ec] = std::from_chars(first, last, v);
+  return first != last && ec == std::errc{} && end == last;
+}
+
+/// Rejects the value of a numeric `--flag=value` argument: exit 2.
+[[noreturn]] void BadNumber(const std::string& arg, std::size_t prefix,
+                            const char* type) {
+  std::fprintf(stderr, "%s: expected %s\n",
+               arg.substr(0, prefix - 1).c_str(), type);
+  std::exit(2);
+}
+
+/// The flag value as a non-negative T.
+template <typename T>
+T Unsigned(const std::string& arg, std::size_t prefix) {
+  std::uint64_t v = 0;
+  if (!ParseWhole(arg, prefix, v) ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    BadNumber(arg, prefix, "unsigned integer");
+  }
+  return static_cast<T>(v);
+}
+
+long long Signed(const std::string& arg, std::size_t prefix) {
+  long long v = 0;
+  if (!ParseWhole(arg, prefix, v)) BadNumber(arg, prefix, "integer");
+  return v;
+}
+
+double Number(const std::string& arg, std::size_t prefix) {
+  double v = 0.0;
+  if (!ParseWhole(arg, prefix, v) || !std::isfinite(v)) {
+    BadNumber(arg, prefix, "number");
+  }
+  return v;
+}
+
+/// Consumes leading flag arguments (any order), shifting argv. A malformed
+/// numeric flag value exits 2.
 CliFlags ParseFlags(int& argc, char**& argv) {
   CliFlags flags;
-  const auto num = [](const std::string& arg, std::size_t prefix) {
-    return std::strtoull(arg.c_str() + prefix, nullptr, 10);
-  };
-  const auto prob = [](const std::string& arg, std::size_t prefix) {
-    return std::atof(arg.c_str() + prefix);
-  };
   while (argc > 1) {
     const std::string arg = argv[1];
     if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = static_cast<std::size_t>(num(arg, 10));
+      flags.threads = Unsigned<std::size_t>(arg, 10);
       if (flags.threads == 0) flags.threads = 1;
     } else if (arg == "--report") {
       flags.report = true;
@@ -327,66 +370,65 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     } else if (arg == "--quality") {
       flags.quality = true;
     } else if (arg.rfind("--min-confidence=", 0) == 0) {
-      flags.min_confidence = prob(arg, 17);
+      flags.min_confidence = Number(arg, 17);
       flags.quality = true;
     } else if (arg == "--json") {
       flags.json = true;
     } else if (arg.rfind("--sampling-rate=", 0) == 0) {
-      flags.sampling_rate = prob(arg, 16);
+      flags.sampling_rate = Number(arg, 16);
       if (flags.sampling_rate <= 0.0 || flags.sampling_rate > 1.0) {
         flags.sampling_rate = 1.0;
       }
     } else if (arg.rfind("--twin-window-ns=", 0) == 0) {
-      flags.twin_window_ns = static_cast<long long>(num(arg, 17));
+      flags.twin_window_ns = Unsigned<long long>(arg, 17);
     } else if (arg.rfind("--drop=", 0) == 0) {
-      flags.faults.drop_rate = prob(arg, 7);
+      flags.faults.drop_rate = Number(arg, 7);
     } else if (arg.rfind("--dup=", 0) == 0) {
-      flags.faults.duplicate_rate = prob(arg, 6);
+      flags.faults.duplicate_rate = Number(arg, 6);
     } else if (arg.rfind("--skew-ns=", 0) == 0) {
-      flags.faults.skew_stddev_ns = static_cast<DurationNs>(num(arg, 10));
+      flags.faults.skew_stddev_ns = Unsigned<DurationNs>(arg, 10);
     } else if (arg.rfind("--truncate-ns=", 0) == 0) {
-      flags.faults.truncate_granularity_ns =
-          static_cast<DurationNs>(num(arg, 14));
+      flags.faults.truncate_granularity_ns = Unsigned<DurationNs>(arg, 14);
     } else if (arg.rfind("--garble=", 0) == 0) {
-      flags.faults.garble_rate = prob(arg, 9);
+      flags.faults.garble_rate = Number(arg, 9);
     } else if (arg.rfind("--head-sample=", 0) == 0) {
-      flags.faults.head_sample_rate = prob(arg, 14);
+      flags.faults.head_sample_rate = Number(arg, 14);
     } else if (arg.rfind("--span-sample=", 0) == 0) {
-      flags.faults.tail_sample_rate = prob(arg, 14);
+      flags.faults.tail_sample_rate = Number(arg, 14);
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      flags.faults.seed = num(arg, 13);
+      flags.faults.seed = Unsigned<std::uint64_t>(arg, 13);
     } else if (arg.rfind("--window-ms=", 0) == 0) {
-      flags.window_ms = static_cast<long long>(num(arg, 12));
+      flags.window_ms = Unsigned<long long>(arg, 12);
     } else if (arg.rfind("--margin-ms=", 0) == 0) {
-      flags.margin_ms = static_cast<long long>(num(arg, 12));
+      flags.margin_ms = Unsigned<long long>(arg, 12);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      flags.deadline_ms = static_cast<long long>(num(arg, 14));
+      flags.deadline_ms = Unsigned<long long>(arg, 14);
     } else if (arg.rfind("--max-buffer-spans=", 0) == 0) {
-      flags.max_buffer_spans = static_cast<std::size_t>(num(arg, 19));
+      flags.max_buffer_spans = Unsigned<std::size_t>(arg, 19);
     } else if (arg.rfind("--max-buffer-bytes=", 0) == 0) {
-      flags.max_buffer_bytes = static_cast<std::size_t>(num(arg, 19));
+      flags.max_buffer_bytes = Unsigned<std::size_t>(arg, 19);
     } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
       flags.checkpoint_dir = arg.substr(17);
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      flags.checkpoint_every = static_cast<std::size_t>(num(arg, 19));
+      flags.checkpoint_every = Unsigned<std::size_t>(arg, 19);
       if (flags.checkpoint_every == 0) flags.checkpoint_every = 1;
     } else if (arg == "--resume") {
       flags.resume = true;
     } else if (arg.rfind("--retries=", 0) == 0) {
-      flags.retries = static_cast<int>(num(arg, 10));
+      flags.retries = Unsigned<int>(arg, 10);
     } else if (arg == "--final") {
       flags.final_only = true;
     } else if (arg.rfind("--store-dir=", 0) == 0) {
       flags.store_dir = arg.substr(12);
     } else if (arg.rfind("--store-segment-traces=", 0) == 0) {
-      flags.store_segment_traces = static_cast<std::size_t>(num(arg, 23));
+      flags.store_segment_traces = Unsigned<std::size_t>(arg, 23);
       if (flags.store_segment_traces == 0) flags.store_segment_traces = 1;
     } else if (arg.rfind("--cache-traces=", 0) == 0) {
-      flags.cache_traces = static_cast<std::size_t>(num(arg, 15));
+      flags.cache_traces = Unsigned<std::size_t>(arg, 15);
     } else if (arg.rfind("--http-port=", 0) == 0) {
-      flags.http_port = static_cast<int>(num(arg, 12));
+      flags.http_port = Unsigned<int>(arg, 12);
     } else if (arg.rfind("--http-threads=", 0) == 0) {
-      flags.http_threads = static_cast<std::size_t>(num(arg, 15));
+      flags.http_threads = Unsigned<std::size_t>(arg, 15);
       if (flags.http_threads == 0) flags.http_threads = 1;
     } else if (arg == "--linger") {
       flags.linger = true;
@@ -395,21 +437,21 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     } else if (arg == "--self-trace") {
       flags.self_trace = true;
     } else if (arg.rfind("--tail-sample=", 0) == 0) {
-      flags.tail_sample = prob(arg, 14);
+      flags.tail_sample = Number(arg, 14);
       if (flags.tail_sample < 0.0 || flags.tail_sample > 1.0) {
         flags.tail_sample = -1.0;  // Out of range: sampler stays off.
       }
     } else if (arg.rfind("--service=", 0) == 0) {
       flags.q_service = arg.substr(10);
     } else if (arg.rfind("--from=", 0) == 0) {
-      flags.q_from = std::strtoll(arg.c_str() + 7, nullptr, 10);
+      flags.q_from = Signed(arg, 7);
     } else if (arg.rfind("--to=", 0) == 0) {
-      flags.q_to = std::strtoll(arg.c_str() + 5, nullptr, 10);
+      flags.q_to = Signed(arg, 5);
     } else if (arg.rfind("--grade=", 0) == 0 && arg.size() == 9) {
       flags.q_grade = static_cast<char>(
           std::toupper(static_cast<unsigned char>(arg[8])));
     } else if (arg.rfind("--limit=", 0) == 0) {
-      flags.q_limit = static_cast<std::size_t>(num(arg, 8));
+      flags.q_limit = Unsigned<std::size_t>(arg, 8);
     } else if (arg == "--full") {
       flags.q_full = true;
     } else {

@@ -38,6 +38,10 @@ std::string WrapSpanLine(const char* tag, const Span& span,
   return out;
 }
 
+/// Graft-reject deadline of an id from a legacy `commit` record, whose
+/// server_recv the record does not carry: it is never forgotten.
+constexpr TimeNs kNoDeadline = std::numeric_limits<TimeNs>::max();
+
 }  // namespace
 
 OnlineTraceWeaver::OnlineTraceWeaver(CallGraph graph, OnlineOptions options)
@@ -178,8 +182,7 @@ void OnlineTraceWeaver::HandleLate(const Span& span) {
   const std::uint64_t retention = kGraftRetentionWindows;
   const std::uint64_t behind =
       (first_open - static_cast<std::uint64_t>(span.server_recv) - 1) / w + 1;
-  LateSpan late{
-      span, static_cast<TimeNs>(first_open + (retention - behind) * w)};
+  LateSpan late{span, GraftDeadline(next_window_start_, span.server_recv)};
   if (behind >= retention) {
     ExpireLate(late, pending_orphans_);
     return;
@@ -193,6 +196,24 @@ void OnlineTraceWeaver::HandleLate(const Span& span) {
     metrics_.late_dropped.Inc();
   }
   late_pool_.push_back(std::move(late));
+}
+
+TimeNs OnlineTraceWeaver::GraftDeadline(TimeNs anchor,
+                                        TimeNs server_recv) const {
+  // Unsigned (modular) arithmetic, as in HandleLate, so no input
+  // timestamp can overflow it.
+  const auto w = static_cast<std::uint64_t>(options_.window);
+  const auto a = static_cast<std::uint64_t>(anchor);
+  const auto t = static_cast<std::uint64_t>(server_recv);
+  const std::uint64_t own = server_recv < anchor
+                                ? a - ((a - t - 1) / w + 1) * w
+                                : a + (t - a) / w * w;
+  return static_cast<TimeNs>(own + kGraftRetentionWindows * w);
+}
+
+void OnlineTraceWeaver::RejectGrafts(SpanId id, TimeNs until) {
+  const auto [it, inserted] = graft_rejects_.try_emplace(id, until);
+  if (!inserted) it->second = std::max(it->second, until);
 }
 
 long long OnlineTraceWeaver::GraftSlack(const std::string& caller,
@@ -211,7 +232,6 @@ long long OnlineTraceWeaver::GraftSlack(const std::string& caller,
 }
 
 SpanId OnlineTraceWeaver::TryGraft(const Span& span) {
-  if (committed_.count(span.id) > 0) return kInvalidSpanId;
   const long long slack = GraftSlack(span.caller, span.callee);
   int best = -1;
   TimeNs best_gap = 0;
@@ -251,11 +271,19 @@ void OnlineTraceWeaver::ExpireLate(const LateSpan& late,
   metrics_.late_orphans.Inc();
 }
 
-bool OnlineTraceWeaver::GraftLate(const Span& span, WindowResult& result) {
-  const SpanId id = span.id;
-  const SpanId parent = TryGraft(span);
+bool OnlineTraceWeaver::GraftLate(const LateSpan& late, WindowResult& result) {
+  const SpanId id = late.span.id;
+  if (graft_rejects_.count(id) > 0) {
+    // Already committed. This copy stays in the pool until its own
+    // deadline, so the id must be refused at least that long (a skew-
+    // corrected copy may fall in a later window than the original).
+    RejectGrafts(id, late.deadline);
+    return false;
+  }
+  const SpanId parent = TryGraft(late.span);
   if (parent == kInvalidSpanId) return false;
   committed_[id] = parent;
+  RejectGrafts(id, late.deadline);
   result.assignment[id] = parent;
   prov_.Record(obs::ProvEventType::kLateGraft, id,
                static_cast<std::int64_t>(parent));
@@ -271,11 +299,17 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
   for (LateSpan& late : late_pool_) {
     if (next_window_start_ >= late.deadline) {
       ExpireLate(late, result.orphans);
-    } else if (!GraftLate(late.span, result)) {
+    } else if (!GraftLate(late, result)) {
       keep.push_back(std::move(late));
     }
   }
   late_pool_ = std::move(keep);
+
+  // Forget committed ids whose late copies are expired from this close on
+  // (after the retries above, which may have extended some deadlines).
+  std::erase_if(graft_rejects_, [&](const auto& entry) {
+    return next_window_start_ >= entry.second;
+  });
 
   // Prune graft slots too old for any in-flight child to still match.
   const TimeNs cutoff =
@@ -368,19 +402,19 @@ WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
         }
         const CandidateMapping& m =
             p.ranked[static_cast<std::size_t>(p.chosen)];
-        for (SpanId child : m.children) {
-          if (child == kSkippedChild) continue;
+        const auto commit = [&](SpanId child) {
           result.assignment[child] = p.parent;
           committed_[child] = p.parent;
+          RejectGrafts(child, GraftDeadline(window_start,
+                                            by_id.at(child)->server_recv));
           consumed.insert(child);
+        };
+        for (SpanId child : m.children) {
+          if (child != kSkippedChild) commit(child);
         }
         if (const auto ait = adopted_of.find(p.parent);
             ait != adopted_of.end()) {
-          for (SpanId child : ait->second) {
-            result.assignment[child] = p.parent;
-            committed_[child] = p.parent;
-            consumed.insert(child);
-          }
+          for (SpanId child : ait->second) commit(child);
         }
         const Span* parent_span = by_id.at(p.parent);
         const InvocationPlan* plan =
@@ -529,7 +563,7 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
     buffer_.clear();
     buffer_bytes_ = 0;
     for (const LateSpan& late : late_pool_) {
-      if (!GraftLate(late.span, last)) ExpireLate(late, last.orphans);
+      if (!GraftLate(late, last)) ExpireLate(late, last.orphans);
     }
     late_pool_.clear();
     for (SpanId id : pending_orphans_) last.orphans.push_back(id);
@@ -563,6 +597,14 @@ void StatsFields(F& f, S& s) {
   f("degrade_down_steps", s.degrade_down_steps);
 }
 
+/// A graft-reject entry: a committed id and when it may be forgotten.
+template <class F, class Entry>
+void RecentFields(F& f, Entry& id_deadline) {
+  f("id", id_deadline.first);
+  f("deadline", id_deadline.second);
+}
+
+/// The legacy `commit` record (one committed edge), read but not written.
 template <class F, class Edge>
 void CommitFields(F& f, Edge& child_parent) {
   f("child", child_parent.first);
@@ -649,11 +691,11 @@ void OnlineTraceWeaver::SaveCheckpoint(
         "\"deadline\":" + std::to_string(late.deadline)));
   }
   // Sorted so identical state always serializes to identical bytes.
-  std::vector<std::pair<SpanId, SpanId>> commits(committed_.begin(),
-                                                 committed_.end());
-  std::sort(commits.begin(), commits.end());
-  for (const auto& edge : commits) {
-    record("commit", [&](auto& f) { CommitFields(f, edge); });
+  std::vector<std::pair<SpanId, TimeNs>> rejects(graft_rejects_.begin(),
+                                                 graft_rejects_.end());
+  std::sort(rejects.begin(), rejects.end());
+  for (const auto& entry : rejects) {
+    record("recent", [&](auto& f) { RecentFields(f, entry); });
   }
   for (const GraftSlot& s : graft_slots_) {
     record("slot", [&](auto& f) { SlotFields(f, s); });
@@ -764,10 +806,17 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         r("deadline", late.deadline);
         fresh.late_pool_.push_back(std::move(late));
       }
+    } else if (*type == "recent") {
+      std::pair<SpanId, TimeNs> entry;
+      RecentFields(r, entry);
+      fresh.RejectGrafts(entry.first, entry.second);
     } else if (*type == "commit") {
+      // Older checkpoints carry every edge ever committed. The record has
+      // no server_recv to derive a deadline from, so the id is refused
+      // forever (DESIGN.md §4f); no new commit record is ever written.
       std::pair<SpanId, SpanId> edge;
       CommitFields(r, edge);
-      fresh.committed_[edge.first] = edge.second;
+      fresh.RejectGrafts(edge.first, kNoDeadline);
     } else if (*type == "slot") {
       GraftSlot slot;
       SlotFields(r, slot);

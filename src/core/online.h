@@ -38,18 +38,23 @@
 //     orphans (the store committer's settle horizon is derived from it).
 //
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
-//     full streaming state (buffer, committed assignments, late pool,
-//     graft slots, carried delay models, watermark, ladder position) as a
-//     CRC-guarded `traceweaver.checkpoint.v1` JSONL stream
-//     (trace/checkpoint.h), so a killed serve loop resumes within one
-//     window of where it died without losing or duplicating commitments.
-//     Legacy `posterior` records from older checkpoints are ignored on
-//     load.
+//     live streaming state (buffer, late pool, graft slots, the recently
+//     committed ids a late copy must not graft, carried delay models,
+//     watermark, ladder position) as a CRC-guarded
+//     `traceweaver.checkpoint.v1` JSONL stream (trace/checkpoint.h), so a
+//     killed serve loop resumes within one window of where it died without
+//     losing or duplicating commitments. Committed edges are not part of
+//     it (they left in the WindowResults of the process that committed
+//     them), and a committed id is kept only until a late copy of it
+//     would expire anyway (DESIGN.md §4f), so checkpoint size follows the
+//     span rate, not uptime. Legacy `commit` records load as ids that are
+//     never forgotten; legacy `posterior` records are ignored.
 #pragma once
 
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/delay_model.h"
@@ -167,7 +172,9 @@ class OnlineTraceWeaver {
   /// late pool (remaining entries become orphans).
   std::vector<WindowResult> Flush();
 
-  /// Union of all assignments committed so far (including grafts).
+  /// The fold of every WindowResult::assignment this object returned since
+  /// construction or the last LoadCheckpoint (including grafts). A resumed
+  /// weaver's fold holds only the edges committed after the resume.
   const ParentAssignment& assignment() const { return committed_; }
 
   std::size_t buffered() const { return buffer_.size(); }
@@ -248,6 +255,12 @@ class OnlineTraceWeaver {
   /// Ingest() after optional skew correction (the shared buffering path).
   void IngestCorrected(const Span& span);
   void HandleLate(const Span& span);
+  /// Own window start of a span whose server_recv is `server_recv`, on the
+  /// window grid through `anchor`, plus kGraftRetentionWindows windows:
+  /// the first close start at which a late copy of it is expired.
+  TimeNs GraftDeadline(TimeNs anchor, TimeNs server_recv) const;
+  /// Refuses grafts of `id` at least until the close starting at `until`.
+  void RejectGrafts(SpanId id, TimeNs until);
   /// Feasibility slack for grafting on the (caller, callee) edge; with
   /// skew correction on this is derived from the estimator's *current*
   /// state (not the map cached at the last window close) so resumes stay
@@ -259,9 +272,10 @@ class OnlineTraceWeaver {
   SpanId TryGraft(const Span& span);
   /// Orphans `late` into `orphans` with its provenance event and counters.
   void ExpireLate(const LateSpan& late, std::vector<SpanId>& orphans);
-  /// Grafts a late `span` into `result` if a slot fits, with its
-  /// provenance event and counters; returns whether it did.
-  bool GraftLate(const Span& span, WindowResult& result);
+  /// Grafts `late` into `result` if its id was not committed already and
+  /// a slot fits, with its provenance event and counters; returns whether
+  /// it did.
+  bool GraftLate(const LateSpan& late, WindowResult& result);
   /// Retries the late pool against slots opened by new commits, expires
   /// stale entries into `result`, prunes stale graft slots.
   void ServiceLatePool(WindowResult& result);
@@ -281,7 +295,11 @@ class OnlineTraceWeaver {
   obs::ProvRecorder prov_;
   std::vector<Span> buffer_;
   std::size_t buffer_bytes_ = 0;
+  /// Backs assignment() only; never checkpointed.
   ParentAssignment committed_;
+  /// Committed ids a late copy must not graft, each with the close start
+  /// from which it may be forgotten (DESIGN.md §4f). Pruned at every close.
+  std::unordered_map<SpanId, TimeNs> graft_rejects_;
   TimeNs next_window_start_ = 0;
   bool started_ = false;
   TimeNs high_watermark_ = 0;

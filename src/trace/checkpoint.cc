@@ -9,16 +9,26 @@
 namespace traceweaver {
 namespace {
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kTables[0] is the bytewise table of the reflected
+/// polynomial 0xEDB88320, and kTables[k][i] is the CRC of byte i followed
+/// by k zero bytes, so one step folds 8 input bytes with 8 lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
 void SetError(std::string* error, const std::string& what) {
@@ -28,11 +38,26 @@ void SetError(std::string* error, const std::string& what) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> kTable = BuildCrcTable();
+  static const CrcTables kTables = BuildCrcTables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // 8 bytes per step: the low 4 fold into the running CRC, then each of
+  // the 8 bytes is advanced past the ones after it by its own table. Bytes
+  // are assembled explicitly, so the result is independent of alignment
+  // and host byte order.
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo =
+        c ^ (static_cast<std::uint32_t>(p[0]) |
+             static_cast<std::uint32_t>(p[1]) << 8 |
+             static_cast<std::uint32_t>(p[2]) << 16 |
+             static_cast<std::uint32_t>(p[3]) << 24);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][p[4]] ^ kTables[2][p[5]] ^ kTables[1][p[6]] ^
+        kTables[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) {
+    c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

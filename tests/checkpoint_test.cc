@@ -47,6 +47,52 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc, whole);
 }
 
+/// One bit at a time from the polynomial, sharing no table with Crc32:
+/// the running register before the final inversion.
+std::uint32_t BitwiseCrcStep(std::uint32_t reg, unsigned char byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1u) ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+TEST(Crc32Test, EveryAlignmentAndSplitMatchesBitwiseReference) {
+  // Crc32 folds 8 bytes per step and finishes bytewise, so every start
+  // alignment and every cut between a prefix and a suffix (each fold
+  // boundary and each tail length) must give the bitwise answer.
+  std::mt19937 rng(20261019);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* data = buf.data() + offset;
+    const std::size_t n = 4096;
+    std::uint32_t reg = 0xFFFFFFFFu;
+    std::vector<std::uint32_t> prefix_ref(n + 1);
+    for (std::size_t k = 0; k <= n; ++k) {
+      prefix_ref[k] = reg ^ 0xFFFFFFFFu;
+      if (k < n) reg = BitwiseCrcStep(reg, data[k]);
+    }
+    const std::uint32_t whole_ref = prefix_ref[n];
+    for (std::size_t k = 0; k <= n; ++k) {
+      const std::uint32_t prefix = Crc32(data, k);
+      ASSERT_EQ(prefix, prefix_ref[k]) << "offset " << offset << " k " << k;
+      ASSERT_EQ(Crc32(data + k, n - k, prefix), whole_ref)
+          << "offset " << offset << " split " << k;
+    }
+  }
+}
+
+TEST(Crc32Test, OneMebibyteKnownAnswer) {
+  // zlib.crc32 of the same bytes; long enough that nearly every byte goes
+  // through the 8-byte fold.
+  std::vector<unsigned char> buf(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 7 + (i >> 9));
+  }
+  EXPECT_EQ(Crc32(buf.data(), buf.size()), 0xDC8C9935u);
+}
+
 TEST(ChecksummedContainer, RoundTripPreservesLinesInOrder) {
   std::stringstream file;
   ChecksummedWriter w(file, "test.v1");
@@ -190,15 +236,47 @@ OnlineOptions MidStreamOptions() {
   return opts;
 }
 
+/// The resume contract of assignment(): the edges the killed process
+/// returned before its checkpoint and the ones the resumed process returns
+/// after it are disjoint, and together they are the uninterrupted run's.
+void ExpectFoldsCompose(const ParentAssignment& before_kill,
+                        const ParentAssignment& resumed,
+                        const ParentAssignment& uninterrupted) {
+  ParentAssignment joined = before_kill;
+  for (const auto& [child, parent] : resumed) {
+    EXPECT_TRUE(joined.emplace(child, parent).second)
+        << "child " << child << " committed both before and after the kill";
+  }
+  EXPECT_EQ(joined, uninterrupted);
+}
+
+/// Feeds spans [from, to) of `s` to `w`, advancing to the running maximum
+/// client_send; returns the watermark reached.
+TimeNs Replay(const Stream& s, std::size_t from, std::size_t to,
+              OnlineTraceWeaver& w, TimeNs watermark) {
+  for (std::size_t i = from; i < to; ++i) {
+    w.Ingest(s.spans[i]);
+    watermark = std::max(watermark, s.spans[i].client_send);
+    w.Advance(watermark);
+  }
+  return watermark;
+}
+
+/// Runs both weavers over the rest of `s` and flushes them: `a` is the
+/// uninterrupted run, `b` the one resumed from `a`'s checkpoint at `kill`.
+void FinishBoth(const Stream& s, std::size_t kill, TimeNs watermark,
+                OnlineTraceWeaver& a, OnlineTraceWeaver& b) {
+  for (OnlineTraceWeaver* w : {&a, &b}) {
+    Replay(s, kill, s.spans.size(), *w, watermark);
+    w->Flush();
+  }
+}
+
 TEST(OnlineCheckpoint, RoundTripIsByteIdenticalAndCarriesExtra) {
   Stream s = MakeStream(150, 2);
   OnlineTraceWeaver a(s.graph, MidStreamOptions());
-  TimeNs watermark = 0;
-  for (std::size_t i = 0; i < s.spans.size() / 2; ++i) {
-    a.Ingest(s.spans[i]);
-    watermark = std::max(watermark, s.spans[i].client_send);
-    a.Advance(watermark);
-  }
+  const std::size_t kill = s.spans.size() / 2;
+  const TimeNs watermark = Replay(s, 0, kill, a, 0);
   ASSERT_GT(a.assignment().size(), 0u);  // Mid-stream: some commits...
   ASSERT_GT(a.buffered(), 0u);           // ...and a live buffer.
 
@@ -211,7 +289,7 @@ TEST(OnlineCheckpoint, RoundTripIsByteIdenticalAndCarriesExtra) {
   ASSERT_TRUE(b.LoadCheckpoint(ck, &error, &extra)) << error;
   EXPECT_EQ(extra.at("source_offset"), 123456u);
 
-  EXPECT_EQ(b.assignment(), a.assignment());
+  EXPECT_TRUE(b.assignment().empty());  // Nothing returned since the load.
   EXPECT_EQ(b.buffered(), a.buffered());
   EXPECT_EQ(b.buffered_bytes(), a.buffered_bytes());
   EXPECT_EQ(b.high_watermark(), a.high_watermark());
@@ -225,6 +303,10 @@ TEST(OnlineCheckpoint, RoundTripIsByteIdenticalAndCarriesExtra) {
   a.SaveCheckpoint(ra, {{"source_offset", 123456u}});
   b.SaveCheckpoint(rb, {{"source_offset", 123456u}});
   EXPECT_EQ(ra.str(), rb.str());
+
+  const ParentAssignment before_kill = a.assignment();
+  FinishBoth(s, kill, watermark, a, b);
+  ExpectFoldsCompose(before_kill, b.assignment(), a.assignment());
 }
 
 /// Re-frames a weaver checkpoint with `record` inserted after the header,
@@ -248,12 +330,8 @@ std::string WithRecord(const std::string& checkpoint,
 TEST(OnlineCheckpoint, LegacyPosteriorRecordsLoadAndAreDropped) {
   Stream s = MakeStream(150, 2);
   OnlineTraceWeaver a(s.graph, MidStreamOptions());
-  TimeNs watermark = 0;
-  for (std::size_t i = 0; i < s.spans.size() / 2; ++i) {
-    a.Ingest(s.spans[i]);
-    watermark = std::max(watermark, s.spans[i].client_send);
-    a.Advance(watermark);
-  }
+  const std::size_t kill = s.spans.size() / 2;
+  const TimeNs watermark = Replay(s, 0, kill, a, 0);
   std::stringstream ck;
   a.SaveCheckpoint(ck);
   const std::string saved = ck.str();
@@ -267,10 +345,12 @@ TEST(OnlineCheckpoint, LegacyPosteriorRecordsLoadAndAreDropped) {
   OnlineTraceWeaver b(s.graph, MidStreamOptions());
   std::string error;
   ASSERT_TRUE(b.LoadCheckpoint(legacy, &error)) << error;
-  EXPECT_EQ(b.assignment(), a.assignment());
   std::stringstream resaved;
   b.SaveCheckpoint(resaved);
   EXPECT_EQ(resaved.str(), saved);  // The posterior record is gone.
+  const ParentAssignment before_kill = a.assignment();
+  FinishBoth(s, kill, watermark, a, b);
+  ExpectFoldsCompose(before_kill, b.assignment(), a.assignment());
 
   std::stringstream unknown(WithRecord(saved, "{\"ckpt\":\"bogus\"}"));
   OnlineTraceWeaver c(s.graph, MidStreamOptions());
@@ -280,19 +360,10 @@ TEST(OnlineCheckpoint, LegacyPosteriorRecordsLoadAndAreDropped) {
 
 TEST(OnlineCheckpoint, RandomKillPointsNeverLoseOrDuplicateCommits) {
   Stream s = MakeStream(150, 2);
-  const auto replay = [&](std::size_t from, std::size_t to,
-                          OnlineTraceWeaver& w, TimeNs watermark) {
-    for (std::size_t i = from; i < to; ++i) {
-      w.Ingest(s.spans[i]);
-      watermark = std::max(watermark, s.spans[i].client_send);
-      w.Advance(watermark);
-    }
-    return watermark;
-  };
 
   // Reference: one uninterrupted run.
   OnlineTraceWeaver ref(s.graph, MidStreamOptions());
-  replay(0, s.spans.size(), ref, 0);
+  Replay(s, 0, s.spans.size(), ref, 0);
   ref.Flush();
   ASSERT_GT(ref.assignment().size(), 0u);
 
@@ -301,7 +372,7 @@ TEST(OnlineCheckpoint, RandomKillPointsNeverLoseOrDuplicateCommits) {
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t kill = dist(rng);
     OnlineTraceWeaver before(s.graph, MidStreamOptions());
-    const TimeNs watermark = replay(0, kill, before, 0);
+    const TimeNs watermark = Replay(s, 0, kill, before, 0);
     const ParentAssignment at_kill = before.assignment();
     std::stringstream ck;
     before.SaveCheckpoint(ck);
@@ -310,20 +381,13 @@ TEST(OnlineCheckpoint, RandomKillPointsNeverLoseOrDuplicateCommits) {
     std::string error;
     ASSERT_TRUE(resumed.LoadCheckpoint(ck, &error))
         << "kill=" << kill << ": " << error;
-    replay(kill, s.spans.size(), resumed, watermark);
+    Replay(s, kill, s.spans.size(), resumed, watermark);
     resumed.Flush();
 
-    // Every assignment committed before the kill survives unchanged (no
-    // loss, and -- because ParentAssignment is a map keyed by child --
-    // no double commit can overwrite it with a different parent).
-    for (const auto& [child, parent] : at_kill) {
-      auto it = resumed.assignment().find(child);
-      ASSERT_NE(it, resumed.assignment().end())
-          << "kill=" << kill << " lost child " << child;
-      EXPECT_EQ(it->second, parent) << "kill=" << kill;
-    }
-    // And the resumed run converges to the uninterrupted result exactly.
-    EXPECT_EQ(resumed.assignment(), ref.assignment()) << "kill=" << kill;
+    // No edge is lost (the union is the uninterrupted result) and none is
+    // committed twice (the two sides are disjoint).
+    SCOPED_TRACE(::testing::Message() << "kill=" << kill);
+    ExpectFoldsCompose(at_kill, resumed.assignment(), ref.assignment());
   }
 }
 
@@ -409,15 +473,6 @@ TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {
   // dropped or perturbed the carried models would refit those keys and
   // drift from the uninterrupted run.
   Stream s = MakeStream(150, 4);
-  const auto replay = [&](std::size_t from, std::size_t to,
-                          OnlineTraceWeaver& w, TimeNs watermark) {
-    for (std::size_t i = from; i < to; ++i) {
-      w.Ingest(s.spans[i]);
-      watermark = std::max(watermark, s.spans[i].client_send);
-      w.Advance(watermark);
-    }
-    return watermark;
-  };
   const auto reused = [](const obs::MetricsRegistry& reg) {
     return reg.Snapshot().Value("tw_gmm_fits_reused_total");
   };
@@ -431,7 +486,7 @@ TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {
   std::size_t first_reuse = 0;
   TimeNs watermark = 0;
   for (std::size_t i = 0; i < s.spans.size(); ++i) {
-    watermark = replay(i, i + 1, ref, watermark);
+    watermark = Replay(s, i, i + 1, ref, watermark);
     if (first_reuse == 0 && reused(ref_reg) > 0) first_reuse = i + 1;
   }
   ref.Flush();
@@ -449,7 +504,8 @@ TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {
     OnlineOptions opts = MidStreamOptions();
     opts.weaver.metrics = &reg;
     OnlineTraceWeaver before(s.graph, opts);
-    const TimeNs at_kill = replay(0, kill, before, 0);
+    const TimeNs at_kill = Replay(s, 0, kill, before, 0);
+    const ParentAssignment before_kill = before.assignment();
     ASSERT_GT(reused(reg), 0) << "kill=" << kill;
     ASSERT_FALSE(before.delay_models().empty());
     std::stringstream ck;
@@ -460,10 +516,11 @@ TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {
     std::string error;
     ASSERT_TRUE(resumed.LoadCheckpoint(ck, &error))
         << "kill=" << kill << ": " << error;
-    replay(kill, s.spans.size(), resumed, at_kill);
+    Replay(s, kill, s.spans.size(), resumed, at_kill);
     resumed.Flush();
 
-    EXPECT_EQ(resumed.assignment(), ref.assignment()) << "kill=" << kill;
+    SCOPED_TRACE(::testing::Message() << "kill=" << kill);
+    ExpectFoldsCompose(before_kill, resumed.assignment(), ref.assignment());
     std::stringstream resumed_final;
     resumed.SaveCheckpoint(resumed_final);
     EXPECT_EQ(resumed_final.str(), ref_final.str()) << "kill=" << kill;
@@ -571,19 +628,9 @@ TEST(OnlineCheckpoint, SkewEstimatorStateSurvivesResumeBitIdentically) {
   OnlineOptions opts = MidStreamOptions();
   opts.skew_correct = true;
 
-  const auto replay = [&](std::size_t from, std::size_t to,
-                          OnlineTraceWeaver& w, TimeNs watermark) {
-    for (std::size_t i = from; i < to; ++i) {
-      w.Ingest(s.spans[i]);
-      watermark = std::max(watermark, s.spans[i].client_send);
-      w.Advance(watermark);
-    }
-    return watermark;
-  };
-
   // Reference: one uninterrupted run.
   OnlineTraceWeaver ref(s.graph, opts);
-  replay(0, s.spans.size(), ref, 0);
+  Replay(s, 0, s.spans.size(), ref, 0);
   ref.Flush();
   ASSERT_GT(ref.assignment().size(), 0u);
   ASSERT_GT(ref.skew_estimator().observations(), 0u);
@@ -591,7 +638,8 @@ TEST(OnlineCheckpoint, SkewEstimatorStateSurvivesResumeBitIdentically) {
   // Kill mid-stream (not on a window boundary), checkpoint, resume.
   const std::size_t kill = s.spans.size() / 2 + 7;
   OnlineTraceWeaver before(s.graph, opts);
-  const TimeNs watermark = replay(0, kill, before, 0);
+  const TimeNs watermark = Replay(s, 0, kill, before, 0);
+  const ParentAssignment before_kill = before.assignment();
   std::stringstream ck;
   before.SaveCheckpoint(ck);
   ASSERT_NE(ck.str().find("\"ckpt\":\"skew\""), std::string::npos)
@@ -602,12 +650,12 @@ TEST(OnlineCheckpoint, SkewEstimatorStateSurvivesResumeBitIdentically) {
   ASSERT_TRUE(resumed.LoadCheckpoint(ck, &error)) << error;
   EXPECT_EQ(resumed.skew_estimator().observations(),
             before.skew_estimator().observations());
-  replay(kill, s.spans.size(), resumed, watermark);
+  Replay(s, kill, s.spans.size(), resumed, watermark);
   resumed.Flush();
 
   // The resumed run converges to the uninterrupted result exactly, and
   // the final checkpoints are byte-equal -- estimator state included.
-  EXPECT_EQ(resumed.assignment(), ref.assignment());
+  ExpectFoldsCompose(before_kill, resumed.assignment(), ref.assignment());
   std::stringstream a, b;
   ref.SaveCheckpoint(a);
   resumed.SaveCheckpoint(b);
@@ -659,8 +707,8 @@ std::vector<std::string> WeaverGoldenLines() {
       R"("client_recv":1400300000,"caller_replica":0,"callee_replica":0,)"
       R"("true_parent":18446744073709551615,)"
       R"("true_trace":18446744073709551615})",
-      R"({"ckpt":"commit","child":11,"parent":10})",
-      R"({"ckpt":"commit","child":12,"parent":10})",
+      R"({"ckpt":"recent","id":11,"deadline":2500000000})",
+      R"({"ckpt":"recent","id":12,"deadline":9223372036854775807})",
       R"({"ckpt":"slot","parent":10,"parent_service":)" + h +
           R"(,"parent_endpoint":"/hotels","server_recv":1200000000,)"
           R"("server_send":1300000000,"replica":1,"stage":0,"call":2,)"
@@ -717,6 +765,40 @@ TEST(CheckpointFormatGolden, WeaverRecordsReSaveByteForByte) {
   EXPECT_EQ(out.str(), golden);
 }
 
+TEST(CheckpointFormatGolden, LegacyCommitRecordsLoadAsRejectsThatNeverExpire) {
+  // Older weavers wrote every committed edge as a `commit` record. Each
+  // loads as a graft reject without a deadline, merged with any `recent`
+  // entry for the same id, and is re-saved in the new form.
+  std::vector<std::string> lines = WeaverGoldenLines();
+  std::vector<std::string> want = lines;
+  const auto at = [](std::vector<std::string>& v, const std::string& head) {
+    const auto it = std::find_if(v.begin(), v.end(), [&](const auto& l) {
+      return l.rfind(head, 0) == 0;
+    });
+    EXPECT_NE(it, v.end()) << head;
+    return it;
+  };
+  *at(lines, R"({"ckpt":"recent","id":12,)") =
+      R"({"ckpt":"commit","child":12,"parent":10})";
+  lines.insert(at(lines, R"({"ckpt":"recent","id":11,)") + 1,
+               R"({"ckpt":"commit","child":11,"parent":10})");
+  *at(want, R"({"ckpt":"recent","id":11,)") =
+      R"({"ckpt":"recent","id":11,"deadline":9223372036854775807})";
+
+  obs::ProvenanceLedger ledger;
+  OnlineOptions opts = MidStreamOptions();
+  opts.provenance = &ledger;
+  OnlineTraceWeaver w(CallGraph{}, opts);
+  std::stringstream in(Frame(lines, kSchema));
+  std::string error;
+  std::map<std::string, std::uint64_t> extra;
+  ASSERT_TRUE(w.LoadCheckpoint(in, &error, &extra)) << error;
+  EXPECT_TRUE(w.assignment().empty());
+  std::stringstream out;
+  w.SaveCheckpoint(out, extra);
+  EXPECT_EQ(out.str(), Frame(want, kSchema));
+}
+
 TEST(CheckpointFormatGolden, SkewRecordsReSaveByteForByte) {
   const std::string h = "\"" + kHostile + "\"";
   const std::vector<std::string> lines = {
@@ -768,6 +850,7 @@ TEST(CheckpointFormatGolden, MissingFieldRejectedWithStateUntouched) {
   } cases[] = {
       {"{\"schema\":", "next_window_start", "header"},
       {"{\"ckpt\":\"stats\"", "windows_closed", "stats"},
+      {"{\"ckpt\":\"recent\"", "deadline", "recent"},
       {"{\"ckpt\":\"slot\"", "server_recv", "slot"},
       {"{\"ckpt\":\"pendingw\"", "end", "pendingw"},
   };

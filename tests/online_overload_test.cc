@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "callgraph/inference.h"
 #include "core/online.h"
@@ -11,6 +15,7 @@
 #include "obs/metrics.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
+#include "trace/checkpoint.h"
 
 namespace traceweaver {
 namespace {
@@ -355,6 +360,260 @@ TEST(OnlineOverload, LatePoolIsBounded) {
   std::size_t orphans = 0;
   for (const auto& w : online.Flush()) orphans += w.orphans.size();
   EXPECT_GE(orphans, 4u);
+}
+
+TEST(OnlineOverload, CommittedIdNeverGraftsFromALaterWindow) {
+  // A second record of a committed child whose server_recv falls one
+  // window later than the first (a re-corrected or re-stamped copy):
+  // it is late for its own window, tried at the next close and left in
+  // the pool for the final drain, and a free slot fits it throughout. It
+  // must be refused at both, as it was when every committed id was kept.
+  OnlineOptions opts;
+  opts.window = 1000;
+  opts.margin = 100;
+  OnlineTraceWeaver online(GraftGraph(), opts);
+
+  online.Ingest(MakeChild(2, 100));      // server_recv 350.
+  online.Ingest(MakeParent(1, 100));     // Grid: 100, 1100, 2100, ...
+  auto closed = online.Advance(1200);    // Closes [100, 1100).
+  ASSERT_EQ(closed.size(), 1u);
+  ASSERT_EQ(closed[0].assignment.count(2), 1u);
+
+  online.Ingest(MakeParent(3, 1100));    // Commits with its slot free.
+  closed = online.Advance(2200);         // Closes [1100, 2100).
+  ASSERT_EQ(closed.size(), 1u);
+  ASSERT_EQ(closed[0].parents_committed, 1u);
+
+  online.Ingest(MakeChild(2, 1100));     // server_recv 1350: fits slot 3.
+  ASSERT_EQ(online.late_pool_size(), 1u);
+  closed = online.Advance(3200);         // Closes [2100, 3100): tried.
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_TRUE(closed[0].assignment.empty());
+  EXPECT_EQ(online.late_pool_size(), 1u);
+
+  closed = online.Flush();               // Buffer empty: the drain alone.
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_TRUE(closed[0].assignment.empty());
+  EXPECT_EQ(closed[0].orphans, std::vector<SpanId>{2});
+  EXPECT_EQ(online.stats().late_grafted, 0u);
+}
+
+// --- The bounded graft-reject set against an unbounded reference.
+
+/// The weaver as it was when it kept every committed edge: a late copy of
+/// any id it ever committed is refused a graft, however old. Built on the
+/// real weaver rather than a second implementation: after every call that
+/// closes a window, its checkpoint is reloaded with a legacy `commit`
+/// record for each id committed so far, which loads as a reject that never
+/// expires. That makes it a legacy-checkpoint resume at every close as
+/// well. No prune may run between two reloads, so every Advance must close
+/// at most one window and the final Flush may only drain the late pool.
+class UnboundedRejectWeaver {
+ public:
+  UnboundedRejectWeaver(const CallGraph& graph, const OnlineOptions& options)
+      : weaver_(graph, options) {}
+
+  void Ingest(const Span& span) { weaver_.Ingest(span); }
+  std::vector<WindowResult> Advance(TimeNs watermark) {
+    return Reload(weaver_.Advance(watermark));
+  }
+  std::vector<WindowResult> Flush() { return Reload(weaver_.Flush()); }
+  std::size_t committed_ids() const { return ever_.size(); }
+
+ private:
+  std::vector<WindowResult> Reload(std::vector<WindowResult> results) {
+    for (const WindowResult& r : results) {
+      for (const auto& [child, parent] : r.assignment) ever_[child] = parent;
+    }
+    if (results.empty()) return results;
+    constexpr const char* kSchema = OnlineTraceWeaver::kCheckpointSchema;
+    std::stringstream saved;
+    weaver_.SaveCheckpoint(saved);
+    std::string error;
+    const auto lines = ReadChecksummedLines(saved, kSchema, &error);
+    EXPECT_TRUE(lines.has_value()) << error;
+    std::stringstream legacy;
+    ChecksummedWriter w(legacy, kSchema);
+    for (std::size_t i = 0; lines && i < lines->size(); ++i) {
+      w.WriteLine((*lines)[i]);
+      if (i > 0) continue;
+      for (const auto& [child, parent] : ever_) {
+        w.WriteLine("{\"ckpt\":\"commit\",\"child\":" + std::to_string(child) +
+                    ",\"parent\":" + std::to_string(parent) + "}");
+      }
+    }
+    w.Finish();
+    EXPECT_TRUE(weaver_.LoadCheckpoint(legacy, &error)) << error;
+    return results;
+  }
+
+  OnlineTraceWeaver weaver_;
+  std::map<SpanId, SpanId> ever_;
+};
+
+void ExpectSameResults(const std::vector<WindowResult>& got,
+                       const std::vector<WindowResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "window " << want[i].window_start);
+    EXPECT_EQ(got[i].window_start, want[i].window_start);
+    EXPECT_EQ(got[i].window_end, want[i].window_end);
+    EXPECT_EQ(got[i].assignment, want[i].assignment);
+    EXPECT_EQ(got[i].parents_committed, want[i].parents_committed);
+    EXPECT_EQ(got[i].degradation_level, want[i].degradation_level);
+    EXPECT_EQ(got[i].shed, want[i].shed);
+    EXPECT_EQ(got[i].orphans, want[i].orphans);
+    EXPECT_EQ(got[i].late_grafted, want[i].late_grafted);
+  }
+}
+
+struct Delivery {
+  TimeNs at = 0;
+  Span span;
+};
+
+/// Random parents on GraftGraph, ~70% with a child, arriving in
+/// completion order. A quarter of the children are held back by up to
+/// four windows (some graft, some expire), and half of all spans are
+/// delivered again at a random lag from zero to five windows (some inside
+/// the graft horizon, most past it), including copies of grafted children.
+/// Half of those copies are exact; the rest are moved in time by up to one
+/// window either way, the most by which the bounded set tolerates a later
+/// record of a committed id to differ (DESIGN.md §4f). With `skewed`,
+/// server-side timestamps carry a per-vantage clock offset of up to 40 ns
+/// against ~50 ns request/response gaps, so the estimator sees inversions
+/// and a copy is corrected by a different offset than its first delivery.
+std::vector<Delivery> RandomGraftStream(std::mt19937& rng, bool skewed,
+                                        TimeNs window) {
+  std::uniform_int_distribution<TimeNs> spacing(50, 400);
+  std::uniform_int_distribution<TimeNs> jitter(0, 30);
+  std::uniform_int_distribution<TimeNs> offset(-40, 40);
+  std::uniform_int_distribution<TimeNs> lag(0, 5 * window);
+  std::uniform_int_distribution<TimeNs> shift(-window, window);
+  std::bernoulli_distribution has_child(0.7);
+  std::bernoulli_distribution held(0.25);
+  std::bernoulli_distribution again(0.5);
+  std::bernoulli_distribution exact(0.5);
+  std::bernoulli_distribution mismatched(0.1);
+  std::uniform_int_distribution<int> replica(0, 1);
+  std::map<std::pair<std::string, int>, TimeNs> clock;
+  for (const char* service : {"frontend", "backend"}) {
+    for (int r = 0; r < 2; ++r) clock[{service, r}] = skewed ? offset(rng) : 0;
+  }
+
+  std::vector<Delivery> out;
+  const auto deliver = [&](const Span& span, TimeNs delay) {
+    out.push_back({span.client_recv + delay, span});
+    if (!again(rng)) return;
+    Span copy = span;
+    if (!exact(rng)) {
+      const TimeNs by = shift(rng);
+      copy.client_send += by;
+      copy.server_recv += by;
+      copy.server_send += by;
+      copy.client_recv += by;
+    }
+    out.push_back({std::max(span.client_recv, copy.client_recv) + lag(rng),
+                   copy});
+  };
+  TimeNs base = 1000;
+  SpanId next_id = 1;
+  for (int k = 0; k < 120; ++k) {
+    base += spacing(rng);
+    Span parent = MakeParent(next_id++, base);
+    parent.callee_replica = replica(rng);
+    parent.server_recv += jitter(rng);
+    parent.server_send -= jitter(rng);
+    const TimeNs parent_clock = clock[{"frontend", parent.callee_replica}];
+    parent.server_recv += parent_clock;
+    parent.server_send += parent_clock;
+    if (has_child(rng)) {
+      Span child = MakeChild(next_id++, base);
+      child.caller_replica = mismatched(rng) ? 1 - parent.callee_replica
+                                             : parent.callee_replica;
+      child.callee_replica = replica(rng);
+      child.server_recv += jitter(rng);
+      child.server_send -= jitter(rng);
+      child.client_send += parent_clock;
+      child.client_recv += parent_clock;
+      const TimeNs child_clock = clock[{"backend", child.callee_replica}];
+      child.server_recv += child_clock;
+      child.server_send += child_clock;
+      deliver(child, held(rng) ? lag(rng) * 4 / 5 : 0);
+    }
+    deliver(parent, 0);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Delivery& a, const Delivery& b) {
+                     return a.at < b.at;
+                   });
+  return out;
+}
+
+TEST(OnlineOverload, BoundedGraftRejectsMatchUnboundedReference) {
+  const TimeNs window = 1000;
+  std::size_t grafted = 0;
+  std::size_t late_orphans = 0;
+  std::size_t max_retained = 0;
+  std::size_t max_committed = 0;
+  std::int64_t max_correction = 0;
+  for (const bool skewed : {false, true}) {
+    for (int stream_no = 0; stream_no < 24; ++stream_no) {
+      SCOPED_TRACE(::testing::Message()
+                   << "skewed=" << skewed << " stream=" << stream_no);
+      std::mt19937 rng(20261019 + stream_no);
+      const std::vector<Delivery> stream =
+          RandomGraftStream(rng, skewed, window);
+      OnlineOptions opts;
+      opts.window = window;
+      opts.margin = 100;
+      opts.skew_correct = skewed;
+      OnlineTraceWeaver bounded(GraftGraph(), opts);
+      UnboundedRejectWeaver reference(GraftGraph(), opts);
+
+      TimeNs watermark = 0;
+      const auto advance_to = [&](TimeNs to) {
+        // Steps of at most one window close at most one window each.
+        while (watermark < to) {
+          watermark = std::min(to, watermark + window);
+          const auto want = reference.Advance(watermark);
+          ASSERT_LE(want.size(), 1u);
+          ExpectSameResults(bounded.Advance(watermark), want);
+        }
+      };
+      for (const Delivery& d : stream) {
+        advance_to(d.at);
+        bounded.Ingest(d.span);
+        reference.Ingest(d.span);
+      }
+      // Close what is still buffered window by window, so the final Flush
+      // only drains the late copies the last close left in the pool.
+      while (bounded.buffered() > 0) advance_to(watermark + window);
+      ExpectSameResults(bounded.Flush(), reference.Flush());
+      if (HasFatalFailure() || HasFailure()) return;
+
+      max_correction = std::max(max_correction,
+                                bounded.skew_estimator().MaxFrameOffsetNs());
+      grafted += bounded.stats().late_grafted;
+      late_orphans += bounded.stats().late_orphans;
+      std::stringstream ck;
+      bounded.SaveCheckpoint(ck);
+      const std::string bytes = ck.str();
+      std::size_t retained = 0;
+      for (std::size_t at = bytes.find("\"ckpt\":\"recent\""); at != bytes.npos;
+           at = bytes.find("\"ckpt\":\"recent\"", at + 1)) {
+        ++retained;
+      }
+      max_retained = std::max(max_retained, retained);
+      max_committed = std::max(max_committed, reference.committed_ids());
+    }
+  }
+  // The streams exercise both outcomes of the late path, and the bounded
+  // set really forgets: it ends holding a small part of what was committed.
+  EXPECT_GT(grafted, 0u);
+  EXPECT_GT(late_orphans, 0u);
+  EXPECT_GT(max_correction, 0);  // Skew correction really moved spans.
+  EXPECT_LT(4 * max_retained, max_committed);
 }
 
 }  // namespace

@@ -20,7 +20,11 @@ HotelReservation population, in a temporary directory:
  7. serve with a malformed numeric flag (a sign on an unsigned flag, a
     non-numeric rate, an exponent on an integer), each of which must be
     rejected with exit status 2 and "<flag>: expected <type>" on stderr
-    instead of running with a silently wrapped or truncated value.
+    instead of running with a silently wrapped or truncated value;
+ 8. every command with a malformed positional number (simulate rps,
+    seconds and seed, replay requests_per_root, the span or trace id of
+    explain, query and provenance), each of which must be rejected the
+    same way, naming the argument ("seed: expected unsigned integer").
 
 Exit status is 0 when every step passed, 1 on the first failure (the
 failing command, its exit status and its stderr are printed).
@@ -126,6 +130,24 @@ def main():
             expect_exit(cli, ["serve", "--store-dir=" + os.path.join(
                 tmp, "bad_store%d" % n), "--checkpoint-dir=" + bad_ckpt,
                 flag, graph, ordered], 2, want)
+
+        # A strtoull-style parser would run "7x" as seed 7 and "12abc" as
+        # id 12, and exit 0.
+        for args, want in (
+                (["simulate", "hotel", "5x", "1"], "rps: expected number"),
+                (["simulate", "hotel", "50", "1s"],
+                 "seconds: expected number"),
+                (["simulate", "hotel", "50", "1", "7x"],
+                 "seed: expected unsigned integer"),
+                (["replay", "hotel", "-3"],
+                 "requests_per_root: expected unsigned integer"),
+                (["explain", graph, spans, str(root) + "abc"],
+                 "parent_span_id: expected unsigned integer"),
+                (["query", store, str(trace) + "abc"],
+                 "trace_id: expected unsigned integer"),
+                (["provenance", store, " " + str(trace)],
+                 "trace_id: expected unsigned integer")):
+            expect_exit(cli, args, 2, want)
     print("cli_smoke: all commands passed")
     return 0
 

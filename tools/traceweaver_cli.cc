@@ -71,6 +71,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -334,6 +335,15 @@ double Number(const std::string& arg, std::size_t prefix) {
     BadNumber(arg, prefix, "number");
   }
   return v;
+}
+
+/// Parses the positional argument `value` with a flag-value parser
+/// (Unsigned<T>, Number) as if it were `--name=value`: a malformed value
+/// exits 2 with "<name>: expected <type>".
+template <typename Parse>
+auto Positional(const char* name, const char* value, Parse parse) {
+  const std::string arg = std::string(name) + '=' + value;
+  return parse(arg, std::strlen(name) + 1);
 }
 
 /// Consumes leading flag arguments (any order), shifting argv. A malformed
@@ -717,9 +727,10 @@ int CmdSimulate(int argc, char** argv) {
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::OpenLoopOptions load;
-  load.requests_per_sec = std::atof(argv[2]);
-  load.duration = Seconds(std::atof(argv[3]));
-  load.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 31;
+  load.requests_per_sec = Positional("rps", argv[2], Number);
+  load.duration = Seconds(Positional("seconds", argv[3], Number));
+  load.seed = argc > 4 ? Positional("seed", argv[4], Unsigned<std::uint64_t>)
+                       : 31;
   if (load.requests_per_sec <= 0 || load.duration <= 0) return Usage();
 
   // Simulator-output ingest path: the validator rides along with span
@@ -783,7 +794,7 @@ int CmdReplay(int argc, char** argv) {
   sim::IsolatedReplayOptions options;
   if (argc > 2) {
     options.requests_per_root =
-        static_cast<std::size_t>(std::strtoull(argv[2], nullptr, 10));
+        Positional("requests_per_root", argv[2], Unsigned<std::size_t>);
   }
   SpanValidatorOptions vopts;
   vopts.mode = flags.ingest;
@@ -920,7 +931,8 @@ int CmdEvaluate(int argc, char** argv) {
 int CmdExplain(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
   if (argc < 4) return Usage();
-  const SpanId target = std::strtoull(argv[3], nullptr, 10);
+  const SpanId target =
+      Positional("parent_span_id", argv[3], Unsigned<SpanId>);
   ExplainCapture capture;
   const auto batch =
       RunBatch(flags, argv[1], argv[2], [&](TraceWeaverOptions& opts) {
@@ -1213,6 +1225,13 @@ int CmdServe(int argc, char** argv) {
   // checkpoint would lose traces the resume will never replay.
   const auto checkpoint_impl = [&]() {
     if (ckpt_dir.empty()) return;
+    // Window results printed so far must be out of the stdio buffer before
+    // the saved offset passes them: a resumed run starts after it and never
+    // prints them again.
+    if (std::fflush(stdout) != 0) {
+      std::fprintf(stderr, "serve: stdout flush failed\n");
+      return;
+    }
     if (tstore != nullptr) {
       std::string serr;
       if (!tstore->Seal(&serr)) {
@@ -1506,7 +1525,7 @@ int CmdQuery(int argc, char** argv) {
   }
 
   if (argc > 2) {
-    const SpanId id = std::strtoull(argv[2], nullptr, 10);
+    const SpanId id = Positional("trace_id", argv[2], Unsigned<SpanId>);
     const auto record = tstore.Get(id);
     if (record == nullptr) {
       std::fprintf(stderr, "query: trace %s not found\n", argv[2]);
@@ -1570,7 +1589,7 @@ int CmdProvenance(int argc, char** argv) {
                  err.c_str());
     return 1;
   }
-  const SpanId id = std::strtoull(argv[2], nullptr, 10);
+  const SpanId id = Positional("trace_id", argv[2], Unsigned<SpanId>);
   const auto record = tstore.Get(id);
   if (record == nullptr) {
     std::fprintf(stderr, "provenance: trace %s not found\n", argv[2]);

@@ -129,13 +129,14 @@ TEST(FaultInjection, PipelineSurvivesHeavyCorruption) {
   EXPECT_LE(accuracy, 1.0);
 
   const obs::RunReport report = obs::BuildRunReport(registry.Snapshot());
-  EXPECT_GT(report.ingest.input, 0);
-  EXPECT_GT(report.ingest.repaired + report.ingest.quarantined, 0);
-  EXPECT_EQ(report.ingest.input,
-            report.ingest.accepted + report.ingest.repaired +
-                report.ingest.quarantined);
+  EXPECT_GT(report.Get("ingest.input"), 0);
+  EXPECT_GT(report.Get("ingest.repaired") + report.Get("ingest.quarantined"),
+            0);
+  EXPECT_EQ(report.Get("ingest.input"),
+            report.Get("ingest.accepted") + report.Get("ingest.repaired") +
+                report.Get("ingest.quarantined"));
   // 1ms skew across vantage points must surface a slack suggestion.
-  EXPECT_GT(report.ingest.suggested_slack_ns, 0);
+  EXPECT_GT(report.Get("ingest.suggested_slack_ns"), 0);
 
   const std::string json = obs::RunReportJson(report);
   EXPECT_NE(json.find("\"ingest\":"), std::string::npos);

@@ -11,12 +11,14 @@ HotelReservation population, in a temporary directory:
  2. reconstruct, evaluate, explain <root span id> and export-jaeger, each
     of which must exit 0 with non-empty stdout;
  3. sort-spans, then serve with a store, checkpoints and the tail sampler
-    to EOF;
+    to EOF; the run reports of reconstruct and serve (--report-json)
+    must pass tools/parse_report.py;
  4. serve --resume on the same files, which must exit 0 and report the
     weaver checkpoint, the committer state and the sampler state restored;
  5. query and provenance against the store;
- 6. serve with a window of zero or a non-numeric window, each of which
-    must be rejected with exit status 2 (never loop);
+ 6. serve with a window of zero or a non-numeric window, or with a
+    missing checkpoint directory, each of which must be rejected with
+    exit status 2 (never loop, never run without checkpoints);
  7. serve with a malformed numeric flag (a sign on an unsigned flag, a
     non-numeric rate, an exponent on an integer), each of which must be
     rejected with exit status 2 and "<flag>: expected <type>" on stderr
@@ -88,7 +90,8 @@ def main():
         run(cli, ["simulate", "hotel", "200", "2"], spans)
         run(cli, ["infer-graph", spans], graph)
 
-        run(cli, ["reconstruct", graph, spans])
+        reports = [os.path.join(tmp, f) for f in ("rc.json", "serve.json")]
+        run(cli, ["reconstruct", "--report-json=" + reports[0], graph, spans])
         run(cli, ["evaluate", graph, spans])
         with open(spans) as f:
             root = next(json.loads(line)["id"] for line in f
@@ -98,8 +101,13 @@ def main():
 
         run(cli, ["sort-spans", spans], ordered)
         serve = ["serve", "--store-dir=" + store, "--checkpoint-dir=" + ckpt,
-                 "--tail-sample=0.5", graph, ordered]
+                 "--tail-sample=0.5", "--report-json=" + reports[1], graph,
+                 ordered]
         run(cli, serve)
+        parser = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "parse_report.py")
+        for report in reports:
+            run(sys.executable, [parser, report])
         # Resuming at EOF has nothing left to emit on stdout.
         _, err = run(cli, serve[:1] + ["--resume"] + serve[1:],
                      want_stdout=False)
@@ -117,6 +125,11 @@ def main():
         for window in ("0", "abc"):
             expect_exit(cli, ["serve", "--window-ms=" + window, graph,
                               ordered], 2)
+        missing = os.path.join(tmp, "no_such_dir")
+        expect_exit(cli, ["serve", "--checkpoint-dir=" + missing, graph,
+                          ordered], 2,
+                    "--checkpoint-dir %s is not a writable directory"
+                    % missing)
 
         # Each flag is otherwise a valid serve run, so a parser that
         # accepts the value runs to EOF (exit 0) or past the timeout.

@@ -3,8 +3,13 @@
 
 Validates the stable schema ``traceweaver.run_report.v7`` produced by
 ``src/obs/run_report.cc`` and prints a one-line digest per section.
-Unknown or missing schema strings are a hard error: downstream tooling
-must not silently accept a report whose layout it does not understand.
+The schema is the committed full report golden,
+``tests/golden/run_report_v7.json``, which obs_test compares byte for
+byte with the C++ writer: a report must carry every section and key the
+golden carries, counts as non-negative integers, fractions as numbers,
+and each list row with the keys of the golden's rows. Unknown or missing
+schema strings are a hard error: downstream tooling must not silently
+accept a report whose layout it does not understand.
 
 Usage:
     parse_report.py <report.json>     # validate + digest
@@ -14,50 +19,46 @@ Exit status: 0 on a valid v7 report (or passing self-test), 1 otherwise.
 """
 
 import json
+import os
 import sys
 
-SCHEMA = "traceweaver.run_report.v7"
-
-# Top-level sections a v7 report always carries, in schema order.
-SECTIONS = [
-    "run",
-    "ingest",
-    "stages",
-    "services",
-    "enumeration",
-    "batching",
-    "delay_model",
-    "ranking",
-    "mwis",
-    "iteration",
-    "dynamism",
-    "quality",
-    "skew",
-    "online",
-    "provenance",
-    "sampler",
-]
-
-# The v6 addition: the decision-provenance rollup (docs/METRICS.md,
-# "Decision provenance"). Counts are non-negative integers; ``events``
-# rows carry the event-type wire name and its count.
-PROVENANCE_COUNTS = ["recorded", "dropped", "pending_events"]
-
-# The v7 addition: the commit-time tail-sampler rollup (docs/METRICS.md,
-# "Tail sampling"). All counts are non-negative integers and every
-# considered trace must be accounted for:
-# considered = shed + kept_interesting + kept_random.
-SAMPLER_COUNTS = [
-    "considered",
-    "shed",
-    "shed_spans",
-    "kept_interesting",
-    "kept_random",
-]
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "tests", "golden", "run_report_v7.json")
+with open(GOLDEN_PATH, "r", encoding="utf-8") as _fh:
+    GOLDEN_TEXT = _fh.read()
+GOLDEN = json.loads(GOLDEN_TEXT)
+SCHEMA = GOLDEN["schema"]
 
 
 class ReportError(Exception):
     """A report that must be rejected, with a reason."""
+
+
+def check_shape(value, golden, where):
+    """Raises ReportError unless `value` has the keys and value types of
+    `golden` (recursively); `where` names `value` in messages."""
+    if isinstance(golden, dict):
+        if not isinstance(value, dict):
+            raise ReportError("%s is not an object" % where)
+        for key, want in golden.items():
+            path = key if where == "report" else where + "." + key
+            if key not in value:
+                raise ReportError("missing required field %r" % path)
+            check_shape(value[key], want, path)
+    elif isinstance(golden, list):
+        if not isinstance(value, list):
+            raise ReportError("%s is not an array" % where)
+        for row in value:
+            check_shape(row, golden[0], where + "[]")
+    elif isinstance(golden, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ReportError("%s must be a number, got %r" % (where, value))
+    elif isinstance(golden, int):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ReportError("%s must be a non-negative integer, got %r"
+                              % (where, value))
+    elif not isinstance(value, str):
+        raise ReportError("%s must be a string, got %r" % (where, value))
 
 
 def parse_report(text):
@@ -77,50 +78,23 @@ def parse_report(text):
             "unknown schema %r (this parser understands only %r)"
             % (schema, SCHEMA)
         )
+    check_shape(report, GOLDEN, "report")
 
-    for section in SECTIONS:
-        if section not in report:
-            raise ReportError("missing required section %r" % section)
-
+    # Rollup invariants the shape cannot express.
     prov = report["provenance"]
-    if not isinstance(prov, dict):
-        raise ReportError("'provenance' is not an object")
-    for key in PROVENANCE_COUNTS:
-        value = prov.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ReportError(
-                "provenance.%s must be a non-negative integer, got %r"
-                % (key, value)
-            )
-    events = prov.get("events")
-    if not isinstance(events, list):
-        raise ReportError("provenance.events is not an array")
-    for row in events:
-        if not isinstance(row, dict) or not isinstance(row.get("type"), str):
-            raise ReportError("malformed provenance event row: %r" % row)
-        count = row.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+    for row in prov["events"]:
+        if row["count"] < 1:
             raise ReportError(
                 "provenance event %r must carry a positive count, got %r"
-                % (row.get("type"), count)
+                % (row["type"], row["count"])
             )
-    recorded = sum(row["count"] for row in events)
+    recorded = sum(row["count"] for row in prov["events"])
     if recorded != prov["recorded"]:
         raise ReportError(
             "provenance.recorded=%d does not match the event-row sum %d"
             % (prov["recorded"], recorded)
         )
-
     sampler = report["sampler"]
-    if not isinstance(sampler, dict):
-        raise ReportError("'sampler' is not an object")
-    for key in SAMPLER_COUNTS:
-        value = sampler.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ReportError(
-                "sampler.%s must be a non-negative integer, got %r"
-                % (key, value)
-            )
     accounted = (
         sampler["shed"] + sampler["kept_interesting"] + sampler["kept_random"]
     )
@@ -179,113 +153,68 @@ def digest(report):
     return "\n".join(lines)
 
 
-# A minimal well-formed v7 report: every section present, provenance and
-# sampler rollups populated the way src/obs/run_report.cc renders them.
-GOOD_V7 = json.dumps(
-    {
-        "schema": SCHEMA,
-        "run": {"runs": 1, "spans": 12, "containers": 3, "threads": 1},
-        "ingest": {"input": 12, "accepted": 12, "repaired": 0,
-                   "quarantined": 0},
-        "stages": [{"stage": "views", "wall_ns": 0}],
-        "services": [],
-        "enumeration": {"parents": 4},
-        "batching": {"batches": 1},
-        "delay_model": {"keys_final": 2},
-        "ranking": {"tasks": 4},
-        "mwis": {"solves": 1},
-        "iteration": {"iterations": 1},
-        "dynamism": {"containers": 0},
-        "quality": {"assignments": 4},
-        "skew": {"pairs": 0},
-        "online": {"spans_ingested": 0},
-        "provenance": {
-            "recorded": 3,
-            "dropped": 0,
-            "pending_events": 0,
-            "events": [
-                {"type": "settled", "count": 2},
-                {"type": "skew_correct", "count": 1},
-            ],
-        },
-        "sampler": {
-            "considered": 4,
-            "shed": 1,
-            "shed_spans": 3,
-            "kept_interesting": 2,
-            "kept_random": 1,
-        },
-    }
-)
-
-
 def self_test():
     failures = []
 
-    def expect_ok(name, text):
+    def edited(edit):
+        report = json.loads(GOLDEN_TEXT)
+        edit(report)
+        return json.dumps(report)
+
+    def no_rows(report):
+        report["services"] = []
+        report["provenance"]["events"] = []
+        report["provenance"]["recorded"] = 0
+
+    # (name, report text, None to accept or a substring of the reason).
+    cases = [("golden", GOLDEN_TEXT, None),
+             ("no_rows", edited(no_rows), None),
+             ("not_json", "{nope", "not valid JSON")]
+    for name, edit, needle in (
+            ("older_schema",
+             lambda r: r.update(schema="traceweaver.run_report.v6"),
+             "unknown schema"),
+            ("future_schema",
+             lambda r: r.update(schema="traceweaver.run_report.v99"),
+             "unknown schema"),
+            ("wrong_kind", lambda r: r.update(schema="traceweaver.trace.v1"),
+             "unknown schema"),
+            ("missing_schema", lambda r: r.pop("schema"), "missing required"),
+            ("missing_provenance", lambda r: r.pop("provenance"),
+             "missing required"),
+            ("missing_sampler", lambda r: r.pop("sampler"),
+             "missing required"),
+            ("missing_nested_key", lambda r: r["online"]["late"].pop("spans"),
+             "'online.late.spans'"),
+            ("malformed_row", lambda r: r["stages"][3].pop("cpu_ns"),
+             "'stages[].cpu_ns'"),
+            ("negative_count", lambda r: r["ingest"].update(input=-1),
+             "non-negative integer"),
+            ("string_count", lambda r: r["mwis"].update(solves="7"),
+             "mwis.solves must be a non-negative integer"),
+            ("string_ratio",
+             lambda r: r["mwis"].update(fallback_rate="0.5"),
+             "mwis.fallback_rate must be a number"),
+            ("bad_rollup",
+             lambda r: r["provenance"].update(recorded=7), "does not match"),
+            ("unaccounted_sampler",
+             lambda r: r["sampler"].update(shed=0), "shed+kept sum")):
+        cases.append((name, edited(edit), needle))
+
+    for name, text, needle in cases:
         try:
             parse_report(text)
+            if needle is not None:
+                failures.append("%s: unexpectedly accepted" % name)
         except ReportError as err:
-            failures.append("%s: unexpectedly rejected: %s" % (name, err))
-
-    def expect_reject(name, text, needle):
-        try:
-            parse_report(text)
-        except ReportError as err:
-            if needle not in str(err):
-                failures.append(
-                    "%s: rejected for the wrong reason: %s" % (name, err)
-                )
-        else:
-            failures.append("%s: unexpectedly accepted" % name)
-
-    expect_ok("good_v7", GOOD_V7)
-
-    v6 = json.loads(GOOD_V7)
-    v6["schema"] = "traceweaver.run_report.v6"
-    expect_reject("older_schema", json.dumps(v6), "unknown schema")
-
-    future = json.loads(GOOD_V7)
-    future["schema"] = "traceweaver.run_report.v99"
-    expect_reject("future_schema", json.dumps(future), "unknown schema")
-
-    unrelated = json.loads(GOOD_V7)
-    unrelated["schema"] = "traceweaver.trace.v1"
-    expect_reject("wrong_kind", json.dumps(unrelated), "unknown schema")
-
-    anonymous = json.loads(GOOD_V7)
-    del anonymous["schema"]
-    expect_reject("missing_schema", json.dumps(anonymous), "missing required")
-
-    truncated = json.loads(GOOD_V7)
-    del truncated["provenance"]
-    expect_reject(
-        "missing_provenance", json.dumps(truncated), "missing required"
-    )
-
-    miscount = json.loads(GOOD_V7)
-    miscount["provenance"]["recorded"] = 7
-    expect_reject("bad_rollup", json.dumps(miscount), "does not match")
-
-    unsampled = json.loads(GOOD_V7)
-    del unsampled["sampler"]
-    expect_reject(
-        "missing_sampler", json.dumps(unsampled), "missing required"
-    )
-
-    leaky = json.loads(GOOD_V7)
-    leaky["sampler"]["shed"] = 0
-    expect_reject(
-        "unaccounted_sampler", json.dumps(leaky), "shed+kept sum"
-    )
-
-    expect_reject("not_json", "{nope", "not valid JSON")
+            if needle is None or needle not in str(err):
+                failures.append("%s: rejected: %s" % (name, err))
 
     if failures:
         for f in failures:
             print("FAIL %s" % f, file=sys.stderr)
         return 1
-    print("parse_report self-test: 10 checks passed")
+    print("parse_report self-test: %d checks passed" % len(cases))
     return 0
 
 

@@ -51,8 +51,6 @@
 //                         counters) to stderr after reconstruction
 //   --report-json=FILE    write the run report as JSON to FILE
 //   --metrics-out=FILE    write all metrics in Prometheus text format
-//   --profile-stages      print the pipeline stage timers, sorted by
-//                         self-CPU, to stderr after the run
 //
 // `simulate` and `inject-faults` take fault-injection flags
 // (sim/fault_injector.h): --drop=P --dup=P --skew-ns=N --truncate-ns=N
@@ -61,6 +59,8 @@
 // Apps: hotel | media | nodejs | chain | ab. Spans JSONL written by
 // `simulate`/`replay` carries ground truth so `evaluate` can score
 // reconstructions; `reconstruct` never reads those fields.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -72,6 +72,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -144,7 +145,8 @@ int Usage() {
       "                       span-buffer budget; breach sheds oldest\n"
       "                       windows as orphans (0 = unbounded)\n"
       "  --checkpoint-dir=D   write CRC-guarded checkpoints to\n"
-      "                       D/checkpoint.jsonl (tmp+rename atomic)\n"
+      "                       D/checkpoint.jsonl (tmp+rename atomic);\n"
+      "                       D must be an existing writable directory\n"
       "  --checkpoint-every=N spans between snapshots (default 2000)\n"
       "  --resume             restore from --checkpoint-dir and continue\n"
       "                       at the saved source offset\n"
@@ -222,8 +224,6 @@ int Usage() {
       "                      counters) to stderr after reconstruction\n"
       "  --report-json=FILE  write the run report as JSON to FILE\n"
       "  --metrics-out=FILE  write all metrics in Prometheus text format\n"
-      "  --profile-stages    print the pipeline stage timers (CPU and\n"
-      "                      wall), sorted by self-CPU, to stderr\n"
       "\n"
       "fault flags (simulate, inject-faults):\n"
       "  --drop=P --dup=P    per-record drop / duplication probability\n"
@@ -242,7 +242,6 @@ int Usage() {
 struct CliFlags {
   std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
   bool report = false;        ///< Run-report table to stderr.
-  bool profile_stages = false;  ///< Stage-timer table to stderr.
   std::string report_json;    ///< Run-report JSON file ("" = off).
   std::string metrics_out;    ///< Prometheus text file ("" = off).
   IngestMode ingest = IngestMode::kLenient;
@@ -288,8 +287,7 @@ struct CliFlags {
   bool q_full = false;                ///< query: full records.
 
   bool WantMetrics() const {
-    return report || profile_stages || !report_json.empty() ||
-           !metrics_out.empty();
+    return report || !report_json.empty() || !metrics_out.empty();
   }
 };
 
@@ -357,8 +355,6 @@ CliFlags ParseFlags(int& argc, char**& argv) {
       if (flags.threads == 0) flags.threads = 1;
     } else if (arg == "--report") {
       flags.report = true;
-    } else if (arg == "--profile-stages") {
-      flags.profile_stages = true;
     } else if (arg.rfind("--report-json=", 0) == 0) {
       flags.report_json = arg.substr(14);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -551,48 +547,6 @@ std::map<SpanId, JaegerSpanTags> QualityTags(const TraceWeaverOutput& out) {
   return tags;
 }
 
-/// Stage-timer profile: one row per pipeline stage, sorted by self-CPU
-/// descending, with the share of total stage CPU. The quick first stop
-/// when a run is slower than expected -- it points at the stage to dig
-/// into before reaching for an external profiler.
-void PrintStageProfile(const obs::RegistrySnapshot& snapshot) {
-  struct Row {
-    std::string stage;
-    std::int64_t cpu_ns = 0;
-    std::int64_t wall_ns = 0;
-  };
-  std::vector<Row> rows;
-  std::int64_t total_cpu = 0;
-  for (const obs::MetricSnapshot* m : snapshot.Family("tw_stage_cpu_ns_total")) {
-    // Label body is `stage="name"`; strip down to the name.
-    std::string stage = m->labels;
-    if (const auto q1 = stage.find('"'); q1 != std::string::npos) {
-      const auto q2 = stage.rfind('"');
-      stage = stage.substr(q1 + 1, q2 - q1 - 1);
-    }
-    rows.push_back(
-        {stage, m->value,
-         snapshot.Value("tw_stage_wall_ns_total", m->labels)});
-    total_cpu += m->value;
-  }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const Row& a, const Row& b) { return a.cpu_ns > b.cpu_ns; });
-  std::fprintf(stderr, "stage profile (self-CPU, descending):\n");
-  std::fprintf(stderr, "  %-10s %12s %12s %7s\n", "stage", "cpu_ms",
-               "wall_ms", "cpu%");
-  for (const Row& r : rows) {
-    std::fprintf(stderr, "  %-10s %12.2f %12.2f %6.1f%%\n", r.stage.c_str(),
-                 static_cast<double>(r.cpu_ns) / 1e6,
-                 static_cast<double>(r.wall_ns) / 1e6,
-                 total_cpu > 0
-                     ? 100.0 * static_cast<double>(r.cpu_ns) /
-                           static_cast<double>(total_cpu)
-                     : 0.0);
-  }
-  std::fprintf(stderr, "  %-10s %12.2f\n", "total",
-               static_cast<double>(total_cpu) / 1e6);
-}
-
 /// Emits whatever observability outputs the flags requested.
 void EmitObservability(const CliFlags& flags,
                        const obs::MetricsRegistry& registry) {
@@ -602,7 +556,6 @@ void EmitObservability(const CliFlags& flags,
     const obs::RunReport report = obs::BuildRunReport(snapshot);
     std::fputs(obs::RunReportTable(report).c_str(), stderr);
   }
-  if (flags.profile_stages) PrintStageProfile(snapshot);
   if (!flags.report_json.empty()) {
     std::ofstream out(flags.report_json);
     if (!out) {
@@ -1068,6 +1021,16 @@ int CmdServe(int argc, char** argv) {
   if (flags.window_ms <= 0 || flags.margin_ms < 0) {
     std::fprintf(stderr,
                  "serve: --window-ms must be > 0 and --margin-ms >= 0\n");
+    return 2;
+  }
+  // Every checkpoint writes into this directory; failing then would skip
+  // every checkpoint of the run.
+  if (!flags.checkpoint_dir.empty() &&
+      (!std::filesystem::is_directory(flags.checkpoint_dir) ||
+       ::access(flags.checkpoint_dir.c_str(), W_OK) != 0)) {
+    std::fprintf(stderr,
+                 "serve: --checkpoint-dir %s is not a writable directory\n",
+                 flags.checkpoint_dir.c_str());
     return 2;
   }
   auto graph = LoadGraph(argv[1]);

@@ -107,7 +107,9 @@ bool TraceCommitter::CommitTrace(SpanId root, obs::ProvEventType outcome) {
     record.provenance.push_back(options_.provenance->Emit(
         outcome, root, static_cast<std::int64_t>(record.spans.size())));
   }
-  return store_->Commit(std::move(record));
+  // A replayed trace the store already holds was committed before a
+  // crash; counting it keeps committed() equal across a resume.
+  return store_->Commit(std::move(record)) || store_->Contains(root);
 }
 
 std::size_t TraceCommitter::SweepSettled() {

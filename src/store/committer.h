@@ -92,15 +92,17 @@ class TraceCommitter {
   /// End of stream: commits every pending trace regardless of settling.
   std::size_t Finalize();
 
+  /// Traces committed so far, counting a replayed trace the store
+  /// already held; restored by LoadState.
   std::size_t committed() const { return committed_; }
   std::size_t pending_spans() const { return spans_.size(); }
 
   /// Serializes the pending state (buffered spans, merged edges, quality
   /// rows, settle clock) as CRC-guarded `traceweaver.committer.v1` JSONL.
-  /// The serve loop saves this next to the weaver checkpoint (after
-  /// sealing the store) so a restart loses no settling trace: settled
-  /// traces are on disk, pending ones ride the state file, and anything
-  /// replayed from the source offset re-commits idempotently.
+  /// serve::ServePipeline saves it with the weaver checkpoint, as one
+  /// unit after sealing the store, so a restart loses no settling trace:
+  /// settled traces are on disk, pending ones ride the state file, and
+  /// anything replayed from the source offset re-commits idempotently.
   void SaveState(std::ostream& out) const;
 
   /// Replaces this committer's pending state with a SaveState snapshot
@@ -111,7 +113,7 @@ class TraceCommitter {
 
  private:
   /// Commits the subtree rooted at `root` (id must be in spans_) and
-  /// erases its spans; returns true when the store accepted it.
+  /// erases its spans; returns true when the store holds it afterwards.
   /// `outcome` is the settle-outcome provenance stamp (kSettled is
   /// downgraded to kOrphanCommit automatically for fragment roots).
   bool CommitTrace(SpanId root,

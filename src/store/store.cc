@@ -219,7 +219,7 @@ bool TraceStore::SealLocked(std::string* error) {
     }
     writer.Finish();
   };
-  if (!WriteFileAtomic(path, write, error)) return false;
+  if (!WriteFilesAtomic({{path, write}}, error)) return false;
 
   auto part = std::make_shared<SegmentPart>();
   part->id = id;

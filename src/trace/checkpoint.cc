@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <system_error>
 
 namespace traceweaver {
 namespace {
@@ -29,6 +31,15 @@ CrcTables BuildCrcTables() {
     }
   }
   return t;
+}
+
+std::string FooterLine(const std::string& schema, std::size_t lines,
+                       std::uint32_t crc) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\"footer\":\"%s\",\"lines\":%zu,\"crc32\":%lu}",
+                schema.c_str(), lines, static_cast<unsigned long>(crc));
+  return buf;
 }
 
 void SetError(std::string* error, const std::string& what) {
@@ -78,34 +89,57 @@ void ChecksummedWriter::WriteLine(const std::string& line) {
 void ChecksummedWriter::Finish() {
   if (finished_) return;
   finished_ = true;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "{\"footer\":\"%s\",\"lines\":%zu,\"crc32\":%lu}",
-                schema_.c_str(), lines_, static_cast<unsigned long>(crc_));
-  out_ << buf << '\n';
+  out_ << FooterLine(schema_, lines_, crc_) << '\n';
   out_.flush();
 }
 
-bool WriteFileAtomic(const std::string& path,
-                     const std::function<void(std::ostream&)>& write,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  {
+bool WriteFilesAtomic(const std::vector<FileWrite>& files,
+                      std::string* error) {
+  if (files.empty()) return true;
+  // A stale marker left by a failed commit must not vouch for the set
+  // this call is about to prepare.
+  std::remove((files.back().path + ".tmp").c_str());
+  for (const FileWrite& f : files) {
+    const std::string tmp = f.path + ".tmp";
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       SetError(error, "cannot write " + tmp);
       return false;
     }
-    write(out);
+    f.write(out);
     out.flush();
     if (!out) {
       SetError(error, "write failed on " + tmp);
       return false;
     }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    SetError(error, "cannot rename " + tmp);
-    return false;
+  for (const FileWrite& f : files) {
+    const std::string tmp = f.path + ".tmp";
+    if (std::rename(tmp.c_str(), f.path.c_str()) != 0) {
+      SetError(error, "cannot rename " + tmp);
+      return false;
+    }
+  }
+  return true;
+}
+
+bool RecoverFilesAtomic(const std::vector<std::string>& paths,
+                        const std::string& marker_schema,
+                        std::string* error) {
+  if (paths.empty()) return true;
+  std::ifstream marker(paths.back() + ".tmp", std::ios::binary);
+  const bool roll_forward =
+      marker && ReadChecksummedLines(marker, marker_schema, nullptr);
+  marker.close();
+  for (const std::string& path : paths) {
+    const std::string tmp = path + ".tmp";
+    std::error_code ec;
+    if (!std::filesystem::exists(tmp, ec)) continue;
+    if (roll_forward ? std::rename(tmp.c_str(), path.c_str()) != 0
+                     : std::remove(tmp.c_str()) != 0) {
+      SetError(error, "cannot recover " + tmp);
+      return false;
+    }
   }
   return true;
 }
@@ -135,6 +169,11 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
       }
       if (*fcrc != crc) {
         SetError(error, "checkpoint CRC mismatch (corrupted file)");
+        return std::nullopt;
+      }
+      // A footer cut short by a byte or two still parses above.
+      if (in.eof() || line != FooterLine(schema, lines.size(), crc)) {
+        SetError(error, "checkpoint footer truncated");
         return std::nullopt;
       }
       return lines;

@@ -15,8 +15,8 @@
 // Payload lines must not themselves start with `{"footer":` -- type-tag
 // records with a different leading key.
 //
-// Files are written through WriteFileAtomic (a temporary file rename()d
-// into place), so a crash mid-write leaves the previous file intact.
+// Files are written through WriteFilesAtomic (temporary files rename()d
+// into place), so a crash mid-write leaves the previous set intact.
 //
 // Each record type lists its fields once, in a template such as
 // `template <class F, class Slot> void SlotFields(F& f, Slot& s)` calling
@@ -168,13 +168,32 @@ class RecordReader {
   std::string_view bad_key_;
 };
 
-/// Writes `path` atomically: `write` fills `<path>.tmp` (opened binary,
-/// truncated), which is flushed, checked and rename()d over `path`. A
-/// crash at any point leaves either the old file or the new one, never a
-/// half-written one. False with a reason in *error on any failure.
-bool WriteFileAtomic(const std::string& path,
-                     const std::function<void(std::ostream&)>& write,
-                     std::string* error = nullptr);
+/// One member of a WriteFilesAtomic set: `write` fills the file.
+struct FileWrite {
+  std::string path;
+  std::function<void(std::ostream&)> write;
+};
+
+/// Replaces the files of a set as one unit. Prepare: every `<path>.tmp`
+/// is filled in order (opened binary, truncated, flushed, checked).
+/// Commit: each is rename()d over its path, in order. The last file is
+/// the commit marker: written last, so once its `.tmp` is whole the
+/// prepare finished (RecoverFilesAtomic). A one-file set leaves the old
+/// file or the new one, never a half-written one. No fsync: this
+/// survives a killed process, not a lost page cache. A failed rename
+/// leaves a mixed set until the next successful call. False with a
+/// reason in *error on any failure.
+bool WriteFilesAtomic(const std::vector<FileWrite>& files,
+                      std::string* error = nullptr);
+
+/// Finishes a WriteFilesAtomic of `paths` that a crash cut short: when
+/// the last path's `.tmp` reads back as a whole `marker_schema` file,
+/// every `.tmp` left is renamed into place (roll forward); otherwise each
+/// is deleted (roll back). The set is then wholly old or wholly new.
+/// False with *error when a rename or delete fails.
+bool RecoverFilesAtomic(const std::vector<std::string>& paths,
+                        const std::string& marker_schema,
+                        std::string* error = nullptr);
 
 // Field helpers for the records inside a checkpoint (and every other
 // machine-written JSON line) live in util/json.h. `ckpt::` remains only

@@ -3,13 +3,17 @@
 // including the crash-consistency property -- restoring at a random kill
 // point never loses or duplicates a committed assignment.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -153,6 +157,121 @@ TEST(ChecksummedContainer, SchemaMismatchRejected) {
   std::string error;
   EXPECT_FALSE(ReadChecksummedLines(file, "test.v2", &error).has_value());
   EXPECT_NE(error.find("schema mismatch"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// WriteFilesAtomic / RecoverFilesAtomic: a three-file set is replaced
+// whole or not at all.
+
+namespace fs = std::filesystem;
+
+/// A checksummed file whose payload names its set and member.
+std::string SetMember(const std::string& set, int member) {
+  std::stringstream file;
+  ChecksummedWriter w(file, "test.v1");
+  w.WriteLine("{\"set\":\"" + set + "\",\"member\":" +
+              std::to_string(member) + "}");
+  w.Finish();
+  return file.str();
+}
+
+class FileSetTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("tw_file_set_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    for (int i = 0; i < 3; ++i) {
+      paths_.push_back((dir_ / ("member" + std::to_string(i))).string());
+    }
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  /// The WriteFilesAtomic members writing set `set`.
+  std::vector<FileWrite> Writes(const std::string& set) const {
+    std::vector<FileWrite> writes;
+    for (int i = 0; i < 3; ++i) {
+      writes.push_back({paths_[i], [set, i](std::ostream& o) {
+                          o << SetMember(set, i);
+                        }});
+    }
+    return writes;
+  }
+
+  static void Put(const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  }
+
+  /// Recovers, then names the set on disk: "old", "new", or "mixed".
+  std::string Recover() const {
+    EXPECT_TRUE(RecoverFilesAtomic(paths_, "test.v1"));
+    std::string found;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_FALSE(fs::exists(paths_[i] + ".tmp")) << paths_[i];
+      std::ifstream in(paths_[i], std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      const std::string set = bytes.str() == SetMember("old", i)   ? "old"
+                              : bytes.str() == SetMember("new", i) ? "new"
+                                                                   : "?";
+      if (found.empty()) found = set;
+      if (found != set) return "mixed";
+    }
+    return found;
+  }
+
+  fs::path dir_;
+  std::vector<std::string> paths_;
+};
+
+TEST_F(FileSetTest, WriteReplacesTheWholeSetAndLeavesNoTempFile) {
+  ASSERT_TRUE(WriteFilesAtomic(Writes("old")));
+  ASSERT_TRUE(WriteFilesAtomic(Writes("new")));
+  EXPECT_EQ(Recover(), "new");
+}
+
+TEST_F(FileSetTest, EveryCrashImageRecoversToTheOldOrTheNewSet) {
+  std::size_t images = 0;
+  // Prepare step: members before `m` have complete `.tmp` files and
+  // member `m` is cut at every length (m == 3: the prepare finished).
+  for (int m = 0; m <= 3; ++m) {
+    const std::string partial = m < 3 ? SetMember("new", m) : "";
+    for (std::size_t cut = 0; cut <= partial.size(); ++cut) {
+      ASSERT_TRUE(WriteFilesAtomic(Writes("old")));
+      for (int i = 0; i < m; ++i) Put(paths_[i] + ".tmp", SetMember("new", i));
+      if (m < 3) Put(paths_[m] + ".tmp", partial.substr(0, cut));
+      // A whole last member is the marker of a finished prepare.
+      const bool finished = m == 3 || (m == 2 && cut == partial.size());
+      EXPECT_EQ(Recover(), finished ? "new" : "old") << m << " " << cut;
+      ++images;
+      if (m == 3) break;
+    }
+  }
+  // Commit step: the first `k` members renamed, the rest still `.tmp`.
+  for (int k = 0; k <= 3; ++k) {
+    ASSERT_TRUE(WriteFilesAtomic(Writes("old")));
+    for (int i = 0; i < 3; ++i) {
+      Put(i < k ? paths_[i] : paths_[i] + ".tmp", SetMember("new", i));
+    }
+    EXPECT_EQ(Recover(), "new") << k;
+    ++images;
+  }
+  EXPECT_GT(images, 100u);
+}
+
+TEST_F(FileSetTest, StaleMarkerNeverVouchesForANewPrepare) {
+  ASSERT_TRUE(WriteFilesAtomic(Writes("old")));
+  // A complete marker left behind by an earlier failed commit...
+  Put(paths_[2] + ".tmp", SetMember("stale", 2));
+  // ...then a crash while preparing member 1 of the next write.
+  std::vector<FileWrite> writes = Writes("new");
+  writes[1].write = [](std::ostream& o) {
+    o << "{\"set\"";
+    throw std::runtime_error("killed");
+  };
+  EXPECT_THROW(WriteFilesAtomic(writes), std::runtime_error);
+  EXPECT_EQ(Recover(), "old");
 }
 
 // ---------------------------------------------------------------------

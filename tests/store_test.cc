@@ -923,7 +923,8 @@ class ScanCommitter {
     if (options_.sampler != nullptr && !options_.sampler->Decide(record).keep) {
       return false;
     }
-    return store_->Commit(std::move(record));
+    // An id the store already holds counts too, as in TraceCommitter.
+    return store_->Commit(std::move(record)) || store_->Contains(root);
   }
 
   CommitterOptions options_;

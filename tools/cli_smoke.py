@@ -14,11 +14,15 @@ HotelReservation population, in a temporary directory:
     to EOF; the run reports of reconstruct and serve (--report-json)
     must pass tools/parse_report.py;
  4. serve --resume on the same files, which must exit 0 and report the
-    weaver checkpoint, the committer state and the sampler state restored;
+    weaver checkpoint, the committer state and the sampler state restored,
+    and must exit 1 naming the file once one of the three is missing;
+    serve on a stream with one malformed line, whose run report must count
+    it in ingest.parse_errors and every served span in ingest.input;
  5. query and provenance against the store;
- 6. serve with a window of zero or a non-numeric window, or with a
-    missing checkpoint directory, each of which must be rejected with
-    exit status 2 (never loop, never run without checkpoints);
+ 6. serve with a window of zero or a non-numeric window, with a
+    missing checkpoint directory, or with --resume and no checkpoint
+    directory, each of which must be rejected with exit status 2 (never
+    loop, never run without checkpoints);
  7. serve with a malformed numeric flag (a sign on an unsigned flag, a
     non-numeric rate, an exponent on an integer), each of which must be
     rejected with exit status 2 and "<flag>: expected <type>" on stderr
@@ -26,7 +30,10 @@ HotelReservation population, in a temporary directory:
  8. every command with a malformed positional number (simulate rps,
     seconds and seed, replay requests_per_root, the span or trace id of
     explain, query and provenance), each of which must be rejected the
-    same way, naming the argument ("seed: expected unsigned integer").
+    same way, naming the argument ("seed: expected unsigned integer");
+ 9. every command with an argument after its last positional (a flag
+    placed last, say), which must be rejected with exit status 2 naming
+    it instead of being ignored.
 
 Exit status is 0 when every step passed, 1 on the first failure (the
 failing command, its exit status and its stderr are printed).
@@ -111,12 +118,32 @@ def main():
         # Resuming at EOF has nothing left to emit on stdout.
         _, err = run(cli, serve[:1] + ["--resume"] + serve[1:],
                      want_stdout=False)
-        for restored in ("serve: resumed from", "pending spans from",
-                         "serve: restored tail sampler state from"):
-            if restored not in err:
-                sys.stderr.write("FAIL: serve --resume did not report %r\n%s"
-                                 % (restored, err))
-                return 1
+        if "(all state files restored)" not in err:
+            sys.stderr.write("FAIL: serve --resume did not report its state "
+                             "files restored\n%s" % err)
+            return 1
+
+        # All or nothing: a missing member refuses the resume.
+        os.rename(os.path.join(ckpt, "sampler.jsonl"),
+                  os.path.join(tmp, "sampler.jsonl"))
+        expect_exit(cli, serve[:1] + ["--resume"] + serve[1:], 1,
+                    "sampler.jsonl: missing")
+        os.rename(os.path.join(tmp, "sampler.jsonl"),
+                  os.path.join(ckpt, "sampler.jsonl"))
+
+        # serve counts what it reads; it applies no --ingest repairs.
+        garbled = os.path.join(tmp, "garbled.jsonl")
+        with open(ordered) as f, open(garbled, "w") as out:
+            lines = f.readlines()
+            out.writelines(lines[:10] + ["{garbage\n"] + lines[10:])
+        ingest_json = os.path.join(tmp, "ingest.json")
+        run(cli, ["serve", "--report-json=" + ingest_json, graph, garbled])
+        with open(ingest_json) as f:
+            ingest = json.load(f)["ingest"]
+        if ingest["parse_errors"] != 1 or ingest["input"] != len(lines):
+            sys.stderr.write("FAIL: serve ingest counters %r for %d spans "
+                             "and one malformed line\n" % (ingest, len(lines)))
+            return 1
 
         listing, _ = run(cli, ["query", store])
         trace = json.loads(listing.splitlines()[0])["trace"]
@@ -125,6 +152,8 @@ def main():
         for window in ("0", "abc"):
             expect_exit(cli, ["serve", "--window-ms=" + window, graph,
                               ordered], 2)
+        expect_exit(cli, ["serve", "--resume", graph, ordered], 2,
+                    "--resume requires --checkpoint-dir")
         missing = os.path.join(tmp, "no_such_dir")
         expect_exit(cli, ["serve", "--checkpoint-dir=" + missing, graph,
                           ordered], 2,
@@ -161,6 +190,15 @@ def main():
                 (["provenance", store, " " + str(trace)],
                  "trace_id: expected unsigned integer")):
             expect_exit(cli, args, 2, want)
+
+        # A trailing flag used to be ignored: this resume re-ingested from
+        # offset 0 and exited 0.
+        for args in (serve + ["--resume"],
+                     ["reconstruct", graph, spans, "--bogus"],
+                     ["simulate", "hotel", "50", "1", "7", "8"],
+                     ["query", store, str(trace), "extra"]):
+            expect_exit(cli, args, 2,
+                        "unexpected argument '%s'" % args[-1])
     print("cli_smoke: all commands passed")
     return 0
 

@@ -1,60 +1,13 @@
-// traceweaver — command-line driver for the span-ingestion workflow (§5.3
-// offline mode).
+// traceweaver -- command-line driver for the span-ingestion workflow
+// (§5.3 offline mode) and the streaming `serve` deployment
+// (serve/pipeline.h). Usage() below lists every command and flag; run
+// with no arguments to print it.
 //
-//   traceweaver simulate <app> <rps> <seconds> [seed]   spans JSONL -> stdout
-//   traceweaver replay <app> [requests_per_root]        isolated-replay spans
-//   traceweaver inject-faults [flags] <spans.jsonl>     corrupted JSONL
-//   traceweaver infer-graph <spans.jsonl>               call graph -> stdout
-//   traceweaver reconstruct <graph.txt> <spans.jsonl>   assignment JSONL
-//   traceweaver evaluate <graph.txt> <spans.jsonl>      accuracy vs ground
-//                                                       truth in the file
-//   traceweaver export-jaeger <graph.txt> <spans.jsonl> Jaeger UI JSON
-//   traceweaver explain <graph.txt> <spans.jsonl> <id>  candidate table for
-//                                                       one parent span
-//   traceweaver serve <graph.txt> <spans.jsonl>         streaming online
-//                                                       mode (§5.3) with
-//                                                       bounded memory,
-//                                                       overload ladder and
-//                                                       checkpoint/restore;
-//                                                       --store-dir commits
-//                                                       settled traces to a
-//                                                       queryable store and
-//                                                       --http-port serves
-//                                                       the query API
-//                                                       (docs/API.md)
-//   traceweaver query <store-dir> [trace_id]            query a trace store
-//                                                       offline: summaries
-//                                                       (filters below), a
-//                                                       full record by id,
-//                                                       or --full records
-//   traceweaver sort-spans <spans.jsonl>                completion-ordered
-//                                                       JSONL -> stdout (a
-//                                                       live collector's
-//                                                       arrival order; feed
-//                                                       this to serve)
-//
-// The reconstruction commands accept --threads=N (default: all hardware
-// threads); reconstruction output is bit-identical for every N. Every
-// span-loading command runs the ingestion validator (span_validator.h):
-//   --ingest=MODE         lenient (default: repair and keep), strict
-//                         (quarantine anything inconsistent), off
-//   --auto-slack          apply the validator's suggested
-//                         constraint_slack_ns (derived from observed
-//                         capture-clock skew) to reconstruction
-//   --skew-correct        estimate per-vantage clock offsets
-//                         (core/skew_estimator.h) and rewrite all
-//                         timestamps into one frame before running
-//   --per-edge-slack      per-edge feasibility slack from the observed
-//                         skew spread (implies --skew-correct)
-// They also accept observability flags (docs/METRICS.md):
-//   --report              print a run report (stage times, pipeline
-//                         counters) to stderr after reconstruction
-//   --report-json=FILE    write the run report as JSON to FILE
-//   --metrics-out=FILE    write all metrics in Prometheus text format
-//
-// `simulate` and `inject-faults` take fault-injection flags
-// (sim/fault_injector.h): --drop=P --dup=P --skew-ns=N --truncate-ns=N
-// --garble=P --fault-seed=S.
+// The reconstruction commands (reconstruct, evaluate, export-jaeger,
+// explain) accept --threads=N and produce bit-identical output for every
+// N. They and infer-graph run the ingestion validator (span_validator.h,
+// --ingest=MODE); serve counts what it reads and repairs nothing.
+// Observability flags are described in docs/METRICS.md.
 //
 // Apps: hotel | media | nodejs | chain | ab. Spans JSONL written by
 // `simulate`/`replay` carries ground truth so `evaluate` can score
@@ -97,14 +50,13 @@
 #include "obs/run_report.h"
 #include "obs/provenance.h"
 #include "serve/http_server.h"
+#include "serve/pipeline.h"
 #include "serve/query_service.h"
 #include "serve/self_trace.h"
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
-#include "store/committer.h"
 #include "store/store.h"
-#include "trace/checkpoint.h"
 #include "trace/jaeger_export.h"
 #include "trace/jsonl_io.h"
 #include "trace/span_validator.h"
@@ -144,12 +96,14 @@ int Usage() {
       "  --max-buffer-spans=N / --max-buffer-bytes=N\n"
       "                       span-buffer budget; breach sheds oldest\n"
       "                       windows as orphans (0 = unbounded)\n"
-      "  --checkpoint-dir=D   write CRC-guarded checkpoints to\n"
-      "                       D/checkpoint.jsonl (tmp+rename atomic);\n"
-      "                       D must be an existing writable directory\n"
+      "  --checkpoint-dir=D   seal the store, then write the CRC-guarded\n"
+      "                       state files in D as one unit (all .tmp\n"
+      "                       files, then the renames); D must be an\n"
+      "                       existing writable directory\n"
       "  --checkpoint-every=N spans between snapshots (default 2000)\n"
-      "  --resume             restore from --checkpoint-dir and continue\n"
-      "                       at the saved source offset\n"
+      "  --resume             restore all of --checkpoint-dir's state\n"
+      "                       files (exit 1 naming a missing or bad one)\n"
+      "                       and continue at the saved source offset\n"
       "  --retries=N          source open/read retries with exponential\n"
       "                       backoff (default 5)\n"
       "  --final              emit only the final assignment union at\n"
@@ -201,7 +155,8 @@ int Usage() {
       "  --json              explain only: emit the candidate table as\n"
       "                      JSON (schema traceweaver.explain.v1)\n"
       "  --ingest=MODE       span validation at load: lenient (default),\n"
-      "                      strict, off\n"
+      "                      strict, off (serve only counts spans and\n"
+      "                      parse errors, whatever the mode)\n"
       "  --auto-slack        apply the validator's suggested\n"
       "                      constraint_slack_ns (observed clock skew)\n"
       "  --sampling-rate=R   known capture-sampling keep probability of\n"
@@ -257,28 +212,17 @@ struct CliFlags {
   /// Fault-injection spec (simulate / inject-faults only).
   sim::FaultSpec faults;
 
-  // --- serve (streaming online mode) ---
-  long long window_ms = 2000;
-  long long margin_ms = 500;
-  long long deadline_ms = 0;          ///< 0 = degradation ladder off.
-  std::size_t max_buffer_spans = 0;   ///< 0 = unbounded.
-  std::size_t max_buffer_bytes = 0;   ///< 0 = unbounded.
-  std::string checkpoint_dir;         ///< "" = checkpointing off.
-  std::size_t checkpoint_every = 2000;
+  // --- serve (streaming online mode; the store options serve query too).
+  /// The pipeline's own flags; CmdServe adds the weaver options.
+  serve::ServePipelineOptions serve;
   bool resume = false;
   int retries = 5;
   bool final_only = false;  ///< Emit only the EOF assignment union.
-
-  // --- trace store + HTTP query API (serve), query subcommand ---
-  std::string store_dir;              ///< "" = store off.
-  std::size_t store_segment_traces = 256;
-  std::size_t cache_traces = 128;
   int http_port = -1;                 ///< < 0 = HTTP off; 0 = ephemeral.
   std::size_t http_threads = 4;
   bool linger = false;   ///< Keep serving HTTP after EOF until a signal.
-  bool no_provenance = false;  ///< serve: decision ledger off.
-  bool self_trace = false;     ///< serve: per-window pipeline self traces.
-  double tail_sample = -1.0;   ///< serve: boring-trace keep rate (< 0 = off).
+
+  // --- query subcommand ---
   std::string q_service;              ///< query: --service=.
   long long q_from = std::numeric_limits<long long>::min();
   long long q_to = std::numeric_limits<long long>::max();
@@ -344,6 +288,20 @@ auto Positional(const char* name, const char* value, Parse parse) {
   return parse(arg, std::strlen(name) + 1);
 }
 
+/// Whether the `argc - 1` positionals left by ParseFlags number from
+/// `min` to `max`. Names the first extra one on stderr: a flag after the
+/// positionals would otherwise be dropped silently.
+bool Arity(int argc, char** argv, int min, int max) {
+  if (argc - 1 > max) {
+    std::fprintf(stderr,
+                 "unexpected argument '%s' (flags go before the positional "
+                 "arguments)\n",
+                 argv[max + 1]);
+    return false;
+  }
+  return argc - 1 >= min;
+}
+
 /// Consumes leading flag arguments (any order), shifting argv. A malformed
 /// numeric flag value exits 2.
 CliFlags ParseFlags(int& argc, char**& argv) {
@@ -404,20 +362,20 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
       flags.faults.seed = Unsigned<std::uint64_t>(arg, 13);
     } else if (arg.rfind("--window-ms=", 0) == 0) {
-      flags.window_ms = Unsigned<long long>(arg, 12);
+      flags.serve.online.window = Millis(Unsigned<long long>(arg, 12));
     } else if (arg.rfind("--margin-ms=", 0) == 0) {
-      flags.margin_ms = Unsigned<long long>(arg, 12);
+      flags.serve.online.margin = Millis(Unsigned<long long>(arg, 12));
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      flags.deadline_ms = Unsigned<long long>(arg, 14);
+      flags.serve.online.window_close_deadline =
+          Millis(Unsigned<long long>(arg, 14));
     } else if (arg.rfind("--max-buffer-spans=", 0) == 0) {
-      flags.max_buffer_spans = Unsigned<std::size_t>(arg, 19);
+      flags.serve.online.max_buffer_spans = Unsigned<std::size_t>(arg, 19);
     } else if (arg.rfind("--max-buffer-bytes=", 0) == 0) {
-      flags.max_buffer_bytes = Unsigned<std::size_t>(arg, 19);
+      flags.serve.online.max_buffer_bytes = Unsigned<std::size_t>(arg, 19);
     } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-      flags.checkpoint_dir = arg.substr(17);
+      flags.serve.checkpoint_dir = arg.substr(17);
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      flags.checkpoint_every = Unsigned<std::size_t>(arg, 19);
-      if (flags.checkpoint_every == 0) flags.checkpoint_every = 1;
+      flags.serve.checkpoint_every = Unsigned<std::size_t>(arg, 19);
     } else if (arg == "--resume") {
       flags.resume = true;
     } else if (arg.rfind("--retries=", 0) == 0) {
@@ -425,12 +383,12 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     } else if (arg == "--final") {
       flags.final_only = true;
     } else if (arg.rfind("--store-dir=", 0) == 0) {
-      flags.store_dir = arg.substr(12);
+      flags.serve.store_dir = arg.substr(12);
     } else if (arg.rfind("--store-segment-traces=", 0) == 0) {
-      flags.store_segment_traces = Unsigned<std::size_t>(arg, 23);
-      if (flags.store_segment_traces == 0) flags.store_segment_traces = 1;
+      flags.serve.store.segment_traces =
+          std::max<std::size_t>(1, Unsigned<std::size_t>(arg, 23));
     } else if (arg.rfind("--cache-traces=", 0) == 0) {
-      flags.cache_traces = Unsigned<std::size_t>(arg, 15);
+      flags.serve.store.cache_traces = Unsigned<std::size_t>(arg, 15);
     } else if (arg.rfind("--http-port=", 0) == 0) {
       flags.http_port = Unsigned<int>(arg, 12);
     } else if (arg.rfind("--http-threads=", 0) == 0) {
@@ -439,14 +397,12 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     } else if (arg == "--linger") {
       flags.linger = true;
     } else if (arg == "--no-provenance") {
-      flags.no_provenance = true;
+      flags.serve.provenance = false;
     } else if (arg == "--self-trace") {
-      flags.self_trace = true;
+      flags.serve.self_trace = true;
     } else if (arg.rfind("--tail-sample=", 0) == 0) {
-      flags.tail_sample = Number(arg, 14);
-      if (flags.tail_sample < 0.0 || flags.tail_sample > 1.0) {
-        flags.tail_sample = -1.0;  // Out of range: sampler stays off.
-      }
+      const double p = Number(arg, 14);
+      flags.serve.tail_sample = p <= 1.0 ? p : -1.0;  // < 0: sampler off.
     } else if (arg.rfind("--service=", 0) == 0) {
       flags.q_service = arg.substr(10);
     } else if (arg.rfind("--from=", 0) == 0) {
@@ -468,6 +424,21 @@ CliFlags ParseFlags(int& argc, char**& argv) {
     argv[0] = argv[-1];  // Keep argv[0] pointing at a program name.
   }
   return flags;
+}
+
+/// Prints one `{"span":child,"parent":parent}` assignment line.
+void PrintEdge(SpanId child, SpanId parent) {
+  std::printf("{\"span\":%llu,\"parent\":%llu}\n",
+              static_cast<unsigned long long>(child),
+              static_cast<unsigned long long>(parent));
+}
+
+/// Prints an assignment's lines in child order.
+void PrintEdges(const ParentAssignment& assignment) {
+  std::vector<std::pair<SpanId, SpanId>> rows(assignment.begin(),
+                                              assignment.end());
+  std::sort(rows.begin(), rows.end());
+  for (const auto& [child, parent] : rows) PrintEdge(child, parent);
 }
 
 /// Batch-mode clock-skew handling (--skew-correct): feed the population
@@ -628,6 +599,35 @@ void WarnIngest(const IngestStats& ingest) {
   }
 }
 
+/// Simulator output through the capture round trip, with the validator
+/// riding along (a no-op on a healthy capture, reported otherwise).
+std::vector<Span> Capture(const std::vector<Span>& spans,
+                          const CliFlags& flags) {
+  SpanValidatorOptions vopts;
+  vopts.mode = flags.ingest;
+  SpanValidator validator(vopts);
+  auto captured = collector::CaptureRoundTrip(spans, {}, nullptr, &validator);
+  WarnIngest(validator.Finish());
+  return captured;
+}
+
+/// Reads a spans file unvalidated (inject-faults, sort-spans); malformed
+/// lines are dropped with a warning.
+std::optional<std::vector<Span>> ReadSpansFile(const char* path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open spans file: %s\n", path);
+    return std::nullopt;
+  }
+  std::size_t dropped = 0;
+  auto spans = ReadSpansJsonl(in, &dropped);
+  if (dropped > 0) {
+    std::fprintf(stderr, "warning: %zu malformed span lines dropped\n",
+                 dropped);
+  }
+  return spans;
+}
+
 struct LoadedSpans {
   std::vector<Span> spans;
   IngestStats ingest;
@@ -676,7 +676,7 @@ std::optional<CallGraph> LoadGraph(const std::string& path) {
 
 int CmdSimulate(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 4) return Usage();
+  if (!Arity(argc, argv, 3, 4)) return Usage();
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::OpenLoopOptions load;
@@ -686,15 +686,7 @@ int CmdSimulate(int argc, char** argv) {
                        : 31;
   if (load.requests_per_sec <= 0 || load.duration <= 0) return Usage();
 
-  // Simulator-output ingest path: the validator rides along with span
-  // assembly (a no-op on a healthy capture, reported on stderr otherwise).
-  SpanValidatorOptions vopts;
-  vopts.mode = flags.ingest;
-  SpanValidator validator(vopts);
-  auto spans = collector::CaptureRoundTrip(sim::RunOpenLoop(*app, load).spans,
-                                           {}, nullptr, &validator);
-  WarnIngest(validator.Finish());
-
+  auto spans = Capture(sim::RunOpenLoop(*app, load).spans, flags);
   if (flags.faults.Active()) {
     sim::FaultStats fstats;
     spans = sim::InjectFaults(std::move(spans), flags.faults, &fstats);
@@ -711,23 +703,14 @@ int CmdSimulate(int argc, char** argv) {
 
 int CmdInjectFaults(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot open spans file: %s\n", argv[1]);
-    return 1;
-  }
+  if (!Arity(argc, argv, 1, 1)) return Usage();
   // Deliberately no validation here: the point is to produce a corrupted
   // stream for downstream robustness runs.
-  std::size_t dropped = 0;
-  auto spans = ReadSpansJsonl(in, &dropped);
-  if (dropped > 0) {
-    std::fprintf(stderr, "warning: %zu malformed span lines dropped\n",
-                 dropped);
-  }
+  auto spans = ReadSpansFile(argv[1]);
+  if (!spans) return 1;
   sim::FaultStats fstats;
-  spans = sim::InjectFaults(std::move(spans), flags.faults, &fstats);
-  WriteSpansJsonl(std::cout, spans, /*include_ground_truth=*/true);
+  spans = sim::InjectFaults(std::move(*spans), flags.faults, &fstats);
+  WriteSpansJsonl(std::cout, *spans, /*include_ground_truth=*/true);
   std::fprintf(stderr,
                "faults: %zu in -> %zu out (%zu dropped, %zu duplicated, "
                "%zu skewed, %zu truncated, %zu garbled, %zu head-sampled, "
@@ -741,7 +724,7 @@ int CmdInjectFaults(int argc, char** argv) {
 
 int CmdReplay(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
+  if (!Arity(argc, argv, 1, 2)) return Usage();
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::IsolatedReplayOptions options;
@@ -749,13 +732,8 @@ int CmdReplay(int argc, char** argv) {
     options.requests_per_root =
         Positional("requests_per_root", argv[2], Unsigned<std::size_t>);
   }
-  SpanValidatorOptions vopts;
-  vopts.mode = flags.ingest;
-  SpanValidator validator(vopts);
   const auto spans =
-      collector::CaptureRoundTrip(sim::RunIsolatedReplay(*app, options).spans,
-                                  {}, nullptr, &validator);
-  WarnIngest(validator.Finish());
+      Capture(sim::RunIsolatedReplay(*app, options).spans, flags);
   WriteSpansJsonl(std::cout, spans, /*include_ground_truth=*/true);
   std::fprintf(stderr, "%zu spans\n", spans.size());
   return 0;
@@ -763,7 +741,7 @@ int CmdReplay(int argc, char** argv) {
 
 int CmdInferGraph(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
+  if (!Arity(argc, argv, 1, 1)) return Usage();
   auto loaded = LoadSpans(argv[1], flags, nullptr);
   if (!loaded) return 1;
   const CallGraph graph = InferCallGraph(loaded->spans);
@@ -803,7 +781,7 @@ std::optional<Batch> RunBatch(
 
 int CmdReconstruct(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
+  if (!Arity(argc, argv, 2, 2)) return Usage();
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -812,9 +790,7 @@ int CmdReconstruct(int argc, char** argv) {
     auto it = out.assignment.find(s.id);
     const SpanId parent =
         it == out.assignment.end() ? kInvalidSpanId : it->second;
-    std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                static_cast<unsigned long long>(s.id),
-                static_cast<unsigned long long>(parent));
+    PrintEdge(s.id, parent);
     if (parent != kInvalidSpanId) ++mapped;
   }
   std::fprintf(stderr, "%zu of %zu spans mapped to a parent\n", mapped,
@@ -824,7 +800,7 @@ int CmdReconstruct(int argc, char** argv) {
 
 int CmdExportJaeger(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
+  if (!Arity(argc, argv, 2, 2)) return Usage();
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -839,7 +815,7 @@ int CmdExportJaeger(int argc, char** argv) {
 
 int CmdEvaluate(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
+  if (!Arity(argc, argv, 2, 2)) return Usage();
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -883,7 +859,7 @@ int CmdEvaluate(int argc, char** argv) {
 
 int CmdExplain(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 4) return Usage();
+  if (!Arity(argc, argv, 3, 3)) return Usage();
   const SpanId target =
       Positional("parent_span_id", argv[3], Unsigned<SpanId>);
   ExplainCapture capture;
@@ -904,25 +880,15 @@ int CmdExplain(int argc, char** argv) {
 /// Reorders a span file into completion (client_recv) order -- the
 /// arrival order a live collector produces and the one `serve` expects.
 int CmdSortSpans(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  (void)flags;
-  if (argc < 2) return Usage();
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot open spans file: %s\n", argv[1]);
-    return 1;
-  }
-  std::size_t dropped = 0;
-  auto spans = ReadSpansJsonl(in, &dropped);
-  if (dropped > 0) {
-    std::fprintf(stderr, "warning: %zu malformed span lines dropped\n",
-                 dropped);
-  }
-  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+  ParseFlags(argc, argv);
+  if (!Arity(argc, argv, 1, 1)) return Usage();
+  auto spans = ReadSpansFile(argv[1]);
+  if (!spans) return 1;
+  std::sort(spans->begin(), spans->end(), [](const Span& a, const Span& b) {
     return a.client_recv != b.client_recv ? a.client_recv < b.client_recv
                                           : a.id < b.id;
   });
-  WriteSpansJsonl(std::cout, spans, /*include_ground_truth=*/true);
+  WriteSpansJsonl(std::cout, *spans, /*include_ground_truth=*/true);
   return 0;
 }
 
@@ -949,27 +915,14 @@ std::ifstream OpenWithRetry(const std::string& path, int retries,
   }
 }
 
-/// Restores one state file for --resume: runs `load(in, &err)` on
-/// `path`. A rejected file is reported on stderr as
-/// `serve: <what> rejected (<reason>)<then>` and the component starts
-/// fresh. Returns nullopt when there is no file, else whether it loaded.
-template <typename Load>
-std::optional<bool> ResumeState(const std::string& path, const char* what,
-                                const char* then, Load&& load) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string err;
-  if (load(in, &err)) return true;
-  std::fprintf(stderr, "serve: %s rejected (%s)%s\n", what, err.c_str(),
-               then);
-  return false;
-}
-
 /// SIGINT/SIGTERM latch for the serve loop: first signal requests a
 /// graceful checkpoint-and-exit (and ends --linger).
 std::atomic<bool> g_stop{false};
 void HandleStopSignal(int) { g_stop.store(true); }
 
+/// Prints the per-window output of serve and flushes it, so every line
+/// is out before a later checkpoint moves the source offset past it: a
+/// resumed run starts after that offset and never prints it again.
 void EmitWindowResults(const std::vector<WindowResult>& results) {
   for (const WindowResult& r : results) {
     std::printf(
@@ -979,80 +932,57 @@ void EmitWindowResults(const std::vector<WindowResult>& results) {
         static_cast<long long>(r.window_end), r.parents_committed,
         r.shed ? "true" : "false", r.degradation_level, r.late_grafted,
         r.orphans.size());
-    std::vector<std::pair<SpanId, SpanId>> rows(r.assignment.begin(),
-                                                r.assignment.end());
-    std::sort(rows.begin(), rows.end());
-    for (const auto& [child, parent] : rows) {
-      std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                  static_cast<unsigned long long>(child),
-                  static_cast<unsigned long long>(parent));
-    }
-    for (SpanId id : r.orphans) {
-      std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                  static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(kInvalidSpanId));
-    }
+    PrintEdges(r.assignment);
+    for (SpanId id : r.orphans) PrintEdge(id, kInvalidSpanId);
   }
+  if (!results.empty()) std::fflush(stdout);
 }
 
 int CmdServe(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  const bool store_enabled = !flags.store_dir.empty();
+  if (!Arity(argc, argv, 2, 2)) return Usage();
+  serve::ServePipelineOptions popts = flags.serve;
+  OnlineOptions& oopts = popts.online;
+  const bool store_enabled = !popts.store_dir.empty();
   const bool http_enabled = flags.http_port >= 0;
-  if (http_enabled && !store_enabled) {
-    std::fprintf(stderr, "serve: --http-port requires --store-dir\n");
-    return 2;
+  for (const auto& [on, flag] : {std::pair{http_enabled, "--http-port"},
+                                 {popts.self_trace, "--self-trace"},
+                                 {popts.tail_sample >= 0.0, "--tail-sample"}}) {
+    if (on && !store_enabled) {
+      std::fprintf(stderr, "serve: %s requires --store-dir\n", flag);
+      return 2;
+    }
   }
-  obs::MetricsRegistry registry;
-  // The store/HTTP layers always record into the registry (the /metrics
-  // endpoint scrapes it); file/report outputs still need the flags.
-  obs::MetricsRegistry* reg =
-      flags.WantMetrics() || store_enabled ? &registry : nullptr;
-  if (flags.self_trace && !store_enabled) {
-    std::fprintf(stderr, "serve: --self-trace requires --store-dir\n");
-    return 2;
-  }
-  if (flags.tail_sample >= 0.0 && !store_enabled) {
-    std::fprintf(stderr, "serve: --tail-sample requires --store-dir\n");
-    return 2;
-  }
-  // Non-numeric values parse as 0, so this also rejects --window-ms=abc.
-  if (flags.window_ms <= 0 || flags.margin_ms < 0) {
+  // Non-numeric values are rejected at parse, so this catches a zero.
+  if (oopts.window <= 0 || oopts.margin < 0) {
     std::fprintf(stderr,
                  "serve: --window-ms must be > 0 and --margin-ms >= 0\n");
     return 2;
   }
   // Every checkpoint writes into this directory; failing then would skip
   // every checkpoint of the run.
-  if (!flags.checkpoint_dir.empty() &&
-      (!std::filesystem::is_directory(flags.checkpoint_dir) ||
-       ::access(flags.checkpoint_dir.c_str(), W_OK) != 0)) {
+  const std::string& ckpt_dir = popts.checkpoint_dir;
+  if (!ckpt_dir.empty() && (!std::filesystem::is_directory(ckpt_dir) ||
+                            ::access(ckpt_dir.c_str(), W_OK) != 0)) {
     std::fprintf(stderr,
                  "serve: --checkpoint-dir %s is not a writable directory\n",
-                 flags.checkpoint_dir.c_str());
+                 ckpt_dir.c_str());
+    return 2;
+  }
+  if (flags.resume && ckpt_dir.empty()) {
+    std::fprintf(stderr, "serve: --resume requires --checkpoint-dir\n");
     return 2;
   }
   auto graph = LoadGraph(argv[1]);
   if (!graph) return 1;
   const std::string source = argv[2];
 
-  // Decision provenance (obs/provenance.h): on by default whenever
-  // commits happen, since only committed records can carry the ledger.
-  std::unique_ptr<obs::ProvenanceLedger> ledger;
-  if (store_enabled && !flags.no_provenance) {
-    ledger = std::make_unique<obs::ProvenanceLedger>(
-        obs::ProvenanceLedgerOptions{}, reg);
-  }
-
-  OnlineOptions oopts;
-  oopts.window = Millis(flags.window_ms);
-  oopts.margin = Millis(flags.margin_ms);
-  oopts.window_close_deadline = Millis(flags.deadline_ms);
-  oopts.max_buffer_spans = flags.max_buffer_spans;
-  oopts.max_buffer_bytes = flags.max_buffer_bytes;
+  obs::MetricsRegistry registry;
+  // The store/HTTP layers always record into the registry (the /metrics
+  // endpoint scrapes it); file/report outputs still need the flags.
+  popts.metrics = flags.WantMetrics() || store_enabled ? &registry : nullptr;
   oopts.weaver = WeaverOptions(flags, &registry);
-  oopts.weaver.metrics = reg;
+  oopts.weaver.metrics = popts.metrics;
   // The store indexes A-D grades and calibrated confidence, so committing
   // turns the quality layer on; without a store it stays a paid opt-in.
   oopts.weaver.compute_quality = flags.quality || store_enabled;
@@ -1060,96 +990,33 @@ int CmdServe(int argc, char** argv) {
   // span is observed raw, corrected into the global frame, and the
   // per-edge slack map refreshes at each window close.
   oopts.skew_correct = flags.skew_correct;
-  oopts.metrics = reg;
-  oopts.provenance = ledger.get();
-  OnlineTraceWeaver weaver(*graph, oopts);
-  obs::OnlineMetrics ometrics;
-  if (reg != nullptr) ometrics = obs::OnlineMetrics(*reg);
+  if (!flags.final_only) popts.on_results = EmitWindowResults;
+  serve::ServePipeline pipeline(*graph, popts);
 
-  std::unique_ptr<store::TraceStore> tstore;
-  std::unique_ptr<store::TraceCommitter> committer;
-  std::unique_ptr<store::TailSampler> sampler;
+  std::string err;
+  const auto opened = pipeline.Open(flags.resume, &err);
+  if (!opened) {
+    std::fprintf(stderr, "serve: %s\n", err.c_str());
+    return 1;
+  }
   if (store_enabled) {
-    store::StoreOptions sopts;
-    sopts.segment_traces = flags.store_segment_traces;
-    sopts.cache_traces = flags.cache_traces;
-    sopts.metrics = reg;
-    tstore = std::make_unique<store::TraceStore>(flags.store_dir, sopts);
-    std::string err;
-    const auto ostats = tstore->Open(&err);
-    if (!ostats) {
-      std::fprintf(stderr, "serve: cannot open store %s: %s\n",
-                   flags.store_dir.c_str(), err.c_str());
-      return 1;
-    }
-    if (ostats->segments_rejected > 0) {
+    if (opened->store.segments_rejected > 0) {
       std::fprintf(stderr, "serve: store skipped %zu damaged segment(s)\n",
-                   ostats->segments_rejected);
+                   opened->store.segments_rejected);
     }
     std::fprintf(stderr, "serve: store %s: %zu traces in %zu segments\n",
-                 flags.store_dir.c_str(), ostats->traces_loaded,
-                 ostats->segments_loaded);
-    store::CommitterOptions copts;
-    copts.window = oopts.window;
-    copts.margin = oopts.margin;
-    copts.provenance = ledger.get();
-    if (flags.tail_sample >= 0.0) {
-      store::TailSamplerOptions topts;
-      topts.keep_rate = flags.tail_sample;
-      topts.window = oopts.window;
-      sampler = std::make_unique<store::TailSampler>(topts, reg);
-      copts.sampler = sampler.get();
-    }
-    committer =
-        std::make_unique<store::TraceCommitter>(copts, tstore.get());
+                 popts.store_dir.c_str(), opened->store.traces_loaded,
+                 opened->store.segments_loaded);
   }
-  std::unique_ptr<serve::SelfTracer> self_tracer;
-  if (flags.self_trace) {
-    self_tracer = std::make_unique<serve::SelfTracer>(tstore.get());
-  }
-
-  std::uint64_t offset = 0;
-  const std::string& ckpt_dir = flags.checkpoint_dir;
-  if (flags.resume && !ckpt_dir.empty()) {
-    const std::string path = ckpt_dir + "/checkpoint.jsonl";
-    std::map<std::string, std::uint64_t> extra;
-    const auto resumed = ResumeState(
-        path, "checkpoint", ", starting fresh",
-        [&](std::istream& in, std::string* err) {
-          return weaver.LoadCheckpoint(in, err, &extra);
-        });
-    if (!resumed) {
-      std::fprintf(stderr, "serve: no checkpoint at %s, starting fresh\n",
-                   path.c_str());
-    } else if (*resumed) {
-      const auto it = extra.find("source_offset");
-      offset = it != extra.end() ? it->second : 0;
-      ometrics.restores.Inc();
-      std::fprintf(stderr, "serve: resumed from %s at source offset %llu\n",
-                   path.c_str(), static_cast<unsigned long long>(offset));
-    }
-    const std::string cpath = ckpt_dir + "/committer.jsonl";
-    if (committer != nullptr &&
-        ResumeState(cpath, "committer state",
-                    "; settling traces will be recovered from replay",
-                    [&](std::istream& in, std::string* err) {
-                      return committer->LoadState(in, err);
-                    }).value_or(false)) {
-      std::fprintf(stderr, "serve: restored %zu pending spans from %s\n",
-                   committer->pending_spans(), cpath.c_str());
-    }
-    const std::string spath = ckpt_dir + "/sampler.jsonl";
-    if (sampler != nullptr &&
-        ResumeState(spath, "sampler state",
-                    "; decisions restart from a fresh horizon",
-                    [&](std::istream& in, std::string* err) {
-                      return sampler->LoadState(in, err);
-                    }).value_or(false)) {
-      std::fprintf(stderr,
-                   "serve: restored tail sampler state from %s "
-                   "(%zu considered, %zu shed)\n",
-                   spath.c_str(), sampler->considered(), sampler->shed());
-    }
+  if (opened->resumed) {
+    std::fprintf(stderr,
+                 "serve: resumed from %s at source offset %llu (all state "
+                 "files restored)\n",
+                 ckpt_dir.c_str(),
+                 static_cast<unsigned long long>(opened->source_offset));
+  } else if (flags.resume) {
+    std::fprintf(stderr, "serve: no checkpoint in %s, starting fresh\n",
+                 ckpt_dir.c_str());
   }
 
   std::unique_ptr<serve::QueryService> query_service;
@@ -1158,7 +1025,7 @@ int CmdServe(int argc, char** argv) {
     serve::QueryServiceOptions qopts;
     qopts.explain_weaver = oopts.weaver;
     query_service = std::make_unique<serve::QueryService>(
-        tstore.get(), &*graph, &registry, qopts);
+        pipeline.store(), &*graph, &registry, qopts);
     serve::HttpServerOptions hopts;
     hopts.port = flags.http_port;
     hopts.worker_threads = flags.http_threads;
@@ -1169,7 +1036,6 @@ int CmdServe(int argc, char** argv) {
           query_service->Handle(rq, rs);
         },
         hopts);
-    std::string err;
     if (!http->Start(&err)) {
       std::fprintf(stderr, "serve: %s\n", err.c_str());
       return 1;
@@ -1182,111 +1048,15 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 
-  // Seal-before-checkpoint: everything the checkpoint's source offset
-  // considers consumed must be durable (sealed segments + pending
-  // committer state) before the offset moves, or a crash right after the
-  // checkpoint would lose traces the resume will never replay.
-  const auto checkpoint_impl = [&]() {
-    if (ckpt_dir.empty()) return;
-    // Window results printed so far must be out of the stdio buffer before
-    // the saved offset passes them: a resumed run starts after it and never
-    // prints them again.
-    if (std::fflush(stdout) != 0) {
-      std::fprintf(stderr, "serve: stdout flush failed\n");
-      return;
-    }
-    if (tstore != nullptr) {
-      std::string serr;
-      if (!tstore->Seal(&serr)) {
-        std::fprintf(stderr, "serve: store seal failed: %s\n", serr.c_str());
-        return;  // Keep the previous checkpoint; never outrun durability.
-      }
-      if (committer != nullptr &&
-          !WriteFileAtomic(ckpt_dir + "/committer.jsonl",
-                           [&](std::ostream& o) { committer->SaveState(o); })) {
-        std::fprintf(stderr, "serve: committer state write failed\n");
-        return;
-      }
-      if (sampler != nullptr &&
-          !WriteFileAtomic(ckpt_dir + "/sampler.jsonl",
-                           [&](std::ostream& o) { sampler->SaveState(o); })) {
-        std::fprintf(stderr, "serve: sampler state write failed\n");
-        return;
-      }
-    }
-    if (WriteFileAtomic(ckpt_dir + "/checkpoint.jsonl",
-                        [&](std::ostream& o) {
-                          weaver.SaveCheckpoint(o, {{"source_offset", offset}});
-                        })) {
-      ometrics.checkpoints.Inc();
-    } else {
-      std::fprintf(stderr, "serve: checkpoint write to %s failed\n",
-                   ckpt_dir.c_str());
-    }
-  };
-  const auto checkpoint = [&]() {
-    const auto begin = std::chrono::steady_clock::now();
-    checkpoint_impl();
-    if (self_tracer != nullptr) {
-      self_tracer->Record(
-          serve::SelfStage::kSeal,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - begin)
-              .count());
-    }
-  };
-
+  std::uint64_t offset = opened->source_offset;
   std::ifstream in = OpenWithRetry(source, flags.retries, offset);
   if (!in) {
     std::fprintf(stderr, "serve: giving up on %s\n", source.c_str());
     if (http != nullptr) http->Stop();
     return 1;
   }
-
   std::string line;
-  std::uint64_t parse_errors = 0;
-  std::size_t since_checkpoint = 0;
-  TimeNs watermark = weaver.high_watermark();
-  using SteadyClock = std::chrono::steady_clock;
-  const auto wall_ns = [](SteadyClock::time_point a, SteadyClock::time_point b) {
-    return static_cast<DurationNs>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  // Running total of tw_stage_wall_ns_total{stage="enumerate"} at the
-  // last window batch, so the self trace can attribute the enumerate
-  // share of each close from the stage-timer delta.
-  std::int64_t enum_wall_seen = 0;
-  // Splits one Advance()/Flush() call into self-trace stage buckets:
-  // windowing = the call minus its window closes; the enumerate share of
-  // a close comes from the stage-timer delta, graft from the results,
-  // and the remainder is the solve share (score + assignment + commit
-  // bookkeeping inside the weaver).
-  const auto record_advance = [&](DurationNs advance_wall,
-                                  const std::vector<WindowResult>& results) {
-    DurationNs close = 0;
-    DurationNs graft = 0;
-    for (const WindowResult& r : results) {
-      close += r.close_wall_ns;
-      graft += r.graft_wall_ns;
-    }
-    DurationNs enumerate = 0;
-    if (!results.empty() && reg != nullptr) {
-      const std::int64_t seen = registry.Snapshot().Value(
-          "tw_stage_wall_ns_total", "stage=\"enumerate\"");
-      enumerate = std::max<std::int64_t>(0, seen - enum_wall_seen);
-      enum_wall_seen = seen;
-    }
-    enumerate = std::min(enumerate, std::max<DurationNs>(0, close - graft));
-    self_tracer->Record(serve::SelfStage::kWindow,
-                        std::max<DurationNs>(0, advance_wall - close));
-    self_tracer->Record(serve::SelfStage::kEnumerate, enumerate);
-    self_tracer->Record(serve::SelfStage::kSolve,
-                        std::max<DurationNs>(0, close - graft - enumerate));
-    self_tracer->Record(serve::SelfStage::kGraft, graft);
-  };
   while (!g_stop.load()) {
-    const auto t_read = self_tracer != nullptr ? SteadyClock::now()
-                                               : SteadyClock::time_point{};
     if (!std::getline(in, line)) {
       if (in.eof()) break;
       // Transient read failure: reopen at the last consumed offset.
@@ -1295,112 +1065,33 @@ int CmdServe(int argc, char** argv) {
       continue;
     }
     const std::streamoff pos = in.tellg();
-    if (pos >= 0) {
-      offset = static_cast<std::uint64_t>(pos);
-    } else {
-      offset += line.size() + 1;
-    }
+    offset = pos >= 0 ? static_cast<std::uint64_t>(pos)
+                      : offset + line.size() + 1;
     if (line.empty()) continue;
-    const auto span = SpanFromJson(line);
+    auto span = SpanFromJson(line);
     if (!span) {
-      ++parse_errors;
-      continue;
-    }
-    const auto t_parsed = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    weaver.Ingest(*span);
-    if (committer != nullptr) committer->OnSpan(*span);
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kIngest,
-                          wall_ns(t_read, t_parsed));
-      self_tracer->Record(serve::SelfStage::kValidate,
-                          wall_ns(t_parsed, SteadyClock::now()));
-    }
-    // client_send drives the watermark: a conservative lower bound
-    // (client_send <= client_recv) on completion-ordered streams, so
-    // windows never close while their candidates are still in flight.
-    // The running max keeps Advance()'s regression counter reserved for
-    // genuine source regressions.
-    watermark = std::max(watermark, span->client_send);
-    const auto t_advance = self_tracer != nullptr ? SteadyClock::now()
-                                                  : SteadyClock::time_point{};
-    const auto results = weaver.Advance(watermark);
-    if (self_tracer != nullptr) {
-      record_advance(wall_ns(t_advance, SteadyClock::now()), results);
-    }
-    const auto t_commit = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    if (committer != nullptr) committer->OnResults(results);
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kCommit,
-                          wall_ns(t_commit, SteadyClock::now()));
-    }
-    if (!flags.final_only) EmitWindowResults(results);
-    if (!ckpt_dir.empty() &&
-        ++since_checkpoint >= flags.checkpoint_every) {
-      since_checkpoint = 0;
-      checkpoint();
-    }
-    if (self_tracer != nullptr) {
-      // One self trace per closed window; a multi-window batch drains the
-      // accumulated stage buckets into its first window.
-      for (const WindowResult& r : results) {
-        self_tracer->CommitWindow(r.window_start);
-      }
+      pipeline.NoteParseError();
+    } else if (!pipeline.Step(std::move(*span), offset, &err)) {
+      std::fprintf(stderr, "serve: checkpoint failed: %s\n", err.c_str());
     }
   }
 
+  // A graceful stop mid-stream only checkpoints, so a --resume run
+  // continues exactly where this one stopped: flushing here would commit
+  // still-settling traces as premature fragments.
   const bool interrupted = g_stop.load();
   if (interrupted) {
-    // Graceful stop mid-stream: checkpoint (seal + committer state +
-    // weaver + offset) and exit without flushing, so a --resume run
-    // continues exactly where this one stopped -- flushing here would
-    // commit still-settling traces as premature fragments.
     std::fprintf(stderr, "serve: interrupted, checkpointing and exiting\n");
-    checkpoint();
-  } else {
-    const auto t_flush = self_tracer != nullptr ? SteadyClock::now()
-                                                : SteadyClock::time_point{};
-    const auto tail = weaver.Flush();
-    if (self_tracer != nullptr) {
-      record_advance(wall_ns(t_flush, SteadyClock::now()), tail);
-    }
-    const auto t_commit = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    if (committer != nullptr) {
-      committer->OnResults(tail);
-      committer->Finalize();
-    }
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kCommit,
-                          wall_ns(t_commit, SteadyClock::now()));
-      // Before the final seal, so the self traces land durably too.
-      for (const WindowResult& r : tail) {
-        self_tracer->CommitWindow(r.window_start);
-      }
-    }
-    if (!flags.final_only) EmitWindowResults(tail);
-    if (tstore != nullptr) {
-      std::string serr;
-      if (!tstore->Seal(&serr)) {
-        std::fprintf(stderr, "serve: store seal failed: %s\n", serr.c_str());
-      }
-    }
-    checkpoint();
-    if (flags.final_only) {
-      std::vector<std::pair<SpanId, SpanId>> rows(weaver.assignment().begin(),
-                                                  weaver.assignment().end());
-      std::sort(rows.begin(), rows.end());
-      for (const auto& [child, parent] : rows) {
-        std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                    static_cast<unsigned long long>(child),
-                    static_cast<unsigned long long>(parent));
-      }
-    }
+  }
+  if (!pipeline.Finish(!interrupted, &err)) {
+    std::fprintf(stderr, "serve: checkpoint failed: %s\n", err.c_str());
+  }
+  if (flags.final_only && !interrupted) {
+    PrintEdges(pipeline.weaver().assignment());
   }
   EmitObservability(flags, registry);
 
-  const OnlineTraceWeaver::Stats& st = weaver.stats();
+  const OnlineTraceWeaver::Stats& st = pipeline.weaver().stats();
   std::fprintf(
       stderr,
       "serve: %llu ingested (%llu parse errors), %llu windows closed, "
@@ -1409,7 +1100,7 @@ int CmdServe(int argc, char** argv) {
       "dropped); %llu watermark regressions, %llu deadline misses, "
       "ladder %llu up / %llu down (level %d)\n",
       static_cast<unsigned long long>(st.ingested),
-      static_cast<unsigned long long>(parse_errors),
+      static_cast<unsigned long long>(pipeline.ingest().parse_errors),
       static_cast<unsigned long long>(st.windows_closed),
       static_cast<unsigned long long>(st.parents_committed),
       static_cast<unsigned long long>(st.windows_shed),
@@ -1423,18 +1114,17 @@ int CmdServe(int argc, char** argv) {
       static_cast<unsigned long long>(st.deadline_misses),
       static_cast<unsigned long long>(st.degrade_up_steps),
       static_cast<unsigned long long>(st.degrade_down_steps),
-      weaver.degradation_level());
-  if (tstore != nullptr) {
+      pipeline.weaver().degradation_level());
+  if (const store::TraceStore* tstore = pipeline.store()) {
     std::fprintf(
         stderr,
         "serve: store holds %zu traces (%zu sealed segments, %zu active"
         "%s)\n",
         tstore->size(), tstore->sealed_segments(), tstore->active_traces(),
-        committer != nullptr && committer->pending_spans() > 0
-            ? ", settling spans pending"
-            : "");
+        pipeline.committer()->pending_spans() > 0 ? ", settling spans pending"
+                                                  : "");
   }
-  if (sampler != nullptr) {
+  if (const store::TailSampler* sampler = pipeline.sampler()) {
     std::fprintf(stderr,
                  "serve: tail sampler considered %zu traces: kept %zu "
                  "(%zu interesting, %zu by coin), shed %zu\n",
@@ -1442,7 +1132,7 @@ int CmdServe(int argc, char** argv) {
                  sampler->kept_interesting(), sampler->kept_random(),
                  sampler->shed());
   }
-  if (ledger != nullptr) {
+  if (const obs::ProvenanceLedger* ledger = pipeline.ledger()) {
     std::fprintf(stderr,
                  "serve: provenance ledger recorded %llu events (%llu "
                  "dropped, %zu spans still pending)\n",
@@ -1450,7 +1140,7 @@ int CmdServe(int argc, char** argv) {
                  static_cast<unsigned long long>(ledger->dropped()),
                  ledger->pending_spans());
   }
-  if (self_tracer != nullptr) {
+  if (const serve::SelfTracer* self_tracer = pipeline.self_tracer()) {
     std::fprintf(stderr, "serve: committed %zu pipeline self traces\n",
                  self_tracer->committed());
   }
@@ -1467,33 +1157,48 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
+/// Opens the store at `dir` for `cmd` (query, provenance); null, with
+/// the reason on stderr, when the directory is unusable.
+std::unique_ptr<store::TraceStore> OpenStore(const char* cmd, const char* dir,
+                                             const CliFlags& flags) {
+  auto tstore = std::make_unique<store::TraceStore>(dir, flags.serve.store);
+  std::string err;
+  const auto ostats = tstore->Open(&err);
+  if (!ostats) {
+    std::fprintf(stderr, "%s: cannot open store %s: %s\n", cmd, dir,
+                 err.c_str());
+    return nullptr;
+  }
+  if (ostats->segments_rejected > 0) {
+    std::fprintf(stderr, "%s: skipped %zu damaged segment(s)\n", cmd,
+                 ostats->segments_rejected);
+  }
+  return tstore;
+}
+
+/// The stored record the positional `id` names; null, reported on
+/// stderr, when there is none.
+std::shared_ptr<const TraceRecord> GetTrace(const char* cmd,
+                                            const store::TraceStore& tstore,
+                                            const char* id) {
+  auto record = tstore.Get(Positional("trace_id", id, Unsigned<SpanId>));
+  if (record == nullptr) {
+    std::fprintf(stderr, "%s: trace %s not found\n", cmd, id);
+  }
+  return record;
+}
+
 /// query: offline access to a trace store (no server). Summaries by
 /// default, one full record with an explicit id, --full to stream records.
 int CmdQuery(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
-  store::StoreOptions sopts;
-  sopts.cache_traces = flags.cache_traces;
-  store::TraceStore tstore(argv[1], sopts);
-  std::string err;
-  const auto ostats = tstore.Open(&err);
-  if (!ostats) {
-    std::fprintf(stderr, "query: cannot open store %s: %s\n", argv[1],
-                 err.c_str());
-    return 1;
-  }
-  if (ostats->segments_rejected > 0) {
-    std::fprintf(stderr, "query: skipped %zu damaged segment(s)\n",
-                 ostats->segments_rejected);
-  }
-
+  if (!Arity(argc, argv, 1, 2)) return Usage();
+  const auto opened = OpenStore("query", argv[1], flags);
+  if (!opened) return 1;
+  const store::TraceStore& tstore = *opened;
   if (argc > 2) {
-    const SpanId id = Positional("trace_id", argv[2], Unsigned<SpanId>);
-    const auto record = tstore.Get(id);
-    if (record == nullptr) {
-      std::fprintf(stderr, "query: trace %s not found\n", argv[2]);
-      return 1;
-    }
+    const auto record = GetTrace("query", tstore, argv[2]);
+    if (record == nullptr) return 1;
     std::printf("%s\n", TraceRecordToJson(*record).c_str());
     return 0;
   }
@@ -1541,23 +1246,11 @@ int CmdQuery(int argc, char** argv) {
 /// serves (docs/API.md).
 int CmdProvenance(int argc, char** argv) {
   const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  store::StoreOptions sopts;
-  sopts.cache_traces = flags.cache_traces;
-  store::TraceStore tstore(argv[1], sopts);
-  std::string err;
-  const auto ostats = tstore.Open(&err);
-  if (!ostats) {
-    std::fprintf(stderr, "provenance: cannot open store %s: %s\n", argv[1],
-                 err.c_str());
-    return 1;
-  }
-  const SpanId id = Positional("trace_id", argv[2], Unsigned<SpanId>);
-  const auto record = tstore.Get(id);
-  if (record == nullptr) {
-    std::fprintf(stderr, "provenance: trace %s not found\n", argv[2]);
-    return 1;
-  }
+  if (!Arity(argc, argv, 2, 2)) return Usage();
+  const auto opened = OpenStore("provenance", argv[1], flags);
+  if (!opened) return 1;
+  const auto record = GetTrace("provenance", *opened, argv[2]);
+  if (record == nullptr) return 1;
   std::printf("%s\n", serve::ProvenanceJson(*record).c_str());
   return 0;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker, run as a ctest (`ctest -R check_docs`).
 
-Six audits, all against the working tree (no build needed):
+Seven audits, all against the working tree (no build needed):
 
  1. Relative markdown links in README.md, DESIGN.md and docs/*.md must
     point at files that exist.
@@ -18,6 +18,9 @@ Six audits, all against the working tree (no build needed):
  6. Every `XxxOptions::member` or `Parameters::member` mention in those
     docs must name a member that a struct or class of that name declares
     in a src/**/*.h header, so no doc keeps naming a deleted option.
+ 7. Every `--flag` in a README.md flag table row must be a row of the
+    CLI's flag table (kFlags in tools/traceweaver_cli.cc), and every
+    row of that table must be mentioned in README.md.
 
 Exit status is the number of problems found; each problem is printed as
 `file: message` so editors can jump to it.
@@ -49,6 +52,10 @@ LITERAL_RE = re.compile(r'"(tw_[a-z0-9_]+)"')
 EXPOSITION_RE = re.compile(r"# (?:HELP|TYPE) (tw_[a-z0-9_]+)")
 SOURCE_PATH_RE = re.compile(r"`([A-Za-z0-9_./-]+\.(?:h|cc|cpp|py))(?::[0-9,-]+)?`")
 OPTION_MENTION_RE = re.compile(r"\b(\w*Options|Parameters)::(\w+)")
+# A flag table row of README.md starts with a backticked flag: its first
+# cell may hold several ("`--window-ms=N` / `--margin-ms=N`").
+README_FLAG_CELL_RE = re.compile(r"^\| (`--[^|]*)\|", re.MULTILINE)
+FLAG_RE = re.compile(r"`(--[a-z0-9-]+)")
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 TYPE_RE = re.compile(r"\b(?:struct|class)\s+(\w+)\s*(?:final\s*)?(?::[^{;]*)?\{")
 # A member is the name right before its initializer, its ';', or the '('
@@ -204,6 +211,38 @@ def check_provenance_vocabulary(problems):
             )
 
 
+def cli_flags():
+    """The `--name` of every row of kFlags in tools/traceweaver_cli.cc."""
+    source = read(os.path.join("tools", "traceweaver_cli.cc"))
+    match = re.search(r"kFlags\[\]\s*=\s*\{(.*?)\n\};", source, re.DOTALL)
+    if match is None:
+        return []
+    return re.findall(r'^\s*\{"(--[a-z0-9-]+)', match.group(1), re.MULTILINE)
+
+
+def check_cli_flags(problems):
+    flags = cli_flags()
+    if not flags:
+        problems.append("tools/traceweaver_cli.cc: kFlags table not found")
+        return
+    readme = read("README.md")
+    documented = set()
+    for cell in README_FLAG_CELL_RE.findall(readme):
+        documented.update(FLAG_RE.findall(cell))
+    for flag in sorted(documented - set(flags)):
+        problems.append(
+            f"README.md: flag table row {flag} is not a CLI flag"
+            " (kFlags in tools/traceweaver_cli.cc)"
+        )
+    for flag in flags:
+        mention = r"(?<![\w-])" + re.escape(flag) + r"(?![\w-])"
+        if not re.search(mention, readme):
+            problems.append(
+                f"README.md: CLI flag {flag} (tools/traceweaver_cli.cc)"
+                " is not documented"
+            )
+
+
 def main():
     problems = []
     check_links(problems)
@@ -213,13 +252,15 @@ def main():
     check_doc_mentions(problems, names)
     check_metrics_catalogue(problems, names)
     check_provenance_vocabulary(problems)
+    check_cli_flags(problems)
     for p in problems:
         print(p)
     if not problems:
         print(
             f"check_docs: OK ({len(DOC_FILES)} docs, "
             f"{len(names)} source metric names, "
-            f"{len(provenance_event_names())} provenance event types)"
+            f"{len(provenance_event_names())} provenance event types, "
+            f"{len(cli_flags())} CLI flags)"
         )
     return min(len(problems), 100)
 

@@ -33,7 +33,10 @@ HotelReservation population, in a temporary directory:
     same way, naming the argument ("seed: expected unsigned integer");
  9. every command with an argument after its last positional (a flag
     placed last, say), which must be rejected with exit status 2 naming
-    it instead of being ignored.
+    it instead of being ignored;
+10. an unknown flag, a flag the command does not read, and a flag value
+    out of its range, each of which must be rejected with exit status 2
+    naming the flag instead of being ignored or reset.
 
 Exit status is 0 when every step passed, 1 on the first failure (the
 failing command, its exit status and its stderr are printed).
@@ -131,7 +134,8 @@ def main():
         os.rename(os.path.join(tmp, "sampler.jsonl"),
                   os.path.join(ckpt, "sampler.jsonl"))
 
-        # serve counts what it reads; it applies no --ingest repairs.
+        # serve counts what it reads and repairs nothing: it takes no
+        # --ingest.
         garbled = os.path.join(tmp, "garbled.jsonl")
         with open(ordered) as f, open(garbled, "w") as out:
             lines = f.readlines()
@@ -199,6 +203,32 @@ def main():
                      ["query", store, str(trace), "extra"]):
             expect_exit(cli, args, 2,
                         "unexpected argument '%s'" % args[-1])
+
+        # Each of these used to exit 0 with the flag ignored or its value
+        # reset (or, for the window, blame the wrong flag).
+        for args, want in (
+                (["reconstruct", "--bogus", graph, spans],
+                 "unknown flag '--bogus'"),
+                (["reconstruct", "--window-ms=5", graph, spans],
+                 "reconstruct: --window-ms does not apply"),
+                (["serve", "--auto-slack", graph, ordered],
+                 "serve: --auto-slack does not apply"),
+                (["serve", "--ingest=strict", graph, ordered],
+                 "serve: --ingest does not apply"),
+                (["sort-spans", "--threads=3", spans],
+                 "sort-spans: --threads does not apply"),
+                (["query", "--grade=Z", store], "--grade: expected grade"),
+                (["query", "--grade=AB", store, str(trace)],
+                 "--grade: expected grade"),
+                (["serve", "--window-ms=18446744073709", graph, ordered],
+                 "--window-ms: expected milliseconds"),
+                (["reconstruct", "--sampling-rate=0", graph, spans],
+                 "--sampling-rate: expected number in (0, 1]"),
+                (["serve", "--tail-sample=5", graph, ordered],
+                 "--tail-sample: expected number in [0, 1]"),
+                (["serve", "--http-port=70000", graph, ordered],
+                 "--http-port: expected unsigned integer up to 65535")):
+            expect_exit(cli, args, 2, want)
     print("cli_smoke: all commands passed")
     return 0
 

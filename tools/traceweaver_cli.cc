@@ -1,7 +1,8 @@
 // traceweaver -- command-line driver for the span-ingestion workflow
 // (§5.3 offline mode) and the streaming `serve` deployment
-// (serve/pipeline.h). Usage() below lists every command and flag; run
-// with no arguments to print it.
+// (serve/pipeline.h). kFlags below declares every flag once, with the
+// commands that read it, and kCommands every command; Usage() prints
+// both (run with no arguments).
 //
 // The reconstruction commands (reconstruct, evaluate, export-jaeger,
 // explain) accept --threads=N and produce bit-identical output for every
@@ -33,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -67,133 +69,9 @@ namespace {
 
 using namespace traceweaver;
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  traceweaver simulate [fault flags] <hotel|media|nodejs|chain|ab> "
-      "<rps> <seconds> [seed]\n"
-      "  traceweaver replay <hotel|media|nodejs|chain|ab> "
-      "[requests_per_root]\n"
-      "  traceweaver inject-faults [fault flags] <spans.jsonl>\n"
-      "  traceweaver infer-graph <spans.jsonl>\n"
-      "  traceweaver reconstruct [flags] <graph.txt> <spans.jsonl>\n"
-      "  traceweaver evaluate [flags] <graph.txt> <spans.jsonl>\n"
-      "  traceweaver export-jaeger [flags] <graph.txt> <spans.jsonl>\n"
-      "  traceweaver explain [flags] <graph.txt> <spans.jsonl> "
-      "<parent_span_id>\n"
-      "  traceweaver serve [flags] <graph.txt> <spans.jsonl>\n"
-      "  traceweaver query [flags] <store-dir> [trace_id]\n"
-      "  traceweaver provenance <store-dir> <trace_id>\n"
-      "  traceweaver sort-spans <spans.jsonl>\n"
-      "\n"
-      "flags (serve):\n"
-      "  --window-ms=N        tumbling-window width (default 2000)\n"
-      "  --margin-ms=N        close margin past the window end (default "
-      "500)\n"
-      "  --deadline-ms=N      per-window close deadline driving the\n"
-      "                       overload degradation ladder (0 = off)\n"
-      "  --max-buffer-spans=N / --max-buffer-bytes=N\n"
-      "                       span-buffer budget; breach sheds oldest\n"
-      "                       windows as orphans (0 = unbounded)\n"
-      "  --checkpoint-dir=D   seal the store, then write the CRC-guarded\n"
-      "                       state files in D as one unit (all .tmp\n"
-      "                       files, then the renames); D must be an\n"
-      "                       existing writable directory\n"
-      "  --checkpoint-every=N spans between snapshots (default 2000)\n"
-      "  --resume             restore all of --checkpoint-dir's state\n"
-      "                       files (exit 1 naming a missing or bad one)\n"
-      "                       and continue at the saved source offset\n"
-      "  --retries=N          source open/read retries with exponential\n"
-      "                       backoff (default 5)\n"
-      "  --final              emit only the final assignment union at\n"
-      "                       EOF instead of per-window streaming lines\n"
-      "  --store-dir=D        commit settled traces to the queryable\n"
-      "                       store at D (implies --quality; segment\n"
-      "                       files docs/OPERATIONS.md)\n"
-      "  --store-segment-traces=N\n"
-      "                       traces per sealed segment (default 256)\n"
-      "  --cache-traces=N     hot-trace LRU capacity (default 128)\n"
-      "  --http-port=P        serve the HTTP query API (docs/API.md) on\n"
-      "                       127.0.0.1:P (0 = ephemeral, printed on\n"
-      "                       stderr; requires --store-dir)\n"
-      "  --http-threads=N     HTTP worker threads (default 4)\n"
-      "  --linger             after EOF keep serving HTTP until SIGINT/\n"
-      "                       SIGTERM\n"
-      "  --no-provenance      disable the decision-provenance ledger\n"
-      "                       (default on with --store-dir; committed\n"
-      "                       traces then carry no provenance block)\n"
-      "  --self-trace         commit one synthetic pipeline trace per\n"
-      "                       window under the reserved root service\n"
-      "                       _tw.pipeline (requires --store-dir)\n"
-      "  --tail-sample=P      confidence-driven tail sampler (requires\n"
-      "                       --store-dir): keep anomalous / low-grade /\n"
-      "                       high-latency / shed-adjacent traces, keep\n"
-      "                       confident boring ones with probability P,\n"
-      "                       shed the rest before store commit\n"
-      "                       (tw_sample_* counters, provenance\n"
-      "                       sampled_out; state rides the checkpoint)\n"
-      "\n"
-      "flags (query):\n"
-      "  --service=S          exact root-service match\n"
-      "  --from=NS / --to=NS  time-range overlap filter (nanoseconds)\n"
-      "  --grade=G            worst acceptable grade A..D (default D)\n"
-      "  --min-confidence=X   minimum trace confidence\n"
-      "  --limit=N            stop after N matches\n"
-      "  --full               print full trace records instead of\n"
-      "                       summaries\n"
-      "\n"
-      "flags (reconstruction commands):\n"
-      "  --threads=N         worker threads (default: all hardware\n"
-      "                      threads); output is identical for every N\n"
-      "  --quality           compute the trace-quality report (confidence\n"
-      "                      grades, tw_quality_* metrics; adds tw.* span\n"
-      "                      tags to export-jaeger, calibration to\n"
-      "                      evaluate)\n"
-      "  --min-confidence=X  warn on stderr when the mean assignment\n"
-      "                      confidence falls below X (implies --quality)\n"
-      "  --json              explain only: emit the candidate table as\n"
-      "                      JSON (schema traceweaver.explain.v1)\n"
-      "  --ingest=MODE       span validation at load: lenient (default),\n"
-      "                      strict, off (serve only counts spans and\n"
-      "                      parse errors, whatever the mode)\n"
-      "  --auto-slack        apply the validator's suggested\n"
-      "                      constraint_slack_ns (observed clock skew)\n"
-      "  --sampling-rate=R   known capture-sampling keep probability of\n"
-      "                      the input stream (0 < R <= 1, default 1):\n"
-      "                      missing children become expected absences\n"
-      "                      (skip budget floor, re-derived skip/keep\n"
-      "                      priors, softened orphan penalties)\n"
-      "  --twin-window-ns=N  duplicate-twin adoption window: an unassigned\n"
-      "                      span whose same-pool sibling was assigned\n"
-      "                      within N ns joins that sibling's parent\n"
-      "                      (retry/hedge duplicates; default 0 = off)\n"
-      "  --skew-correct      estimate per-vantage clock offsets from\n"
-      "                      cross-vantage gaps and rewrite timestamps\n"
-      "                      into a common frame before reconstruction\n"
-      "                      (serve: streaming, checkpointed)\n"
-      "  --per-edge-slack    per-(caller, callee) feasibility slack from\n"
-      "                      each pair's observed skew spread (implies\n"
-      "                      --skew-correct; serve applies it always)\n"
-      "  --report            print a run report (stage times, pipeline\n"
-      "                      counters) to stderr after reconstruction\n"
-      "  --report-json=FILE  write the run report as JSON to FILE\n"
-      "  --metrics-out=FILE  write all metrics in Prometheus text format\n"
-      "\n"
-      "fault flags (simulate, inject-faults):\n"
-      "  --drop=P --dup=P    per-record drop / duplication probability\n"
-      "  --skew-ns=N         per-vantage clock skew stddev (ns)\n"
-      "  --truncate-ns=N     timestamp truncation granularity (ns)\n"
-      "  --garble=P          per-record field-garbling probability\n"
-      "  --head-sample=P     per-trace keep probability (head sampling,\n"
-      "                      whole-trace coherent; default 1.0 = off)\n"
-      "  --span-sample=P     per-span keep probability (tail sampling,\n"
-      "                      trace-splitting; default 1.0 = off)\n"
-      "  --fault-seed=S      corruption RNG seed (default 17)\n");
-  return 2;
-}
+int Usage();
 
-/// Flags shared by the reconstruction commands.
+/// Every command's settings, as the rows of kFlags set them.
 struct CliFlags {
   std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
   bool report = false;        ///< Run-report table to stderr.
@@ -212,7 +90,7 @@ struct CliFlags {
   /// Fault-injection spec (simulate / inject-faults only).
   sim::FaultSpec faults;
 
-  // --- serve (streaming online mode; the store options serve query too).
+  // --- serve (streaming online mode).
   /// The pipeline's own flags; CmdServe adds the weaver options.
   serve::ServePipelineOptions serve;
   bool resume = false;
@@ -223,207 +101,294 @@ struct CliFlags {
   bool linger = false;   ///< Keep serving HTTP after EOF until a signal.
 
   // --- query subcommand ---
-  std::string q_service;              ///< query: --service=.
-  long long q_from = std::numeric_limits<long long>::min();
-  long long q_to = std::numeric_limits<long long>::max();
-  char q_grade = 'D';
-  std::size_t q_limit = 0;            ///< 0 = unlimited.
-  bool q_full = false;                ///< query: full records.
+  store::TraceQuery query;  ///< CmdQuery adds the confidence floor.
+  bool q_full = false;      ///< Full records instead of summaries.
 
   bool WantMetrics() const {
     return report || !report_json.empty() || !metrics_out.empty();
   }
 };
 
-/// Parses all of `arg` past `prefix` into `v` with std::from_chars: no
-/// leading whitespace or '+', a '-' only for signed types, no trailing
-/// bytes, nothing out of range.
+/// One bit per command, for the set of commands that read a flag.
+enum : unsigned {
+  kSimulate = 1u << 0,
+  kInjectFaults = 1u << 1,
+  kReplay = 1u << 2,
+  kInferGraph = 1u << 3,
+  kReconstruct = 1u << 4,
+  kEvaluate = 1u << 5,
+  kExportJaeger = 1u << 6,
+  kExplain = 1u << 7,
+  kServe = 1u << 8,
+  kQuery = 1u << 9,
+  kProvenance = 1u << 10,
+  kSortSpans = 1u << 11,
+  kFaultCmds = kSimulate | kInjectFaults,
+  kBatch = kReconstruct | kEvaluate | kExportJaeger | kExplain,
+  kValidating = kSimulate | kReplay | kInferGraph | kBatch,
+  kWeaving = kBatch | kServe,
+};
+
+/// How a flag value or a positional argument is parsed and checked.
+enum Kind {
+  kSwitch,       ///< No value.
+  kUnsigned,     ///< Integer in [0, Flag::max].
+  kSigned,       ///< Any 64-bit integer.
+  kNumber,       ///< Any finite number.
+  kMillis,       ///< Unsigned milliseconds whose ns fit a DurationNs.
+  kProbability,  ///< Number in [0, 1].
+  kRate,         ///< Number in (0, 1]: the keep rate of a sampled capture.
+  kGrade,        ///< One letter A-D, in either case.
+  kString,       ///< Any text.
+  kEnum,         ///< One of the '|'-separated choices after the spec's '='.
+};
+
+/// A parsed value; the kind says which member holds it.
+struct Value {
+  std::uint64_t u = 0;  ///< kUnsigned; kEnum choice index; kGrade letter.
+  long long i = 0;      ///< kSigned; kMillis in nanoseconds.
+  double d = 0.0;       ///< kNumber, kProbability, kRate.
+  std::string s;        ///< kString.
+};
+
+/// One row of the flag table. A positional argument is parsed as a row
+/// with only `spec` (its name) and `kind`.
+struct Flag {
+  const char* spec;  ///< "--name" for a switch, else "--name=ARG".
+  Kind kind;
+  unsigned commands = 0;  ///< The commands that read the value.
+  const char* help = "";  ///< One line for Usage().
+  void (*set)(CliFlags&, const Value&) = nullptr;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();  ///< kUnsigned
+};
+
+constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Every flag of every command. Usage() prints a section per run of rows
+/// with the same command set. The setters are generic lambdas that
+/// `Flag::set` instantiates for (CliFlags&, const Value&).
+constexpr Flag kFlags[] = {
+    {"--drop=P", kProbability, kFaultCmds, "per-record drop probability",
+     [](auto& f, auto& v) { f.faults.drop_rate = v.d; }},
+    {"--dup=P", kProbability, kFaultCmds, "per-record duplication probability",
+     [](auto& f, auto& v) { f.faults.duplicate_rate = v.d; }},
+    {"--skew-ns=N", kUnsigned, kFaultCmds, "per-vantage clock skew stddev (ns)",
+     [](auto& f, auto& v) { f.faults.skew_stddev_ns = v.u; }, kInt64Max},
+    {"--truncate-ns=N", kUnsigned, kFaultCmds,
+     "timestamp truncation granularity (ns)",
+     [](auto& f, auto& v) {
+       f.faults.truncate_granularity_ns = v.u;
+     }, kInt64Max},
+    {"--garble=P", kProbability, kFaultCmds,
+     "per-record field-garbling probability",
+     [](auto& f, auto& v) { f.faults.garble_rate = v.d; }},
+    {"--head-sample=P", kProbability, kFaultCmds,
+     "per-trace keep probability (default 1 = off)",
+     [](auto& f, auto& v) { f.faults.head_sample_rate = v.d; }},
+    {"--span-sample=P", kProbability, kFaultCmds,
+     "per-span keep probability (default 1 = off)",
+     [](auto& f, auto& v) { f.faults.tail_sample_rate = v.d; }},
+    {"--fault-seed=S", kUnsigned, kFaultCmds,
+     "corruption RNG seed (default 17)",
+     [](auto& f, auto& v) { f.faults.seed = v.u; }},
+
+    {"--ingest=off|lenient|strict", kEnum, kValidating,
+     "span validation at load (default lenient)",
+     [](auto& f, auto& v) { f.ingest = static_cast<IngestMode>(v.u); }},
+
+    {"--threads=N", kUnsigned, kWeaving,
+     "worker threads (default all); output never varies",
+     [](auto& f, auto& v) { f.threads = std::max<std::uint64_t>(1, v.u); }},
+    {"--report", kSwitch, kWeaving, "print the run report to stderr",
+     [](auto& f, auto&) { f.report = true; }},
+    {"--report-json=FILE", kString, kWeaving,
+     "write the run report as JSON to FILE",
+     [](auto& f, auto& v) { f.report_json = v.s; }},
+    {"--metrics-out=FILE", kString, kWeaving,
+     "write all metrics as Prometheus text to FILE",
+     [](auto& f, auto& v) { f.metrics_out = v.s; }},
+    {"--quality", kSwitch, kWeaving, "compute the trace-quality report",
+     [](auto& f, auto&) { f.quality = true; }},
+    {"--skew-correct", kSwitch, kWeaving,
+     "move spans into one clock frame before solving",
+     [](auto& f, auto&) { f.skew_correct = true; }},
+    // Slack derivation needs the estimator, so this implies correction.
+    {"--per-edge-slack", kSwitch, kWeaving,
+     "per-edge slack from skew spread (implies skew fix)",
+     [](auto& f, auto&) { f.per_edge_slack = f.skew_correct = true; }},
+    {"--sampling-rate=R", kRate, kWeaving,
+     "known capture keep probability (default 1)",
+     [](auto& f, auto& v) { f.sampling_rate = v.d; }},
+    {"--twin-window-ns=N", kUnsigned, kWeaving,
+     "duplicate-twin adoption window (default 0 = off)",
+     [](auto& f, auto& v) { f.twin_window_ns = v.u; }, kInt64Max},
+
+    {"--auto-slack", kSwitch, kBatch,
+     "apply the validator's suggested constraint slack",
+     [](auto& f, auto&) { f.auto_slack = true; }},
+
+    {"--min-confidence=X", kNumber, kBatch | kQuery,
+     "warn below this mean confidence (query: filter)",
+     [](auto& f, auto& v) { f.min_confidence = v.d; f.quality = true; }},
+
+    {"--json", kSwitch, kExplain, "print the candidate table as JSON",
+     [](auto& f, auto&) { f.json = true; }},
+
+    {"--window-ms=N", kMillis, kServe,
+     "tumbling-window width, > 0 (default 2000)",
+     [](auto& f, auto& v) { f.serve.online.window = v.i; }},
+    {"--margin-ms=N", kMillis, kServe,
+     "close margin past the window end (default 500)",
+     [](auto& f, auto& v) { f.serve.online.margin = v.i; }},
+    {"--deadline-ms=N", kMillis, kServe,
+     "per-window close deadline (default 0 = off)",
+     [](auto& f, auto& v) { f.serve.online.window_close_deadline = v.i; }},
+    {"--max-buffer-spans=N", kUnsigned, kServe,
+     "span-buffer budget in spans (0 = unbounded)",
+     [](auto& f, auto& v) { f.serve.online.max_buffer_spans = v.u; }},
+    {"--max-buffer-bytes=N", kUnsigned, kServe,
+     "span-buffer budget in bytes (0 = unbounded)",
+     [](auto& f, auto& v) { f.serve.online.max_buffer_bytes = v.u; }},
+    {"--checkpoint-dir=D", kString, kServe,
+     "write the state files to existing directory D",
+     [](auto& f, auto& v) { f.serve.checkpoint_dir = v.s; }},
+    {"--checkpoint-every=N", kUnsigned, kServe,
+     "spans between checkpoints (default 2000)",
+     [](auto& f, auto& v) { f.serve.checkpoint_every = v.u; }},
+    {"--resume", kSwitch, kServe,
+     "restore the checkpoint, continue at its offset",
+     [](auto& f, auto&) { f.resume = true; }},
+    {"--retries=N", kUnsigned, kServe, "source open/read retries (default 5)",
+     [](auto& f, auto& v) { f.retries = v.u; }, kIntMax},
+    {"--final", kSwitch, kServe,
+     "print only the final assignment at end of input",
+     [](auto& f, auto&) { f.final_only = true; }},
+    {"--store-dir=D", kString, kServe,
+     "commit settled traces to the store at D",
+     [](auto& f, auto& v) { f.serve.store_dir = v.s; }},
+    {"--store-segment-traces=N", kUnsigned, kServe,
+     "traces per sealed segment (default 256)",
+     [](auto& f, auto& v) {
+       f.serve.store.segment_traces = std::max<std::uint64_t>(1, v.u);
+     }},
+    {"--cache-traces=N", kUnsigned, kServe,
+     "hot-trace cache capacity (default 128)",
+     [](auto& f, auto& v) { f.serve.store.cache_traces = v.u; }},
+    {"--http-port=P", kUnsigned, kServe,
+     "serve the HTTP API on 127.0.0.1:P (0 = any port)",
+     [](auto& f, auto& v) { f.http_port = v.u; }, 65535},
+    {"--http-threads=N", kUnsigned, kServe, "HTTP worker threads (default 4)",
+     [](auto& f, auto& v) {
+       f.http_threads = std::max<std::uint64_t>(1, v.u);
+     }},
+    {"--linger", kSwitch, kServe,
+     "keep serving HTTP after the input until a signal",
+     [](auto& f, auto&) { f.linger = true; }},
+    {"--no-provenance", kSwitch, kServe, "record no decision provenance",
+     [](auto& f, auto&) { f.serve.provenance = false; }},
+    {"--self-trace", kSwitch, kServe,
+     "commit one pipeline self trace per window",
+     [](auto& f, auto&) { f.serve.self_trace = true; }},
+    {"--tail-sample=P", kProbability, kServe,
+     "keep confident boring traces with probability P",
+     [](auto& f, auto& v) { f.serve.tail_sample = v.d; }},
+
+    {"--service=S", kString, kQuery, "root service to match",
+     [](auto& f, auto& v) { f.query.service = v.s; }},
+    {"--from=NS", kSigned, kQuery, "time-range start (ns)",
+     [](auto& f, auto& v) { f.query.from = v.i; }},
+    {"--to=NS", kSigned, kQuery, "time-range end (ns)",
+     [](auto& f, auto& v) { f.query.to = v.i; }},
+    {"--grade=G", kGrade, kQuery, "worst grade to match (default D)",
+     [](auto& f, auto& v) { f.query.max_grade = static_cast<char>(v.u); }},
+    {"--limit=N", kUnsigned, kQuery, "stop after N matches (0 = all)",
+     [](auto& f, auto& v) { f.query.limit = v.u; }},
+    {"--full", kSwitch, kQuery, "print full trace records",
+     [](auto& f, auto&) { f.q_full = true; }},
+};
+
+/// The "--name" part of a row's spec or of a flag argument.
+std::string_view NameOf(std::string_view spec) {
+  return spec.substr(0, spec.find('='));
+}
+
+/// Parses all of `text` into `v` with std::from_chars: no leading
+/// whitespace or '+', a '-' only for signed types, no trailing bytes,
+/// nothing out of range.
 template <typename V>
-bool ParseWhole(const std::string& arg, std::size_t prefix, V& v) {
-  const char* first = arg.data() + prefix;
-  const char* last = arg.data() + arg.size();
-  const auto [end, ec] = std::from_chars(first, last, v);
-  return first != last && ec == std::errc{} && end == last;
+bool ParseWhole(std::string_view text, V& v) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  return !text.empty() && ec == std::errc{} && end == last;
 }
 
-/// Rejects the value of a numeric `--flag=value` argument: exit 2.
-[[noreturn]] void BadNumber(const std::string& arg, std::size_t prefix,
-                            const char* type) {
-  std::fprintf(stderr, "%s: expected %s\n",
-               arg.substr(0, prefix - 1).c_str(), type);
-  std::exit(2);
-}
-
-/// The flag value as a non-negative T.
-template <typename T>
-T Unsigned(const std::string& arg, std::size_t prefix) {
-  std::uint64_t v = 0;
-  if (!ParseWhole(arg, prefix, v) ||
-      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-    BadNumber(arg, prefix, "unsigned integer");
-  }
-  return static_cast<T>(v);
-}
-
-long long Signed(const std::string& arg, std::size_t prefix) {
-  long long v = 0;
-  if (!ParseWhole(arg, prefix, v)) BadNumber(arg, prefix, "integer");
-  return v;
-}
-
-double Number(const std::string& arg, std::size_t prefix) {
-  double v = 0.0;
-  if (!ParseWhole(arg, prefix, v) || !std::isfinite(v)) {
-    BadNumber(arg, prefix, "number");
-  }
-  return v;
-}
-
-/// Parses the positional argument `value` with a flag-value parser
-/// (Unsigned<T>, Number) as if it were `--name=value`: a malformed value
-/// exits 2 with "<name>: expected <type>".
-template <typename Parse>
-auto Positional(const char* name, const char* value, Parse parse) {
-  const std::string arg = std::string(name) + '=' + value;
-  return parse(arg, std::strlen(name) + 1);
-}
-
-/// Whether the `argc - 1` positionals left by ParseFlags number from
-/// `min` to `max`. Names the first extra one on stderr: a flag after the
-/// positionals would otherwise be dropped silently.
-bool Arity(int argc, char** argv, int min, int max) {
-  if (argc - 1 > max) {
-    std::fprintf(stderr,
-                 "unexpected argument '%s' (flags go before the positional "
-                 "arguments)\n",
-                 argv[max + 1]);
-    return false;
-  }
-  return argc - 1 >= min;
-}
-
-/// Consumes leading flag arguments (any order), shifting argv. A malformed
-/// numeric flag value exits 2.
-CliFlags ParseFlags(int& argc, char**& argv) {
-  CliFlags flags;
-  while (argc > 1) {
-    const std::string arg = argv[1];
-    if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = Unsigned<std::size_t>(arg, 10);
-      if (flags.threads == 0) flags.threads = 1;
-    } else if (arg == "--report") {
-      flags.report = true;
-    } else if (arg.rfind("--report-json=", 0) == 0) {
-      flags.report_json = arg.substr(14);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      flags.metrics_out = arg.substr(14);
-    } else if (arg == "--ingest=lenient") {
-      flags.ingest = IngestMode::kLenient;
-    } else if (arg == "--ingest=strict") {
-      flags.ingest = IngestMode::kStrict;
-    } else if (arg == "--ingest=off") {
-      flags.ingest = IngestMode::kOff;
-    } else if (arg == "--auto-slack") {
-      flags.auto_slack = true;
-    } else if (arg == "--skew-correct") {
-      flags.skew_correct = true;
-    } else if (arg == "--per-edge-slack") {
-      // Slack derivation needs the estimator, so this implies correction.
-      flags.per_edge_slack = true;
-      flags.skew_correct = true;
-    } else if (arg == "--quality") {
-      flags.quality = true;
-    } else if (arg.rfind("--min-confidence=", 0) == 0) {
-      flags.min_confidence = Number(arg, 17);
-      flags.quality = true;
-    } else if (arg == "--json") {
-      flags.json = true;
-    } else if (arg.rfind("--sampling-rate=", 0) == 0) {
-      flags.sampling_rate = Number(arg, 16);
-      if (flags.sampling_rate <= 0.0 || flags.sampling_rate > 1.0) {
-        flags.sampling_rate = 1.0;
+/// `value` (null when absent) checked against `flag`'s kind. A missing,
+/// malformed or out-of-range value exits 2 with "<name>: expected <what>".
+Value Parse(const Flag& flag, const char* value) {
+  constexpr std::uint64_t kMaxMs = kInt64Max / kNsPerMs;
+  const std::string_view name = NameOf(flag.spec);
+  const std::string_view text = value == nullptr ? "" : value;
+  bool ok = (value == nullptr) == (flag.kind == kSwitch);
+  std::string expected;
+  Value v;
+  switch (flag.kind) {
+    case kSwitch:
+      expected = "no value";
+      break;
+    case kUnsigned:
+      expected = "unsigned integer up to " + std::to_string(flag.max);
+      ok = ok && ParseWhole(text, v.u) && v.u <= flag.max;
+      break;
+    case kSigned:
+      expected = "integer";
+      ok = ok && ParseWhole(text, v.i);
+      break;
+    case kNumber:
+      expected = "number";
+      ok = ok && ParseWhole(text, v.d) && std::isfinite(v.d);
+      break;
+    case kMillis:
+      expected = "milliseconds from 0 to " + std::to_string(kMaxMs);
+      ok = ok && ParseWhole(text, v.u) && v.u <= kMaxMs;
+      v.i = Millis(static_cast<double>(v.u));
+      break;
+    case kProbability:
+      expected = "number in [0, 1]";
+      ok = ok && ParseWhole(text, v.d) && v.d >= 0.0 && v.d <= 1.0;
+      break;
+    case kRate:
+      expected = "number in (0, 1]";
+      ok = ok && ParseWhole(text, v.d) && v.d > 0.0 && v.d <= 1.0;
+      break;
+    case kGrade:
+      expected = "grade A, B, C or D";
+      v.u = text.size() == 1 ? std::toupper(static_cast<unsigned char>(text[0]))
+                             : 0;
+      ok = ok && v.u >= 'A' && v.u <= 'D';
+      break;
+    case kString:
+      v.s = text;
+      break;
+    case kEnum: {
+      std::string_view choices = flag.spec + name.size() + 1;
+      expected = "one of " + std::string(choices);
+      for (;; ++v.u) {
+        const std::size_t bar = choices.find('|');
+        if (choices.substr(0, bar) == text) break;
+        ok = ok && bar != std::string_view::npos;
+        if (!ok) break;
+        choices.remove_prefix(bar + 1);
       }
-    } else if (arg.rfind("--twin-window-ns=", 0) == 0) {
-      flags.twin_window_ns = Unsigned<long long>(arg, 17);
-    } else if (arg.rfind("--drop=", 0) == 0) {
-      flags.faults.drop_rate = Number(arg, 7);
-    } else if (arg.rfind("--dup=", 0) == 0) {
-      flags.faults.duplicate_rate = Number(arg, 6);
-    } else if (arg.rfind("--skew-ns=", 0) == 0) {
-      flags.faults.skew_stddev_ns = Unsigned<DurationNs>(arg, 10);
-    } else if (arg.rfind("--truncate-ns=", 0) == 0) {
-      flags.faults.truncate_granularity_ns = Unsigned<DurationNs>(arg, 14);
-    } else if (arg.rfind("--garble=", 0) == 0) {
-      flags.faults.garble_rate = Number(arg, 9);
-    } else if (arg.rfind("--head-sample=", 0) == 0) {
-      flags.faults.head_sample_rate = Number(arg, 14);
-    } else if (arg.rfind("--span-sample=", 0) == 0) {
-      flags.faults.tail_sample_rate = Number(arg, 14);
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      flags.faults.seed = Unsigned<std::uint64_t>(arg, 13);
-    } else if (arg.rfind("--window-ms=", 0) == 0) {
-      flags.serve.online.window = Millis(Unsigned<long long>(arg, 12));
-    } else if (arg.rfind("--margin-ms=", 0) == 0) {
-      flags.serve.online.margin = Millis(Unsigned<long long>(arg, 12));
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      flags.serve.online.window_close_deadline =
-          Millis(Unsigned<long long>(arg, 14));
-    } else if (arg.rfind("--max-buffer-spans=", 0) == 0) {
-      flags.serve.online.max_buffer_spans = Unsigned<std::size_t>(arg, 19);
-    } else if (arg.rfind("--max-buffer-bytes=", 0) == 0) {
-      flags.serve.online.max_buffer_bytes = Unsigned<std::size_t>(arg, 19);
-    } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-      flags.serve.checkpoint_dir = arg.substr(17);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      flags.serve.checkpoint_every = Unsigned<std::size_t>(arg, 19);
-    } else if (arg == "--resume") {
-      flags.resume = true;
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      flags.retries = Unsigned<int>(arg, 10);
-    } else if (arg == "--final") {
-      flags.final_only = true;
-    } else if (arg.rfind("--store-dir=", 0) == 0) {
-      flags.serve.store_dir = arg.substr(12);
-    } else if (arg.rfind("--store-segment-traces=", 0) == 0) {
-      flags.serve.store.segment_traces =
-          std::max<std::size_t>(1, Unsigned<std::size_t>(arg, 23));
-    } else if (arg.rfind("--cache-traces=", 0) == 0) {
-      flags.serve.store.cache_traces = Unsigned<std::size_t>(arg, 15);
-    } else if (arg.rfind("--http-port=", 0) == 0) {
-      flags.http_port = Unsigned<int>(arg, 12);
-    } else if (arg.rfind("--http-threads=", 0) == 0) {
-      flags.http_threads = Unsigned<std::size_t>(arg, 15);
-      if (flags.http_threads == 0) flags.http_threads = 1;
-    } else if (arg == "--linger") {
-      flags.linger = true;
-    } else if (arg == "--no-provenance") {
-      flags.serve.provenance = false;
-    } else if (arg == "--self-trace") {
-      flags.serve.self_trace = true;
-    } else if (arg.rfind("--tail-sample=", 0) == 0) {
-      const double p = Number(arg, 14);
-      flags.serve.tail_sample = p <= 1.0 ? p : -1.0;  // < 0: sampler off.
-    } else if (arg.rfind("--service=", 0) == 0) {
-      flags.q_service = arg.substr(10);
-    } else if (arg.rfind("--from=", 0) == 0) {
-      flags.q_from = Signed(arg, 7);
-    } else if (arg.rfind("--to=", 0) == 0) {
-      flags.q_to = Signed(arg, 5);
-    } else if (arg.rfind("--grade=", 0) == 0 && arg.size() == 9) {
-      flags.q_grade = static_cast<char>(
-          std::toupper(static_cast<unsigned char>(arg[8])));
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      flags.q_limit = Unsigned<std::size_t>(arg, 8);
-    } else if (arg == "--full") {
-      flags.q_full = true;
-    } else {
       break;
     }
-    --argc;
-    ++argv;
-    argv[0] = argv[-1];  // Keep argv[0] pointing at a program name.
   }
-  return flags;
+  if (!ok) {
+    std::fprintf(stderr, "%.*s: expected %s\n", static_cast<int>(name.size()),
+                 name.data(), expected.c_str());
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Prints one `{"span":child,"parent":parent}` assignment line.
@@ -674,16 +639,13 @@ std::optional<CallGraph> LoadGraph(const std::string& path) {
   return graph;
 }
 
-int CmdSimulate(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 3, 4)) return Usage();
+int CmdSimulate(const CliFlags& flags, int argc, char** argv) {
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::OpenLoopOptions load;
-  load.requests_per_sec = Positional("rps", argv[2], Number);
-  load.duration = Seconds(Positional("seconds", argv[3], Number));
-  load.seed = argc > 4 ? Positional("seed", argv[4], Unsigned<std::uint64_t>)
-                       : 31;
+  load.requests_per_sec = Parse({"rps", kNumber}, argv[2]).d;
+  load.duration = Seconds(Parse({"seconds", kNumber}, argv[3]).d);
+  load.seed = argc > 4 ? Parse({"seed", kUnsigned}, argv[4]).u : 31;
   if (load.requests_per_sec <= 0 || load.duration <= 0) return Usage();
 
   auto spans = Capture(sim::RunOpenLoop(*app, load).spans, flags);
@@ -701,9 +663,7 @@ int CmdSimulate(int argc, char** argv) {
   return 0;
 }
 
-int CmdInjectFaults(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 1, 1)) return Usage();
+int CmdInjectFaults(const CliFlags& flags, int, char** argv) {
   // Deliberately no validation here: the point is to produce a corrupted
   // stream for downstream robustness runs.
   auto spans = ReadSpansFile(argv[1]);
@@ -722,15 +682,13 @@ int CmdInjectFaults(int argc, char** argv) {
   return 0;
 }
 
-int CmdReplay(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 1, 2)) return Usage();
+int CmdReplay(const CliFlags& flags, int argc, char** argv) {
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::IsolatedReplayOptions options;
   if (argc > 2) {
     options.requests_per_root =
-        Positional("requests_per_root", argv[2], Unsigned<std::size_t>);
+        Parse({"requests_per_root", kUnsigned}, argv[2]).u;
   }
   const auto spans =
       Capture(sim::RunIsolatedReplay(*app, options).spans, flags);
@@ -739,9 +697,7 @@ int CmdReplay(int argc, char** argv) {
   return 0;
 }
 
-int CmdInferGraph(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 1, 1)) return Usage();
+int CmdInferGraph(const CliFlags& flags, int, char** argv) {
   auto loaded = LoadSpans(argv[1], flags, nullptr);
   if (!loaded) return 1;
   const CallGraph graph = InferCallGraph(loaded->spans);
@@ -779,9 +735,7 @@ std::optional<Batch> RunBatch(
   return Batch{std::move(loaded->spans), std::move(out)};
 }
 
-int CmdReconstruct(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 2, 2)) return Usage();
+int CmdReconstruct(const CliFlags& flags, int, char** argv) {
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -798,9 +752,7 @@ int CmdReconstruct(int argc, char** argv) {
   return 0;
 }
 
-int CmdExportJaeger(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 2, 2)) return Usage();
+int CmdExportJaeger(const CliFlags& flags, int, char** argv) {
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -813,9 +765,7 @@ int CmdExportJaeger(int argc, char** argv) {
   return 0;
 }
 
-int CmdEvaluate(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 2, 2)) return Usage();
+int CmdEvaluate(const CliFlags& flags, int, char** argv) {
   const auto batch = RunBatch(flags, argv[1], argv[2]);
   if (!batch) return 1;
   const auto& [spans, out] = *batch;
@@ -857,11 +807,8 @@ int CmdEvaluate(int argc, char** argv) {
   return 0;
 }
 
-int CmdExplain(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 3, 3)) return Usage();
-  const SpanId target =
-      Positional("parent_span_id", argv[3], Unsigned<SpanId>);
+int CmdExplain(const CliFlags& flags, int, char** argv) {
+  const SpanId target = Parse({"parent_span_id", kUnsigned}, argv[3]).u;
   ExplainCapture capture;
   const auto batch =
       RunBatch(flags, argv[1], argv[2], [&](TraceWeaverOptions& opts) {
@@ -879,9 +826,7 @@ int CmdExplain(int argc, char** argv) {
 
 /// Reorders a span file into completion (client_recv) order -- the
 /// arrival order a live collector produces and the one `serve` expects.
-int CmdSortSpans(int argc, char** argv) {
-  ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 1, 1)) return Usage();
+int CmdSortSpans(const CliFlags&, int, char** argv) {
   auto spans = ReadSpansFile(argv[1]);
   if (!spans) return 1;
   std::sort(spans->begin(), spans->end(), [](const Span& a, const Span& b) {
@@ -938,9 +883,7 @@ void EmitWindowResults(const std::vector<WindowResult>& results) {
   if (!results.empty()) std::fflush(stdout);
 }
 
-int CmdServe(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 2, 2)) return Usage();
+int CmdServe(const CliFlags& flags, int, char** argv) {
   serve::ServePipelineOptions popts = flags.serve;
   OnlineOptions& oopts = popts.online;
   const bool store_enabled = !popts.store_dir.empty();
@@ -953,10 +896,9 @@ int CmdServe(int argc, char** argv) {
       return 2;
     }
   }
-  // Non-numeric values are rejected at parse, so this catches a zero.
-  if (oopts.window <= 0 || oopts.margin < 0) {
-    std::fprintf(stderr,
-                 "serve: --window-ms must be > 0 and --margin-ms >= 0\n");
+  // Malformed and negative values are rejected at parse; not a zero.
+  if (oopts.window <= 0) {
+    std::fprintf(stderr, "serve: --window-ms must be > 0\n");
     return 2;
   }
   // Every checkpoint writes into this directory; failing then would skip
@@ -1159,9 +1101,9 @@ int CmdServe(int argc, char** argv) {
 
 /// Opens the store at `dir` for `cmd` (query, provenance); null, with
 /// the reason on stderr, when the directory is unusable.
-std::unique_ptr<store::TraceStore> OpenStore(const char* cmd, const char* dir,
-                                             const CliFlags& flags) {
-  auto tstore = std::make_unique<store::TraceStore>(dir, flags.serve.store);
+std::unique_ptr<store::TraceStore> OpenStore(const char* cmd,
+                                             const char* dir) {
+  auto tstore = std::make_unique<store::TraceStore>(dir);
   std::string err;
   const auto ostats = tstore->Open(&err);
   if (!ostats) {
@@ -1181,7 +1123,7 @@ std::unique_ptr<store::TraceStore> OpenStore(const char* cmd, const char* dir,
 std::shared_ptr<const TraceRecord> GetTrace(const char* cmd,
                                             const store::TraceStore& tstore,
                                             const char* id) {
-  auto record = tstore.Get(Positional("trace_id", id, Unsigned<SpanId>));
+  auto record = tstore.Get(Parse({"trace_id", kUnsigned}, id).u);
   if (record == nullptr) {
     std::fprintf(stderr, "%s: trace %s not found\n", cmd, id);
   }
@@ -1190,10 +1132,8 @@ std::shared_ptr<const TraceRecord> GetTrace(const char* cmd,
 
 /// query: offline access to a trace store (no server). Summaries by
 /// default, one full record with an explicit id, --full to stream records.
-int CmdQuery(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 1, 2)) return Usage();
-  const auto opened = OpenStore("query", argv[1], flags);
+int CmdQuery(const CliFlags& flags, int argc, char** argv) {
+  const auto opened = OpenStore("query", argv[1]);
   if (!opened) return 1;
   const store::TraceStore& tstore = *opened;
   if (argc > 2) {
@@ -1203,14 +1143,8 @@ int CmdQuery(int argc, char** argv) {
     return 0;
   }
 
-  store::TraceQuery query;
-  query.service = flags.q_service;
-  query.from = static_cast<TimeNs>(flags.q_from);
-  query.to = static_cast<TimeNs>(flags.q_to);
-  query.max_grade =
-      flags.q_grade >= 'A' && flags.q_grade <= 'D' ? flags.q_grade : 'D';
+  store::TraceQuery query = flags.query;
   query.min_confidence = std::max(0.0, flags.min_confidence);
-  query.limit = flags.q_limit;
 
   std::size_t matched = 0;
   if (flags.q_full) {
@@ -1244,10 +1178,8 @@ int CmdQuery(int argc, char** argv) {
 /// provenance: print one stored trace's decision ledger as the same
 /// `traceweaver.provenance.v1` document GET /traces/{id}/provenance
 /// serves (docs/API.md).
-int CmdProvenance(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (!Arity(argc, argv, 2, 2)) return Usage();
-  const auto opened = OpenStore("provenance", argv[1], flags);
+int CmdProvenance(const CliFlags&, int, char** argv) {
+  const auto opened = OpenStore("provenance", argv[1]);
   if (!opened) return 1;
   const auto record = GetTrace("provenance", *opened, argv[2]);
   if (record == nullptr) return 1;
@@ -1255,22 +1187,115 @@ int CmdProvenance(int argc, char** argv) {
   return 0;
 }
 
+/// One row per command. `args` is the positional synopsis Usage()
+/// prints: Arity() reads one required argument per "<", one optional per
+/// "[".
+struct Command {
+  const char* name;
+  unsigned bit;  ///< The command's bit in Flag::commands.
+  const char* args;
+  int (*run)(const CliFlags& flags, int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"simulate", kSimulate,
+     "<hotel|media|nodejs|chain|ab> <rps> <seconds> [seed]", CmdSimulate},
+    {"replay", kReplay, "<hotel|media|nodejs|chain|ab> [requests_per_root]",
+     CmdReplay},
+    {"inject-faults", kInjectFaults, "<spans.jsonl>", CmdInjectFaults},
+    {"infer-graph", kInferGraph, "<spans.jsonl>", CmdInferGraph},
+    {"reconstruct", kReconstruct, "<graph.txt> <spans.jsonl>", CmdReconstruct},
+    {"evaluate", kEvaluate, "<graph.txt> <spans.jsonl>", CmdEvaluate},
+    {"export-jaeger", kExportJaeger, "<graph.txt> <spans.jsonl>",
+     CmdExportJaeger},
+    {"explain", kExplain, "<graph.txt> <spans.jsonl> <parent_span_id>",
+     CmdExplain},
+    {"serve", kServe, "<graph.txt> <spans.jsonl>", CmdServe},
+    {"query", kQuery, "<store-dir> [trace_id]", CmdQuery},
+    {"provenance", kProvenance, "<store-dir> <trace_id>", CmdProvenance},
+    {"sort-spans", kSortSpans, "<spans.jsonl>", CmdSortSpans},
+};
+
+/// Prints every command's synopsis, then the flag table in sections of
+/// rows that the same commands read.
+int Usage() {
+  std::fputs("usage: traceweaver <command> [flags] <arguments>\n", stderr);
+  for (const Command& c : kCommands) {
+    std::fprintf(stderr, "  %-14s %s\n", c.name, c.args);
+  }
+  unsigned section = 0;
+  for (const Flag& f : kFlags) {
+    if (f.commands != section) {
+      section = f.commands;
+      std::string names;
+      for (const Command& c : kCommands) {
+        if ((c.bit & section) == 0) continue;
+        names += (names.empty() ? "" : ", ") + std::string(c.name);
+      }
+      std::fprintf(stderr, "\nflags (%s):\n", names.c_str());
+    }
+    std::fprintf(stderr, "  %-26s %s\n", f.spec, f.help);
+  }
+  return 2;
+}
+
+/// Consumes the leading "--" arguments, shifting argv. Each must name a
+/// row of kFlags that `command` reads, with a value of the row's kind;
+/// anything else exits 2.
+CliFlags ParseFlags(const Command& command, int& argc, char**& argv) {
+  CliFlags flags;
+  while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
+    const std::string_view name = NameOf(argv[1]);
+    const Flag* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& f) { return NameOf(f.spec) == name; });
+    const int len = static_cast<int>(name.size());
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "unknown flag '%.*s'\n", len, name.data());
+      std::exit(2);
+    }
+    if ((flag->commands & command.bit) == 0) {
+      std::fprintf(stderr, "%s: %.*s does not apply\n", command.name, len,
+                   name.data());
+      std::exit(2);
+    }
+    const char* rest = argv[1] + name.size();  // "" or "=value"
+    flag->set(flags, Parse(*flag, *rest == '=' ? rest + 1 : nullptr));
+    --argc;
+    ++argv;
+    argv[0] = argv[-1];  // Keep argv[0] pointing at a program name.
+  }
+  return flags;
+}
+
+/// Whether the `argc - 1` positionals left by ParseFlags fit `command`'s
+/// synopsis. Names the first extra one on stderr: a flag after the
+/// positionals would otherwise be dropped silently.
+bool Arity(const Command& command, int argc, char** argv) {
+  const std::string_view args = command.args;
+  const int min = static_cast<int>(std::count(args.begin(), args.end(), '<'));
+  const int max =
+      min + static_cast<int>(std::count(args.begin(), args.end(), '['));
+  if (argc - 1 > max) {
+    std::fprintf(stderr,
+                 "unexpected argument '%s' (flags go before the positional "
+                 "arguments)\n",
+                 argv[max + 1]);
+    return false;
+  }
+  return argc - 1 >= min;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  if (cmd == "simulate") return CmdSimulate(argc - 1, argv + 1);
-  if (cmd == "inject-faults") return CmdInjectFaults(argc - 1, argv + 1);
-  if (cmd == "replay") return CmdReplay(argc - 1, argv + 1);
-  if (cmd == "infer-graph") return CmdInferGraph(argc - 1, argv + 1);
-  if (cmd == "reconstruct") return CmdReconstruct(argc - 1, argv + 1);
-  if (cmd == "evaluate") return CmdEvaluate(argc - 1, argv + 1);
-  if (cmd == "export-jaeger") return CmdExportJaeger(argc - 1, argv + 1);
-  if (cmd == "explain") return CmdExplain(argc - 1, argv + 1);
-  if (cmd == "serve") return CmdServe(argc - 1, argv + 1);
-  if (cmd == "query") return CmdQuery(argc - 1, argv + 1);
-  if (cmd == "provenance") return CmdProvenance(argc - 1, argv + 1);
-  if (cmd == "sort-spans") return CmdSortSpans(argc - 1, argv + 1);
+  for (const Command& command : kCommands) {
+    if (argc < 2 || command.name != std::string_view(argv[1])) continue;
+    --argc;
+    ++argv;
+    const CliFlags flags = ParseFlags(command, argc, argv);
+    if (!Arity(command, argc, argv)) return Usage();
+    return command.run(flags, argc, argv);
+  }
   return Usage();
 }

@@ -232,7 +232,13 @@ bool HttpServer::Start(std::string* error) {
 }
 
 void HttpServer::Stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Cleared under the queue lock: a worker between its predicate check
+    // and its wait would otherwise miss the notify_all below and never
+    // return from its join.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false)) return;
+  }
   // Closing the listen socket unblocks accept(); the queue drains with
   // sentinel wakeups.
   const int fd = listen_fd_.exchange(-1);

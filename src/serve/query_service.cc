@@ -83,6 +83,10 @@ bool BuildQuery(const HttpRequest& request, store::TraceQuery* query,
       return false;
     }
   }
+  if (query->from > query->to) {
+    *reason = "bad range: 'from' is after 'to'";
+    return false;
+  }
   if (request.HasParam("grade")) {
     const std::string g = request.Param("grade");
     const char c = g.size() == 1 ? static_cast<char>(std::toupper(

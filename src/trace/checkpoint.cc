@@ -145,7 +145,8 @@ bool RecoverFilesAtomic(const std::vector<std::string>& paths,
 }
 
 std::optional<std::vector<std::string>> ReadChecksummedLines(
-    std::istream& in, const std::string& schema, std::string* error) {
+    std::istream& in, const std::string& schema, std::string* error,
+    const std::function<bool(std::size_t index)>& keep) {
   std::vector<std::string> lines;
   std::string line;
   std::uint32_t crc = 0;
@@ -181,7 +182,7 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
     crc = Crc32(line.data(), line.size(), crc);
     const char nl = '\n';
     crc = Crc32(&nl, 1, crc);
-    lines.push_back(line);
+    lines.push_back(!keep || keep(lines.size()) ? line : std::string());
   }
   SetError(error, "checkpoint footer missing (truncated file?)");
   return std::nullopt;

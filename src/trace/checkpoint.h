@@ -70,9 +70,13 @@ class ChecksummedWriter {
 /// Reads and verifies a checksummed file produced by ChecksummedWriter.
 /// Returns the payload lines (header first) on success; nullopt with a
 /// human-readable reason in *error on truncation, footer mismatch, schema
-/// mismatch or CRC failure.
+/// mismatch or CRC failure. With `keep`, a line whose index (0 = header)
+/// it rejects is still counted and CRC-checked but comes back empty, so a
+/// reader that needs a few lines verifies the whole file without holding
+/// all of it.
 std::optional<std::vector<std::string>> ReadChecksummedLines(
-    std::istream& in, const std::string& schema, std::string* error);
+    std::istream& in, const std::string& schema, std::string* error,
+    const std::function<bool(std::size_t index)>& keep = {});
 
 /// Appends a record's fields to a line: integers in decimal
 /// (std::to_string's spelling), doubles as json::Exact, strings

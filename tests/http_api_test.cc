@@ -344,6 +344,14 @@ TEST_F(HttpApiTest, HostileQueryStringsGet400) {
     ASSERT_TRUE(r.ok) << target;
     EXPECT_EQ(r.status, 400) << target;
   }
+  // An inverted range is a malformed query, not an empty match set; an
+  // empty range (from == to) and a one-sided one are legal.
+  const HttpResult inverted = Get("/traces?from=10&to=9");
+  ASSERT_TRUE(inverted.ok);
+  EXPECT_EQ(inverted.status, 400);
+  EXPECT_EQ(inverted.body, "bad range: 'from' is after 'to'\n");
+  EXPECT_EQ(Get("/traces?to=-9").status, 200);
+  EXPECT_EQ(Get("/traces?from=9&to=9").status, 200);
   // Odd-but-legal targets must not crash or 400: unknown params are
   // ignored, malformed escapes decode literally, empty pairs are skipped.
   EXPECT_EQ(Get("/traces?&&&").status, 200);

@@ -195,6 +195,12 @@ def main():
                  "trace_id: expected unsigned integer")):
             expect_exit(cli, args, 2, want)
 
+        # An inverted range used to list nothing and exit 0; an empty one
+        # is legal.
+        expect_exit(cli, ["query", "--from=10", "--to=9", store], 2,
+                    "query: bad range: --from is after --to")
+        run(cli, ["query", "--from=10", "--to=10", store], want_stdout=False)
+
         # A trailing flag used to be ignored: this resume re-ingested from
         # offset 0 and exited 0.
         for args in (serve + ["--resume"],

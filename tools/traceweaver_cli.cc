@@ -1133,6 +1133,10 @@ std::shared_ptr<const TraceRecord> GetTrace(const char* cmd,
 /// query: offline access to a trace store (no server). Summaries by
 /// default, one full record with an explicit id, --full to stream records.
 int CmdQuery(const CliFlags& flags, int argc, char** argv) {
+  if (flags.query.from > flags.query.to) {
+    std::fprintf(stderr, "query: bad range: --from is after --to\n");
+    return 2;
+  }
   const auto opened = OpenStore("query", argv[1]);
   if (!opened) return 1;
   const store::TraceStore& tstore = *opened;

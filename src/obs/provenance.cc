@@ -1,6 +1,7 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/json.h"
 
@@ -16,6 +17,11 @@ constexpr const char* kEventTypeNames[kProvEventTypeCount] = {
     "late_expire",      "late_drop",       "settled",
     "orphan_commit",    "finalized",       "sampled_out",
 };
+
+/// ProvEventFromJson's keys, indexed by EventKey.
+enum EventKey { kTypeKey, kSpanKey, kValueKey, kDetailKey };
+constexpr std::array<std::string_view, 4> kEventKeys = {"t", "span", "v",
+                                                        "d"};
 
 }  // namespace
 
@@ -47,18 +53,21 @@ std::string ProvEventToJson(const ProvEvent& event) {
 }
 
 std::optional<ProvEvent> ProvEventFromJson(std::string_view text) {
-  const auto name = json::FieldStr(text, "t");
-  if (!name) return std::nullopt;
-  const auto type = ProvEventTypeFromName(*name);
+  std::array<std::size_t, kEventKeys.size()> at;
+  json::FindValues(text, kEventKeys, at);
+  std::string name;
+  if (!json::ReadStr(text, at[kTypeKey], &name)) return std::nullopt;
+  const auto type = ProvEventTypeFromName(name);
   if (!type) return std::nullopt;
-  const auto span = json::FieldU64(text, "span");
-  const auto value = json::FieldI64(text, "v");
-  if (!span || !value) return std::nullopt;
   ProvEvent event;
   event.type = *type;
-  event.span = *span;
-  event.value = *value;
-  event.detail = json::FieldStr(text, "d").value_or("");
+  if (!json::ReadU64(text, at[kSpanKey], &event.span) ||
+      !json::ReadI64(text, at[kValueKey], &event.value)) {
+    return std::nullopt;
+  }
+  if (!json::ReadStr(text, at[kDetailKey], &event.detail)) {
+    event.detail.clear();
+  }
   return event;
 }
 

@@ -113,9 +113,12 @@ class TraceStore {
     std::size_t segments_rejected = 0;
   };
 
-  /// Scans `dir` for sealed segments, verifies each CRC footer and
-  /// rebuilds the index. Rejected segments are skipped, never deleted.
-  /// Returns nullopt only when the directory itself is unusable.
+  /// Scans `dir` for sealed segments and rebuilds the index. A segment is
+  /// rejected when its CRC footer fails, when any record in it does not
+  /// decode in full (TraceRecordFromJson: every field, span and
+  /// provenance event), or when it repeats a trace id already loaded.
+  /// Rejected segments are skipped, never deleted. Returns nullopt only
+  /// when the directory itself is unusable.
   std::optional<OpenStats> Open(std::string* error = nullptr);
 
   /// Commits one trace. Idempotent by trace id: a duplicate is dropped

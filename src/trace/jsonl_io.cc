@@ -1,5 +1,6 @@
 #include "trace/jsonl_io.h"
 
+#include <array>
 #include <istream>
 #include <ostream>
 
@@ -14,6 +15,17 @@ void AppendField(std::string& out, const char* key, std::int64_t value) {
   out += "\":";
   out += std::to_string(value);
 }
+
+/// SpanFromJson's keys, indexed by SpanKey, in SpanToJson's order.
+enum SpanKey {
+  kId, kCaller, kCallee, kEndpoint, kClientSend, kServerRecv, kServerSend,
+  kClientRecv, kCallerReplica, kCalleeReplica, kTrueParent, kTrueTrace,
+};
+constexpr std::array<std::string_view, 12> kSpanKeys = {
+    "id",          "caller",         "callee",         "endpoint",
+    "client_send", "server_recv",    "server_send",    "client_recv",
+    "caller_replica", "callee_replica", "true_parent", "true_trace",
+};
 
 }  // namespace
 
@@ -40,34 +52,28 @@ std::string SpanToJson(const Span& s, bool include_ground_truth) {
 }
 
 std::optional<Span> SpanFromJson(std::string_view line) {
+  std::array<std::size_t, kSpanKeys.size()> at;
+  json::FindValues(line, kSpanKeys, at);
   Span s;
-  const auto id = json::FieldU64(line, "id");
-  const auto caller = json::FieldStr(line, "caller");
-  const auto callee = json::FieldStr(line, "callee");
-  const auto endpoint = json::FieldStr(line, "endpoint");
-  const auto cs = json::FieldI64(line, "client_send");
-  const auto sr = json::FieldI64(line, "server_recv");
-  const auto ss = json::FieldI64(line, "server_send");
-  const auto cr = json::FieldI64(line, "client_recv");
-  if (!id || !caller || !callee || !endpoint || !cs || !sr || !ss || !cr) {
+  if (!json::ReadU64(line, at[kId], &s.id) ||
+      !json::ReadStr(line, at[kCaller], &s.caller) ||
+      !json::ReadStr(line, at[kCallee], &s.callee) ||
+      !json::ReadStr(line, at[kEndpoint], &s.endpoint) ||
+      !json::ReadI64(line, at[kClientSend], &s.client_send) ||
+      !json::ReadI64(line, at[kServerRecv], &s.server_recv) ||
+      !json::ReadI64(line, at[kServerSend], &s.server_send) ||
+      !json::ReadI64(line, at[kClientRecv], &s.client_recv)) {
     return std::nullopt;
   }
-  s.id = *id;
-  s.caller = *caller;
-  s.callee = *callee;
-  s.endpoint = *endpoint;
-  s.client_send = *cs;
-  s.server_recv = *sr;
-  s.server_send = *ss;
-  s.client_recv = *cr;
-  s.caller_replica =
-      static_cast<int>(json::FieldI64(line, "caller_replica").value_or(0));
-  s.callee_replica =
-      static_cast<int>(json::FieldI64(line, "callee_replica").value_or(0));
-  s.true_parent =
-      json::FieldU64(line, "true_parent").value_or(kInvalidSpanId);
-  s.true_trace =
-      json::FieldU64(line, "true_trace").value_or(kInvalidTraceId);
+  // Optional fields keep their defaults when absent or malformed.
+  std::int64_t caller_replica = 0;
+  std::int64_t callee_replica = 0;
+  json::ReadI64(line, at[kCallerReplica], &caller_replica);
+  json::ReadI64(line, at[kCalleeReplica], &callee_replica);
+  s.caller_replica = static_cast<int>(caller_replica);
+  s.callee_replica = static_cast<int>(callee_replica);
+  json::ReadU64(line, at[kTrueParent], &s.true_parent);
+  json::ReadU64(line, at[kTrueTrace], &s.true_trace);
   return s;
 }
 

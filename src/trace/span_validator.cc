@@ -173,10 +173,9 @@ SpanVerdict SpanValidator::AdmitLenient(Span& s) {
 
 SpanVerdict SpanValidator::Admit(Span& s) {
   ++stats_.input;
-  SpanVerdict verdict;
+  SpanVerdict verdict = SpanVerdict::kAccepted;
   switch (options_.mode) {
     case IngestMode::kOff:
-      verdict = SpanVerdict::kAccepted;
       break;
     case IngestMode::kStrict:
       verdict = AdmitStrict(s);

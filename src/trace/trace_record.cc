@@ -1,11 +1,29 @@
 #include "trace/trace_record.h"
 
+#include <array>
 #include <charconv>
 
 #include "trace/jsonl_io.h"
 #include "util/json.h"
 
 namespace traceweaver {
+namespace {
+
+/// TraceRecordFromJson's keys, indexed by RecordKey, in
+/// TraceRecordToJson's order.
+enum RecordKey {
+  kSchemaKey, kTrace, kRootService, kRootEndpoint, kStart, kEnd, kGrade,
+  kConfidence, kMinConfidence, kOrphan, kSuspect, kSpans, kParents,
+  kProvenance,
+};
+constexpr std::array<std::string_view, 14> kRecordKeys = {
+    "schema",     "trace",          "root_service", "root_endpoint",
+    "start",      "end",            "grade",        "confidence",
+    "min_confidence", "orphan",     "suspect",      "spans",
+    "parents",    "provenance",
+};
+
+}  // namespace
 
 std::string TraceRecordToJson(const TraceRecord& record) {
   std::string out = "{\"schema\":\"";
@@ -58,36 +76,33 @@ std::string TraceRecordToJson(const TraceRecord& record) {
 std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
   // Top-level lookups never descend into the spans or provenance arrays,
   // so a span field can never alias a record field.
-  const auto schema = json::FieldStr(line, "schema");
-  if (!schema || *schema != TraceRecord::kSchema) return std::nullopt;
-
-  TraceRecord record;
-  const auto trace = json::FieldU64(line, "trace");
-  const auto service = json::FieldStr(line, "root_service");
-  const auto endpoint = json::FieldStr(line, "root_endpoint");
-  const auto start = json::FieldI64(line, "start");
-  const auto end = json::FieldI64(line, "end");
-  const auto grade = json::FieldStr(line, "grade");
-  const auto confidence = json::FieldF64(line, "confidence");
-  const auto min_confidence = json::FieldF64(line, "min_confidence");
-  if (!trace || !service || !endpoint || !start || !end || !grade ||
-      grade->size() != 1 || !confidence || !min_confidence) {
+  std::array<std::size_t, kRecordKeys.size()> at;
+  json::FindValues(line, kRecordKeys, at);
+  std::string schema;
+  if (!json::ReadStr(line, at[kSchemaKey], &schema) ||
+      schema != TraceRecord::kSchema) {
     return std::nullopt;
   }
-  record.trace_id = *trace;
-  record.root_service = *service;
-  record.root_endpoint = *endpoint;
-  record.start = *start;
-  record.end = *end;
-  record.grade = (*grade)[0];
-  record.confidence = *confidence;
-  record.min_confidence = *min_confidence;
-  record.orphan = json::FieldBool(line, "orphan").value_or(false);
-  record.suspect = json::FieldBool(line, "suspect").value_or(false);
+
+  TraceRecord record;
+  std::string grade;
+  if (!json::ReadU64(line, at[kTrace], &record.trace_id) ||
+      !json::ReadStr(line, at[kRootService], &record.root_service) ||
+      !json::ReadStr(line, at[kRootEndpoint], &record.root_endpoint) ||
+      !json::ReadI64(line, at[kStart], &record.start) ||
+      !json::ReadI64(line, at[kEnd], &record.end) ||
+      !json::ReadStr(line, at[kGrade], &grade) || grade.size() != 1 ||
+      !json::ReadF64(line, at[kConfidence], &record.confidence) ||
+      !json::ReadF64(line, at[kMinConfidence], &record.min_confidence)) {
+    return std::nullopt;
+  }
+  record.grade = grade[0];
+  // Absent or malformed flags read as false.
+  json::ReadBool(line, at[kOrphan], &record.orphan);
+  json::ReadBool(line, at[kSuspect], &record.suspect);
 
   std::vector<std::string_view> elements;
-  if (!json::SplitObjectArray(line, json::FindValue(line, "spans"),
-                              &elements)) {
+  if (!json::SplitObjectArray(line, at[kSpans], &elements)) {
     return std::nullopt;
   }
   record.spans.reserve(elements.size());
@@ -99,7 +114,7 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
   if (record.spans.empty()) return std::nullopt;
 
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
-  std::size_t pos = json::FindValue(line, "parents");
+  std::size_t pos = at[kParents];
   if (pos >= line.size() || line[pos] != '[') return std::nullopt;
   const char* const last = line.data() + line.size();
   for (++pos; pos < line.size() && line[pos] != ']'; ++pos) {
@@ -122,10 +137,9 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
 
   // Optional provenance block (absent on records committed without a
   // ledger and on every pre-provenance record).
-  const std::size_t prov_pos = json::FindValue(line, "provenance");
-  if (prov_pos != std::string_view::npos) {
+  if (at[kProvenance] != std::string_view::npos) {
     std::vector<std::string_view> events;
-    if (!json::SplitObjectArray(line, prov_pos, &events)) {
+    if (!json::SplitObjectArray(line, at[kProvenance], &events)) {
       return std::nullopt;
     }
     record.provenance.reserve(events.size());

@@ -78,66 +78,22 @@ void AppendUtf8(std::string& out, unsigned cp) {
   }
 }
 
-/// Decodes the string whose opening quote is text[pos].
-std::optional<std::string> DecodeString(std::string_view text,
-                                        std::size_t pos) {
-  if (pos >= text.size() || text[pos] != '"') return std::nullopt;
-  std::string out;
-  std::size_t run = ++pos;  // Start of the pending verbatim run.
-  for (; pos < text.size(); ++pos) {
-    if (text[pos] == '"') {
-      out.append(text.data() + run, pos - run);
-      return out;
-    }
-    if (text[pos] != '\\') continue;
-    out.append(text.data() + run, pos - run);
-    if (++pos >= text.size()) return std::nullopt;
-    switch (text[pos]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        unsigned cp = 0;
-        if (!Hex4(text, pos + 1, &cp)) return std::nullopt;
-        pos += 4;
-        if (cp >= 0xD800 && cp <= 0xDFFF) {
-          // Only a high surrogate followed by a \u low surrogate forms a
-          // code point; anything else would decode to invalid UTF-8.
-          unsigned low = 0;
-          if (cp > 0xDBFF || pos + 2 >= text.size() ||
-              text[pos + 1] != '\\' || text[pos + 2] != 'u' ||
-              !Hex4(text, pos + 3, &low) || low < 0xDC00 || low > 0xDFFF) {
-            return std::nullopt;
-          }
-          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          pos += 6;
-        }
-        AppendUtf8(out, cp);
-        break;
-      }
-      default:
-        return std::nullopt;
-    }
-    run = pos + 1;
-  }
-  return std::nullopt;  // Unterminated.
+/// Parses the number at text[pos]; *out is untouched on failure.
+template <typename Number>
+bool ReadNumber(std::string_view text, std::size_t pos, Number* out) {
+  if (pos >= text.size()) return false;
+  const auto [ptr, ec] =
+      std::from_chars(text.data() + pos, text.data() + text.size(), *out);
+  return ec == std::errc();
 }
 
-template <typename Number>
-std::optional<Number> FieldNumber(std::string_view text,
-                                  std::string_view key) {
-  const std::size_t pos = FindValue(text, key);
-  if (pos == npos) return std::nullopt;
-  Number v{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data() + pos, text.data() + text.size(), v);
-  if (ec != std::errc()) return std::nullopt;
-  return v;
+/// Wraps a Read* call as a Field* lookup.
+template <typename T, typename Read>
+std::optional<T> Field(std::string_view text, std::string_view key,
+                       Read read) {
+  T value{};
+  if (!read(text, FindValue(text, key), &value)) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -179,7 +135,8 @@ void AppendExact(std::string& out, double v) {
   out.append(buf, static_cast<std::size_t>(n));
 }
 
-std::size_t FindValue(std::string_view text, std::string_view key) {
+void FindValues(std::string_view text, std::span<const std::string_view> keys,
+                std::span<std::size_t> positions) {
   // Only quotes and brackets matter to the scan; a table test per byte
   // keeps the common case (plain bytes) to one load and branch.
   static constexpr auto kStop = [] {
@@ -189,8 +146,10 @@ std::size_t FindValue(std::string_view text, std::string_view key) {
     }
     return stop;
   }();
+  std::fill(positions.begin(), positions.end(), npos);
+  std::size_t missing = keys.size();
   int depth = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
+  for (std::size_t i = 0; i < text.size() && missing > 0; ++i) {
     const char c = text[i];
     if (!kStop[static_cast<unsigned char>(c)]) continue;
     if (c != '"') {
@@ -199,47 +158,117 @@ std::size_t FindValue(std::string_view text, std::string_view key) {
     }
     const std::size_t start = i + 1;
     i = StringEnd(text, start);
-    if (i == npos) return npos;
-    if (depth != 1 || i - start != key.size() ||
-        text.compare(start, key.size(), key) != 0) {
-      continue;
-    }
+    if (i == npos) return;
+    if (depth != 1) continue;
     std::size_t j = i + 1;
     while (j < text.size() && IsSpace(text[j])) ++j;
-    if (j >= text.size() || text[j] != ':') continue;
+    if (j >= text.size() || text[j] != ':') continue;  // A value, not a key.
+    const std::string_view name = text.substr(start, i - start);
+    std::size_t k = 0;
+    while (k < keys.size() && (positions[k] != npos || keys[k] != name)) ++k;
+    if (k == keys.size()) continue;
     ++j;
     while (j < text.size() && IsSpace(text[j])) ++j;
-    return j;
+    positions[k] = j;
+    --missing;
   }
-  return npos;
+}
+
+std::size_t FindValue(std::string_view text, std::string_view key) {
+  std::size_t pos = npos;
+  FindValues(text, {&key, 1}, {&pos, 1});
+  return pos;
+}
+
+bool ReadStr(std::string_view text, std::size_t pos, std::string* out) {
+  if (pos >= text.size() || text[pos] != '"') return false;
+  out->clear();
+  std::size_t run = ++pos;  // Start of the pending verbatim run.
+  for (; pos < text.size(); ++pos) {
+    if (text[pos] == '"') {
+      out->append(text.data() + run, pos - run);
+      return true;
+    }
+    if (text[pos] != '\\') continue;
+    out->append(text.data() + run, pos - run);
+    if (++pos >= text.size()) return false;
+    switch (text[pos]) {
+      case '"': *out += '"'; break;
+      case '\\': *out += '\\'; break;
+      case '/': *out += '/'; break;
+      case 'n': *out += '\n'; break;
+      case 't': *out += '\t'; break;
+      case 'r': *out += '\r'; break;
+      case 'b': *out += '\b'; break;
+      case 'f': *out += '\f'; break;
+      case 'u': {
+        unsigned cp = 0;
+        if (!Hex4(text, pos + 1, &cp)) return false;
+        pos += 4;
+        if (cp >= 0xD800 && cp <= 0xDFFF) {
+          // Only a high surrogate followed by a \u low surrogate forms a
+          // code point; anything else would decode to invalid UTF-8.
+          unsigned low = 0;
+          if (cp > 0xDBFF || pos + 2 >= text.size() ||
+              text[pos + 1] != '\\' || text[pos + 2] != 'u' ||
+              !Hex4(text, pos + 3, &low) || low < 0xDC00 || low > 0xDFFF) {
+            return false;
+          }
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+          pos += 6;
+        }
+        AppendUtf8(*out, cp);
+        break;
+      }
+      default:
+        return false;
+    }
+    run = pos + 1;
+  }
+  return false;  // Unterminated.
+}
+
+bool ReadI64(std::string_view text, std::size_t pos, std::int64_t* out) {
+  return ReadNumber(text, pos, out);
+}
+
+bool ReadU64(std::string_view text, std::size_t pos, std::uint64_t* out) {
+  return ReadNumber(text, pos, out);
+}
+
+bool ReadF64(std::string_view text, std::size_t pos, double* out) {
+  return ReadNumber(text, pos, out);
+}
+
+bool ReadBool(std::string_view text, std::size_t pos, bool* out) {
+  const std::string_view value = text.substr(std::min(pos, text.size()));
+  if (value.starts_with("true")) {
+    *out = true;
+  } else if (value.starts_with("false")) {
+    *out = false;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 std::optional<std::string> FieldStr(std::string_view text,
                                     std::string_view key) {
-  const std::size_t pos = FindValue(text, key);
-  return pos == npos ? std::nullopt : DecodeString(text, pos);
+  return Field<std::string>(text, key, ReadStr);
 }
 
 std::optional<std::int64_t> FieldI64(std::string_view text,
                                      std::string_view key) {
-  return FieldNumber<std::int64_t>(text, key);
+  return Field<std::int64_t>(text, key, ReadI64);
 }
 
 std::optional<std::uint64_t> FieldU64(std::string_view text,
                                       std::string_view key) {
-  return FieldNumber<std::uint64_t>(text, key);
+  return Field<std::uint64_t>(text, key, ReadU64);
 }
 
 std::optional<double> FieldF64(std::string_view text, std::string_view key) {
-  return FieldNumber<double>(text, key);
-}
-
-std::optional<bool> FieldBool(std::string_view text, std::string_view key) {
-  const std::string_view value = text.substr(std::min(
-      FindValue(text, key), text.size()));
-  if (value.starts_with("true")) return true;
-  if (value.starts_with("false")) return false;
-  return std::nullopt;
+  return Field<double>(text, key, ReadF64);
 }
 
 bool SplitObjectArray(std::string_view text, std::size_t pos,

@@ -12,14 +12,18 @@
 // key (depth 1, outside every string, whitespace allowed around the
 // colon), so neither a key nested inside an array or object nor a
 // key-shaped payload inside a string value (a service literally named
-// `x","id":9`) can shadow the real field. Strings accept the RFC 8259
-// escapes (\" \\ \/ \b \f \n \r \t \uXXXX); a UTF-16 surrogate pair
-// decodes to one 4-byte UTF-8 sequence, and a lone surrogate or any other
-// escape is malformed.
+// `x","id":9`) can shadow the real field. When a key appears twice, the
+// first occurrence wins. A decoder scans each object once (FindValues)
+// for all of its keys, then reads each value at its position with the
+// Read* calls; the Field* calls are the one-key shorthand. Strings
+// accept the RFC 8259 escapes (\" \\ \/ \b \f \n \r \t \uXXXX); a UTF-16
+// surrogate pair decodes to one 4-byte UTF-8 sequence, and a lone
+// surrogate or any other escape is malformed.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,10 +48,29 @@ void AppendExact(std::string& out, double v);
 
 // --- Reader -----------------------------------------------------------
 
-/// Position of the value of top-level `"key":` in `text` (past the colon
-/// and any whitespace), or npos when absent or the text is unterminated.
+/// Walks `text` once and sets positions[k] to the position of the value
+/// of the first top-level `"keys[k]":` (past the colon and any
+/// whitespace), or npos when absent. The walk ends early once every key
+/// is found, and at an unterminated string: keys found before it keep
+/// their positions, the rest stay npos. `keys` must be distinct and
+/// `positions` as long as `keys`.
+void FindValues(std::string_view text, std::span<const std::string_view> keys,
+                std::span<std::size_t> positions);
+/// FindValues for one key.
 std::size_t FindValue(std::string_view text, std::string_view key);
 
+/// Typed reads of the value at text[pos], where `pos` comes from
+/// FindValues (npos reads as absent). Each returns false when the value
+/// is absent or malformed; a failed number or bool read leaves *out
+/// untouched, a failed string read leaves it unspecified.
+bool ReadStr(std::string_view text, std::size_t pos, std::string* out);
+bool ReadI64(std::string_view text, std::size_t pos, std::int64_t* out);
+bool ReadU64(std::string_view text, std::size_t pos, std::uint64_t* out);
+bool ReadF64(std::string_view text, std::size_t pos, double* out);
+bool ReadBool(std::string_view text, std::size_t pos, bool* out);
+
+/// One-key shorthand: FindValue, then the matching Read*; nullopt when
+/// the key is absent or its value malformed.
 std::optional<std::string> FieldStr(std::string_view text,
                                     std::string_view key);
 std::optional<std::int64_t> FieldI64(std::string_view text,
@@ -55,7 +78,6 @@ std::optional<std::int64_t> FieldI64(std::string_view text,
 std::optional<std::uint64_t> FieldU64(std::string_view text,
                                       std::string_view key);
 std::optional<double> FieldF64(std::string_view text, std::string_view key);
-std::optional<bool> FieldBool(std::string_view text, std::string_view key);
 
 /// Splits the array of objects starting at text[pos] == '[' into its
 /// elements, each a view into `text` spanning one `{...}`. Returns false

@@ -3,18 +3,32 @@
 // fields exercise quotes, backslashes, control characters, and
 // JSON-looking payloads (e.g. a name containing `","id":9,"x":"`), plus
 // regression cases for historical parser bugs (substring key matches,
-// whitespace after the colon).
+// whitespace after the colon). Also the one-pass key scan the decoders
+// use (json::FindValues), and a differential test of the span, trace
+// record and provenance event decoders against per-key copies of them
+// on seeded mutations of simulator spans and store records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/provenance.h"
+#include "sim/apps.h"
+#include "sim/workload.h"
 #include "test_helpers.h"
 #include "trace/jsonl_io.h"
 #include "trace/span.h"
+#include "trace/trace_record.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace traceweaver {
@@ -65,9 +79,9 @@ TEST(JsonlRoundTrip, RandomizedHostileStringsSurvive) {
   }
 }
 
-TEST(JsonlRoundTrip, EmbeddedEscapedKeysDoNotShadowRealFields) {
-  // A string value containing what *looks* like a later key (escaped
-  // quotes around "id") must not win over the genuine top-level key.
+/// A span whose string values hold what *looks* like later keys (escaped
+/// quotes around "id" and "server_recv").
+Span EmbeddedKeysSpan() {
   Span s;
   s.id = 42;
   s.caller = "x\",\"id\":9,\"y\":\"";
@@ -77,6 +91,24 @@ TEST(JsonlRoundTrip, EmbeddedEscapedKeysDoNotShadowRealFields) {
   s.server_recv = 2;
   s.server_send = 3;
   s.client_recv = 4;
+  return s;
+}
+
+constexpr std::string_view kPrettyPrintedLine =
+    "{\"id\": 7, \"caller\": \"client\", \"callee\": \"frontend\", "
+    "\"endpoint\": \"/home\", \"client_send\": 5, \"server_recv\": 6, "
+    "\"server_send\": 8, \"client_recv\": 9, \"caller_replica\": 0, "
+    "\"callee_replica\": 1}";
+
+constexpr std::string_view kSubstringKeyLine =
+    "{\"xid\":999,\"id\":7,\"caller\":\"client\",\"callee\":\"f\","
+    "\"endpoint\":\"/e\",\"client_send\":1,\"server_recv\":2,"
+    "\"server_send\":3,\"client_recv\":4}";
+
+TEST(JsonlRoundTrip, EmbeddedEscapedKeysDoNotShadowRealFields) {
+  // A string value containing what *looks* like a later key must not win
+  // over the genuine top-level key.
+  const Span s = EmbeddedKeysSpan();
   ExpectRoundTrips(s);
 
   const std::optional<Span> back = SpanFromJson(SpanToJson(s));
@@ -101,12 +133,7 @@ TEST(JsonlRoundTrip, ControlCharactersEscapeAndDecode) {
 
 TEST(JsonlRoundTrip, PrettyPrintedWhitespaceAfterColonParses) {
   // Regression: GetInt used to reject a space between ':' and the number.
-  const std::string line =
-      "{\"id\": 7, \"caller\": \"client\", \"callee\": \"frontend\", "
-      "\"endpoint\": \"/home\", \"client_send\": 5, \"server_recv\": 6, "
-      "\"server_send\": 8, \"client_recv\": 9, \"caller_replica\": 0, "
-      "\"callee_replica\": 1}";
-  const std::optional<Span> s = SpanFromJson(line);
+  const std::optional<Span> s = SpanFromJson(kPrettyPrintedLine);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->id, 7u);
   EXPECT_EQ(s->client_send, 5);
@@ -117,11 +144,7 @@ TEST(JsonlRoundTrip, PrettyPrintedWhitespaceAfterColonParses) {
 TEST(JsonlRoundTrip, SubstringKeyDoesNotMatch) {
   // Regression: FindValue("id") used to match the tail of "trace_id" or a
   // key like "xid". Keys must anchor at a top-level position.
-  const std::string line =
-      "{\"xid\":999,\"id\":7,\"caller\":\"client\",\"callee\":\"f\","
-      "\"endpoint\":\"/e\",\"client_send\":1,\"server_recv\":2,"
-      "\"server_send\":3,\"client_recv\":4}";
-  const std::optional<Span> s = SpanFromJson(line);
+  const std::optional<Span> s = SpanFromJson(kSubstringKeyLine);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->id, 7u);
 }
@@ -183,6 +206,565 @@ TEST(JsonlRoundTrip, LoneSurrogatesAndUnknownEscapesAreRejected) {
         "\\x41"}) {
     EXPECT_FALSE(SpanFromJson(LineWithCaller(bad)).has_value()) << bad;
   }
+}
+
+// --- The one-pass scan (json::FindValues) ------------------------------
+
+/// Every key SpanFromJson reads, in SpanToJson's order.
+const std::vector<std::string_view> kSpanKeys = {
+    "id",          "caller",         "callee",         "endpoint",
+    "client_send", "server_recv",    "server_send",    "client_recv",
+    "caller_replica", "callee_replica", "true_parent", "true_trace"};
+/// Every key TraceRecordFromJson reads.
+const std::vector<std::string_view> kRecordKeys = {
+    "schema", "trace",          "root_service", "root_endpoint", "start",
+    "end",    "grade",          "confidence",   "min_confidence", "orphan",
+    "suspect", "spans",         "parents",      "provenance"};
+/// Every key ProvEventFromJson reads.
+const std::vector<std::string_view> kEventKeys = {"t", "span", "v", "d"};
+
+std::vector<std::size_t> Scan(std::string_view text,
+                              const std::vector<std::string_view>& keys) {
+  std::vector<std::size_t> at(keys.size());
+  json::FindValues(text, keys, at);
+  return at;
+}
+
+TEST(JsonScan, AgreesWithFindValueOnHostileLines) {
+  const std::string embedded = SpanToJson(EmbeddedKeysSpan());
+  for (const std::string_view line :
+       {std::string_view(embedded), kPrettyPrintedLine, kSubstringKeyLine}) {
+    const std::vector<std::size_t> at = Scan(line, kSpanKeys);
+    for (std::size_t k = 0; k < kSpanKeys.size(); ++k) {
+      EXPECT_EQ(at[k], json::FindValue(line, kSpanKeys[k]))
+          << kSpanKeys[k] << " in " << line;
+    }
+  }
+  // The scan skipped the key-shaped payloads: "id" is the real 42.
+  const std::size_t id = Scan(embedded, kSpanKeys)[0];
+  EXPECT_EQ(embedded.substr(id, 3), "42,");
+}
+
+TEST(JsonScan, DuplicateKeyResolvesToFirstOccurrence) {
+  const std::string_view text = R"({"a":1,"b":2,"a":3,"b" : 4})";
+  const std::vector<std::size_t> at = Scan(text, {"a", "b"});
+  EXPECT_EQ(at[0], text.find("1"));
+  EXPECT_EQ(at[1], text.find("2"));
+  // Also when the keys are asked for in the opposite order.
+  const std::vector<std::size_t> flipped = Scan(text, {"b", "a"});
+  EXPECT_EQ(flipped[0], text.find("2"));
+  EXPECT_EQ(flipped[1], text.find("1"));
+}
+
+TEST(JsonScan, MissingKeyIsNpos) {
+  const std::string_view text = R"({"a":1,"nested":{"b":2},"s":"\"c\":3"})";
+  const std::vector<std::size_t> at = Scan(text, {"a", "b", "c", "zz"});
+  EXPECT_EQ(at[0], text.find("1"));
+  for (std::size_t k = 1; k < at.size(); ++k) {
+    EXPECT_EQ(at[k], std::string_view::npos) << k;
+  }
+}
+
+TEST(JsonScan, UnterminatedStringKeepsKeysFoundBeforeIt) {
+  const std::string_view text = R"({"a":1,"s":"never closed,"b":2)";
+  const std::vector<std::size_t> at = Scan(text, {"a", "s", "b"});
+  EXPECT_EQ(at[0], text.find("1"));
+  EXPECT_EQ(at[1], text.find("\"never"));
+  // The string swallows "b"'s opening quote, so "b" is never seen.
+  EXPECT_EQ(at[2], std::string_view::npos);
+  // An unterminated key: "a" keeps its position, the rest stay npos.
+  const std::vector<std::size_t> cut = Scan(R"({"a":1,"b)", {"a", "b"});
+  EXPECT_EQ(cut[0], 5u);
+  EXPECT_EQ(cut[1], std::string_view::npos);
+}
+
+// --- Differential test against the per-key decoders --------------------
+//
+// The oracle is the decoders as they were before the one-pass scan: each
+// field is its own lookup, and each lookup rescans the object from its
+// start with a private copy of that era's scanner. Values are read with
+// the shared json::Read* calls, which the scan did not change.
+namespace oracle {
+
+std::size_t FindValue(std::string_view text, std::string_view key) {
+  constexpr std::size_t npos = std::string_view::npos;
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+  };
+  int depth = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '{' || c == '[') {
+      ++depth;
+      continue;
+    }
+    if (c == '}' || c == ']') {
+      --depth;
+      continue;
+    }
+    if (c != '"') continue;
+    const std::size_t start = i + 1;
+    for (i = start; i < text.size() && text[i] != '"'; ++i) {
+      if (text[i] == '\\') ++i;
+    }
+    if (i >= text.size()) return npos;
+    if (depth != 1 || i - start != key.size() ||
+        text.compare(start, key.size(), key) != 0) {
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < text.size() && is_space(text[j])) ++j;
+    if (j >= text.size() || text[j] != ':') continue;
+    ++j;
+    while (j < text.size() && is_space(text[j])) ++j;
+    return j;
+  }
+  return npos;
+}
+
+template <typename T>
+std::optional<T> Field(std::string_view text, std::string_view key,
+                       bool (*read)(std::string_view, std::size_t, T*)) {
+  T value{};
+  if (!read(text, FindValue(text, key), &value)) return std::nullopt;
+  return value;
+}
+std::optional<std::string> FieldStr(std::string_view t, std::string_view k) {
+  return Field(t, k, json::ReadStr);
+}
+std::optional<std::int64_t> FieldI64(std::string_view t, std::string_view k) {
+  return Field(t, k, json::ReadI64);
+}
+std::optional<std::uint64_t> FieldU64(std::string_view t,
+                                      std::string_view k) {
+  return Field(t, k, json::ReadU64);
+}
+std::optional<double> FieldF64(std::string_view t, std::string_view k) {
+  return Field(t, k, json::ReadF64);
+}
+std::optional<bool> FieldBool(std::string_view t, std::string_view k) {
+  return Field(t, k, json::ReadBool);
+}
+
+std::optional<Span> SpanFromJson(std::string_view line) {
+  Span s;
+  const auto id = FieldU64(line, "id");
+  const auto caller = FieldStr(line, "caller");
+  const auto callee = FieldStr(line, "callee");
+  const auto endpoint = FieldStr(line, "endpoint");
+  const auto cs = FieldI64(line, "client_send");
+  const auto sr = FieldI64(line, "server_recv");
+  const auto ss = FieldI64(line, "server_send");
+  const auto cr = FieldI64(line, "client_recv");
+  if (!id || !caller || !callee || !endpoint || !cs || !sr || !ss || !cr) {
+    return std::nullopt;
+  }
+  s.id = *id;
+  s.caller = *caller;
+  s.callee = *callee;
+  s.endpoint = *endpoint;
+  s.client_send = *cs;
+  s.server_recv = *sr;
+  s.server_send = *ss;
+  s.client_recv = *cr;
+  s.caller_replica =
+      static_cast<int>(FieldI64(line, "caller_replica").value_or(0));
+  s.callee_replica =
+      static_cast<int>(FieldI64(line, "callee_replica").value_or(0));
+  s.true_parent = FieldU64(line, "true_parent").value_or(kInvalidSpanId);
+  s.true_trace = FieldU64(line, "true_trace").value_or(kInvalidTraceId);
+  return s;
+}
+
+std::optional<obs::ProvEvent> ProvEventFromJson(std::string_view text) {
+  const auto name = FieldStr(text, "t");
+  if (!name) return std::nullopt;
+  const auto type = obs::ProvEventTypeFromName(*name);
+  if (!type) return std::nullopt;
+  const auto span = FieldU64(text, "span");
+  const auto value = FieldI64(text, "v");
+  if (!span || !value) return std::nullopt;
+  obs::ProvEvent event;
+  event.type = *type;
+  event.span = *span;
+  event.value = *value;
+  event.detail = FieldStr(text, "d").value_or("");
+  return event;
+}
+
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
+  const auto schema = FieldStr(line, "schema");
+  if (!schema || *schema != TraceRecord::kSchema) return std::nullopt;
+
+  TraceRecord record;
+  const auto trace = FieldU64(line, "trace");
+  const auto service = FieldStr(line, "root_service");
+  const auto endpoint = FieldStr(line, "root_endpoint");
+  const auto start = FieldI64(line, "start");
+  const auto end = FieldI64(line, "end");
+  const auto grade = FieldStr(line, "grade");
+  const auto confidence = FieldF64(line, "confidence");
+  const auto min_confidence = FieldF64(line, "min_confidence");
+  if (!trace || !service || !endpoint || !start || !end || !grade ||
+      grade->size() != 1 || !confidence || !min_confidence) {
+    return std::nullopt;
+  }
+  record.trace_id = *trace;
+  record.root_service = *service;
+  record.root_endpoint = *endpoint;
+  record.start = *start;
+  record.end = *end;
+  record.grade = (*grade)[0];
+  record.confidence = *confidence;
+  record.min_confidence = *min_confidence;
+  record.orphan = FieldBool(line, "orphan").value_or(false);
+  record.suspect = FieldBool(line, "suspect").value_or(false);
+
+  std::vector<std::string_view> elements;
+  if (!json::SplitObjectArray(line, FindValue(line, "spans"), &elements)) {
+    return std::nullopt;
+  }
+  record.spans.reserve(elements.size());
+  for (const std::string_view element : elements) {
+    auto span = SpanFromJson(element);
+    if (!span) return std::nullopt;
+    record.spans.push_back(std::move(*span));
+  }
+  if (record.spans.empty()) return std::nullopt;
+
+  std::size_t pos = FindValue(line, "parents");
+  if (pos >= line.size() || line[pos] != '[') return std::nullopt;
+  const char* const last = line.data() + line.size();
+  for (++pos; pos < line.size() && line[pos] != ']'; ++pos) {
+    if (line[pos] == ',') continue;
+    SpanId child = 0;
+    SpanId parent = 0;
+    if (line[pos] != '[') return std::nullopt;
+    const auto c = std::from_chars(line.data() + pos + 1, last, child);
+    if (c.ec != std::errc() || c.ptr == last || *c.ptr != ',') {
+      return std::nullopt;
+    }
+    const auto p = std::from_chars(c.ptr + 1, last, parent);
+    if (p.ec != std::errc() || p.ptr == last || *p.ptr != ']') {
+      return std::nullopt;
+    }
+    pos = static_cast<std::size_t>(p.ptr - line.data());
+    record.parents.emplace_back(child, parent);
+  }
+  if (pos >= line.size()) return std::nullopt;
+
+  const std::size_t prov_pos = FindValue(line, "provenance");
+  if (prov_pos != std::string_view::npos) {
+    std::vector<std::string_view> events;
+    if (!json::SplitObjectArray(line, prov_pos, &events)) {
+      return std::nullopt;
+    }
+    record.provenance.reserve(events.size());
+    for (const std::string_view element : events) {
+      auto event = ProvEventFromJson(element);
+      if (!event) return std::nullopt;
+      record.provenance.push_back(std::move(*event));
+    }
+  }
+  return record;
+}
+
+}  // namespace oracle
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameSpan(const Span& a, const Span& b) {
+  return a.id == b.id && a.caller == b.caller && a.callee == b.callee &&
+         a.endpoint == b.endpoint && a.client_send == b.client_send &&
+         a.server_recv == b.server_recv && a.server_send == b.server_send &&
+         a.client_recv == b.client_recv &&
+         a.caller_replica == b.caller_replica &&
+         a.callee_replica == b.callee_replica &&
+         a.true_parent == b.true_parent && a.true_trace == b.true_trace;
+}
+
+bool SameRecord(const TraceRecord& a, const TraceRecord& b) {
+  if (a.spans.size() != b.spans.size()) return false;
+  for (std::size_t i = 0; i < a.spans.size(); ++i) {
+    if (!SameSpan(a.spans[i], b.spans[i])) return false;
+  }
+  return a.trace_id == b.trace_id && a.root_service == b.root_service &&
+         a.root_endpoint == b.root_endpoint && a.start == b.start &&
+         a.end == b.end && a.grade == b.grade &&
+         SameBits(a.confidence, b.confidence) &&
+         SameBits(a.min_confidence, b.min_confidence) &&
+         a.orphan == b.orphan && a.suspect == b.suspect &&
+         a.parents == b.parents && a.provenance == b.provenance;
+}
+
+/// Both reject, or both accept with every field equal.
+template <typename T, typename Same>
+bool SameOutcome(const std::optional<T>& a, const std::optional<T>& b,
+                 Same same) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a.has_value() || same(*a, *b);
+}
+
+/// Service and endpoint names that spell out keys of the three schemas.
+std::vector<std::string> KeyShapedNames() {
+  std::vector<std::string> names;
+  for (const auto* keys : {&kSpanKeys, &kRecordKeys, &kEventKeys}) {
+    for (const std::string_view key : *keys) {
+      names.push_back(std::string(key) + "\":1,\"");
+      names.push_back("\",\"" + std::string(key) + "\":\"x");
+      names.push_back("{\"" + std::string(key) + "\" : [2]}");
+    }
+  }
+  return names;
+}
+
+struct Corpus {
+  std::vector<std::string> spans;
+  std::vector<std::string> events;
+  std::vector<std::string> records;
+};
+
+/// Simulator spans, their traces as store records (some with
+/// provenance), and the records' provenance events, with a share of the
+/// names swapped for hostile and key-shaped ones.
+Corpus BaseCorpus() {
+  sim::OpenLoopOptions load;
+  load.requests_per_sec = 100;
+  load.duration = Millis(400);
+  load.seed = 11;
+  std::vector<Span> spans =
+      sim::RunOpenLoop(sim::MakeHotelReservationApp(), load).spans;
+  Rng rng(20261019);
+  const std::vector<std::string> key_shaped = KeyShapedNames();
+  const auto pick_name = [&](const std::string& name) -> std::string {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        return key_shaped[static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(key_shaped.size()) - 1))];
+      case 1:
+        return RandomHostileString(rng);
+      default:
+        return name;
+    }
+  };
+  for (Span& s : spans) {
+    s.caller = pick_name(s.caller);
+    s.callee = pick_name(s.callee);
+    s.endpoint = pick_name(s.endpoint);
+  }
+
+  Corpus corpus;
+  std::map<TraceId, TraceRecord> traces;
+  for (const Span& s : spans) {
+    corpus.spans.push_back(SpanToJson(s, rng.Bernoulli(0.5)));
+    TraceRecord& r = traces[s.true_trace];
+    r.spans.push_back(s);
+    if (s.true_parent != kInvalidSpanId) {
+      r.parents.emplace_back(s.id, s.true_parent);
+    }
+  }
+  for (auto& [trace, r] : traces) {
+    const Span& first = r.spans.front();
+    r.trace_id = first.id;
+    r.root_service = pick_name(first.callee);
+    r.root_endpoint = pick_name(first.endpoint);
+    r.start = first.client_send;
+    r.end = first.client_recv;
+    r.grade = static_cast<char>('A' + rng.UniformInt(0, 3));
+    r.confidence = rng.Uniform(0, 1);
+    r.min_confidence = rng.Uniform(0, 1);
+    r.orphan = rng.Bernoulli(0.3);
+    r.suspect = rng.Bernoulli(0.3);
+    std::sort(r.parents.begin(), r.parents.end());
+    if (rng.Bernoulli(0.5)) {
+      for (const Span& s : r.spans) {
+        obs::ProvEvent e;
+        e.type = static_cast<obs::ProvEventType>(
+            rng.UniformInt(0, obs::kProvEventTypeCount - 1));
+        e.span = s.id;
+        e.value = rng.UniformInt(-1000, 1000);
+        if (rng.Bernoulli(0.5)) e.detail = pick_name("replicas");
+        r.provenance.push_back(e);
+        corpus.events.push_back(obs::ProvEventToJson(e));
+      }
+    }
+    corpus.records.push_back(TraceRecordToJson(r));
+  }
+  return corpus;
+}
+
+/// Splits `{...}` into its top-level members (at depth-0 commas).
+std::vector<std::string> Members(std::string_view obj) {
+  std::vector<std::string> members;
+  int depth = 0;
+  std::size_t start = 1;
+  for (std::size_t i = 1; i + 1 < obj.size(); ++i) {
+    const char c = obj[i];
+    if (c == '"') {
+      for (++i; i + 1 < obj.size() && obj[i] != '"'; ++i) {
+        if (obj[i] == '\\') ++i;
+      }
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == ',' && depth == 0) {
+      members.emplace_back(obj.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  members.emplace_back(obj.substr(start, obj.size() - 1 - start));
+  return members;
+}
+
+/// Applies one seeded mutation aimed at the scanner's rules; `keys` are
+/// the schema's keys (for duplicates, nesting and key-shaped text).
+void Mutate(std::string& line, const std::vector<std::string_view>& keys,
+            Rng& rng) {
+  static constexpr std::string_view kBytes = "{}[]\":,\\ u1";
+  static const std::vector<std::string> kValues = {
+      "1", "-7", "0", "18446744073709551615", "99999999999999999999",
+      "0.25", "\"A\"", "\"dup\"", "\"traceweaver.trace.v1\"",
+      "\"settled\"", "true", "false", "[]", "{}", "[[1,2]]",
+      "[{\"t\":\"settled\",\"span\":1,\"v\":0}]", "\"unterminated"};
+  static const std::vector<std::string> kColons = {" :", ":\t", " \r\n: "};
+  static const std::vector<std::string> kSurrogates = {
+      "\\ud83d", "\\ude00", "\\ud83d\\ude00", "\\ud83d\\u0041",
+      "\\uDBFF\\uDFFF", "\\ude00\\ud83d"};
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto any = [&](const auto& v) -> const auto& {
+    return v[below(v.size())];
+  };
+  const auto member = [&] {
+    return "\"" + std::string(any(keys)) + "\":" + any(kValues);
+  };
+  /// A position just past a random occurrence of `c`, or npos.
+  const auto after = [&](char c) {
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == c) at.push_back(i + 1);
+    }
+    return at.empty() ? std::string::npos : any(at);
+  };
+  if (line.empty()) line = "{}";
+  switch (rng.UniformInt(0, 10)) {
+    case 0:  // Flip a byte.
+      line[below(line.size())] = kBytes[below(kBytes.size())];
+      break;
+    case 1:  // Insert a byte.
+      line.insert(below(line.size() + 1), 1, kBytes[below(kBytes.size())]);
+      break;
+    case 2:  // Delete a byte.
+      line.erase(below(line.size()), 1);
+      break;
+    case 3: {  // A duplicate key before the original.
+      const std::size_t at = after('{');
+      if (at != std::string::npos) line.insert(at, member() + ",");
+      break;
+    }
+    case 4: {  // A duplicate key after the original.
+      const std::size_t at = after('}');
+      if (at != std::string::npos) line.insert(at - 1, "," + member());
+      break;
+    }
+    case 5: {  // Reordered keys.
+      if (line.size() < 2 || line.front() != '{' || line.back() != '}') break;
+      std::vector<std::string> members = Members(line);
+      std::shuffle(members.begin(), members.end(), rng.engine());
+      line = "{";
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        line += (i > 0 ? "," : "") + members[i];
+      }
+      line += '}';
+      break;
+    }
+    case 6: {  // Whitespace around colons.
+      std::string out;
+      for (std::size_t i = 0; i < line.size(); ++i) {
+        if (line[i] == ':' && rng.Bernoulli(0.5)) {
+          out += any(kColons);
+        } else {
+          out += line[i];
+        }
+      }
+      line = out;
+      break;
+    }
+    case 7: {  // Key-shaped text, raw or escaped, anywhere.
+      const std::string key(any(keys));
+      const std::string text = rng.Bernoulli(0.5)
+                                   ? "\"" + key + "\":" + any(kValues)
+                                   : "\\\"" + key + "\\\":";
+      line.insert(below(line.size() + 1), text);
+      break;
+    }
+    case 8: {  // A key nested one level down.
+      const std::size_t at = after('{');
+      if (at == std::string::npos) break;
+      line.insert(at, rng.Bernoulli(0.5) ? "\"n\":{" + member() + "},"
+                                         : "\"a\":[{" + member() + "}],");
+      break;
+    }
+    case 9:  // An unterminated string: cut the line or drop a quote.
+      if (rng.Bernoulli(0.5)) {
+        line.resize(below(line.size() + 1));
+      } else if (const std::size_t at = after('"'); at != std::string::npos) {
+        line.erase(at - 1, 1);
+      }
+      break;
+    default: {  // Lone and paired surrogates inside a string.
+      const std::size_t at = after('"');
+      line.insert(at == std::string::npos ? 0 : at, any(kSurrogates));
+      break;
+    }
+  }
+}
+
+TEST(JsonScan, DecodersMatchPerKeyOracleOnMutatedInputs) {
+  const Corpus corpus = BaseCorpus();
+  ASSERT_GT(corpus.spans.size(), 100u);
+  ASSERT_GT(corpus.events.size(), 100u);
+  ASSERT_GT(corpus.records.size(), 20u);
+  Rng rng(25);
+  std::size_t differences = 0;
+  const auto check = [&](const std::vector<std::string>& base,
+                         const std::vector<std::string_view>& keys,
+                         std::size_t trials, auto decode, auto oracle,
+                         auto same) {
+    std::size_t accepted = 0;
+    for (std::size_t t = 0; t < base.size() + trials; ++t) {
+      std::string line = base[t % base.size()];
+      if (t >= base.size()) {
+        for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+          Mutate(line, keys, rng);
+        }
+      }
+      const auto got = decode(line);
+      accepted += got.has_value();
+      if (!SameOutcome(got, oracle(line), same) && ++differences <= 5) {
+        ADD_FAILURE() << "decoders disagree on: " << line;
+      }
+    }
+    // Both outcomes must stay common, or the comparison says little.
+    const std::size_t inputs = base.size() + trials;
+    EXPECT_GT(accepted, inputs / 5) << "of " << inputs;
+    EXPECT_LT(accepted, inputs * 4 / 5) << "of " << inputs;
+  };
+  std::vector<std::string_view> record_keys = kRecordKeys;
+  record_keys.insert(record_keys.end(), kSpanKeys.begin(), kSpanKeys.end());
+  record_keys.insert(record_keys.end(), kEventKeys.begin(), kEventKeys.end());
+  check(corpus.spans, kSpanKeys, 40000, SpanFromJson, oracle::SpanFromJson,
+        SameSpan);
+  check(corpus.events, kEventKeys, 20000, obs::ProvEventFromJson,
+        oracle::ProvEventFromJson, std::equal_to<obs::ProvEvent>());
+  check(corpus.records, record_keys, 6000, TraceRecordFromJson,
+        oracle::TraceRecordFromJson, SameRecord);
+  EXPECT_EQ(differences, 0u);
 }
 
 }  // namespace

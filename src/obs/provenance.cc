@@ -18,10 +18,8 @@ constexpr const char* kEventTypeNames[kProvEventTypeCount] = {
     "orphan_commit",    "finalized",       "sampled_out",
 };
 
-/// ProvEventFromJson's keys, indexed by EventKey.
+/// Indexes into kProvEventJsonKeys.
 enum EventKey { kTypeKey, kSpanKey, kValueKey, kDetailKey };
-constexpr std::array<std::string_view, 4> kEventKeys = {"t", "span", "v",
-                                                        "d"};
 
 }  // namespace
 
@@ -53,8 +51,13 @@ std::string ProvEventToJson(const ProvEvent& event) {
 }
 
 std::optional<ProvEvent> ProvEventFromJson(std::string_view text) {
-  std::array<std::size_t, kEventKeys.size()> at;
-  json::FindValues(text, kEventKeys, at);
+  std::array<std::size_t, kProvEventJsonKeys.size()> at;
+  json::FindValues(text, kProvEventJsonKeys, at);
+  return ProvEventFromValues(text, at);
+}
+
+std::optional<ProvEvent> ProvEventFromValues(
+    std::string_view text, std::span<const std::size_t> at) {
   std::string name;
   if (!json::ReadStr(text, at[kTypeKey], &name)) return std::nullopt;
   const auto type = ProvEventTypeFromName(name);

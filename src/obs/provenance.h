@@ -31,8 +31,10 @@
 // killed serve loop loses nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -90,6 +92,15 @@ std::string ProvEventToJson(const ProvEvent& event);
 /// Parses ProvEventToJson output (extra fields such as a checkpoint tag
 /// are ignored); nullopt on malformed input.
 std::optional<ProvEvent> ProvEventFromJson(std::string_view text);
+
+/// The keys ProvEventFromJson reads.
+inline constexpr std::array<std::string_view, 4> kProvEventJsonKeys = {
+    "t", "span", "v", "d"};
+/// ProvEventFromJson for an event whose keys a json::FindValues walk has
+/// already found: positions[k] is the value position of
+/// kProvEventJsonKeys[k] in `text`.
+std::optional<ProvEvent> ProvEventFromValues(
+    std::string_view text, std::span<const std::size_t> positions);
 
 struct ProvenanceLedgerOptions {
   /// Hard cap on pending (recorded but not yet taken) events; overflow

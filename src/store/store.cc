@@ -1,6 +1,10 @@
 #include "store/store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -35,8 +39,9 @@ void TraceStore::RegisterMetrics() {
                            "Active segments sealed to disk", "1");
   load_failures_ =
       reg->GetCounter("tw_store_segment_load_failures_total", "",
-                      "Segment files rejected or unreadable (CRC, schema, "
-                      "truncation, IO)",
+                      "Segment files rejected at open (CRC, schema, "
+                      "truncation, IO), then records that fail to read "
+                      "back and fetches whose file cannot be opened",
                       "1");
   queries_ = reg->GetCounter("tw_store_queries_total", "",
                              "Query calls served", "1");
@@ -49,8 +54,8 @@ void TraceStore::RegisterMetrics() {
   cache_evictions_ = reg->GetCounter("tw_store_cache_evictions_total", "",
                                      "Hot-trace cache evictions", "1");
   disk_reads_ = reg->GetCounter("tw_store_segment_reads_total", "",
-                                "Sealed segment files read back for a "
-                                "record fetch",
+                                "Sealed segment files opened to read "
+                                "records back for a fetch",
                                 "1");
   traces_gauge_ = reg->GetGauge("tw_store_traces", "",
                                 "Traces in the store (all segments)", "1");
@@ -74,6 +79,8 @@ void TraceStore::SegmentPart::Index() {
   by_id.clear();
   for (const TraceSummary& s : summaries) {
     by_id.emplace_back(s.trace_id, s.line);
+    min_start = std::min(min_start, s.start);
+    max_end = std::max(max_end, s.end);
   }
   std::sort(by_id.begin(), by_id.end());
 }
@@ -115,17 +122,23 @@ std::optional<TraceStore::OpenStats> TraceStore::Open(std::string* error) {
   for (const auto& [id, file] : files) {
     next_segment_ = std::max(next_segment_, id + 1);
     std::ifstream in(file, std::ios::binary);
-    std::string reason;
+    std::vector<std::uint32_t> crcs;
     const auto lines =
-        in ? ReadChecksummedLines(in, kSegmentSchema, &reason)
+        in ? ReadChecksummedLines(in, kSegmentSchema, nullptr, &crcs)
            : std::nullopt;
     bool ok = lines.has_value() && !lines->empty();
     auto part = std::make_shared<SegmentPart>();
     if (ok) {
       part->id = id;
       part->file = file;
+      part->header_crc = crcs[0];
+      std::uint64_t offset = (*lines)[0].size() + 1;
       for (std::size_t i = 1; i < lines->size() && ok; ++i) {
-        auto record = TraceRecordFromJson((*lines)[i]);
+        const std::string& line = (*lines)[i];
+        part->lines.push_back(
+            {offset, static_cast<std::uint32_t>(line.size()), crcs[i]});
+        offset += line.size() + 1;
+        auto record = TraceRecordFromJson(line);
         if (!record || known_ids_.count(record->trace_id) > 0) {
           ok = false;
           break;
@@ -214,6 +227,7 @@ bool TraceStore::SealLocked(std::string* error) {
 
   const std::uint32_t id = next_segment_;
   const std::string path = SegmentPath(id);
+  auto part = std::make_shared<SegmentPart>();
   const auto write = [&](std::ostream& out) {
     ChecksummedWriter writer(out, kSegmentSchema);
     std::string header;
@@ -222,14 +236,19 @@ bool TraceStore::SealLocked(std::string* error) {
     r("segment", id);
     r("traces", current->active_records.size());
     writer.WriteLine(r.Finish());
+    part->header_crc = writer.crc();
+    std::uint64_t offset = header.size() + 1;
     for (const auto& record : current->active_records) {
-      writer.WriteLine(TraceRecordToJson(*record));
+      const std::string line = TraceRecordToJson(*record);
+      writer.WriteLine(line);
+      part->lines.push_back(
+          {offset, static_cast<std::uint32_t>(line.size()), writer.crc()});
+      offset += line.size() + 1;
     }
     writer.Finish();
   };
   if (!WriteFilesAtomic({{path, write}}, error)) return false;
 
-  auto part = std::make_shared<SegmentPart>();
   part->id = id;
   part->file = path;
   part->summaries = current->active_summaries;
@@ -289,29 +308,49 @@ void TraceStore::CacheInsert(
   }
 }
 
+namespace {
+
+/// Reads exactly out->size() bytes at `offset`; false on an IO error or a
+/// file that ends first.
+bool ReadAt(int fd, std::uint64_t offset, std::string* out) {
+  std::size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t n = ::pread(fd, out->data() + done, out->size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<std::shared_ptr<const TraceRecord>> TraceStore::ReadSealed(
     const SegmentPart& part,
     const std::vector<const TraceSummary*>& wanted) const {
   disk_reads_.Inc();
   std::vector<std::shared_ptr<const TraceRecord>> records(wanted.size());
-  std::vector<bool> keep(part.summaries.size() + 1, false);
-  for (const TraceSummary* s : wanted) keep[s->line + 1] = true;
-  std::ifstream in(part.file, std::ios::binary);
-  const auto lines =
-      in ? ReadChecksummedLines(in, kSegmentSchema, nullptr,
-                                [&keep](std::size_t i) {
-                                  return i < keep.size() && keep[i];
-                                })
-         : std::nullopt;
-  if (!lines) {
+  const int fd = ::open(part.file.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     load_failures_.Inc();
     return records;
   }
+  std::string bytes;
   for (std::size_t k = 0; k < wanted.size(); ++k) {
     const TraceSummary& s = *wanted[k];
-    auto record = s.line + 1 < lines->size()
-                      ? TraceRecordFromJson((*lines)[s.line + 1])
-                      : std::nullopt;
+    const LineRef& at = part.lines[s.line];
+    const std::uint32_t seed =
+        s.line == 0 ? part.header_crc : part.lines[s.line - 1].crc;
+    // The line and its newline, checked against the CRC the file had
+    // after them when it was indexed: exactly the bytes decoded below.
+    bytes.resize(std::size_t{at.size} + 1);
+    const bool intact = ReadAt(fd, at.offset, &bytes) &&
+                        bytes.back() == '\n' &&
+                        Crc32(bytes.data(), bytes.size(), seed) == at.crc;
+    auto record = intact ? TraceRecordFromJson(
+                               std::string_view(bytes).substr(0, at.size))
+                         : std::nullopt;
     // A file replaced since Open can verify yet hold other traces.
     if (!record || record->trace_id != s.trace_id) {
       load_failures_.Inc();
@@ -320,6 +359,7 @@ std::vector<std::shared_ptr<const TraceRecord>> TraceStore::ReadSealed(
     records[k] = std::make_shared<const TraceRecord>(std::move(*record));
     CacheInsert(s.trace_id, records[k]);
   }
+  ::close(fd);
   return records;
 }
 
@@ -363,6 +403,7 @@ std::vector<const TraceSummary*> TraceStore::Select(const Snapshot& snapshot,
                                                     const TraceQuery& query) {
   std::vector<const TraceSummary*> matches;
   for (const auto& part : snapshot.sealed) {
+    if (part->max_end < query.from || part->min_start > query.to) continue;
     for (const TraceSummary& s : part->summaries) {
       if (Matches(s, query)) matches.push_back(&s);
     }
@@ -370,13 +411,18 @@ std::vector<const TraceSummary*> TraceStore::Select(const Snapshot& snapshot,
   for (const TraceSummary& s : snapshot.active_summaries) {
     if (Matches(s, query)) matches.push_back(&s);
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const TraceSummary* a, const TraceSummary* b) {
-              if (a->start != b->start) return a->start < b->start;
-              return a->trace_id < b->trace_id;
-            });
+  // (start, trace_id) is a total order, so sorting only the first `limit`
+  // gives the same prefix a full sort would.
+  const auto by_start = [](const TraceSummary* a, const TraceSummary* b) {
+    if (a->start != b->start) return a->start < b->start;
+    return a->trace_id < b->trace_id;
+  };
   if (query.limit > 0 && matches.size() > query.limit) {
+    std::partial_sort(matches.begin(), matches.begin() + query.limit,
+                      matches.end(), by_start);
     matches.resize(query.limit);
+  } else {
+    std::sort(matches.begin(), matches.end(), by_start);
   }
   return matches;
 }

@@ -26,9 +26,15 @@
 // vectors across snapshots, so the per-commit copy is bounded by the
 // active segment). Record bodies for sealed segments are fetched from
 // disk through a bounded LRU hot-trace cache with its own small mutex --
-// neither lock is ever held across IO or a query walk. A fetch reads and
-// CRC-verifies the whole segment file but parses only the records it
-// needs, and one Query reads each sealed segment at most once.
+// neither lock is ever held across IO or a query walk.
+//
+// Per-record reads: Open and the seal already checksum every line, so each
+// sealed segment's index keeps, per record line, its byte offset, its
+// length and the file's running CRC-32 after it. A fetch opens the file
+// once and reads only the wanted lines; each is verified on its own (its
+// newline, and its CRC seeded with the previous line's running value)
+// before it is decoded, so a damaged line fails only its own record. One
+// Query opens each sealed segment at most once.
 #pragma once
 
 #include <cstdint>
@@ -134,16 +140,17 @@ class TraceStore {
   bool Contains(SpanId trace_id) const;
 
   /// Fetches one record: active segment and LRU hits are memory reads,
-  /// misses read (and CRC-verify) the owning segment file. Null when the
-  /// id is unknown or the segment file has gone unreadable.
+  /// misses read and CRC-verify the record's own line of its segment
+  /// file. Null when the id is unknown, the file cannot be opened, or the
+  /// line no longer reads back as the record indexed at Open or seal.
   std::shared_ptr<const TraceRecord> Get(SpanId trace_id) const;
 
   /// Streams every match in (start, trace_id) order through `emit` until
   /// the limit is reached or `emit` returns false. The whole listing reads
-  /// one snapshot: when a match misses the cache, its segment is read once
-  /// for every uncached match it holds, which are parsed, put in the cache
-  /// and held until emitted. The record pointer is null only
-  /// when a sealed segment could not be re-read (counted in
+  /// one snapshot: when a match misses the cache, its segment file is
+  /// opened once for every uncached match it holds, whose lines are read,
+  /// verified, parsed, put in the cache and held until emitted. The record
+  /// pointer is null only when its line could not be read back (counted in
   /// tw_store_segment_load_failures_total). Returns the number of matches
   /// emitted.
   std::size_t Query(
@@ -161,14 +168,30 @@ class TraceStore {
   const std::string& dir() const { return dir_; }
 
  private:
+  /// Where one record line sits in its segment file, and the file's
+  /// running CRC-32 after it (line and newline included).
+  struct LineRef {
+    std::uint64_t offset = 0;
+    std::uint32_t size = 0;  ///< Bytes, without the newline.
+    std::uint32_t crc = 0;
+  };
+
   /// Immutable per-sealed-segment index slice, shared across snapshots.
   struct SegmentPart {
     std::uint32_t id = 0;
     std::string file;  ///< Full path.
     std::vector<TraceSummary> summaries;              ///< Commit order.
+    /// Per record line, indexed like TraceSummary::line.
+    std::vector<LineRef> lines;
+    /// The running CRC after the header line: line 0's seed.
+    std::uint32_t header_crc = 0;
     std::vector<std::pair<SpanId, std::uint32_t>> by_id;  ///< Sorted.
+    /// Bounds of the records' [start, end]; a query range outside them
+    /// matches nothing here.
+    TimeNs min_start = std::numeric_limits<TimeNs>::max();
+    TimeNs max_end = std::numeric_limits<TimeNs>::min();
 
-    /// Derives by_id from `summaries`.
+    /// Derives by_id and the time bounds from `summaries`.
     void Index();
   };
 
@@ -183,12 +206,16 @@ class TraceStore {
   void Publish(std::shared_ptr<const Snapshot> snapshot);
   std::shared_ptr<const Snapshot> Load() const;
   /// The matches of `query` in `snapshot`, in (start, trace_id) order and
-  /// cut to the limit; they point into `snapshot`.
+  /// cut to the limit; they point into `snapshot`. Sealed parts whose time
+  /// bounds miss the range are skipped, and a limit sorts only the kept
+  /// prefix.
   static std::vector<const TraceSummary*> Select(const Snapshot& snapshot,
                                                  const TraceQuery& query);
-  /// Reads `part`'s file once, verifying all of it, and returns the
-  /// records on the `wanted` summaries' lines (each also put in the
-  /// cache). Every entry is null when the read fails verification.
+  /// Opens `part`'s file once and returns the records on the `wanted`
+  /// summaries' lines (each also put in the cache). An entry is null when
+  /// its line fails verification, does not decode, or holds another trace
+  /// (each counted as one load failure); every entry is null when the file
+  /// cannot be opened (counted once).
   std::vector<std::shared_ptr<const TraceRecord>> ReadSealed(
       const SegmentPart& part,
       const std::vector<const TraceSummary*>& wanted) const;

@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <system_error>
+#include <utility>
 
 namespace traceweaver {
 namespace {
@@ -146,7 +147,8 @@ bool RecoverFilesAtomic(const std::vector<std::string>& paths,
 
 std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error,
-    const std::function<bool(std::size_t index)>& keep) {
+    std::vector<std::uint32_t>* crcs) {
+  if (crcs != nullptr) crcs->clear();
   std::vector<std::string> lines;
   std::string line;
   std::uint32_t crc = 0;
@@ -182,7 +184,8 @@ std::optional<std::vector<std::string>> ReadChecksummedLines(
     crc = Crc32(line.data(), line.size(), crc);
     const char nl = '\n';
     crc = Crc32(&nl, 1, crc);
-    lines.push_back(!keep || keep(lines.size()) ? line : std::string());
+    if (crcs != nullptr) crcs->push_back(crc);
+    lines.push_back(std::move(line));
   }
   SetError(error, "checkpoint footer missing (truncated file?)");
   return std::nullopt;

@@ -47,6 +47,9 @@ std::uint32_t Crc32(const void* data, std::size_t size,
 
 /// Streams payload lines to `out` while accumulating the CRC; Finish()
 /// writes the footer. One writer per file; lines must not contain '\n'.
+/// crc() after each WriteLine is the running CRC of the file so far, the
+/// value a reader can check that line against (ReadChecksummedLines'
+/// `crcs`).
 class ChecksummedWriter {
  public:
   ChecksummedWriter(std::ostream& out, std::string schema);
@@ -58,6 +61,8 @@ class ChecksummedWriter {
   void Finish();
 
   std::size_t lines_written() const { return lines_; }
+  /// CRC-32 of every byte written so far (newlines included).
+  std::uint32_t crc() const { return crc_; }
 
  private:
   std::ostream& out_;
@@ -70,13 +75,13 @@ class ChecksummedWriter {
 /// Reads and verifies a checksummed file produced by ChecksummedWriter.
 /// Returns the payload lines (header first) on success; nullopt with a
 /// human-readable reason in *error on truncation, footer mismatch, schema
-/// mismatch or CRC failure. With `keep`, a line whose index (0 = header)
-/// it rejects is still counted and CRC-checked but comes back empty, so a
-/// reader that needs a few lines verifies the whole file without holding
-/// all of it.
+/// mismatch or CRC failure. With `crcs`, it also returns the running CRC
+/// after each payload line ((*crcs)[i] covers the bytes of lines 0..i and
+/// their newlines), so a later reader can verify line i alone: its bytes
+/// and newline, checksummed from (*crcs)[i - 1], give (*crcs)[i].
 std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error,
-    const std::function<bool(std::size_t index)>& keep = {});
+    std::vector<std::uint32_t>* crcs = nullptr);
 
 /// Appends a record's fields to a line: integers in decimal
 /// (std::to_string's spelling), doubles as json::Exact, strings

@@ -16,15 +16,10 @@ void AppendField(std::string& out, const char* key, std::int64_t value) {
   out += std::to_string(value);
 }
 
-/// SpanFromJson's keys, indexed by SpanKey, in SpanToJson's order.
+/// Indexes into kSpanJsonKeys.
 enum SpanKey {
   kId, kCaller, kCallee, kEndpoint, kClientSend, kServerRecv, kServerSend,
   kClientRecv, kCallerReplica, kCalleeReplica, kTrueParent, kTrueTrace,
-};
-constexpr std::array<std::string_view, 12> kSpanKeys = {
-    "id",          "caller",         "callee",         "endpoint",
-    "client_send", "server_recv",    "server_send",    "client_recv",
-    "caller_replica", "callee_replica", "true_parent", "true_trace",
 };
 
 }  // namespace
@@ -52,8 +47,13 @@ std::string SpanToJson(const Span& s, bool include_ground_truth) {
 }
 
 std::optional<Span> SpanFromJson(std::string_view line) {
-  std::array<std::size_t, kSpanKeys.size()> at;
-  json::FindValues(line, kSpanKeys, at);
+  std::array<std::size_t, kSpanJsonKeys.size()> at;
+  json::FindValues(line, kSpanJsonKeys, at);
+  return SpanFromValues(line, at);
+}
+
+std::optional<Span> SpanFromValues(std::string_view line,
+                                   std::span<const std::size_t> at) {
   Span s;
   if (!json::ReadU64(line, at[kId], &s.id) ||
       !json::ReadStr(line, at[kCaller], &s.caller) ||

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <charconv>
+#include <span>
+#include <utility>
 
 #include "trace/jsonl_io.h"
 #include "util/json.h"
@@ -74,17 +76,34 @@ std::string TraceRecordToJson(const TraceRecord& record) {
 }
 
 std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
-  // Top-level lookups never descend into the spans or provenance arrays,
-  // so a span field can never alias a record field.
+  // One walk of the line: top-level lookups never descend into the spans
+  // or provenance arrays, so a span field can never alias a record field,
+  // and each span and event is decoded where the walk meets it.
+  TraceRecord record;
+  const json::ObjectArray arrays[] = {
+      {kSpans, kSpanJsonKeys,
+       [&record](std::string_view element,
+                 std::span<const std::size_t> at) {
+         auto span = SpanFromValues(element, at);
+         if (span) record.spans.push_back(std::move(*span));
+         return span.has_value();
+       }},
+      {kProvenance, obs::kProvEventJsonKeys,
+       [&record](std::string_view element,
+                 std::span<const std::size_t> at) {
+         auto event = obs::ProvEventFromValues(element, at);
+         if (event) record.provenance.push_back(std::move(*event));
+         return event.has_value();
+       }},
+  };
   std::array<std::size_t, kRecordKeys.size()> at;
-  json::FindValues(line, kRecordKeys, at);
+  if (!json::FindValues(line, kRecordKeys, at, arrays)) return std::nullopt;
   std::string schema;
   if (!json::ReadStr(line, at[kSchemaKey], &schema) ||
       schema != TraceRecord::kSchema) {
     return std::nullopt;
   }
 
-  TraceRecord record;
   std::string grade;
   if (!json::ReadU64(line, at[kTrace], &record.trace_id) ||
       !json::ReadStr(line, at[kRootService], &record.root_service) ||
@@ -100,17 +119,8 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
   // Absent or malformed flags read as false.
   json::ReadBool(line, at[kOrphan], &record.orphan);
   json::ReadBool(line, at[kSuspect], &record.suspect);
-
-  std::vector<std::string_view> elements;
-  if (!json::SplitObjectArray(line, at[kSpans], &elements)) {
-    return std::nullopt;
-  }
-  record.spans.reserve(elements.size());
-  for (const std::string_view element : elements) {
-    auto span = SpanFromJson(element);
-    if (!span) return std::nullopt;
-    record.spans.push_back(std::move(*span));
-  }
+  // The spans array is required and must hold a root; provenance is
+  // absent on records committed without a ledger.
   if (record.spans.empty()) return std::nullopt;
 
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
@@ -134,21 +144,6 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
     record.parents.emplace_back(child, parent);
   }
   if (pos >= line.size()) return std::nullopt;
-
-  // Optional provenance block (absent on records committed without a
-  // ledger and on every pre-provenance record).
-  if (at[kProvenance] != std::string_view::npos) {
-    std::vector<std::string_view> events;
-    if (!json::SplitObjectArray(line, at[kProvenance], &events)) {
-      return std::nullopt;
-    }
-    record.provenance.reserve(events.size());
-    for (const std::string_view element : events) {
-      auto event = obs::ProvEventFromJson(element);
-      if (!event) return std::nullopt;
-      record.provenance.push_back(std::move(*event));
-    }
-  }
   return record;
 }
 

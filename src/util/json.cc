@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
+#include <vector>
 
 namespace traceweaver::json {
 namespace {
@@ -96,6 +97,137 @@ std::optional<T> Field(std::string_view text, std::string_view key,
   return value;
 }
 
+/// The walk behind both FindValues. Without kArrays it is the plain key
+/// scan; with it, it also splits and scans `arrays` as it passes them.
+template <bool kArrays>
+bool Walk(std::string_view text, std::span<const std::string_view> keys,
+          std::span<std::size_t> positions,
+          std::span<const ObjectArray> arrays) {
+  // Only quotes and brackets matter to the scan; a table test per byte
+  // keeps the common case (plain bytes) to one load and branch.
+  static constexpr auto kStop = [] {
+    std::array<bool, 256> stop{};
+    for (const char c : std::string_view("\"{}[]")) {
+      stop[static_cast<unsigned char>(c)] = true;
+    }
+    return stop;
+  }();
+  std::fill(positions.begin(), positions.end(), npos);
+  std::size_t missing = keys.size();
+  int depth = 0;
+  // The array being split, if any. Its elements are framed by brace
+  // count (SplitObjectArray's rule) while `element_depth` counts every
+  // bracket from the element's start, as a FindValues of it alone would.
+  const ObjectArray* array = nullptr;
+  std::vector<char> split(arrays.size(), 0);
+  std::size_t element = npos;  // Start of the element being scanned.
+  int braces = 0;
+  int element_depth = 0;
+  std::size_t element_missing = 0;
+  std::vector<std::size_t> at;
+  // After the array's '[' or an element's '}': only commas and whitespace
+  // may come before the next element or the closing ']'.
+  const auto next_element = [&](std::size_t i) {
+    while (++i < text.size() && (text[i] == ',' || IsSpace(text[i]))) {
+    }
+    if (i >= text.size()) return false;
+    if (text[i] == ']') {
+      array = nullptr;
+    } else if (text[i] == '{') {
+      element = i;
+      braces = 0;
+      element_depth = 0;
+      at.assign(array->keys.size(), npos);
+      element_missing = at.size();
+    } else {
+      return false;
+    }
+    return true;
+  };
+
+  for (std::size_t i = 0; i < text.size() && (missing > 0 || array != nullptr);
+       ++i) {
+    const char c = text[i];
+    if (!kStop[static_cast<unsigned char>(c)]) continue;
+    if (c != '"') {
+      const int step = c == '{' || c == '[' ? 1 : -1;
+      depth += step;
+      if constexpr (kArrays) {
+        if (element != npos) {
+          element_depth += step;
+          if (c == '{') {
+            ++braces;
+          } else if (c == '}' && --braces == 0) {
+            if (!array->element(text.substr(element, i + 1 - element), at)) {
+              return false;
+            }
+            element = npos;
+            if (!next_element(i)) return false;
+          }
+        } else if (array != nullptr && !next_element(i)) {
+          return false;  // `i` is the array's '['.
+        }
+      }
+      continue;
+    }
+    const std::size_t start = i + 1;
+    i = StringEnd(text, start);
+    if (i == npos) {
+      if (array != nullptr) return false;
+      break;
+    }
+    const bool outer = depth == 1 && missing > 0;
+    const bool inner = kArrays && element != npos && element_depth == 1 &&
+                       element_missing > 0;
+    if (!outer && !inner) continue;
+    std::size_t j = i + 1;
+    while (j < text.size() && IsSpace(text[j])) ++j;
+    if (j >= text.size() || text[j] != ':') continue;  // A value, not a key.
+    const std::string_view name = text.substr(start, i - start);
+    ++j;
+    while (j < text.size() && IsSpace(text[j])) ++j;
+    if (inner) {
+      const auto& element_keys = array->keys;
+      std::size_t k = 0;
+      while (k < at.size() && (at[k] != npos || element_keys[k] != name)) ++k;
+      if (k < at.size()) {
+        at[k] = j - element;
+        --element_missing;
+      }
+    }
+    if (!outer) continue;
+    std::size_t k = 0;
+    while (k < keys.size() && (positions[k] != npos || keys[k] != name)) ++k;
+    if (k == keys.size()) continue;
+    positions[k] = j;
+    --missing;
+    if constexpr (kArrays) {
+      for (std::size_t a = 0; a < arrays.size(); ++a) {
+        if (arrays[a].key != k || array != nullptr) continue;
+        if (j >= text.size() || text[j] != '[') return false;
+        array = &arrays[a];
+        split[a] = 1;
+      }
+    }
+  }
+  if constexpr (kArrays) {
+    if (array != nullptr) return false;  // No closing ']'.
+    // Arrays met inside another one's span: split and scan each alone.
+    for (std::size_t a = 0; a < arrays.size(); ++a) {
+      const std::size_t pos = positions[arrays[a].key];
+      if (split[a] || pos == npos) continue;
+      std::vector<std::string_view> elements;
+      if (!SplitObjectArray(text, pos, &elements)) return false;
+      for (const std::string_view e : elements) {
+        at.resize(arrays[a].keys.size());
+        FindValues(e, arrays[a].keys, at);
+        if (!arrays[a].element(e, at)) return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void AppendStr(std::string& out, std::string_view s) {
@@ -137,41 +269,13 @@ void AppendExact(std::string& out, double v) {
 
 void FindValues(std::string_view text, std::span<const std::string_view> keys,
                 std::span<std::size_t> positions) {
-  // Only quotes and brackets matter to the scan; a table test per byte
-  // keeps the common case (plain bytes) to one load and branch.
-  static constexpr auto kStop = [] {
-    std::array<bool, 256> stop{};
-    for (const char c : std::string_view("\"{}[]")) {
-      stop[static_cast<unsigned char>(c)] = true;
-    }
-    return stop;
-  }();
-  std::fill(positions.begin(), positions.end(), npos);
-  std::size_t missing = keys.size();
-  int depth = 0;
-  for (std::size_t i = 0; i < text.size() && missing > 0; ++i) {
-    const char c = text[i];
-    if (!kStop[static_cast<unsigned char>(c)]) continue;
-    if (c != '"') {
-      depth += c == '{' || c == '[' ? 1 : -1;
-      continue;
-    }
-    const std::size_t start = i + 1;
-    i = StringEnd(text, start);
-    if (i == npos) return;
-    if (depth != 1) continue;
-    std::size_t j = i + 1;
-    while (j < text.size() && IsSpace(text[j])) ++j;
-    if (j >= text.size() || text[j] != ':') continue;  // A value, not a key.
-    const std::string_view name = text.substr(start, i - start);
-    std::size_t k = 0;
-    while (k < keys.size() && (positions[k] != npos || keys[k] != name)) ++k;
-    if (k == keys.size()) continue;
-    ++j;
-    while (j < text.size() && IsSpace(text[j])) ++j;
-    positions[k] = j;
-    --missing;
-  }
+  Walk<false>(text, keys, positions, {});
+}
+
+bool FindValues(std::string_view text, std::span<const std::string_view> keys,
+                std::span<std::size_t> positions,
+                std::span<const ObjectArray> arrays) {
+  return Walk<true>(text, keys, positions, arrays);
 }
 
 std::size_t FindValue(std::string_view text, std::string_view key) {

@@ -15,13 +15,19 @@
 // `x","id":9`) can shadow the real field. When a key appears twice, the
 // first occurrence wins. A decoder scans each object once (FindValues)
 // for all of its keys, then reads each value at its position with the
-// Read* calls; the Field* calls are the one-key shorthand. Strings
+// Read* calls; the Field* calls are the one-key shorthand. An object
+// that holds arrays of objects (a store record's spans and provenance)
+// is walked once too: the same FindValues walk frames each element and
+// finds the element's keys as it passes, and hands the element to the
+// decoder there (ObjectArray), with the results SplitObjectArray and a
+// FindValues of each element would give. Strings
 // accept the RFC 8259 escapes (\" \\ \/ \b \f \n \r \t \uXXXX); a UTF-16
 // surrogate pair decodes to one 4-byte UTF-8 sequence, and a lone
 // surrogate or any other escape is malformed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -58,6 +64,28 @@ void FindValues(std::string_view text, std::span<const std::string_view> keys,
                 std::span<std::size_t> positions);
 /// FindValues for one key.
 std::size_t FindValue(std::string_view text, std::string_view key);
+
+/// An array of objects held as the value of keys[key] in a FindValues
+/// walk: each element, with the value positions of `keys` in it (relative
+/// to the element, as FindValues on the element alone gives them), goes
+/// to `element`, in array order.
+struct ObjectArray {
+  std::size_t key = 0;
+  std::span<const std::string_view> keys;
+  std::function<bool(std::string_view element,
+                     std::span<const std::size_t> positions)>
+      element;
+};
+
+/// FindValues that also decodes `arrays` (distinct keys) in the same
+/// walk, framing each array as SplitObjectArray does. Returns false when
+/// one of those keys is present but its value is not a framed array of
+/// objects, or when `element` returns false; `positions` are then
+/// unspecified. (An array whose key the walk meets inside another array,
+/// which only malformed text allows, is split and scanned on its own.)
+bool FindValues(std::string_view text, std::span<const std::string_view> keys,
+                std::span<std::size_t> positions,
+                std::span<const ObjectArray> arrays);
 
 /// Typed reads of the value at text[pos], where `pos` comes from
 /// FindValues (npos reads as absent). Each returns false when the value

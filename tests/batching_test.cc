@@ -77,7 +77,9 @@ TEST(Batching, LatestEndSurvivesForcedCuts) {
   auto batches = MakeBatches(Ptrs(spans), 3);
   // All boundaries before the long span's end are imperfect.
   for (const Batch& b : batches) {
-    if (b.end < spans.size()) EXPECT_FALSE(b.perfect);
+    if (b.end < spans.size()) {
+      EXPECT_FALSE(b.perfect);
+    }
   }
 }
 

@@ -4,9 +4,10 @@
 // JSON-looking payloads (e.g. a name containing `","id":9,"x":"`), plus
 // regression cases for historical parser bugs (substring key matches,
 // whitespace after the colon). Also the one-pass key scan the decoders
-// use (json::FindValues), and a differential test of the span, trace
-// record and provenance event decoders against per-key copies of them
-// on seeded mutations of simulator spans and store records.
+// use (json::FindValues), the arrays of objects that walk decodes as it
+// passes them (json::ObjectArray), and a differential test of the span,
+// trace record and provenance event decoders against per-key copies of
+// them on seeded mutations of simulator spans and store records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,14 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "mutator.h"
 #include "obs/provenance.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
@@ -34,6 +38,7 @@
 namespace traceweaver {
 namespace {
 
+using ::traceweaver::testing::Mutate;
 using ::traceweaver::testing::RandomHostileString;
 
 void ExpectSpanEq(const Span& a, const Span& b, const std::string& context) {
@@ -595,136 +600,6 @@ Corpus BaseCorpus() {
   return corpus;
 }
 
-/// Splits `{...}` into its top-level members (at depth-0 commas).
-std::vector<std::string> Members(std::string_view obj) {
-  std::vector<std::string> members;
-  int depth = 0;
-  std::size_t start = 1;
-  for (std::size_t i = 1; i + 1 < obj.size(); ++i) {
-    const char c = obj[i];
-    if (c == '"') {
-      for (++i; i + 1 < obj.size() && obj[i] != '"'; ++i) {
-        if (obj[i] == '\\') ++i;
-      }
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-    } else if (c == ',' && depth == 0) {
-      members.emplace_back(obj.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  members.emplace_back(obj.substr(start, obj.size() - 1 - start));
-  return members;
-}
-
-/// Applies one seeded mutation aimed at the scanner's rules; `keys` are
-/// the schema's keys (for duplicates, nesting and key-shaped text).
-void Mutate(std::string& line, const std::vector<std::string_view>& keys,
-            Rng& rng) {
-  static constexpr std::string_view kBytes = "{}[]\":,\\ u1";
-  static const std::vector<std::string> kValues = {
-      "1", "-7", "0", "18446744073709551615", "99999999999999999999",
-      "0.25", "\"A\"", "\"dup\"", "\"traceweaver.trace.v1\"",
-      "\"settled\"", "true", "false", "[]", "{}", "[[1,2]]",
-      "[{\"t\":\"settled\",\"span\":1,\"v\":0}]", "\"unterminated"};
-  static const std::vector<std::string> kColons = {" :", ":\t", " \r\n: "};
-  static const std::vector<std::string> kSurrogates = {
-      "\\ud83d", "\\ude00", "\\ud83d\\ude00", "\\ud83d\\u0041",
-      "\\uDBFF\\uDFFF", "\\ude00\\ud83d"};
-  const auto below = [&](std::size_t n) {
-    return static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
-  };
-  const auto any = [&](const auto& v) -> const auto& {
-    return v[below(v.size())];
-  };
-  const auto member = [&] {
-    return "\"" + std::string(any(keys)) + "\":" + any(kValues);
-  };
-  /// A position just past a random occurrence of `c`, or npos.
-  const auto after = [&](char c) {
-    std::vector<std::size_t> at;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == c) at.push_back(i + 1);
-    }
-    return at.empty() ? std::string::npos : any(at);
-  };
-  if (line.empty()) line = "{}";
-  switch (rng.UniformInt(0, 10)) {
-    case 0:  // Flip a byte.
-      line[below(line.size())] = kBytes[below(kBytes.size())];
-      break;
-    case 1:  // Insert a byte.
-      line.insert(below(line.size() + 1), 1, kBytes[below(kBytes.size())]);
-      break;
-    case 2:  // Delete a byte.
-      line.erase(below(line.size()), 1);
-      break;
-    case 3: {  // A duplicate key before the original.
-      const std::size_t at = after('{');
-      if (at != std::string::npos) line.insert(at, member() + ",");
-      break;
-    }
-    case 4: {  // A duplicate key after the original.
-      const std::size_t at = after('}');
-      if (at != std::string::npos) line.insert(at - 1, "," + member());
-      break;
-    }
-    case 5: {  // Reordered keys.
-      if (line.size() < 2 || line.front() != '{' || line.back() != '}') break;
-      std::vector<std::string> members = Members(line);
-      std::shuffle(members.begin(), members.end(), rng.engine());
-      line = "{";
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        line += (i > 0 ? "," : "") + members[i];
-      }
-      line += '}';
-      break;
-    }
-    case 6: {  // Whitespace around colons.
-      std::string out;
-      for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == ':' && rng.Bernoulli(0.5)) {
-          out += any(kColons);
-        } else {
-          out += line[i];
-        }
-      }
-      line = out;
-      break;
-    }
-    case 7: {  // Key-shaped text, raw or escaped, anywhere.
-      const std::string key(any(keys));
-      const std::string text = rng.Bernoulli(0.5)
-                                   ? "\"" + key + "\":" + any(kValues)
-                                   : "\\\"" + key + "\\\":";
-      line.insert(below(line.size() + 1), text);
-      break;
-    }
-    case 8: {  // A key nested one level down.
-      const std::size_t at = after('{');
-      if (at == std::string::npos) break;
-      line.insert(at, rng.Bernoulli(0.5) ? "\"n\":{" + member() + "},"
-                                         : "\"a\":[{" + member() + "}],");
-      break;
-    }
-    case 9:  // An unterminated string: cut the line or drop a quote.
-      if (rng.Bernoulli(0.5)) {
-        line.resize(below(line.size() + 1));
-      } else if (const std::size_t at = after('"'); at != std::string::npos) {
-        line.erase(at - 1, 1);
-      }
-      break;
-    default: {  // Lone and paired surrogates inside a string.
-      const std::size_t at = after('"');
-      line.insert(at == std::string::npos ? 0 : at, any(kSurrogates));
-      break;
-    }
-  }
-}
-
 TEST(JsonScan, DecodersMatchPerKeyOracleOnMutatedInputs) {
   const Corpus corpus = BaseCorpus();
   ASSERT_GT(corpus.spans.size(), 100u);
@@ -765,6 +640,131 @@ TEST(JsonScan, DecodersMatchPerKeyOracleOnMutatedInputs) {
   check(corpus.records, record_keys, 6000, TraceRecordFromJson,
         oracle::TraceRecordFromJson, SameRecord);
   EXPECT_EQ(differences, 0u);
+}
+
+// --- Arrays of objects decoded in the record's walk ---------------------
+
+/// One array's elements as the decoder saw them: each element's text and
+/// its keys' positions.
+using ElementLog = std::vector<std::string>;
+
+std::string LogEntry(std::string_view element,
+                     std::span<const std::size_t> positions) {
+  std::string entry(element);
+  for (const std::size_t p : positions) entry += "|" + std::to_string(p);
+  return entry;
+}
+
+/// What FindValues with arrays must give: a plain FindValues of the
+/// object, then each present array split by SplitObjectArray and each
+/// element scanned alone. nullopt when an array does not split.
+std::optional<std::pair<std::vector<std::size_t>, std::vector<ElementLog>>>
+SplitThenScan(std::string_view text, const std::vector<std::string_view>& keys,
+              const std::vector<std::pair<std::size_t,
+                                          std::vector<std::string_view>>>&
+                  arrays) {
+  std::vector<std::size_t> positions = Scan(text, keys);
+  std::vector<ElementLog> logs(arrays.size());
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    const std::size_t pos = positions[arrays[a].first];
+    if (pos == std::string_view::npos) continue;
+    std::vector<std::string_view> elements;
+    if (!json::SplitObjectArray(text, pos, &elements)) return std::nullopt;
+    for (const std::string_view e : elements) {
+      logs[a].push_back(LogEntry(e, Scan(e, arrays[a].second)));
+    }
+  }
+  return std::make_pair(positions, logs);
+}
+
+/// The same through one FindValues walk with json::ObjectArray.
+std::optional<std::pair<std::vector<std::size_t>, std::vector<ElementLog>>>
+OneWalk(std::string_view text, const std::vector<std::string_view>& keys,
+        const std::vector<std::pair<std::size_t,
+                                    std::vector<std::string_view>>>& arrays) {
+  std::vector<std::size_t> positions(keys.size());
+  std::vector<ElementLog> logs(arrays.size());
+  std::vector<json::ObjectArray> specs;
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    specs.push_back({arrays[a].first, arrays[a].second,
+                     [&logs, a](std::string_view e,
+                                std::span<const std::size_t> at) {
+                       logs[a].push_back(LogEntry(e, at));
+                       return true;
+                     }});
+  }
+  if (!json::FindValues(text, keys, positions, specs)) return std::nullopt;
+  return std::make_pair(positions, logs);
+}
+
+/// The walk that decodes a record's spans and provenance as it passes
+/// them gives what a plain scan, SplitObjectArray and a scan of each
+/// element give, on hand-built framing edge cases and on seeded
+/// mutations of store records.
+TEST(JsonScan, ObjectArraysMatchSplitThenScan) {
+  const std::vector<std::string_view> keys = {"a", "b", "c"};
+  const std::vector<std::pair<std::size_t, std::vector<std::string_view>>>
+      arrays = {{0, {"x", "y"}}, {1, {"x"}}};
+  const std::vector<std::string> cases = {
+      R"({"a":[{"x":1,"y":2},{"y":3}],"b":[],"c":1})",
+      R"({"c":1,"a" : [ , {"x":1} ,, {"x":{"x":9}} ] ,"b":[{"x":4}]})",
+      R"({"a":5,"b":[]})",                     // Not an array.
+      R"({"a":[{"x":"1}],"b":[]})",            // Unterminated inside.
+      R"({"a":[{"x":1}],"b":[{"x":2})",        // No closing ']'.
+      R"({"a":[{"x":1} 7 {"x":2}]})",          // Junk between elements.
+      R"({"a":[{"x":1,[}],"b":[{"x":2}]})",    // Element leaves depth up.
+      R"({"a":[{"x":]]"b":[{"x":5}],"c":2,[[}],"c":1})",  // Dips to 1.
+      R"({"a":[{"x":]"y":1,[}]})",             // Element dips to its 0.
+      R"({"b":[{"x":1}],"a":[{"y":"\"x\":2"}]})",
+      R"({"a":[],"a":[{"x":1}]})",             // First duplicate wins.
+      R"({"n":{"a":[{"x":1}]},"a":[]})",       // Nested key ignored.
+  };
+  for (const std::string& text : cases) {
+    const auto want = SplitThenScan(text, keys, arrays);
+    const auto got = OneWalk(text, keys, arrays);
+    ASSERT_EQ(got.has_value(), want.has_value()) << text;
+    if (want) {
+      EXPECT_EQ(*got, *want) << text;
+    }
+  }
+  EXPECT_FALSE(OneWalk(cases[2], keys, arrays).has_value());
+  EXPECT_EQ(OneWalk(cases[0], keys, arrays)->second[0].size(), 2u);
+  // The array met inside another one's elements is still decoded.
+  EXPECT_EQ(OneWalk(cases[7], keys, arrays)->second[1].size(), 1u);
+
+  // A decoder that refuses an element fails the walk.
+  std::vector<std::size_t> at(keys.size());
+  const json::ObjectArray refuse[] = {
+      {0, arrays[0].second,
+       [](std::string_view, std::span<const std::size_t>) { return false; }}};
+  EXPECT_FALSE(json::FindValues(cases[0], keys, at, refuse));
+
+  const Corpus corpus = BaseCorpus();
+  std::vector<std::string_view> mutation_keys = kRecordKeys;
+  mutation_keys.insert(mutation_keys.end(), kSpanKeys.begin(),
+                       kSpanKeys.end());
+  mutation_keys.insert(mutation_keys.end(), kEventKeys.begin(),
+                       kEventKeys.end());
+  const std::vector<std::pair<std::size_t, std::vector<std::string_view>>>
+      record_arrays = {{11, kSpanKeys}, {13, kEventKeys}};
+  ASSERT_EQ(kRecordKeys[11], "spans");
+  ASSERT_EQ(kRecordKeys[13], "provenance");
+  Rng rng(26);
+  std::size_t split = 0;
+  for (std::size_t t = 0; t < 20000; ++t) {
+    std::string line = corpus.records[t % corpus.records.size()];
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      Mutate(line, mutation_keys, rng);
+    }
+    const auto want = SplitThenScan(line, kRecordKeys, record_arrays);
+    const auto got = OneWalk(line, kRecordKeys, record_arrays);
+    ASSERT_EQ(got.has_value(), want.has_value()) << line;
+    if (want) {
+      ASSERT_EQ(*got, *want) << line;
+      split += !want->second[0].empty();
+    }
+  }
+  EXPECT_GT(split, 20000u / 5);
 }
 
 }  // namespace

@@ -316,7 +316,9 @@ TEST_F(ProvenanceCommitTest, OrphanAndFinalizeOutcomesAreDistinct) {
   store_->Query({}, [](const store::TraceSummary&,
                        const std::shared_ptr<const TraceRecord>& rec) {
     EXPECT_NE(rec, nullptr);
-    if (rec != nullptr) EXPECT_FALSE(rec->provenance.empty()) << rec->trace_id;
+    if (rec != nullptr) {
+      EXPECT_FALSE(rec->provenance.empty()) << rec->trace_id;
+    }
     return true;
   });
 }

@@ -6,18 +6,21 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "mutator.h"
 #include "store/committer.h"
 #include "store/store.h"
 #include "store/tail_sampler.h"
@@ -77,6 +80,13 @@ TraceRecord MakeRecord(SpanId id, const std::string& service = "A",
 
 bool SameRecord(const TraceRecord& a, const TraceRecord& b) {
   return TraceRecordToJson(a) == TraceRecordToJson(b);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST_F(StoreTest, RecordJsonRoundtrip) {
@@ -436,9 +446,10 @@ TEST_F(StoreTest, ListingReadsEachSegmentOnce) {
             0);
 }
 
-/// A sealed segment that goes missing or corrupt after Open nulls exactly
-/// its own records: a listing still returns every other segment's records,
-/// Get returns null for its ids, and every failed read is counted.
+/// A sealed segment that goes missing after Open nulls exactly its own
+/// records, and a byte flipped in one of a segment's record lines nulls
+/// exactly that record: a listing still returns every other record, Get
+/// returns null for the lost ids, and every failed read is counted.
 TEST_F(StoreTest, UnreadableSegmentNullsOnlyItsRecords) {
   StoreOptions opts;
   opts.segment_traces = 4;
@@ -457,19 +468,25 @@ TEST_F(StoreTest, UnreadableSegmentNullsOnlyItsRecords) {
 
   // Ids 5-8 live in segment 1 and ids 13-16 in segment 3.
   ASSERT_TRUE(fs::remove(Dir() + "/segment-000001.jsonl"));
+  SpanId damaged = kInvalidSpanId;
   {
-    std::fstream f(Dir() + "/segment-000003.jsonl",
-                   std::ios::in | std::ios::out | std::ios::binary);
+    const std::string file = Dir() + "/segment-000003.jsonl";
+    const std::string bytes = ReadFileBytes(file);
+    const std::size_t mid = bytes.size() / 2;
+    // Line 0 is the header, so the flipped byte's line k holds record
+    // k - 1 of the segment, id 13 + (k - 1).
+    const auto line = static_cast<SpanId>(
+        std::count(bytes.begin(), bytes.begin() + mid, '\n'));
+    ASSERT_GE(line, 1u);
+    ASSERT_LE(line, 4u);
+    damaged = 13 + (line - 1);
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    f.seekg(0, std::ios::end);
-    const auto mid = static_cast<std::streamoff>(f.tellg()) / 2;
-    f.seekg(mid);
-    const char was = static_cast<char>(f.get());
-    f.seekp(mid);
-    f.put(was == '7' ? '8' : '7');
+    f.seekp(static_cast<std::streamoff>(mid));
+    f.put(bytes[mid] == '7' ? '8' : '7');
   }
-  const auto lost = [](SpanId id) {
-    return (id >= 5 && id <= 8) || (id >= 13 && id <= 16);
+  const auto lost = [damaged](SpanId id) {
+    return (id >= 5 && id <= 8) || id == damaged;
   };
   const auto failures = [&registry] {
     return registry.Snapshot().Value("tw_store_segment_load_failures_total",
@@ -492,7 +509,8 @@ TEST_F(StoreTest, UnreadableSegmentNullsOnlyItsRecords) {
                 return true;
               });
   EXPECT_EQ(streamed.size(), 22u);
-  EXPECT_EQ(failures(), 2);  // One failed read per unreadable segment.
+  // One for the file that cannot be opened, one for the damaged record.
+  EXPECT_EQ(failures(), 2);
 
   for (SpanId id = 1; id <= 22; ++id) {
     const auto got = store.Get(id);
@@ -503,7 +521,7 @@ TEST_F(StoreTest, UnreadableSegmentNullsOnlyItsRecords) {
       EXPECT_TRUE(SameRecord(*got, MakeRecord(id)));
     }
   }
-  EXPECT_EQ(failures(), 2 + 8);  // Get reads the segment per lost id.
+  EXPECT_EQ(failures(), 2 + 5);  // Get reads the file per lost id.
 }
 
 TEST_F(StoreTest, CorruptedSegmentRejectedOnOpen) {
@@ -537,6 +555,465 @@ TEST_F(StoreTest, CorruptedSegmentRejectedOnOpen) {
   // Traces from the surviving segment still resolve.
   EXPECT_NE(reopened.Get(4), nullptr);
   EXPECT_EQ(reopened.Get(1), nullptr);
+}
+
+// --- Per-record reads through the per-line index --------------------------
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// The offset of every line of `bytes`, then bytes.size() past the last.
+std::vector<std::size_t> LineStarts(const std::string& bytes) {
+  std::vector<std::size_t> starts = {0};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] == '\n') starts.push_back(i + 1);
+  }
+  if (starts.back() != bytes.size()) starts.push_back(bytes.size());
+  return starts;
+}
+
+/// A record with hostile names, provenance and a span count that varies
+/// with `id`, so lines differ in length and content.
+TraceRecord HostileRecord(SpanId id, Rng& rng) {
+  TraceRecord r = MakeRecord(id, RandomHostileString(rng));
+  r.root_endpoint = RandomHostileString(rng);
+  for (SpanId extra = 0; extra < id % 4; ++extra) {
+    Span child = r.spans.back();
+    child.id += 1000 * (extra + 1);
+    child.callee = RandomHostileString(rng);
+    r.spans.push_back(child);
+    r.parents.emplace_back(child.id, id);
+  }
+  std::sort(r.parents.begin(), r.parents.end());
+  for (const Span& span : r.spans) {
+    r.provenance.push_back(
+        {obs::ProvEventType::kSettled, span.id, 7, RandomHostileString(rng)});
+  }
+  return r;
+}
+
+/// Get(id) for each of `records`' ids, as record JSON or "null".
+std::vector<std::string> Fetch(const TraceStore& store,
+                               const std::vector<TraceRecord>& records) {
+  std::vector<std::string> bodies;
+  for (const TraceRecord& r : records) {
+    const auto got = store.Get(r.trace_id);
+    bodies.push_back(got ? TraceRecordToJson(*got) : "null");
+  }
+  return bodies;
+}
+
+/// Query(all) as record JSON or "null", in (start, trace_id) order.
+std::vector<std::string> ListAll(const TraceStore& store) {
+  std::vector<std::string> bodies;
+  store.Query(TraceQuery{},
+              [&bodies](const TraceSummary&,
+                        const std::shared_ptr<const TraceRecord>& rec) {
+                bodies.push_back(rec ? TraceRecordToJson(*rec) : "null");
+                return true;
+              });
+  return bodies;
+}
+
+/// What a fetch of each of `records` should return when exactly the
+/// records `readable` accepts can still be read.
+template <typename Readable>
+std::vector<std::string> Expected(const std::vector<TraceRecord>& records,
+                                  Readable readable) {
+  std::vector<std::string> bodies;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    bodies.push_back(readable(k) ? TraceRecordToJson(records[k]) : "null");
+  }
+  return bodies;
+}
+
+/// Five records (ids 1-5, start order = commit order) sealed as one
+/// segment in `dir`.
+std::vector<TraceRecord> SealFive(const std::string& dir) {
+  std::vector<TraceRecord> records;
+  TraceStore store(dir);
+  EXPECT_TRUE(store.Open().has_value());
+  for (SpanId id = 1; id <= 5; ++id) {
+    records.push_back(MakeRecord(id));
+    EXPECT_TRUE(store.Commit(records.back()));
+  }
+  EXPECT_TRUE(store.Seal());
+  return records;
+}
+
+/// After Open, a byte flipped in any one record line of a segment nulls
+/// that record and no other, from Get and from a listing alike.
+TEST_F(StoreTest, EachDamagedRecordLineNullsOnlyItsRecord) {
+  const std::vector<TraceRecord> records = SealFive(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  const std::vector<std::size_t> starts = LineStarts(pristine);
+  ASSERT_EQ(starts.size(), 8u);  // Header, 5 records, footer, end.
+
+  obs::MetricsRegistry registry;
+  StoreOptions opts;
+  opts.cache_traces = 0;  // Every fetch reads the file.
+  opts.metrics = &registry;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    std::string bytes = pristine;
+    const std::size_t at = (starts[k + 1] + starts[k + 2]) / 2;
+    bytes[at] = bytes[at] == '7' ? '8' : '7';
+    WriteFileBytes(file, bytes);
+    const auto expect =
+        Expected(records, [k](std::size_t i) { return i != k; });
+    EXPECT_EQ(Fetch(store, records), expect) << "damaged record " << k;
+    EXPECT_EQ(ListAll(store), expect) << "damaged record " << k;
+  }
+  // One failure per null fetch: two per damaged record.
+  EXPECT_EQ(registry.Snapshot().Value("tw_store_segment_load_failures_total",
+                                      ""),
+            10);
+}
+
+/// The header and footer are verified at Open and never read again: a
+/// byte flipped in either afterwards nulls nothing.
+TEST_F(StoreTest, DamagedHeaderOrFooterAfterOpenNullsNothing) {
+  const std::vector<TraceRecord> records = SealFive(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  const std::vector<std::size_t> starts = LineStarts(pristine);
+  ASSERT_EQ(starts.size(), 8u);
+
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  const auto all = Expected(records, [](std::size_t) { return true; });
+  for (const std::size_t line : {std::size_t{0}, std::size_t{6}}) {
+    std::string bytes = pristine;
+    const std::size_t at = (starts[line] + starts[line + 1]) / 2;
+    bytes[at] = bytes[at] == '7' ? '8' : '7';
+    WriteFileBytes(file, bytes);
+    EXPECT_EQ(Fetch(store, records), all) << "line " << line;
+    EXPECT_EQ(ListAll(store), all) << "line " << line;
+  }
+}
+
+/// After Open, a file cut short nulls exactly the records whose line or
+/// newline lies past the cut.
+TEST_F(StoreTest, TruncationAfterOpenNullsRecordsPastTheCut) {
+  const std::vector<TraceRecord> records = SealFive(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  const std::vector<std::size_t> starts = LineStarts(pristine);
+  ASSERT_EQ(starts.size(), 8u);
+
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  std::set<std::size_t> cuts;
+  for (std::size_t cut = 0; cut <= pristine.size(); cut += 11) {
+    cuts.insert(cut);
+  }
+  for (const std::size_t start : starts) {
+    for (const std::size_t cut : {start - 1, start, start + 1}) {
+      if (cut <= pristine.size()) cuts.insert(cut);
+    }
+  }
+  for (const std::size_t cut : cuts) {
+    WriteFileBytes(file, pristine.substr(0, cut));
+    // Record k is line k + 1; its newline ends at starts[k + 2].
+    const auto expect = Expected(
+        records, [&](std::size_t k) { return starts[k + 2] <= cut; });
+    EXPECT_EQ(Fetch(store, records), expect) << "cut " << cut;
+    EXPECT_EQ(ListAll(store), expect) << "cut " << cut;
+  }
+}
+
+/// A segment file swapped after Open for another valid segment of the
+/// same id nulls every record whose own line is not byte for byte where
+/// the index put it, and keeps every record whose line is.
+TEST_F(StoreTest, SwappedSegmentNullsRecordsThatDiffer) {
+  const std::vector<TraceRecord> records = SealFive(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  const std::vector<std::size_t> starts = LineStarts(pristine);
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+
+  // Same header; record 2 (id 3) gets a same-length service, record 4
+  // another trace of the same length; or record 1 (id 2) a longer
+  // service, shifting every line after it.
+  const std::vector<std::vector<TraceRecord>> swaps = {
+      {MakeRecord(1), MakeRecord(2), MakeRecord(3, "B"), MakeRecord(4),
+       MakeRecord(6)},
+      {MakeRecord(1), MakeRecord(2, "AA"), MakeRecord(3), MakeRecord(4),
+       MakeRecord(5)},
+  };
+  const std::vector<std::vector<bool>> readable = {
+      {true, true, false, true, false},
+      {true, false, false, false, false},
+  };
+  for (std::size_t w = 0; w < swaps.size(); ++w) {
+    const std::string other = Dir() + "/other";
+    fs::remove_all(other);
+    {
+      TraceStore writer(other);
+      ASSERT_TRUE(writer.Open().has_value());
+      for (const TraceRecord& r : swaps[w]) ASSERT_TRUE(writer.Commit(r));
+      ASSERT_TRUE(writer.Seal());
+    }
+    const std::string bytes = ReadFileBytes(other + "/segment-000000.jsonl");
+    fs::copy_file(other + "/segment-000000.jsonl", file,
+                  fs::copy_options::overwrite_existing);
+    const auto expect = Expected(records, [&](std::size_t k) {
+      const std::size_t at = starts[k + 1];
+      const std::size_t size = starts[k + 2] - at;
+      // The rule the store applies, and the case this swap was built for.
+      const bool same = bytes.compare(at, size, pristine, at, size) == 0;
+      EXPECT_EQ(same, readable[w][k]) << "swap " << w << " record " << k;
+      return same;
+    });
+    EXPECT_EQ(Fetch(store, records), expect) << "swap " << w;
+    EXPECT_EQ(ListAll(store), expect) << "swap " << w;
+  }
+}
+
+/// The seal builds a segment's line index from the bytes it writes and
+/// Open from the bytes it reads; both read back the same records.
+TEST_F(StoreTest, SealBuiltIndexReadsLikeOpenBuiltIndex) {
+  StoreOptions opts;
+  opts.segment_traces = 4;
+  opts.cache_traces = 0;
+  Rng rng(26);
+  std::vector<TraceRecord> records;
+  std::vector<std::string> sealed;
+  {
+    TraceStore store(Dir(), opts);
+    ASSERT_TRUE(store.Open().has_value());
+    for (SpanId id = 1; id <= 14; ++id) {
+      records.push_back(HostileRecord(id, rng));
+      ASSERT_TRUE(store.Commit(records.back()));
+    }
+    ASSERT_TRUE(store.Seal());
+    ASSERT_EQ(store.sealed_segments(), 4u);
+    sealed = Fetch(store, records);
+    EXPECT_EQ(ListAll(store), sealed);
+  }
+  EXPECT_EQ(sealed, Expected(records, [](std::size_t) { return true; }));
+  TraceStore reopened(Dir(), opts);
+  ASSERT_TRUE(reopened.Open().has_value());
+  EXPECT_EQ(Fetch(reopened, records), sealed);
+  EXPECT_EQ(ListAll(reopened), sealed);
+}
+
+/// Sealed parts whose time bounds miss a query's range are skipped; a
+/// range that touches a part's earliest start or latest end exactly still
+/// returns that part's matches.
+TEST_F(StoreTest, QueryTouchingPartBoundsKeepsItsMatches) {
+  StoreOptions opts;
+  opts.segment_traces = 4;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  // Durations vary, so a part's latest end is often not its last
+  // record's, and parts overlap in time.
+  std::vector<TraceRecord> all;
+  for (SpanId id = 1; id <= 16; ++id) {
+    TraceRecord r = MakeRecord(id);
+    r.end = r.start + Millis(1) + static_cast<TimeNs>(id * 7 % 5) * Millis(25);
+    all.push_back(r);
+    ASSERT_TRUE(store.Commit(r));
+  }
+  ASSERT_EQ(store.sealed_segments(), 4u);
+  const auto brute = [&all](const TraceQuery& q) {
+    std::vector<SpanId> ids;
+    for (const TraceRecord& r : all) {
+      if (r.end >= q.from && r.start <= q.to) ids.push_back(r.trace_id);
+    }
+    std::sort(ids.begin(), ids.end(), [&all](SpanId a, SpanId b) {
+      return all[a - 1].start < all[b - 1].start;
+    });
+    return ids;
+  };
+  for (std::size_t part = 0; part < 4; ++part) {
+    TimeNs min_start = std::numeric_limits<TimeNs>::max();
+    TimeNs max_end = std::numeric_limits<TimeNs>::min();
+    for (std::size_t i = 4 * part; i < 4 * part + 4; ++i) {
+      min_start = std::min(min_start, all[i].start);
+      max_end = std::max(max_end, all[i].end);
+    }
+    std::vector<TraceQuery> queries(4);
+    queries[0].from = queries[0].to = min_start;
+    queries[1].from = queries[1].to = max_end;
+    queries[2].to = min_start;
+    queries[3].from = max_end;
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      const auto expect = brute(queries[qi]);
+      std::vector<SpanId> got;
+      for (const TraceSummary& s : store.QuerySummaries(queries[qi])) {
+        got.push_back(s.trace_id);
+        EXPECT_NE(store.Get(s.trace_id), nullptr);
+      }
+      EXPECT_EQ(got, expect) << "part " << part << " query " << qi;
+      // The record at the touched bound is among the matches.
+      const bool has_part = std::any_of(got.begin(), got.end(), [&](SpanId id) {
+        return id > 4 * part && id <= 4 * part + 4;
+      });
+      EXPECT_TRUE(has_part) << "part " << part << " query " << qi;
+    }
+  }
+}
+
+// --- Mutated segment files ------------------------------------------------
+
+/// Keys for the mutator: the segment header and footer, and every key a
+/// store record holds.
+std::vector<std::string_view> SegmentKeys() {
+  std::vector<std::string_view> keys = {"schema", "segment", "traces",
+                                        "footer", "lines",   "crc32"};
+  for (const std::string_view k :
+       {"trace", "root_service", "root_endpoint", "start", "end", "grade",
+        "confidence", "min_confidence", "orphan", "suspect", "span_count",
+        "spans", "parents", "provenance"}) {
+    keys.push_back(k);
+  }
+  keys.insert(keys.end(), kSpanJsonKeys.begin(), kSpanJsonKeys.end());
+  keys.insert(keys.end(), obs::kProvEventJsonKeys.begin(),
+              obs::kProvEventJsonKeys.end());
+  return keys;
+}
+
+/// Three hostile records sealed as segment 0 of `dir`; returns them.
+std::vector<TraceRecord> SealHostile(const std::string& dir) {
+  Rng rng(7);
+  std::vector<TraceRecord> records;
+  TraceStore store(dir);
+  EXPECT_TRUE(store.Open().has_value());
+  for (SpanId id = 1; id <= 3; ++id) {
+    records.push_back(HostileRecord(id, rng));
+    EXPECT_TRUE(store.Commit(records.back()));
+  }
+  EXPECT_TRUE(store.Seal());
+  return records;
+}
+
+/// ReadChecksummedLines on 1-3 seeded mutations of a segment returns
+/// nullopt or exactly the original lines and running CRCs.
+TEST_F(StoreTest, MutatedChecksummedLinesAreRejectedOrOriginal) {
+  SealHostile(Dir());
+  const std::string pristine =
+      ReadFileBytes(Dir() + "/segment-000000.jsonl");
+  std::vector<std::uint32_t> original_crcs;
+  std::istringstream clean(pristine);
+  const auto original = ReadChecksummedLines(
+      clean, TraceStore::kSegmentSchema, nullptr, &original_crcs);
+  ASSERT_TRUE(original.has_value());
+  ASSERT_EQ(original_crcs.size(), original->size());
+
+  const std::vector<std::string_view> keys = SegmentKeys();
+  Rng rng(2026);
+  std::size_t accepted = 0;
+  constexpr std::size_t kTrials = 4000;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    std::string bytes = pristine;
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      ::traceweaver::testing::Mutate(bytes, keys, rng);
+    }
+    std::istringstream in(bytes);
+    std::vector<std::uint32_t> crcs;
+    const auto lines = ReadChecksummedLines(in, TraceStore::kSegmentSchema,
+                                            nullptr, &crcs);
+    if (!lines) continue;
+    ++accepted;
+    EXPECT_EQ(*lines, *original) << "trial " << t;
+    EXPECT_EQ(crcs, original_crcs) << "trial " << t;
+  }
+  // Mutations past the footer leave a file that still verifies.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, kTrials / 2);
+}
+
+/// Open of a mutated segment rejects it whole or loads it unchanged.
+TEST_F(StoreTest, OpenOfMutatedSegmentRejectsOrLoadsUnchanged) {
+  const std::vector<TraceRecord> records = SealHostile(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  const auto all = Expected(records, [](std::size_t) { return true; });
+  const std::vector<std::string_view> keys = SegmentKeys();
+  Rng rng(2027);
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  std::size_t loaded = 0;
+  constexpr std::size_t kTrials = 800;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    std::string bytes = pristine;
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      ::traceweaver::testing::Mutate(bytes, keys, rng);
+    }
+    WriteFileBytes(file, bytes);
+    TraceStore store(Dir(), opts);
+    const auto stats = store.Open();
+    ASSERT_TRUE(stats.has_value());
+    if (stats->segments_rejected == 1) {
+      EXPECT_EQ(stats->traces_loaded, 0u) << "trial " << t;
+      continue;
+    }
+    ++loaded;
+    EXPECT_EQ(stats->traces_loaded, records.size()) << "trial " << t;
+    EXPECT_EQ(Fetch(store, records), all) << "trial " << t;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, kTrials / 2);
+}
+
+/// After Open, 1-3 seeded mutations of a segment file leave every Get and
+/// listing record either null or byte-equal to the original record with
+/// that id, never another record.
+TEST_F(StoreTest, MutatedSegmentAfterOpenReadsOriginalOrNull) {
+  const std::vector<TraceRecord> records = SealHostile(Dir());
+  const std::string file = Dir() + "/segment-000000.jsonl";
+  const std::string pristine = ReadFileBytes(file);
+  std::map<SpanId, std::string> original;
+  for (const TraceRecord& r : records) {
+    original[r.trace_id] = TraceRecordToJson(r);
+  }
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  const std::vector<std::string_view> keys = SegmentKeys();
+  Rng rng(2028);
+  std::size_t nulls = 0;
+  std::size_t whole = 0;
+  for (std::size_t t = 0; t < 3000; ++t) {
+    std::string bytes = pristine;
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      ::traceweaver::testing::Mutate(bytes, keys, rng);
+    }
+    WriteFileBytes(file, bytes);
+    const auto got = Fetch(store, records);
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      if (got[k] == "null") {
+        ++nulls;
+      } else {
+        ++whole;
+        EXPECT_EQ(got[k], TraceRecordToJson(records[k])) << "trial " << t;
+      }
+    }
+    const std::size_t listed = store.Query(
+        TraceQuery{}, [&](const TraceSummary& s,
+                          const std::shared_ptr<const TraceRecord>& rec) {
+          if (rec != nullptr) {
+            EXPECT_EQ(TraceRecordToJson(*rec), original[s.trace_id])
+                << "trial " << t;
+          }
+          return true;
+        });
+    EXPECT_EQ(listed, records.size()) << "trial " << t;
+  }
+  EXPECT_GT(nulls, 0u);
+  EXPECT_GT(whole, 0u);
 }
 
 /// Kill-point property: truncate a sealed segment at every prefix length;
@@ -1236,13 +1713,6 @@ CommitterStream RandomCommitterStream(Rng& rng, int calls, DurationNs window) {
     }
   }
   return stream;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// Every sealed segment of the store in `dir`, concatenated in order.

@@ -27,7 +27,7 @@ std::vector<Span> SimSpans(double rps = 150.0) {
 
 /// Re-attaches ground truth to wire-derived spans via per-connection
 /// request order (the wire carries no ids; only tests can do this).
-void AttachTruth(const WireRendering& wire,
+void AttachTruth(const WireRendering& /*wire*/,
                  const std::vector<Span>& originals,
                  std::vector<Span>& rebuilt) {
   std::map<SpanId, const Span*> by_id;

@@ -52,6 +52,11 @@ struct HttpRequest {
 /// sends a 500 if the handler produced nothing.
 class HttpResponse {
  public:
+  /// Writes to `fd`, a connected stream socket: the server passes each
+  /// request's connection; a handler can also be driven over one end of a
+  /// socketpair.
+  explicit HttpResponse(int fd) : fd_(fd) {}
+
   /// One-shot fixed-length response.
   void Send(int status, std::string_view content_type,
             std::string_view body);
@@ -68,7 +73,6 @@ class HttpResponse {
 
  private:
   friend class HttpServer;
-  explicit HttpResponse(int fd) : fd_(fd) {}
   bool WriteAll(std::string_view data);
 
   int fd_ = -1;

@@ -9,7 +9,7 @@
 
 #include "core/explain.h"
 #include "obs/prometheus.h"
-#include "obs/provenance.h"
+#include "util/json.h"
 
 namespace traceweaver::serve {
 namespace {
@@ -100,8 +100,9 @@ bool BuildQuery(const HttpRequest& request, store::TraceQuery* query,
   }
   if (request.HasParam("min_confidence")) {
     double v = 0.0;
-    if (!ParseDouble(request.Param("min_confidence"), &v) || v < 0.0 ||
-        v > 1.0) {
+    // Written so that NaN, which compares false both ways, is refused.
+    if (!ParseDouble(request.Param("min_confidence"), &v) ||
+        !(v >= 0.0 && v <= 1.0)) {
       *reason = "bad 'min_confidence': expected a number in [0, 1]";
       return false;
     }
@@ -266,12 +267,12 @@ void QueryService::Handle(const HttpRequest& request, HttpResponse& response) {
 }
 
 void QueryService::HandleTraceGet(SpanId id, HttpResponse& response) {
-  const std::shared_ptr<const TraceRecord> record = store_->Get(id);
-  if (record == nullptr) {
+  const store::RecordLine line = store_->GetLine(id);
+  if (line == nullptr) {
     response.Send(404, kText, "trace not found\n");
     return;
   }
-  response.Send(200, kJson, TraceRecordToJson(*record) + "\n");
+  response.Send(200, kJson, *line + "\n");
 }
 
 void QueryService::HandleTraceList(const HttpRequest& request,
@@ -282,16 +283,13 @@ void QueryService::HandleTraceList(const HttpRequest& request,
     response.Send(400, kText, reason + "\n");
     return;
   }
-  // The body streams: one chunk per record, flat memory regardless of the
-  // result count. Unreadable sealed records (segment file gone) are
+  // The body streams: one chunk per stored line, flat memory regardless of
+  // the result count. Unreadable sealed records (segment file gone) are
   // skipped -- a partial answer beats a mid-stream abort.
   response.BeginChunked(200, kNdjson);
   store_->Query(query, [&response](const store::TraceSummary&,
-                                   const std::shared_ptr<const TraceRecord>&
-                                       record) {
-    if (record != nullptr) {
-      response.Chunk(TraceRecordToJson(*record) + "\n");
-    }
+                                   const store::RecordLine& line) {
+    if (line != nullptr) response.Chunk(*line + "\n");
     return true;
   });
   response.EndChunked();
@@ -333,25 +331,39 @@ void QueryService::HandleExplain(SpanId id, const HttpRequest& request,
   response.Send(200, kJson, ExplainJson(capture));
 }
 
-std::string ProvenanceJson(const TraceRecord& record) {
+std::optional<std::string> ProvenanceJson(const store::TraceSummary& summary,
+                                          std::string_view line) {
+  // The events are the line's provenance elements as written: each is
+  // already ProvEventToJson output. A record without a ledger has none.
+  std::vector<std::string_view> events;
+  if (summary.provenance != 0 &&
+      !json::SplitObjectArray(line, summary.provenance, &events)) {
+    return std::nullopt;
+  }
   std::string body = "{\"schema\":\"traceweaver.provenance.v1\",\"trace\":";
-  body += std::to_string(static_cast<std::uint64_t>(record.trace_id));
+  body += std::to_string(static_cast<std::uint64_t>(summary.trace_id));
   body += ",\"events\":[";
-  for (std::size_t i = 0; i < record.provenance.size(); ++i) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
     if (i > 0) body += ',';
-    body += obs::ProvEventToJson(record.provenance[i]);
+    body += events[i];
   }
   body += "]}";
   return body;
 }
 
 void QueryService::HandleProvenance(SpanId id, HttpResponse& response) {
-  const std::shared_ptr<const TraceRecord> record = store_->Get(id);
-  if (record == nullptr) {
+  store::TraceSummary summary;
+  const store::RecordLine line = store_->GetLine(id, &summary);
+  if (line == nullptr) {
     response.Send(404, kText, "trace not found\n");
     return;
   }
-  response.Send(200, kJson, ProvenanceJson(*record) + "\n");
+  const auto body = ProvenanceJson(summary, *line);
+  if (!body) {
+    response.Send(500, kText, "stored trace is unreadable\n");
+    return;
+  }
+  response.Send(200, kJson, *body + "\n");
 }
 
 void QueryService::HandleMetrics(HttpResponse& response) {

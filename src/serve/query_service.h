@@ -25,7 +25,9 @@
 // design).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "callgraph/call_graph.h"
 #include "core/trace_weaver.h"
@@ -45,10 +47,16 @@ namespace traceweaver::serve {
 std::string MetricsExposition(const obs::RegistrySnapshot& snapshot);
 
 /// The GET /traces/{id}/provenance body (one line, no trailing newline),
-/// schema `traceweaver.provenance.v1`: the record's decision ledger as
-/// `{"schema":...,"trace":<id>,"events":[...]}`. Shared with the
-/// `traceweaver provenance` subcommand.
-std::string ProvenanceJson(const TraceRecord& record);
+/// schema `traceweaver.provenance.v1`: the decision ledger of the stored
+/// record `line`, whose index entry is `summary`, as
+/// `{"schema":...,"trace":<id>,"events":[...]}`. The events are the
+/// line's `provenance` elements as stored, framed from the offset the
+/// index keeps, so the line is neither decoded nor walked (for a
+/// TraceRecordToJson line, the bytes its decoded events would give; `[]`
+/// when the record has no provenance block). Nullopt when the array does
+/// not frame. Shared with the `traceweaver provenance` subcommand.
+std::optional<std::string> ProvenanceJson(const store::TraceSummary& summary,
+                                          std::string_view line);
 
 struct QueryServiceOptions {
   /// Explain reconstruction options (threads forced to 1 per request).

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "trace/checkpoint.h"
+#include "util/json.h"
 
 namespace traceweaver::store {
 namespace fs = std::filesystem;
@@ -138,7 +139,8 @@ std::optional<TraceStore::OpenStats> TraceStore::Open(std::string* error) {
         part->lines.push_back(
             {offset, static_cast<std::uint32_t>(line.size()), crcs[i]});
         offset += line.size() + 1;
-        auto record = TraceRecordFromJson(line);
+        std::size_t provenance = 0;
+        auto record = TraceRecordFromJson(line, &provenance);
         if (!record || known_ids_.count(record->trace_id) > 0) {
           ok = false;
           break;
@@ -155,6 +157,9 @@ std::optional<TraceStore::OpenStats> TraceStore::Open(std::string* error) {
         s.span_count = record->spans.size();
         s.segment = id;
         s.line = static_cast<std::uint32_t>(i - 1);
+        if (provenance != std::string::npos) {
+          s.provenance = static_cast<std::uint32_t>(provenance);
+        }
         part->summaries.push_back(std::move(s));
       }
     }
@@ -178,7 +183,7 @@ std::optional<TraceStore::OpenStats> TraceStore::Open(std::string* error) {
   return stats;
 }
 
-bool TraceStore::Commit(TraceRecord record) {
+bool TraceStore::Commit(const TraceRecord& record) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   if (record.trace_id == kInvalidSpanId ||
       !known_ids_.insert(record.trace_id).second) {
@@ -197,13 +202,21 @@ bool TraceStore::Commit(TraceRecord record) {
   s.orphan = record.orphan;
   s.span_count = record.spans.size();
   s.segment = TraceSummary::kActiveSegment;
+  // The one encode of this record: the seal writes these bytes and every
+  // read serves them. Copied out of the encoder's buffer so the held line
+  // carries no growth slack.
+  std::size_t provenance = 0;
+  const std::string encoded = TraceRecordToJson(record, &provenance);
+  auto line = std::make_shared<const std::string>(encoded);
+  if (provenance != std::string::npos) {
+    s.provenance = static_cast<std::uint32_t>(provenance);
+  }
 
   const auto current = Load();
   auto next = std::make_shared<Snapshot>(*current);
   s.line = static_cast<std::uint32_t>(next->active_summaries.size());
   next->active_summaries.push_back(std::move(s));
-  next->active_records.push_back(
-      std::make_shared<const TraceRecord>(std::move(record)));
+  next->active_lines.push_back(std::move(line));
   const std::size_t active = next->active_summaries.size();
   Publish(std::move(next));
 
@@ -234,16 +247,15 @@ bool TraceStore::SealLocked(std::string* error) {
     RecordWriter r(header);
     r("schema", kSegmentSchema);
     r("segment", id);
-    r("traces", current->active_records.size());
+    r("traces", current->active_lines.size());
     writer.WriteLine(r.Finish());
     part->header_crc = writer.crc();
     std::uint64_t offset = header.size() + 1;
-    for (const auto& record : current->active_records) {
-      const std::string line = TraceRecordToJson(*record);
-      writer.WriteLine(line);
+    for (const RecordLine& line : current->active_lines) {
+      writer.WriteLine(*line);
       part->lines.push_back(
-          {offset, static_cast<std::uint32_t>(line.size()), writer.crc()});
-      offset += line.size() + 1;
+          {offset, static_cast<std::uint32_t>(line->size()), writer.crc()});
+      offset += line->size() + 1;
     }
     writer.Finish();
   };
@@ -265,9 +277,9 @@ bool TraceStore::SealLocked(std::string* error) {
 
   // Freshly sealed records stay hot: recent commits are the likeliest
   // fetches and their memory was already paid for.
-  for (std::size_t i = 0; i < current->active_records.size(); ++i) {
+  for (std::size_t i = 0; i < current->active_lines.size(); ++i) {
     CacheInsert(current->active_summaries[i].trace_id,
-                current->active_records[i]);
+                current->active_lines[i]);
   }
   seals_.Inc();
   segments_gauge_.Set(static_cast<std::int64_t>(next_segment_));
@@ -280,8 +292,7 @@ bool TraceStore::Contains(SpanId trace_id) const {
   return known_ids_.count(trace_id) > 0;
 }
 
-std::shared_ptr<const TraceRecord> TraceStore::CacheLookup(
-    SpanId id) const {
+RecordLine TraceStore::CacheLookup(SpanId id) const {
   if (options_.cache_traces == 0) return nullptr;
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_index_.find(id);
@@ -290,16 +301,15 @@ std::shared_ptr<const TraceRecord> TraceStore::CacheLookup(
   return it->second->second;
 }
 
-void TraceStore::CacheInsert(
-    SpanId id, std::shared_ptr<const TraceRecord> rec) const {
-  if (options_.cache_traces == 0 || rec == nullptr) return;
+void TraceStore::CacheInsert(SpanId id, RecordLine line) const {
+  if (options_.cache_traces == 0 || line == nullptr) return;
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_index_.find(id);
   if (it != cache_index_.end()) {
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return;
   }
-  cache_lru_.emplace_front(id, std::move(rec));
+  cache_lru_.emplace_front(id, std::move(line));
   cache_index_[id] = cache_lru_.begin();
   while (cache_lru_.size() > options_.cache_traces) {
     cache_index_.erase(cache_lru_.back().first);
@@ -326,15 +336,15 @@ bool ReadAt(int fd, std::uint64_t offset, std::string* out) {
 
 }  // namespace
 
-std::vector<std::shared_ptr<const TraceRecord>> TraceStore::ReadSealed(
+std::vector<RecordLine> TraceStore::ReadSealed(
     const SegmentPart& part,
     const std::vector<const TraceSummary*>& wanted) const {
   disk_reads_.Inc();
-  std::vector<std::shared_ptr<const TraceRecord>> records(wanted.size());
+  std::vector<RecordLine> lines(wanted.size());
   const int fd = ::open(part.file.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     load_failures_.Inc();
-    return records;
+    return lines;
   }
   std::string bytes;
   for (std::size_t k = 0; k < wanted.size(); ++k) {
@@ -343,32 +353,36 @@ std::vector<std::shared_ptr<const TraceRecord>> TraceStore::ReadSealed(
     const std::uint32_t seed =
         s.line == 0 ? part.header_crc : part.lines[s.line - 1].crc;
     // The line and its newline, checked against the CRC the file had
-    // after them when it was indexed: exactly the bytes decoded below.
+    // after them when it was indexed: a line that passes is the one Open
+    // decoded or the seal wrote, so it is served without a decode.
     bytes.resize(std::size_t{at.size} + 1);
     const bool intact = ReadAt(fd, at.offset, &bytes) &&
                         bytes.back() == '\n' &&
                         Crc32(bytes.data(), bytes.size(), seed) == at.crc;
-    auto record = intact ? TraceRecordFromJson(
-                               std::string_view(bytes).substr(0, at.size))
-                         : std::nullopt;
-    // A file replaced since Open can verify yet hold other traces.
-    if (!record || record->trace_id != s.trace_id) {
+    const std::string_view line(bytes.data(), at.size);
+    // A file replaced since Open can verify yet hold other traces; the
+    // trace id is the record's second key, so this reads a line prefix.
+    std::uint64_t id = 0;
+    if (!intact || !json::ReadU64(line, json::FindValue(line, "trace"), &id) ||
+        id != s.trace_id) {
       load_failures_.Inc();
       continue;
     }
-    records[k] = std::make_shared<const TraceRecord>(std::move(*record));
-    CacheInsert(s.trace_id, records[k]);
+    // Copied out of the reused read buffer at its exact size.
+    lines[k] = std::make_shared<const std::string>(line);
+    CacheInsert(s.trace_id, lines[k]);
   }
   ::close(fd);
-  return records;
+  return lines;
 }
 
-std::shared_ptr<const TraceRecord> TraceStore::Get(SpanId trace_id) const {
+RecordLine TraceStore::GetLine(SpanId trace_id, TraceSummary* summary) const {
   const auto snapshot = Load();
   // Active segment: newest records, already in memory.
   for (std::size_t i = snapshot->active_summaries.size(); i-- > 0;) {
     if (snapshot->active_summaries[i].trace_id == trace_id) {
-      return snapshot->active_records[i];
+      if (summary != nullptr) *summary = snapshot->active_summaries[i];
+      return snapshot->active_lines[i];
     }
   }
   for (std::size_t s = snapshot->sealed.size(); s-- > 0;) {
@@ -377,14 +391,26 @@ std::shared_ptr<const TraceRecord> TraceStore::Get(SpanId trace_id) const {
         part.by_id.begin(), part.by_id.end(),
         std::make_pair(trace_id, std::uint32_t{0}));
     if (it == part.by_id.end() || it->first != trace_id) continue;
-    if (auto hit = CacheLookup(trace_id)) {
+    const TraceSummary& found = part.summaries[it->second];
+    RecordLine line = CacheLookup(trace_id);
+    if (line != nullptr) {
       cache_hits_.Inc();
-      return hit;
+    } else {
+      cache_misses_.Inc();
+      line = ReadSealed(part, {&found}).front();
     }
-    cache_misses_.Inc();
-    return ReadSealed(part, {&part.summaries[it->second]}).front();
+    if (line != nullptr && summary != nullptr) *summary = found;
+    return line;
   }
   return nullptr;
+}
+
+std::shared_ptr<const TraceRecord> TraceStore::Get(SpanId trace_id) const {
+  const RecordLine line = GetLine(trace_id);
+  if (line == nullptr) return nullptr;
+  auto record = TraceRecordFromJson(*line);
+  if (!record) return nullptr;
+  return std::make_shared<const TraceRecord>(std::move(*record));
 }
 
 namespace {
@@ -439,15 +465,14 @@ std::vector<TraceSummary> TraceStore::QuerySummaries(
 
 std::size_t TraceStore::Query(
     const TraceQuery& query,
-    const std::function<bool(const TraceSummary&,
-                             const std::shared_ptr<const TraceRecord>&)>&
-        emit) const {
+    const std::function<bool(const TraceSummary&, const RecordLine&)>& emit)
+    const {
   queries_.Inc();
   const auto snapshot = Load();
   const auto matches = Select(*snapshot, query);
 
   // next[i]: the next match after i in the same sealed segment, so the
-  // first match of a segment fetches the records of all of them.
+  // first match of a segment fetches the lines of all of them.
   constexpr std::size_t kEnd = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> next(matches.size(), kEnd);
   std::unordered_map<std::uint32_t, std::size_t> first;
@@ -457,7 +482,7 @@ std::size_t TraceStore::Query(
     if (!fresh) next[i] = std::exchange(it->second, i);
   }
 
-  std::vector<std::shared_ptr<const TraceRecord>> records(matches.size());
+  std::vector<RecordLine> lines(matches.size());
   std::vector<bool> fetched(matches.size(), false);
   std::vector<std::size_t> misses;
   std::vector<const TraceSummary*> wanted;
@@ -465,14 +490,14 @@ std::size_t TraceStore::Query(
   for (std::size_t i = 0; i < matches.size(); ++i) {
     const TraceSummary& s = *matches[i];
     if (s.segment == TraceSummary::kActiveSegment) {
-      records[i] = snapshot->active_records[s.line];
+      lines[i] = snapshot->active_lines[s.line];
     } else if (!fetched[i]) {
       misses.clear();
       wanted.clear();
       for (std::size_t j = i; j != kEnd; j = next[j]) {
         fetched[j] = true;
-        records[j] = CacheLookup(matches[j]->trace_id);
-        if (records[j] != nullptr) {
+        lines[j] = CacheLookup(matches[j]->trace_id);
+        if (lines[j] != nullptr) {
           cache_hits_.Inc();
           continue;
         }
@@ -487,15 +512,15 @@ std::size_t TraceStore::Query(
                std::uint32_t id) { return p->id < id; });
         auto read = ReadSealed(**part, wanted);
         for (std::size_t k = 0; k < misses.size(); ++k) {
-          records[misses[k]] = std::move(read[k]);
+          lines[misses[k]] = std::move(read[k]);
         }
       }
     }
     ++emitted;
     query_results_.Inc();
-    // Released once emitted: a listing holds only records still ahead.
-    const auto record = std::move(records[i]);
-    if (!emit(s, record)) break;
+    // Released once emitted: a listing holds only lines still ahead.
+    const RecordLine line = std::move(lines[i]);
+    if (!emit(s, line)) break;
   }
   return emitted;
 }

@@ -1,9 +1,12 @@
 // The persistent, queryable trace store (DESIGN.md §4h).
 //
 // Committed traces (TraceRecord, trace/trace_record.h) land in append-only
-// *segments*. The active segment accumulates in memory; when it reaches
-// `segment_traces` records (or Seal() is called -- the serve loop seals at
-// every checkpoint and at shutdown) it is written to
+// *segments*. The store's unit is the record's line: Commit encodes each
+// record once (TraceRecordToJson), and from then on the store keeps,
+// writes, caches and serves those bytes without decoding them again. The
+// active segment accumulates lines in memory; when it reaches
+// `segment_traces` records (or Seal() is called -- the serve loop seals
+// at every checkpoint and at shutdown) they are written to
 // `<dir>/segment-NNNNNN.jsonl` with the same discipline as checkpoints:
 // CRC-32-guarded payload (trace/checkpoint.h, schema
 // `traceweaver.store.segment.v1`) written to a temporary file and
@@ -24,17 +27,19 @@
 // in under a dedicated pointer mutex held only for a shared_ptr copy
 // (snapshot-on-commit; sealed segments share their per-segment summary
 // vectors across snapshots, so the per-commit copy is bounded by the
-// active segment). Record bodies for sealed segments are fetched from
-// disk through a bounded LRU hot-trace cache with its own small mutex --
-// neither lock is ever held across IO or a query walk.
+// active segment). Lines of sealed segments are fetched from disk through
+// a bounded LRU hot-trace cache with its own small mutex -- neither lock
+// is ever held across IO or a query walk.
 //
-// Per-record reads: Open and the seal already checksum every line, so each
-// sealed segment's index keeps, per record line, its byte offset, its
-// length and the file's running CRC-32 after it. A fetch opens the file
-// once and reads only the wanted lines; each is verified on its own (its
-// newline, and its CRC seeded with the previous line's running value)
-// before it is decoded, so a damaged line fails only its own record. One
-// Query opens each sealed segment at most once.
+// Per-record reads: Open (which decodes every record in full) and the
+// seal already checksum every line, so each sealed segment's index
+// keeps, per record line, its byte offset, its length and the file's
+// running CRC-32 after it. A fetch opens the file once and reads only
+// the wanted lines; each is verified on its own (its newline, its CRC
+// seeded with the previous line's running value, and the trace id in its
+// `trace` field) and served as read, so a damaged line fails only its
+// own record and the bytes served are the bytes stored. One Query opens
+// each sealed segment at most once.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +62,7 @@ namespace traceweaver::store {
 struct StoreOptions {
   /// Records per segment; the active segment auto-seals at this size.
   std::size_t segment_traces = 256;
-  /// Hot-trace LRU capacity (records cached in memory after a disk
+  /// Hot-trace LRU capacity (record lines cached in memory after a disk
   /// fetch). 0 disables caching.
   std::size_t cache_traces = 128;
   /// Metric sink for the tw_store_* family (docs/METRICS.md). Null
@@ -81,10 +86,18 @@ struct TraceSummary {
   std::uint32_t segment = 0;
   /// Payload line index within the segment (0 = first record line).
   std::uint32_t line = 0;
+  /// Where the value of the line's `provenance` key starts (what
+  /// json::FindValue gives), or 0 when the record has no provenance block.
+  std::uint32_t provenance = 0;
 
   static constexpr std::uint32_t kActiveSegment =
       std::numeric_limits<std::uint32_t>::max();
 };
+
+/// One stored record: its TraceRecordToJson line (no newline), exactly
+/// the bytes its segment file holds or will hold once sealed, and exactly
+/// sized (no spare capacity).
+using RecordLine = std::shared_ptr<const std::string>;
 
 /// Query filter; default-constructed matches everything.
 struct TraceQuery {
@@ -127,37 +140,43 @@ class TraceStore {
   /// when the directory itself is unusable.
   std::optional<OpenStats> Open(std::string* error = nullptr);
 
-  /// Commits one trace. Idempotent by trace id: a duplicate is dropped
-  /// (returns false) so checkpoint-replay after a crash cannot double-
-  /// commit. May seal the active segment when it reaches segment_traces.
-  bool Commit(TraceRecord record);
+  /// Commits one trace: encodes it once (TraceRecordToJson) and keeps the
+  /// line. Idempotent by trace id: a duplicate is dropped (returns false)
+  /// so checkpoint-replay after a crash cannot double-commit. May seal the
+  /// active segment when it reaches segment_traces.
+  bool Commit(const TraceRecord& record);
 
-  /// Seals the active segment to disk (tmp + rename). No-op when the
-  /// active segment is empty. Returns false with *error on IO failure
-  /// (records stay active and a later Seal retries).
+  /// Seals the active segment to disk (tmp + rename), writing the lines
+  /// Commit encoded. No-op when the active segment is empty. Returns
+  /// false with *error on IO failure (records stay active and a later
+  /// Seal retries).
   bool Seal(std::string* error = nullptr);
 
   bool Contains(SpanId trace_id) const;
 
-  /// Fetches one record: active segment and LRU hits are memory reads,
-  /// misses read and CRC-verify the record's own line of its segment
+  /// Fetches one record's line: active segment and LRU hits are memory
+  /// reads, misses read and verify the record's own line of its segment
   /// file. Null when the id is unknown, the file cannot be opened, or the
-  /// line no longer reads back as the record indexed at Open or seal.
+  /// line no longer reads back as the one indexed at Open or seal. With
+  /// `summary`, a found line's index entry is copied there.
+  RecordLine GetLine(SpanId trace_id, TraceSummary* summary = nullptr) const;
+
+  /// GetLine, decoded, for callers that need the record's fields
+  /// (explain, tests). Null when GetLine is.
   std::shared_ptr<const TraceRecord> Get(SpanId trace_id) const;
 
   /// Streams every match in (start, trace_id) order through `emit` until
   /// the limit is reached or `emit` returns false. The whole listing reads
   /// one snapshot: when a match misses the cache, its segment file is
   /// opened once for every uncached match it holds, whose lines are read,
-  /// verified, parsed, put in the cache and held until emitted. The record
-  /// pointer is null only when its line could not be read back (counted in
-  /// tw_store_segment_load_failures_total). Returns the number of matches
-  /// emitted.
+  /// verified, put in the cache and held until emitted. Lines are never
+  /// decoded. The line is null only when it could not be read back
+  /// (counted in tw_store_segment_load_failures_total). Returns the
+  /// number of matches emitted.
   std::size_t Query(
       const TraceQuery& query,
-      const std::function<bool(const TraceSummary&,
-                               const std::shared_ptr<const TraceRecord>&)>&
-          emit) const;
+      const std::function<bool(const TraceSummary&, const RecordLine&)>& emit)
+      const;
 
   /// Matching summaries only (no record fetch), same order as Query.
   std::vector<TraceSummary> QuerySummaries(const TraceQuery& query) const;
@@ -199,7 +218,7 @@ class TraceStore {
   struct Snapshot {
     std::vector<std::shared_ptr<const SegmentPart>> sealed;
     std::vector<TraceSummary> active_summaries;  ///< Commit order.
-    std::vector<std::shared_ptr<const TraceRecord>> active_records;
+    std::vector<RecordLine> active_lines;        ///< Same order.
   };
 
   bool SealLocked(std::string* error);
@@ -211,16 +230,16 @@ class TraceStore {
   /// prefix.
   static std::vector<const TraceSummary*> Select(const Snapshot& snapshot,
                                                  const TraceQuery& query);
-  /// Opens `part`'s file once and returns the records on the `wanted`
-  /// summaries' lines (each also put in the cache). An entry is null when
-  /// its line fails verification, does not decode, or holds another trace
-  /// (each counted as one load failure); every entry is null when the file
-  /// cannot be opened (counted once).
-  std::vector<std::shared_ptr<const TraceRecord>> ReadSealed(
+  /// Opens `part`'s file once and returns the lines of the `wanted`
+  /// summaries (each also put in the cache), as read. An entry is null
+  /// when its line fails verification or its `trace` field names another
+  /// trace (each counted as one load failure); every entry is null when
+  /// the file cannot be opened (counted once).
+  std::vector<RecordLine> ReadSealed(
       const SegmentPart& part,
       const std::vector<const TraceSummary*>& wanted) const;
-  std::shared_ptr<const TraceRecord> CacheLookup(SpanId id) const;
-  void CacheInsert(SpanId id, std::shared_ptr<const TraceRecord> rec) const;
+  RecordLine CacheLookup(SpanId id) const;
+  void CacheInsert(SpanId id, RecordLine line) const;
   std::string SegmentPath(std::uint32_t id) const;
   void RegisterMetrics();
 
@@ -240,8 +259,7 @@ class TraceStore {
 
   /// Hot-trace LRU (read path). Front of the list is most recent.
   mutable std::mutex cache_mutex_;
-  mutable std::list<std::pair<SpanId, std::shared_ptr<const TraceRecord>>>
-      cache_lru_;
+  mutable std::list<std::pair<SpanId, RecordLine>> cache_lru_;
   mutable std::unordered_map<SpanId, decltype(cache_lru_)::iterator>
       cache_index_;
 

@@ -28,6 +28,12 @@ constexpr std::array<std::string_view, 14> kRecordKeys = {
 }  // namespace
 
 std::string TraceRecordToJson(const TraceRecord& record) {
+  std::size_t provenance_at = 0;
+  return TraceRecordToJson(record, &provenance_at);
+}
+
+std::string TraceRecordToJson(const TraceRecord& record,
+                              std::size_t* provenance_at) {
   std::string out = "{\"schema\":\"";
   out += TraceRecord::kSchema;
   out += "\",\"trace\":";
@@ -63,8 +69,11 @@ std::string TraceRecordToJson(const TraceRecord& record) {
     out += ']';
   }
   out += ']';
+  *provenance_at = std::string::npos;
   if (!record.provenance.empty()) {
-    out += ",\"provenance\":[";
+    out += ",\"provenance\":";
+    *provenance_at = out.size();
+    out += '[';
     for (std::size_t i = 0; i < record.provenance.size(); ++i) {
       if (i > 0) out += ',';
       out += obs::ProvEventToJson(record.provenance[i]);
@@ -76,6 +85,12 @@ std::string TraceRecordToJson(const TraceRecord& record) {
 }
 
 std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
+  std::size_t provenance_at = 0;
+  return TraceRecordFromJson(line, &provenance_at);
+}
+
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line,
+                                               std::size_t* provenance_at) {
   // One walk of the line: top-level lookups never descend into the spans
   // or provenance arrays, so a span field can never alias a record field,
   // and each span and event is decoded where the walk meets it.
@@ -144,6 +159,7 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
     record.parents.emplace_back(child, parent);
   }
   if (pos >= line.size()) return std::nullopt;
+  *provenance_at = at[kProvenance];
   return record;
 }
 

@@ -62,9 +62,20 @@ struct TraceRecord {
 /// `traceweaver.trace.v1`: fixed key order, ids as decimal integers,
 /// confidences as %.6f.
 std::string TraceRecordToJson(const TraceRecord& record);
+/// The same line; *provenance_at is set to where the value of its
+/// `provenance` key starts, or npos when the record has no provenance
+/// (the block is then omitted).
+std::string TraceRecordToJson(const TraceRecord& record,
+                              std::size_t* provenance_at);
 
 /// Parses a line written by TraceRecordToJson. Returns nullopt on
 /// malformed input (wrong schema tag, missing fields, bad span elements).
 std::optional<TraceRecord> TraceRecordFromJson(std::string_view line);
+/// The same parse; on success it also sets *provenance_at to where the
+/// value of the line's `provenance` key starts (json::FindValue's answer,
+/// found by the same walk), or npos when the record has no provenance
+/// block.
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line,
+                                               std::size_t* provenance_at);
 
 }  // namespace traceweaver

@@ -25,6 +25,7 @@
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
+#include "state_fuzz.h"
 #include "test_helpers.h"
 #include "trace/checkpoint.h"
 
@@ -585,6 +586,52 @@ TEST(OnlineCheckpoint, TruncatedFileRejectedWithStateUntouched) {
   std::stringstream post;
   victim.SaveCheckpoint(post);
   EXPECT_EQ(post.str(), pre.str());
+}
+
+/// The weaver checkpoint under seeded mutation (raw bytes, and one record
+/// line framed again past the CRC check): each LoadCheckpoint rejects the
+/// file with the state untouched, or loads the original state, or loads
+/// exactly what a fresh weaver loads from it.
+TEST(OnlineCheckpoint, MutatedCheckpointRejectsOrLoadsWhole) {
+  Stream s = MakeStream(40, 2);
+  const auto saved_after = [&s](std::size_t spans) {
+    OnlineTraceWeaver w(s.graph, MidStreamOptions());
+    Replay(s, 0, spans, w, 0);
+    std::ostringstream out;
+    w.SaveCheckpoint(out, {{"source_offset", spans}});
+    return out.str();
+  };
+  const std::string original = saved_after(s.spans.size() * 2 / 3);
+  const std::string before = saved_after(s.spans.size() / 3);
+  ASSERT_NE(original, before);
+  ASSERT_NE(original.find("{\"ckpt\":\"model\""), std::string::npos);
+
+  // The weaver with the caller scalars its last load returned, which
+  // ride the file and are saved back with it.
+  struct Resumed {
+    OnlineTraceWeaver weaver;
+    std::map<std::string, std::uint64_t> extra;
+  };
+  Rng rng(2031);
+  const auto counts = ::traceweaver::testing::FuzzStateFile<Resumed>(
+      original, before, kSchema, 600, rng,
+      [&s] {
+        return std::unique_ptr<Resumed>(
+            new Resumed{OnlineTraceWeaver(s.graph, MidStreamOptions()), {}});
+      },
+      [](Resumed& r, const std::string& bytes) {
+        std::istringstream in(bytes);
+        return r.weaver.LoadCheckpoint(in, nullptr, &r.extra);
+      },
+      [](const Resumed& r) {
+        std::ostringstream out;
+        r.weaver.SaveCheckpoint(out, r.extra);
+        return out.str();
+      });
+  // About 480 rejected, 13 raw and 107 re-framed files loaded.
+  EXPECT_GT(counts.rejected, 300u);
+  EXPECT_GT(counts.accepted_raw, 0u);
+  EXPECT_GT(counts.accepted_reframed, 60u);
 }
 
 TEST(OnlineCheckpoint, CarriedModelsResumeBitIdenticallyAtRandomKillPoints) {

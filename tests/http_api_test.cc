@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -24,6 +26,7 @@
 #include "serve/query_service.h"
 #include "serve/self_trace.h"
 #include "store/store.h"
+#include "mutator.h"
 #include "test_helpers.h"
 #include "trace/jaeger_export.h"
 #include "trace/trace_record.h"
@@ -34,7 +37,9 @@ namespace {
 
 namespace fs = std::filesystem;
 using ::traceweaver::testing::HasRawControlByte;
+using ::traceweaver::testing::HostileTraceRecord;
 using ::traceweaver::testing::MakeSpan;
+using ::traceweaver::testing::ReencodedLine;
 using ::traceweaver::testing::RandomHostileString;
 using ::traceweaver::testing::SimpleGraph;
 
@@ -63,6 +68,11 @@ class Client {
       fd_ = -1;
     }
   }
+  /// Reads responses off `fd`, a connected socket the client now owns.
+  struct Adopt {
+    int fd;
+  };
+  explicit Client(Adopt adopt) : fd_(adopt.fd) {}
   ~Client() {
     if (fd_ >= 0) ::close(fd_);
   }
@@ -796,6 +806,273 @@ TEST_F(HttpApiTest, SelfTraceRoundTripsStoreHttpAndJaeger) {
     ++traces;
   }
   EXPECT_EQ(traces, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Read surfaces without a server: QueryService::Handle over a socketpair.
+
+/// Parses `target` as the server does, runs `service.Handle` on it with
+/// the response written to one end of a socketpair, and reads the response
+/// off the other end as a client would. Responses must fit the socket
+/// buffer (a few hundred KB), which every store here does.
+HttpResult Serve(QueryService& service, const std::string& target,
+                 HttpRequest* request_out = nullptr) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return {};
+  HttpRequest request;
+  request.method = "GET";
+  ParseTarget(target, request);
+  {
+    HttpResponse response(fds[0]);
+    service.Handle(request, response);
+  }
+  ::close(fds[0]);
+  Client reader(Client::Adopt{fds[1]});
+  if (request_out != nullptr) *request_out = std::move(request);
+  return reader.ReadResponse();
+}
+
+/// The provenance document as it was built before: from the decoded
+/// record's events.
+std::string DecodedProvenanceJson(const TraceRecord& r) {
+  const auto back = TraceRecordFromJson(TraceRecordToJson(r));
+  if (!back) return "undecodable";
+  std::string body = "{\"schema\":\"traceweaver.provenance.v1\",\"trace\":";
+  body += std::to_string(static_cast<std::uint64_t>(back->trace_id));
+  body += ",\"events\":[";
+  for (std::size_t i = 0; i < back->provenance.size(); ++i) {
+    if (i > 0) body += ',';
+    body += obs::ProvEventToJson(back->provenance[i]);
+  }
+  body += "]}";
+  return body;
+}
+
+/// GET /traces/{id}, GET /traces/{id}/provenance and the listing serve the
+/// bytes the decode-and-encode read path served, for hostile records read
+/// from every tier: active, just sealed (cached by the seal), cold on
+/// disk, cached after a cold read, and after a reopen.
+TEST(ReadSurfaces, EveryTierServesReencodedBytes) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tw_http_tiers_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  Rng rng(280);
+  std::vector<TraceRecord> records;
+  for (SpanId id = 1; id <= 10; ++id) {
+    records.push_back(HostileTraceRecord(id, rng));
+  }
+  const auto check = [&](const store::TraceStore& store, std::size_t count,
+                         const std::string& tier) {
+    QueryService service(&store, nullptr, nullptr);
+    std::string listing;
+    for (std::size_t k = 0; k < count; ++k) {
+      const TraceRecord& r = records[k];
+      const std::string id = std::to_string(r.trace_id);
+      const HttpResult got = Serve(service, "/traces/" + id);
+      ASSERT_TRUE(got.ok) << tier << " " << id;
+      EXPECT_EQ(got.status, 200) << tier << " " << id;
+      EXPECT_EQ(got.body, ReencodedLine(r) + "\n") << tier << " " << id;
+      const HttpResult prov = Serve(service, "/traces/" + id + "/provenance");
+      ASSERT_TRUE(prov.ok) << tier << " " << id;
+      EXPECT_EQ(prov.status, 200) << tier << " " << id;
+      EXPECT_EQ(prov.body, DecodedProvenanceJson(r) + "\n")
+          << tier << " " << id;
+      listing += ReencodedLine(r) + "\n";
+    }
+    const HttpResult list = Serve(service, "/traces");
+    ASSERT_TRUE(list.ok) << tier;
+    EXPECT_TRUE(list.chunked) << tier;
+    EXPECT_EQ(list.body, listing) << tier;
+  };
+
+  store::StoreOptions opts;
+  opts.segment_traces = 4;
+  opts.cache_traces = 64;
+  {
+    store::TraceStore store(dir.string(), opts);
+    ASSERT_TRUE(store.Open().has_value());
+    for (std::size_t k = 0; k < 3; ++k) ASSERT_TRUE(store.Commit(records[k]));
+    check(store, 3, "active");
+    ASSERT_TRUE(store.Commit(records[3]));  // Seals segment 0.
+    ASSERT_EQ(store.sealed_segments(), 1u);
+    check(store, 4, "just sealed");
+    for (std::size_t k = 4; k < records.size(); ++k) {
+      ASSERT_TRUE(store.Commit(records[k]));
+    }
+    ASSERT_TRUE(store.Seal());
+  }
+  store::StoreOptions cold = opts;
+  cold.cache_traces = 0;
+  store::TraceStore uncached(dir.string(), cold);
+  ASSERT_TRUE(uncached.Open().has_value());
+  check(uncached, records.size(), "cold");
+  store::TraceStore reopened(dir.string(), opts);
+  ASSERT_TRUE(reopened.Open().has_value());
+  check(reopened, records.size(), "reopened");
+  check(reopened, records.size(), "cached");
+  fs::remove_all(dir);
+}
+
+/// A target mutation: the JSON-aimed text mutations of tests/mutator.h,
+/// or one aimed at the target grammar (escapes, separators, parameters
+/// with hostile values, duplicates, truncation).
+void MutateTarget(std::string& target,
+                  const std::vector<std::string_view>& keys, Rng& rng) {
+  static const std::vector<std::string> kPieces = {
+      "?", "&", "=", "%", "%2", "%zz", "%25", "%26", "%3D", "%3F", "%2F",
+      "+", "/", "//", "%00", "%0a", "/explain", "/provenance", "#", " "};
+  static const std::vector<std::string> kValues = {
+      "", "0", "-0", "1", "-1", "+5", " 5", "1e3", "0x10", "nan", "inf",
+      "-inf", "1.5", "0.5", "2", "A", "b", "D", "Z", "AB",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "18446744073709551615", "18446744073709551616", "99999999999999999999",
+      "front", "back", "A%20B", "%41", "%"};
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      ::traceweaver::testing::Mutate(target, keys, rng);
+      break;
+    case 1:  // A separator or escape anywhere.
+      target.insert(below(target.size() + 1), kPieces[below(kPieces.size())]);
+      break;
+    case 2: {  // A parameter with a hostile value, often a duplicate.
+      target += target.find('?') == std::string::npos ? '?' : '&';
+      target += std::string(keys[below(keys.size())]) + "=" +
+                kValues[below(kValues.size())];
+      break;
+    }
+    case 3:  // Cut short.
+      target.resize(below(target.size() + 1));
+      break;
+    default:  // Percent-escape one byte.
+      if (!target.empty()) {
+        const std::size_t at = below(target.size());
+        char hex[4];
+        std::snprintf(hex, sizeof(hex), "%%%02X",
+                      static_cast<unsigned char>(target[at]));
+        target.replace(at, 1, hex);
+      }
+      break;
+  }
+}
+
+/// Checks a 200 listing body against the filter its request parsed to:
+/// every line a record of the right service, range, grade and confidence,
+/// in (start, trace) order, at most `limit` of them.
+void ExpectListingRespectsFilter(const HttpRequest& request,
+                                 const std::string& body,
+                                 const std::string& target) {
+  const std::string service = request.Param("service");
+  const auto number = [&request](const char* key, long long fallback) {
+    return request.HasParam(key)
+               ? std::strtoll(request.Param(key).c_str(), nullptr, 10)
+               : fallback;
+  };
+  const long long from =
+      number("from", std::numeric_limits<long long>::min());
+  const long long to = number("to", std::numeric_limits<long long>::max());
+  const char grade =
+      request.HasParam("grade")
+          ? static_cast<char>(std::toupper(
+                static_cast<unsigned char>(request.Param("grade")[0])))
+          : 'D';
+  const double min_confidence =
+      request.HasParam("min_confidence")
+          ? std::strtod(request.Param("min_confidence").c_str(), nullptr)
+          : 0.0;
+  const unsigned long long limit =
+      request.HasParam("limit")
+          ? std::strtoull(request.Param("limit").c_str(), nullptr, 10)
+          : 1000;
+  std::size_t count = 0;
+  std::pair<TimeNs, SpanId> last{std::numeric_limits<TimeNs>::min(), 0};
+  for (std::size_t at = 0; at < body.size();) {
+    const std::size_t eol = body.find('\n', at);
+    ASSERT_NE(eol, std::string::npos) << target;
+    const auto rec = TraceRecordFromJson(body.substr(at, eol - at));
+    at = eol + 1;
+    ASSERT_TRUE(rec.has_value()) << target;
+    ++count;
+    if (!service.empty()) {
+      EXPECT_EQ(rec->root_service, service) << target;
+    }
+    EXPECT_TRUE(rec->end >= from && rec->start <= to) << target;
+    EXPECT_LE(rec->grade, grade) << target;
+    EXPECT_GE(rec->confidence, min_confidence) << target;
+    const std::pair<TimeNs, SpanId> key{rec->start, rec->trace_id};
+    EXPECT_LT(last, key) << target;
+    last = key;
+  }
+  EXPECT_LE(count, std::min<unsigned long long>(limit, 1000)) << target;
+}
+
+/// Seeded mutations of real targets through ParseTarget, UrlDecode and
+/// QueryService::Handle: every one answers 200, 400 or 404, and a 200
+/// listing holds only records its parsed filter admits.
+TEST_F(HttpApiTest, MutatedTargetsAnswer200Or400Or404) {
+  // A sealed segment and active records, so listings cross both.
+  ASSERT_TRUE(store_->Seal());
+  CommitSimple(5, "front", 'A', 0.99, Millis(90));
+  CommitSimple(6, "back", 'B', 0.6, Millis(110));
+  const std::vector<std::string> seeds = {
+      "/traces",
+      "/traces/",
+      "/traces?service=front",
+      "/traces?service=front&grade=b&min_confidence=0.5&limit=2",
+      "/traces?from=12000000&to=60000000",
+      "/traces?from=0&to=100000000&grade=C&limit=3&service=back",
+      "/traces?service=fr%6Fnt+&limit=1000",
+      "/traces/1",
+      "/traces/5",
+      "/traces/424242",
+      "/traces/1/explain",
+      "/traces/1/explain?parent=1",
+      "/traces/2/provenance",
+      "/traces/6/provenance",
+      "/metrics",
+      "/healthz",
+  };
+  const std::vector<std::string_view> keys = {
+      "service", "from", "to", "grade", "min_confidence", "limit", "parent"};
+  // NaN compares false against both bounds of min_confidence's range.
+  EXPECT_EQ(Serve(*service_, "/traces?min_confidence=nan").status, 400);
+  Rng rng(2032);
+  std::map<int, std::size_t> statuses;
+  std::size_t listings = 0;
+  constexpr std::size_t kTrials = 20000;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    std::string target = seeds[t % seeds.size()];
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      MutateTarget(target, keys, rng);
+    }
+    // UrlDecode never grows its input, and without '%' or '+' it is the
+    // identity.
+    const std::string decoded = UrlDecode(target);
+    EXPECT_LE(decoded.size(), target.size()) << target;
+    if (target.find_first_of("%+") == std::string::npos) {
+      EXPECT_EQ(decoded, target);
+    }
+    HttpRequest request;
+    const HttpResult r = Serve(*service_, target, &request);
+    ASSERT_TRUE(r.ok) << target;
+    ++statuses[r.status];
+    EXPECT_TRUE(r.status == 200 || r.status == 400 || r.status == 404)
+        << r.status << " for " << target;
+    EXPECT_EQ(request.target, target);
+    if (r.status == 200 && (request.path == "/traces" ||
+                            request.path == "/traces/")) {
+      ++listings;
+      ExpectListingRespectsFilter(request, r.body, target);
+    }
+  }
+  // About 40% 200 (half of them listings), 16% 400 and 43% 404.
+  EXPECT_GT(statuses[200], kTrials / 4);
+  EXPECT_GT(statuses[400], kTrials / 10);
+  EXPECT_GT(statuses[404], kTrials / 4);
+  EXPECT_GT(listings, kTrials / 10);
 }
 
 // ---------------------------------------------------------------------

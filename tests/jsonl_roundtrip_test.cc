@@ -637,7 +637,8 @@ TEST(JsonScan, DecodersMatchPerKeyOracleOnMutatedInputs) {
         SameSpan);
   check(corpus.events, kEventKeys, 20000, obs::ProvEventFromJson,
         oracle::ProvEventFromJson, std::equal_to<obs::ProvEvent>());
-  check(corpus.records, record_keys, 6000, TraceRecordFromJson,
+  check(corpus.records, record_keys, 6000,
+        [](std::string_view line) { return TraceRecordFromJson(line); },
         oracle::TraceRecordFromJson, SameRecord);
   EXPECT_EQ(differences, 0u);
 }

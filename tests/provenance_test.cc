@@ -313,11 +313,13 @@ TEST_F(ProvenanceCommitTest, OrphanAndFinalizeOutcomesAreDistinct) {
 
   // The invariant the endpoint relies on: no committed trace without at
   // least one event.
-  store_->Query({}, [](const store::TraceSummary&,
-                       const std::shared_ptr<const TraceRecord>& rec) {
-    EXPECT_NE(rec, nullptr);
-    if (rec != nullptr) {
-      EXPECT_FALSE(rec->provenance.empty()) << rec->trace_id;
+  store_->Query({}, [](const store::TraceSummary& s,
+                       const store::RecordLine& line) {
+    EXPECT_NE(line, nullptr);
+    const auto rec = line ? TraceRecordFromJson(*line) : std::nullopt;
+    EXPECT_TRUE(rec.has_value()) << s.trace_id;
+    if (rec) {
+      EXPECT_FALSE(rec->provenance.empty()) << s.trace_id;
     }
     return true;
   });

@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "mutator.h"
+#include "state_fuzz.h"
 #include "store/committer.h"
 #include "store/store.h"
 #include "store/tail_sampler.h"
@@ -35,7 +36,9 @@ namespace {
 
 namespace fs = std::filesystem;
 using ::traceweaver::testing::HasRawControlByte;
+using ::traceweaver::testing::HostileTraceRecord;
 using ::traceweaver::testing::MakeSpan;
+using ::traceweaver::testing::ReencodedLine;
 using ::traceweaver::testing::RandomHostileString;
 
 /// Fresh per-test directory under the build tree's temp space.
@@ -327,14 +330,13 @@ TEST_F(StoreTest, IndexMatchesLinearScan) {
     // Query() (record-fetching path) agrees with QuerySummaries.
     std::size_t at = 0;
     store.Query(queries[qi],
-                [&](const TraceSummary& s,
-                    const std::shared_ptr<const TraceRecord>& rec) {
+                [&](const TraceSummary& s, const RecordLine& line) {
                   EXPECT_LT(at, expect.size()) << "query " << qi;
                   if (at >= expect.size()) return false;
                   EXPECT_EQ(s.trace_id, expect[at]->trace_id);
-                  EXPECT_NE(rec, nullptr);
-                  if (rec != nullptr) {
-                    EXPECT_TRUE(SameRecord(*rec, *expect[at]))
+                  EXPECT_NE(line, nullptr);
+                  if (line != nullptr) {
+                    EXPECT_EQ(*line, TraceRecordToJson(*expect[at]))
                         << "query " << qi << " trace " << s.trace_id;
                   }
                   ++at;
@@ -351,8 +353,7 @@ TEST_F(StoreTest, QueryEmitCanStopEarly) {
   std::size_t seen = 0;
   const std::size_t emitted = store.Query(
       TraceQuery{},
-      [&seen](const TraceSummary&,
-              const std::shared_ptr<const TraceRecord>&) {
+      [&seen](const TraceSummary&, const RecordLine&) {
         return ++seen < 3;
       });
   EXPECT_EQ(emitted, 3u);
@@ -424,10 +425,9 @@ TEST_F(StoreTest, ListingReadsEachSegmentOnce) {
     std::vector<SpanId> streamed;
     std::vector<std::string> bodies;
     store.Query(queries[qi],
-                [&](const TraceSummary& s,
-                    const std::shared_ptr<const TraceRecord>& rec) {
+                [&](const TraceSummary& s, const RecordLine& line) {
                   streamed.push_back(s.trace_id);
-                  bodies.push_back(rec ? TraceRecordToJson(*rec) : "null");
+                  bodies.push_back(line ? *line : "null");
                   return true;
                 });
     EXPECT_EQ(reads() - before, static_cast<std::int64_t>(segments.size()))
@@ -495,15 +495,14 @@ TEST_F(StoreTest, UnreadableSegmentNullsOnlyItsRecords) {
 
   std::vector<SpanId> streamed;
   store.Query(TraceQuery{},
-              [&](const TraceSummary& s,
-                  const std::shared_ptr<const TraceRecord>& rec) {
+              [&](const TraceSummary& s, const RecordLine& line) {
                 streamed.push_back(s.trace_id);
                 if (lost(s.trace_id)) {
-                  EXPECT_EQ(rec, nullptr) << "trace " << s.trace_id;
+                  EXPECT_EQ(line, nullptr) << "trace " << s.trace_id;
                 } else {
-                  EXPECT_NE(rec, nullptr) << "trace " << s.trace_id;
-                  if (rec != nullptr) {
-                    EXPECT_TRUE(SameRecord(*rec, MakeRecord(s.trace_id)));
+                  EXPECT_NE(line, nullptr) << "trace " << s.trace_id;
+                  if (line != nullptr) {
+                    EXPECT_EQ(*line, TraceRecordToJson(MakeRecord(s.trace_id)));
                   }
                 }
                 return true;
@@ -593,24 +592,23 @@ TraceRecord HostileRecord(SpanId id, Rng& rng) {
   return r;
 }
 
-/// Get(id) for each of `records`' ids, as record JSON or "null".
+/// GetLine(id) for each of `records`' ids, as the stored line or "null".
 std::vector<std::string> Fetch(const TraceStore& store,
                                const std::vector<TraceRecord>& records) {
   std::vector<std::string> bodies;
   for (const TraceRecord& r : records) {
-    const auto got = store.Get(r.trace_id);
-    bodies.push_back(got ? TraceRecordToJson(*got) : "null");
+    const RecordLine got = store.GetLine(r.trace_id);
+    bodies.push_back(got ? *got : "null");
   }
   return bodies;
 }
 
-/// Query(all) as record JSON or "null", in (start, trace_id) order.
+/// Query(all) as the stored lines or "null", in (start, trace_id) order.
 std::vector<std::string> ListAll(const TraceStore& store) {
   std::vector<std::string> bodies;
   store.Query(TraceQuery{},
-              [&bodies](const TraceSummary&,
-                        const std::shared_ptr<const TraceRecord>& rec) {
-                bodies.push_back(rec ? TraceRecordToJson(*rec) : "null");
+              [&bodies](const TraceSummary&, const RecordLine& line) {
+                bodies.push_back(line ? *line : "null");
                 return true;
               });
   return bodies;
@@ -1002,11 +1000,9 @@ TEST_F(StoreTest, MutatedSegmentAfterOpenReadsOriginalOrNull) {
       }
     }
     const std::size_t listed = store.Query(
-        TraceQuery{}, [&](const TraceSummary& s,
-                          const std::shared_ptr<const TraceRecord>& rec) {
-          if (rec != nullptr) {
-            EXPECT_EQ(TraceRecordToJson(*rec), original[s.trace_id])
-                << "trial " << t;
+        TraceQuery{}, [&](const TraceSummary& s, const RecordLine& line) {
+          if (line != nullptr) {
+            EXPECT_EQ(*line, original[s.trace_id]) << "trial " << t;
           }
           return true;
         });
@@ -1014,6 +1010,134 @@ TEST_F(StoreTest, MutatedSegmentAfterOpenReadsOriginalOrNull) {
   }
   EXPECT_GT(nulls, 0u);
   EXPECT_GT(whole, 0u);
+}
+
+// --- Bytes served equal bytes stored ---------------------------------------
+
+/// Every tier a record can be read from -- active, just sealed (cached by
+/// the seal), cold on disk, cached after a cold read, and after a reopen
+/// -- serves the same bytes, exactly sized, with an index entry whose
+/// provenance offset is json::FindValue's; Get decodes them.
+TEST_F(StoreTest, EveryTierServesReencodedBytes) {
+  Rng rng(28);
+  std::vector<TraceRecord> records;
+  for (SpanId id = 1; id <= 10; ++id) {
+    records.push_back(HostileTraceRecord(id, rng));
+  }
+  const auto check = [&](const TraceStore& store, std::size_t count,
+                         const std::string& tier) {
+    std::vector<std::string> listed;
+    for (std::size_t k = 0; k < count; ++k) {
+      const TraceRecord& r = records[k];
+      const std::string want = ReencodedLine(r);
+      ASSERT_EQ(want, TraceRecordToJson(r)) << tier << " " << r.trace_id;
+      TraceSummary summary;
+      const RecordLine line = store.GetLine(r.trace_id, &summary);
+      ASSERT_NE(line, nullptr) << tier << " " << r.trace_id;
+      EXPECT_EQ(*line, want) << tier << " " << r.trace_id;
+      EXPECT_EQ(line->capacity(), line->size()) << tier << " " << r.trace_id;
+      const std::size_t at = json::FindValue(*line, "provenance");
+      EXPECT_EQ(summary.provenance, at == std::string::npos ? 0 : at)
+          << tier << " " << r.trace_id;
+      EXPECT_EQ(summary.trace_id, r.trace_id) << tier;
+      const auto rec = store.Get(r.trace_id);
+      ASSERT_NE(rec, nullptr) << tier << " " << r.trace_id;
+      EXPECT_EQ(TraceRecordToJson(*rec), want) << tier << " " << r.trace_id;
+      listed.push_back(want);
+    }
+    // Commit order is start order here.
+    EXPECT_EQ(ListAll(store), listed) << tier;
+  };
+
+  obs::MetricsRegistry registry;
+  StoreOptions opts;
+  opts.segment_traces = 4;
+  opts.cache_traces = 64;
+  opts.metrics = &registry;
+  const auto value = [&registry](const char* name) {
+    return registry.Snapshot().Value(name, "");
+  };
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  for (std::size_t k = 0; k < 3; ++k) ASSERT_TRUE(store.Commit(records[k]));
+  check(store, 3, "active");
+  ASSERT_TRUE(store.Commit(records[3]));  // Seals segment 0.
+  ASSERT_EQ(store.sealed_segments(), 1u);
+  check(store, 4, "just sealed");
+  EXPECT_EQ(value("tw_store_segment_reads_total"), 0);
+  for (std::size_t k = 4; k < records.size(); ++k) {
+    ASSERT_TRUE(store.Commit(records[k]));
+  }
+  ASSERT_TRUE(store.Seal());
+  check(store, records.size(), "sealed");
+
+  StoreOptions cold = opts;
+  cold.cache_traces = 0;
+  cold.metrics = nullptr;
+  TraceStore uncached(Dir(), cold);
+  ASSERT_TRUE(uncached.Open().has_value());
+  check(uncached, records.size(), "cold");
+
+  obs::MetricsRegistry reopened_registry;
+  StoreOptions again = opts;
+  again.metrics = &reopened_registry;
+  TraceStore reopened(Dir(), again);
+  ASSERT_TRUE(reopened.Open().has_value());
+  check(reopened, records.size(), "reopened");
+  const auto hits = [&reopened_registry] {
+    return reopened_registry.Snapshot().Value("tw_store_cache_hits_total",
+                                              "");
+  };
+  const std::int64_t before = hits();
+  check(reopened, records.size(), "cached");
+  // Each record: GetLine, Get and the listing, all from the cache.
+  EXPECT_EQ(hits() - before, static_cast<std::int64_t>(3 * records.size()));
+}
+
+/// The record codec is a fixed point on every line it accepts: encoding a
+/// decoded record and decoding that again gives the same bytes. So a line
+/// the store keeps as encoded is the line any decode-and-encode of it
+/// would give. Each decoded record is also committed, and its index entry
+/// must hold json::FindValue's provenance offset.
+TEST_F(StoreTest, RecordCodecIsAFixedPointOnMutatedInputs) {
+  Rng rng(2029);
+  std::vector<std::string> base;
+  for (SpanId id = 1; id <= 12; ++id) {
+    base.push_back(TraceRecordToJson(HostileTraceRecord(id, rng)));
+  }
+  StoreOptions opts;
+  opts.cache_traces = 0;
+  TraceStore store(Dir(), opts);
+  ASSERT_TRUE(store.Open().has_value());
+  const std::vector<std::string_view> keys = SegmentKeys();
+  std::size_t decoded = 0;
+  std::size_t committed = 0;
+  constexpr std::size_t kTrials = 12000;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    std::string line = base[t % base.size()];
+    for (std::int64_t m = rng.UniformInt(1, 3); m > 0; --m) {
+      ::traceweaver::testing::Mutate(line, keys, rng);
+    }
+    const auto record = TraceRecordFromJson(line);
+    if (!record) continue;
+    ++decoded;
+    const std::string once = TraceRecordToJson(*record);
+    const auto again = TraceRecordFromJson(once);
+    ASSERT_TRUE(again.has_value()) << once;
+    EXPECT_EQ(TraceRecordToJson(*again), once) << "trial " << t;
+    if (!store.Commit(*record)) continue;
+    ++committed;
+    TraceSummary summary;
+    const RecordLine stored = store.GetLine(record->trace_id, &summary);
+    ASSERT_NE(stored, nullptr) << "trial " << t;
+    EXPECT_EQ(*stored, once) << "trial " << t;
+    const std::size_t at = json::FindValue(once, "provenance");
+    EXPECT_EQ(summary.provenance, at == std::string::npos ? 0 : at)
+        << "trial " << t;
+  }
+  EXPECT_GT(decoded, kTrials / 5);
+  EXPECT_LT(decoded, kTrials * 4 / 5);
+  EXPECT_GT(committed, 10u);
 }
 
 /// Kill-point property: truncate a sealed segment at every prefix length;
@@ -1123,11 +1247,10 @@ TEST_F(StoreTest, ConcurrentReadersWhileIngesting) {
         last_size = size;
         TraceQuery q;
         q.limit = 10;
-        store.Query(q, [](const TraceSummary& s,
-                          const std::shared_ptr<const TraceRecord>& rec) {
-          EXPECT_NE(rec, nullptr);
-          if (rec != nullptr) {
-            EXPECT_EQ(rec->trace_id, s.trace_id);
+        store.Query(q, [](const TraceSummary& s, const RecordLine& line) {
+          EXPECT_NE(line, nullptr);
+          if (line != nullptr) {
+            EXPECT_EQ(json::FieldU64(*line, "trace"), s.trace_id);
           }
           return true;
         });
@@ -1142,12 +1265,11 @@ TEST_F(StoreTest, ConcurrentReadersWhileIngesting) {
           recent.to = static_cast<TimeNs>(upto) * Millis(10);
           SpanId want = lo;
           store.Query(recent,
-                      [&want](const TraceSummary& s,
-                              const std::shared_ptr<const TraceRecord>& rec) {
+                      [&want](const TraceSummary& s, const RecordLine& line) {
                         EXPECT_EQ(s.trace_id, want);
-                        EXPECT_NE(rec, nullptr);
-                        if (rec != nullptr) {
-                          EXPECT_TRUE(SameRecord(*rec, MakeRecord(want)));
+                        EXPECT_NE(line, nullptr);
+                        if (line != nullptr) {
+                          EXPECT_EQ(*line, TraceRecordToJson(MakeRecord(want)));
                         }
                         ++want;
                         return true;
@@ -1848,6 +1970,83 @@ TEST_F(StoreTest, CommitterRestoreAtEveryCallMatchesUninterruptedRun) {
     EXPECT_EQ(restored.segments, reference.segments)
         << "split after call " << split;
   }
+}
+
+/// Committer and sampler state files under seeded mutation (raw bytes,
+/// and one record line framed again past the CRC check): each load
+/// rejects the file with the state untouched, or loads the original
+/// state, or loads exactly what a fresh object loads from it.
+TEST_F(StoreTest, MutatedCommitterAndSamplerStateRejectsOrLoadsWhole) {
+  const DurationNs window = Millis(100);
+  CommitterOptions copts;
+  copts.window = window;
+  copts.margin = Millis(10);
+  TailSamplerOptions sopts;
+  sopts.window = window;
+  sopts.keep_rate = 0.5;
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  // Saved states of a committer and sampler run over the first `calls`
+  // calls of a random stream.
+  const auto run = [&](std::uint64_t seed, int calls) {
+    Rng rng(seed);
+    const CommitterStream stream = RandomCommitterStream(rng, calls, window);
+    TraceStore scratch(Dir() + "/run" + std::to_string(seed));
+    EXPECT_TRUE(scratch.Open().has_value());
+    TailSampler sampler(sopts);
+    CommitterOptions o = copts;
+    o.sampler = &sampler;
+    TraceCommitter committer(o, &scratch);
+    for (std::size_t k = 0; k < stream.results.size(); ++k) {
+      for (const Span& span : stream.ingest[k]) committer.OnSpan(span);
+      committer.OnResults(stream.results[k]);
+    }
+    std::stringstream c;
+    committer.SaveState(c);
+    std::stringstream t;
+    sampler.SaveState(t);
+    return std::make_pair(c.str(), t.str());
+  };
+  const auto [committer_state, sampler_state] = run(31, 24);
+  const auto [committer_before, sampler_before] = run(32, 12);
+  ASSERT_NE(committer_state, committer_before);
+  ASSERT_NE(sampler_state, sampler_before);
+
+  using ::traceweaver::testing::FuzzStateFile;
+  Rng rng(2030);
+  const auto committers = FuzzStateFile<TraceCommitter>(
+      committer_state, committer_before, TraceCommitter::kStateSchema, 2000,
+      rng, [&] { return std::make_unique<TraceCommitter>(copts, &store); },
+      [](TraceCommitter& c, const std::string& bytes) {
+        std::istringstream in(bytes);
+        return c.LoadState(in);
+      },
+      [](const TraceCommitter& c) {
+        std::ostringstream out;
+        c.SaveState(out);
+        return out.str();
+      });
+  // About 1,600 rejected, 30 raw and 360 re-framed files loaded.
+  EXPECT_GT(committers.rejected, 1000u);
+  EXPECT_GT(committers.accepted_raw, 0u);
+  EXPECT_GT(committers.accepted_reframed, 100u);
+
+  const auto samplers = FuzzStateFile<TailSampler>(
+      sampler_state, sampler_before, TailSampler::kStateSchema, 2000, rng,
+      [&] { return std::make_unique<TailSampler>(sopts); },
+      [](TailSampler& t, const std::string& bytes) {
+        std::istringstream in(bytes);
+        return t.LoadState(in);
+      },
+      [](const TailSampler& t) {
+        std::ostringstream out;
+        t.SaveState(out);
+        return out.str();
+      });
+  // About 1,700 rejected, 40 raw and 280 re-framed files loaded.
+  EXPECT_GT(samplers.rejected, 1000u);
+  EXPECT_GT(samplers.accepted_raw, 0u);
+  EXPECT_GT(samplers.accepted_reframed, 100u);
 }
 
 }  // namespace

@@ -352,9 +352,8 @@ TEST_F(TailSamplerStoreTest, KillNineResumeReproducesIdenticalStore) {
     TraceCommitter committer(opts, &store);
     for (SpanId id = 1; id <= 120; ++id) feed(committer, id);
     committer.Finalize();
-    store.Query({}, [&](const TraceSummary&,
-                        const std::shared_ptr<const TraceRecord>& r) {
-      if (r != nullptr) reference[r->trace_id] = TraceRecordToJson(*r);
+    store.Query({}, [&](const TraceSummary& s, const RecordLine& line) {
+      if (line != nullptr) reference[s.trace_id] = *line;
       return true;
     });
     ASSERT_GT(reference.size(), 0u);
@@ -395,9 +394,8 @@ TEST_F(TailSamplerStoreTest, KillNineResumeReproducesIdenticalStore) {
     // idempotently, then the tail continues.
     for (SpanId id = 50; id <= 120; ++id) feed(committer, id);
     committer.Finalize();
-    reopened.Query({}, [&](const TraceSummary&,
-                           const std::shared_ptr<const TraceRecord>& r) {
-      if (r != nullptr) resumed[r->trace_id] = TraceRecordToJson(*r);
+    reopened.Query({}, [&](const TraceSummary& s, const RecordLine& line) {
+      if (line != nullptr) resumed[s.trace_id] = *line;
       return true;
     });
   }

@@ -13,6 +13,7 @@
 #include "core/explain.h"
 #include "core/optimizer.h"
 #include "trace/span.h"
+#include "trace/trace_record.h"
 #include "trace/trace_store.h"
 #include "util/rng.h"
 
@@ -109,6 +110,58 @@ inline bool HasRawControlByte(std::string_view text) {
     if (static_cast<unsigned char>(c) < 0x20) return true;
   }
   return false;
+}
+
+/// A committed-trace record whose names hold every kind of byte the
+/// record codec must escape or pass through: quotes, backslashes, control
+/// bytes (NUL included), multi-byte UTF-8, the raw bytes of a lone UTF-16
+/// surrogate, escape-shaped text and record-key-shaped punctuation. It has
+/// 1-4 spans (by `id`) starting at id * 10 ms, so ids are in start order,
+/// and one settle event per span, except that a multiple of 3 has no
+/// provenance block.
+inline TraceRecord HostileTraceRecord(SpanId id, Rng& rng) {
+  static const std::string kExtra[] = {std::string(1, '\0'), "\xed\xa0\x80",
+                                       "\\u0041\\ud83d", "\"}],\"provenance\":["};
+  const auto name = [&rng] {
+    std::string s = RandomHostileString(rng);
+    s.insert(static_cast<std::size_t>(
+                 rng.UniformInt(0, static_cast<std::int64_t>(s.size()))),
+             kExtra[rng.UniformInt(0, 3)]);
+    return s;
+  };
+  const TimeNs base = static_cast<TimeNs>(id) * Millis(10);
+  TraceRecord r;
+  r.trace_id = id;
+  r.root_service = name();
+  r.root_endpoint = name();
+  r.grade = static_cast<char>('A' + id % 4);
+  r.confidence = 0.9;
+  r.min_confidence = 0.5;
+  r.spans = {MakeSpan(id, kClientCaller, r.root_service, r.root_endpoint,
+                      base + 100, base + 900)};
+  for (SpanId k = 1; k <= id % 4; ++k) {
+    r.spans.push_back(MakeSpan(id + 1000000 * k, r.root_service, name(),
+                               name(), base + 200, base + 700));
+    r.parents.emplace_back(r.spans.back().id, id);
+  }
+  r.start = r.spans[0].client_send;
+  r.end = r.spans[0].client_recv;
+  if (id % 3 != 0) {
+    for (const Span& span : r.spans) {
+      r.provenance.push_back({obs::ProvEventType::kSettled, span.id,
+                              static_cast<std::int64_t>(r.spans.size()),
+                              name()});
+    }
+  }
+  return r;
+}
+
+/// What the store's read path served for `r` when it decoded each stored
+/// line and encoded the record again: TraceRecordToJson of the decoded
+/// line.
+inline std::string ReencodedLine(const TraceRecord& r) {
+  const auto back = TraceRecordFromJson(TraceRecordToJson(r));
+  return back ? TraceRecordToJson(*back) : "undecodable";
 }
 
 /// Explain witness: optimizes `view` with the drill-down armed on

@@ -18,7 +18,10 @@ HotelReservation population, in a temporary directory:
     and must exit 1 naming the file once one of the three is missing;
     serve on a stream with one malformed line, whose run report must count
     it in ingest.parse_errors and every served span in ingest.input;
- 5. query and provenance against the store;
+ 5. query (summaries, one trace, --full) and provenance against the
+    store: each record printed must be the stored line of its segment
+    file, byte for byte, and each provenance document the events of that
+    line;
  6. serve with a window of zero or a non-numeric window, with a
     missing checkpoint directory, or with --resume and no checkpoint
     directory, each of which must be rejected with exit status 2 (never
@@ -84,6 +87,49 @@ def expect_exit(cli, args, status, stderr_has=""):
             os.path.basename(cli), " ".join(args), proc.returncode, status,
             stderr_has, proc.stderr))
         sys.exit(1)
+
+
+def stored_lines(store):
+    """Every record line of the store's segment files (header and footer
+    dropped), as bytes, in (start, trace) order."""
+    lines = []
+    for name in sorted(os.listdir(store)):
+        if name.startswith("segment-") and name.endswith(".jsonl"):
+            with open(os.path.join(store, name), "rb") as f:
+                lines += f.read().split(b"\n")[1:-2]
+    records = [(json.loads(line), line) for line in lines]
+    records.sort(key=lambda r: (r[0]["start"], r[0]["trace"]))
+    return [(r["trace"], r, line) for r, line in records]
+
+
+def check_stored_bytes(cli, store):
+    """`query --full`, `query <id>` and `provenance <id>` print the stored
+    bytes; returns a failure message or None."""
+    def output(args):
+        proc = subprocess.run([cli] + args, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, timeout=120)
+        return proc.stdout if proc.returncode == 0 else None
+
+    records = stored_lines(store)
+    if not records:
+        return "the store holds no records"
+    if output(["query", "--full", store]) != b"".join(
+            line + b"\n" for _, _, line in records):
+        return "query --full did not print the stored lines"
+    key = b',"provenance":['
+    for trace, record, line in records[::max(1, len(records) // 20)]:
+        if output(["query", store, str(trace)]) != line + b"\n":
+            return "query %d did not print its stored line" % trace
+        # The writer puts the provenance block last: its elements, as
+        # stored, are the document's events.
+        events = line[line.rindex(key) + len(key):-2] if key in line else b""
+        doc = b'{"schema":"traceweaver.provenance.v1","trace":%d,' \
+              b'"events":[%s]}\n' % (trace, events)
+        if output(["provenance", store, str(trace)]) != doc:
+            return "provenance %d did not print its stored events" % trace
+        if json.loads(doc)["events"] != record.get("provenance", []):
+            return "provenance %d events differ from the record's" % trace
+    return None
 
 
 def main():
@@ -152,6 +198,10 @@ def main():
         listing, _ = run(cli, ["query", store])
         trace = json.loads(listing.splitlines()[0])["trace"]
         run(cli, ["provenance", store, str(trace)])
+        failure = check_stored_bytes(cli, store)
+        if failure:
+            sys.stderr.write("FAIL: " + failure + "\n")
+            return 1
 
         for window in ("0", "abc"):
             expect_exit(cli, ["serve", "--window-ms=" + window, graph,

@@ -1118,16 +1118,23 @@ std::unique_ptr<store::TraceStore> OpenStore(const char* cmd,
   return tstore;
 }
 
-/// The stored record the positional `id` names; null, reported on
-/// stderr, when there is none.
-std::shared_ptr<const TraceRecord> GetTrace(const char* cmd,
-                                            const store::TraceStore& tstore,
-                                            const char* id) {
-  auto record = tstore.Get(Parse({"trace_id", kUnsigned}, id).u);
-  if (record == nullptr) {
+/// The stored line of the record the positional `id` names (its index
+/// entry in *summary when given); null, reported on stderr, when there is
+/// none.
+store::RecordLine GetTrace(const char* cmd, const store::TraceStore& tstore,
+                           const char* id,
+                           store::TraceSummary* summary = nullptr) {
+  auto line = tstore.GetLine(Parse({"trace_id", kUnsigned}, id).u, summary);
+  if (line == nullptr) {
     std::fprintf(stderr, "%s: trace %s not found\n", cmd, id);
   }
-  return record;
+  return line;
+}
+
+/// Writes one stored line and its newline to stdout, as stored.
+void PrintLine(const std::string& line) {
+  std::fwrite(line.data(), 1, line.size(), stdout);
+  std::fputc('\n', stdout);
 }
 
 /// query: offline access to a trace store (no server). Summaries by
@@ -1141,9 +1148,9 @@ int CmdQuery(const CliFlags& flags, int argc, char** argv) {
   if (!opened) return 1;
   const store::TraceStore& tstore = *opened;
   if (argc > 2) {
-    const auto record = GetTrace("query", tstore, argv[2]);
-    if (record == nullptr) return 1;
-    std::printf("%s\n", TraceRecordToJson(*record).c_str());
+    const auto line = GetTrace("query", tstore, argv[2]);
+    if (line == nullptr) return 1;
+    PrintLine(*line);
     return 0;
   }
 
@@ -1153,11 +1160,8 @@ int CmdQuery(const CliFlags& flags, int argc, char** argv) {
   std::size_t matched = 0;
   if (flags.q_full) {
     matched = tstore.Query(
-        query, [](const store::TraceSummary&,
-                  const std::shared_ptr<const TraceRecord>& record) {
-          if (record != nullptr) {
-            std::printf("%s\n", TraceRecordToJson(*record).c_str());
-          }
+        query, [](const store::TraceSummary&, const store::RecordLine& line) {
+          if (line != nullptr) PrintLine(*line);
           return true;
         });
   } else {
@@ -1185,9 +1189,15 @@ int CmdQuery(const CliFlags& flags, int argc, char** argv) {
 int CmdProvenance(const CliFlags&, int, char** argv) {
   const auto opened = OpenStore("provenance", argv[1]);
   if (!opened) return 1;
-  const auto record = GetTrace("provenance", *opened, argv[2]);
-  if (record == nullptr) return 1;
-  std::printf("%s\n", serve::ProvenanceJson(*record).c_str());
+  store::TraceSummary summary;
+  const auto line = GetTrace("provenance", *opened, argv[2], &summary);
+  if (line == nullptr) return 1;
+  const auto body = serve::ProvenanceJson(summary, *line);
+  if (!body) {
+    std::fprintf(stderr, "provenance: trace %s is unreadable\n", argv[2]);
+    return 1;
+  }
+  PrintLine(*body);
   return 0;
 }
 
